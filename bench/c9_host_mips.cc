@@ -244,6 +244,93 @@ printHostThroughput(unsigned repeat, JsonReport &json)
                  "state.\n";
 }
 
+/** A loop-only program: no calls inside the timed work, so its host
+ *  ns per simulated instruction is the threaded backend's cost of a
+ *  jump-speed instruction stream. */
+std::vector<Module>
+loopProgram()
+{
+    return lang::compile(R"(
+        module Loop;
+        var acc;
+        proc main(n) {
+            var i;
+            var j;
+            i = 0;
+            while (i < n) {
+                j = 0;
+                while (j < 100) {
+                    acc = acc + j;
+                    j = j + 1;
+                }
+                i = i + 1;
+            }
+            return acc;
+        }
+    )");
+}
+
+/**
+ * The host cost of a call: threaded ns per simulated instruction on
+ * call-heavy fib(20) (a call or return every six instructions) against
+ * the loop-only program, per engine. The paper's claim is that a call
+ * costs about what a jump costs; on the host, the ratio is how far the
+ * translator is from that. Informational: printed and exported as a
+ * table, never gated (the host is shared).
+ */
+void
+printCallCost(unsigned repeat, JsonReport &json)
+{
+    constexpr Word fibArg = 20;
+    constexpr Word loopArg = 600;
+    std::cout << "\nHost cost of a call on the threaded backend (fib("
+              << fibArg << ") vs a loop-only program), min of " << repeat
+              << " runs:\n\n";
+    stats::Table table({"impl", "fib ns/inst", "loop ns/inst",
+                        "fib/loop"});
+    if (repeat == 0)
+        repeat = 1;
+    for (const EngineCombo &combo : allEngines()) {
+        MachineConfig config = configFor(combo);
+        config.accel.enabled = true;
+        config.accel.threaded = true;
+        Rig fib(fibProgram(), planFor(combo), config);
+        Rig loop(loopProgram(), planFor(combo), config);
+        // Warm runs: superblocks, site caches and free lists.
+        runToResult(*fib.machine, "Fib", "main", {fibArg});
+        runToResult(*loop.machine, "Loop", "main", {loopArg});
+        const std::uint64_t fibSteps0 = fib.machine->stats().steps;
+        const std::uint64_t loopSteps0 = loop.machine->stats().steps;
+        double fibS = 0, loopS = 0;
+        using clock = std::chrono::steady_clock;
+        // Interleaved, like measureBackends: a noise burst lands on
+        // both sides of the ratio.
+        for (unsigned r = 0; r < repeat; ++r) {
+            auto t0 = clock::now();
+            runToResult(*fib.machine, "Fib", "main", {fibArg});
+            const std::chrono::duration<double> f = clock::now() - t0;
+            t0 = clock::now();
+            runToResult(*loop.machine, "Loop", "main", {loopArg});
+            const std::chrono::duration<double> l = clock::now() - t0;
+            if (r == 0 || f.count() < fibS)
+                fibS = f.count();
+            if (r == 0 || l.count() < loopS)
+                loopS = l.count();
+        }
+        const double fibNs =
+            fibS / static_cast<double>(fibSteps0) * 1e9;
+        const double loopNs =
+            loopS / static_cast<double>(loopSteps0) * 1e9;
+        table.row(implName(combo.impl), stats::fixed(fibNs, 2),
+                  stats::fixed(loopNs, 2),
+                  stats::fixed(fibNs / loopNs, 2));
+    }
+    table.print(std::cout);
+    json.table("call_cost", table);
+    std::cout << "\nTarget shape: fib ns/inst within 2x of the loop's on "
+                 "every engine (a call costs about a jump).\n";
+}
+
 /** The three observability states the obs_overhead table compares on
  *  the threaded backend. */
 enum class ObsState
@@ -536,6 +623,7 @@ try {
     const unsigned repeat = stripUintFlag(argc, argv, "repeat", 3);
 
     printHostThroughput(repeat, json);
+    printCallCost(repeat, json);
     printObsOverhead(repeat, json);
     printProbeOverhead(repeat, json);
     json.write();

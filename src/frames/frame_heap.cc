@@ -31,37 +31,29 @@ FrameHeap::FrameHeap(Memory &memory, const SystemLayout &layout,
         mem_.poke(layout_.avAddr + i, 0);
 }
 
-Addr
-FrameHeap::alloc(unsigned fsi)
+Word
+FrameHeap::refill(unsigned fsi)
 {
-    if (fsi >= classes_.numClasses())
-        panic("alloc: fsi {} out of range", fsi);
-
-    const Addr av_slot = layout_.avAddr + fsi;
-    // Ref 1: fetch the list head from AV.
-    Word head = mem_.read(av_slot, AccessKind::Heap);
+    // "If the free list is empty there is a trap to a software
+    // allocator which creates more frames of the desired size."
+    ++stats_.softwareTraps;
+    replenish(fsi);
+    const Word head = mem_.read(layout_.avAddr + fsi, AccessKind::Heap);
     stats_.refsAlloc += 1;
-    if (head == nilContext) {
-        // "If the free list is empty there is a trap to a software
-        // allocator which creates more frames of the desired size."
-        ++stats_.softwareTraps;
-        replenish(fsi);
-        head = mem_.read(av_slot, AccessKind::Heap);
-        stats_.refsAlloc += 1;
-    }
+    return head;
+}
 
-    const Context ctx = unpackContext(head, layout_);
-    const Addr frame_ptr = ctx.framePtr;
-    // Ref 2: fetch the next pointer from the first node.
-    const Word next = mem_.read(frame_ptr, AccessKind::Heap);
-    // Ref 3: store it into the list head.
-    mem_.write(av_slot, next, AccessKind::Heap);
-    stats_.refsAlloc += 2;
+void
+FrameHeap::fsiPanic(const char *op, unsigned fsi) const
+{
+    panic("{}: fsi {} out of range", op, fsi);
+}
 
-    ++stats_.allocs;
-    stats_.allocatedWords += classes_.classWords(fsi);
-    stats_.blockWords += classes_.blockWords(fsi);
-    return frame_ptr;
+void
+FrameHeap::corruptHeader(const char *op, Addr frame_ptr,
+                         unsigned fsi) const
+{
+    panic("{}: corrupt header at {} (fsi {})", op, frame_ptr - 1, fsi);
 }
 
 unsigned
@@ -115,32 +107,6 @@ FrameHeap::free(Addr frame_ptr)
     ++stats_.frees;
 }
 
-bool
-FrameHeap::release(Addr frame_ptr)
-{
-    // The retained check shares the header read with free(); to keep
-    // the paper's four-reference count exact we read it once here and
-    // hand the fsi path the same value.
-    const Word header = mem_.read(frame_ptr - 1, AccessKind::Heap);
-    if (header & frame::retainedFlag) {
-        ++stats_.retainedSkips;
-        stats_.refsFree += 1;
-        return false;
-    }
-    const unsigned fsi = header & frame::fsiMask;
-    if (fsi >= classes_.numClasses())
-        panic("release: corrupt header at {} (fsi {})", frame_ptr - 1,
-              fsi);
-
-    const Addr av_slot = layout_.avAddr + fsi;
-    const Word head = mem_.read(av_slot, AccessKind::Heap);
-    mem_.write(frame_ptr, head, AccessKind::Heap);
-    mem_.write(av_slot, packFrameContext(frame_ptr, layout_),
-               AccessKind::Heap);
-    stats_.refsFree += 3 + 1; // header read above + three list refs
-    ++stats_.frees;
-    return true;
-}
 
 void
 FrameHeap::setRetained(Addr frame_ptr, bool retained)

@@ -28,6 +28,7 @@
 #include "common/types.hh"
 #include "frames/size_classes.hh"
 #include "memory/memory.hh"
+#include "xfer/context.hh"
 #include "xfer/layout.hh"
 
 namespace fpc
@@ -72,9 +73,34 @@ class FrameHeap
     /**
      * Allocate a frame of the given size class; returns the frame
      * pointer (one word past the header). Exactly three storage
-     * references on the fast path.
+     * references on the fast path. Inline: every call on I1-I3 takes
+     * it; the empty-list trap stays out of line.
      */
-    Addr alloc(unsigned fsi);
+    [[gnu::always_inline]] Addr
+    alloc(unsigned fsi)
+    {
+        if (fsi >= classes_.numClasses()) [[unlikely]]
+            fsiPanic("alloc", fsi);
+
+        const Addr av_slot = layout_.avAddr + fsi;
+        // Ref 1: fetch the list head from AV.
+        Word head = mem_.read(av_slot, AccessKind::Heap);
+        stats_.refsAlloc += 1;
+        if (head == nilContext) [[unlikely]]
+            head = refill(fsi);
+
+        const Addr frame_ptr = unpackContext(head, layout_).framePtr;
+        // Ref 2: fetch the next pointer from the first node.
+        const Word next = mem_.read(frame_ptr, AccessKind::Heap);
+        // Ref 3: store it into the list head.
+        mem_.write(av_slot, next, AccessKind::Heap);
+        stats_.refsAlloc += 2;
+
+        ++stats_.allocs;
+        stats_.allocatedWords += classes_.classWords(fsi);
+        stats_.blockWords += classes_.blockWords(fsi);
+        return frame_ptr;
+    }
 
     /**
      * Allocate for a payload request, recording fragmentation stats.
@@ -88,9 +114,34 @@ class FrameHeap
 
     /**
      * The RETURN-path release: frees the frame unless it is retained
-     * (§4). Returns true if the frame was actually freed.
+     * (§4). Returns true if the frame was actually freed. Inline, like
+     * alloc.
      */
-    bool release(Addr frame_ptr);
+    [[gnu::always_inline]] bool
+    release(Addr frame_ptr)
+    {
+        // The retained check shares the header read with free(); to
+        // keep the paper's four-reference count exact we read it once
+        // here and hand the fsi path the same value.
+        const Word header = mem_.read(frame_ptr - 1, AccessKind::Heap);
+        if (header & frame::retainedFlag) {
+            ++stats_.retainedSkips;
+            stats_.refsFree += 1;
+            return false;
+        }
+        const unsigned fsi = header & frame::fsiMask;
+        if (fsi >= classes_.numClasses()) [[unlikely]]
+            corruptHeader("release", frame_ptr, fsi);
+
+        const Addr av_slot = layout_.avAddr + fsi;
+        const Word head = mem_.read(av_slot, AccessKind::Heap);
+        mem_.write(frame_ptr, head, AccessKind::Heap);
+        mem_.write(av_slot, packFrameContext(frame_ptr, layout_),
+                   AccessKind::Heap);
+        stats_.refsFree += 3 + 1; // header read above + three list refs
+        ++stats_.frees;
+        return true;
+    }
 
     /** @name Retained frames and §7.4 flags. @{ */
     void setRetained(Addr frame_ptr, bool retained);
@@ -121,6 +172,12 @@ class FrameHeap
   private:
     /** The software allocator: replenish the free list for fsi. */
     void replenish(unsigned fsi);
+    /** alloc's empty-list trap: replenish, then re-read the AV head
+     *  (one more reference). Returns the new head. */
+    Word refill(unsigned fsi);
+    [[noreturn]] void fsiPanic(const char *op, unsigned fsi) const;
+    [[noreturn]] void corruptHeader(const char *op, Addr frame_ptr,
+                                    unsigned fsi) const;
 
     Word readHeader(Addr frame_ptr) const;
     void writeHeaderFlags(Addr frame_ptr, Word flags_on, Word flags_off);

@@ -39,12 +39,10 @@ SizeClasses::standard()
     return SizeClasses(8, 1.2, 19);
 }
 
-unsigned
-SizeClasses::classWords(unsigned fsi) const
+void
+SizeClasses::fsiPanic(unsigned fsi) const
 {
-    if (fsi >= sizes_.size())
-        panic("fsi {} out of range ({} classes)", fsi, sizes_.size());
-    return sizes_[fsi];
+    panic("fsi {} out of range ({} classes)", fsi, sizes_.size());
 }
 
 unsigned
@@ -63,11 +61,5 @@ SizeClasses::fits(unsigned payload_words) const
     return payload_words <= sizes_.back();
 }
 
-unsigned
-SizeClasses::blockWords(unsigned fsi) const
-{
-    const unsigned raw = classWords(fsi) + 1; // + header word
-    return (raw + 3u) & ~3u;                  // quad alignment
-}
 
 } // namespace fpc

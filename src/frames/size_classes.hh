@@ -42,8 +42,15 @@ class SizeClasses
 
     unsigned numClasses() const { return sizes_.size(); }
 
-    /** Payload words available in the given class. */
-    unsigned classWords(unsigned fsi) const;
+    /** Payload words available in the given class. Inline: every
+     *  frame allocation asks. */
+    unsigned
+    classWords(unsigned fsi) const
+    {
+        if (fsi >= sizes_.size()) [[unlikely]]
+            fsiPanic(fsi);
+        return sizes_[fsi];
+    }
 
     /** Smallest class holding the given payload; panics if none. */
     unsigned fsiFor(unsigned payload_words) const;
@@ -58,9 +65,16 @@ class SizeClasses
      * Words a block of this class occupies in the heap, including the
      * header word and quad-alignment padding.
      */
-    unsigned blockWords(unsigned fsi) const;
+    unsigned
+    blockWords(unsigned fsi) const
+    {
+        const unsigned raw = classWords(fsi) + 1; // + header word
+        return (raw + 3u) & ~3u;                  // quad alignment
+    }
 
   private:
+    [[noreturn]] void fsiPanic(unsigned fsi) const;
+
     std::vector<unsigned> sizes_;
 };
 

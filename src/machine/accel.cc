@@ -55,6 +55,10 @@ AccelStats::merge(const AccelStats &other)
     sblockChainHits += other.sblockChainHits;
     sblockFusionHits += other.sblockFusionHits;
     deferredFlushes += other.deferredFlushes;
+    callSiteHits += other.callSiteHits;
+    callSiteMisses += other.callSiteMisses;
+    returnPredHits += other.returnPredHits;
+    returnPredMisses += other.returnPredMisses;
     probeSites += other.probeSites;
     probeDeoptBlocks += other.probeDeoptBlocks;
     probeEagerSteps += other.probeEagerSteps;
@@ -90,116 +94,13 @@ Accel::Accel(const AccelConfig &config, const LoadedImage &image,
         sensitive_[inst.gfAddr] = 1;
 }
 
-bool
-Accel::findLink(std::vector<LinkEntry> &cache, std::uint64_t key,
-                ProcTarget &out)
-{
-    const LinkEntry &e = cache[slot(key, linkMask_)];
-    if (e.key != key)
-        return false;
-    out = e.target;
-    return true;
-}
-
-void
-Accel::putLink(std::vector<LinkEntry> &cache, std::uint64_t key,
-               const ProcTarget &target)
-{
-    LinkEntry &e = cache[slot(key, linkMask_)];
-    e.key = key;
-    e.target = target;
-}
-
-bool
-Accel::findExt(Word descriptor, ProcTarget &out)
-{
-    if (findLink(ext_, descriptor, out)) {
-        ++stats.extHits;
-        return true;
-    }
-    ++stats.extMisses;
-    return false;
-}
-
-void
-Accel::putExt(Word descriptor, const ProcTarget &target)
-{
-    putLink(ext_, descriptor, target);
-}
-
-bool
-Accel::findLocal(CodeByteAddr code_base, unsigned ev_index,
-                 unsigned &fsi, CodeByteAddr &entry_pc)
-{
-    // Caches only (fsi, entryPc): multiple instances of a module share
-    // one code segment but have distinct global frames, so gf must
-    // come from the live machine state, never from the cache.
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(code_base) << 16) | ev_index;
-    ProcTarget t;
-    if (findLink(local_, key, t)) {
-        fsi = t.fsi;
-        entry_pc = t.entryPc;
-        ++stats.localHits;
-        return true;
-    }
-    ++stats.localMisses;
-    return false;
-}
-
-void
-Accel::putLocal(CodeByteAddr code_base, unsigned ev_index,
-                const ProcTarget &target)
-{
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(code_base) << 16) | ev_index;
-    putLink(local_, key, target);
-}
-
-bool
-Accel::findDirect(CodeByteAddr target_addr, ProcTarget &out)
-{
-    if (findLink(direct_, target_addr, out)) {
-        ++stats.directHits;
-        return true;
-    }
-    ++stats.directMisses;
-    return false;
-}
-
-void
-Accel::putDirect(CodeByteAddr target_addr, const ProcTarget &target)
-{
-    putLink(direct_, target_addr, target);
-}
-
-bool
-Accel::findFat(CodeByteAddr target_addr, unsigned &fsi)
-{
-    ProcTarget t;
-    if (findLink(fat_, target_addr, t)) {
-        fsi = t.fsi;
-        ++stats.fatHits;
-        return true;
-    }
-    ++stats.fatMisses;
-    return false;
-}
-
-void
-Accel::putFat(CodeByteAddr target_addr, unsigned fsi)
-{
-    ProcTarget t;
-    t.fsi = fsi;
-    putLink(fat_, target_addr, t);
-}
-
 void
 Accel::flushLinks()
 {
     for (auto *cache : {&ext_, &local_, &direct_, &fat_})
         for (LinkEntry &e : *cache)
             e.key = invalidKey;
+    ++linkGen_;
     ++stats.tableFlushes;
 }
 
@@ -211,6 +112,7 @@ Accel::flushAll()
     for (auto *cache : {&ext_, &local_, &direct_, &fat_})
         for (LinkEntry &e : *cache)
             e.key = invalidKey;
+    ++linkGen_;
 }
 
 } // namespace fpc

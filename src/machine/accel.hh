@@ -93,6 +93,17 @@ struct AccelStats
      *  (loop exits, cache flushes, boundary samples). */
     CountT deferredFlushes = 0;
 
+    /** Threaded backend, host fast calls: calls resolved by their
+     *  block's call-site target cache (a hit also counts as a hit of
+     *  its link-cache flavor, so the link hit rate keeps its meaning),
+     *  and returns whose successor block came from the host return
+     *  stack (predictions taken) or did not (missed: empty stack, no
+     *  recorded successor, or one that starts at another PC). */
+    CountT callSiteHits = 0;
+    CountT callSiteMisses = 0;
+    CountT returnPredHits = 0;
+    CountT returnPredMisses = 0;
+
     /** Dynamic probes (machine.hh ProbeSink): armed code ranges
      *  registered, superblocks selectively invalidated at arm time,
      *  and steps the accelerated loops deoptimized to the exact eager
@@ -132,6 +143,21 @@ struct ProcTarget
     bool codeBaseValid = false;
     unsigned fsi = 0;
     CodeByteAddr entryPc = 0; ///< absolute byte address
+};
+
+/**
+ * A call site's target cache: the resolution of the one call that ends
+ * a superblock, keyed by what varies at run time (the descriptor an
+ * EFC read from its link vector, or the code base of an LFC; DFC and
+ * FCALL sites take their target from the code itself). gen 0 means
+ * empty. EFC and LFC entries are valid until Accel::flushLinks, the
+ * others for the block's life, which ends when the code epoch moves.
+ */
+struct CallSite
+{
+    ProcTarget target;
+    std::uint64_t key = 0;
+    std::uint64_t gen = 0;
 };
 
 /** The caches themselves; owned by a Machine when acceleration is on. */
@@ -188,20 +214,30 @@ class Accel
     }
     /** @} */
 
-    /** @name XFER link caches, one per resolution discipline. @{ */
-    bool findExt(Word descriptor, ProcTarget &out);
-    void putExt(Word descriptor, const ProcTarget &target);
+    /** @name XFER link caches, one per resolution discipline.
+     *
+     * A non-null site is the calling block's target cache: find
+     * consults it before the shared table and put refills it. @{ */
+    bool findExt(Word descriptor, ProcTarget &out,
+                 CallSite *site = nullptr);
+    void putExt(Word descriptor, const ProcTarget &target,
+                CallSite *site = nullptr);
 
     bool findLocal(CodeByteAddr code_base, unsigned ev_index,
-                   unsigned &fsi, CodeByteAddr &entry_pc);
+                   unsigned &fsi, CodeByteAddr &entry_pc,
+                   CallSite *site = nullptr);
     void putLocal(CodeByteAddr code_base, unsigned ev_index,
-                  const ProcTarget &target);
+                  const ProcTarget &target, CallSite *site = nullptr);
 
-    bool findDirect(CodeByteAddr target_addr, ProcTarget &out);
-    void putDirect(CodeByteAddr target_addr, const ProcTarget &target);
+    bool findDirect(CodeByteAddr target_addr, ProcTarget &out,
+                    CallSite *site = nullptr);
+    void putDirect(CodeByteAddr target_addr, const ProcTarget &target,
+                   CallSite *site = nullptr);
 
-    bool findFat(CodeByteAddr target_addr, unsigned &fsi);
-    void putFat(CodeByteAddr target_addr, unsigned fsi);
+    bool findFat(CodeByteAddr target_addr, unsigned &fsi,
+                 CallSite *site = nullptr);
+    void putFat(CodeByteAddr target_addr, unsigned fsi,
+                CallSite *site = nullptr);
     /** @} */
 
     /** True if a data write to addr could change a memoized link
@@ -243,7 +279,21 @@ class Accel
     void putLink(std::vector<LinkEntry> &cache, std::uint64_t key,
                  const ProcTarget &target);
 
+    /** The site first, then the shared table (a table hit refills
+     *  the site). link_scoped site entries also die at flushLinks. */
+    bool lookup(std::vector<LinkEntry> &cache, std::uint64_t key,
+                bool link_scoped, CallSite *site, ProcTarget &out);
+    void
+    putSite(CallSite *site, std::uint64_t key, const ProcTarget &target)
+    {
+        if (site != nullptr)
+            *site = {target, key, linkGen_};
+    }
+
     std::uint64_t seenEpoch_ = 0;
+    /** Link-cache generation, bumped by every flush: the validity
+     *  stamp of link-scoped call sites. Never 0. */
+    std::uint64_t linkGen_ = 1;
     std::size_t icacheMask_ = 0;
     std::size_t linkMask_ = 0;
     std::vector<IEntry> icache_;
@@ -254,6 +304,139 @@ class Accel
     /** One byte per data-space word below the frame region. */
     std::vector<std::uint8_t> sensitive_;
 };
+
+// ---------------------------------------------------------------------
+// The link-cache lookups, inline: the threaded loop makes one per call.
+// ---------------------------------------------------------------------
+
+inline bool
+Accel::findLink(std::vector<LinkEntry> &cache, std::uint64_t key,
+                ProcTarget &out)
+{
+    const LinkEntry &e = cache[slot(key, linkMask_)];
+    if (e.key != key)
+        return false;
+    out = e.target;
+    return true;
+}
+
+inline void
+Accel::putLink(std::vector<LinkEntry> &cache, std::uint64_t key,
+               const ProcTarget &target)
+{
+    LinkEntry &e = cache[slot(key, linkMask_)];
+    e.key = key;
+    e.target = target;
+}
+
+[[gnu::always_inline]] inline bool
+Accel::lookup(std::vector<LinkEntry> &cache, std::uint64_t key,
+              bool link_scoped, CallSite *site, ProcTarget &out)
+{
+    if (site != nullptr) {
+        if (site->gen != 0 && site->key == key &&
+            (!link_scoped || site->gen == linkGen_)) {
+            out = site->target;
+            ++stats.callSiteHits;
+            return true;
+        }
+        ++stats.callSiteMisses;
+    }
+    if (!findLink(cache, key, out))
+        return false;
+    putSite(site, key, out);
+    return true;
+}
+
+inline bool
+Accel::findExt(Word descriptor, ProcTarget &out, CallSite *site)
+{
+    if (lookup(ext_, descriptor, true, site, out)) {
+        ++stats.extHits;
+        return true;
+    }
+    ++stats.extMisses;
+    return false;
+}
+
+inline void
+Accel::putExt(Word descriptor, const ProcTarget &target, CallSite *site)
+{
+    putLink(ext_, descriptor, target);
+    putSite(site, descriptor, target);
+}
+
+inline bool
+Accel::findLocal(CodeByteAddr code_base, unsigned ev_index,
+                 unsigned &fsi, CodeByteAddr &entry_pc, CallSite *site)
+{
+    // Caches only (fsi, entryPc): multiple instances of a module share
+    // one code segment but have distinct global frames, so gf must
+    // come from the live machine state, never from the cache.
+    const std::uint64_t key =
+        (static_cast<std::uint64_t>(code_base) << 16) | ev_index;
+    ProcTarget t;
+    if (lookup(local_, key, true, site, t)) {
+        fsi = t.fsi;
+        entry_pc = t.entryPc;
+        ++stats.localHits;
+        return true;
+    }
+    ++stats.localMisses;
+    return false;
+}
+
+inline void
+Accel::putLocal(CodeByteAddr code_base, unsigned ev_index,
+                const ProcTarget &target, CallSite *site)
+{
+    const std::uint64_t key =
+        (static_cast<std::uint64_t>(code_base) << 16) | ev_index;
+    putLink(local_, key, target);
+    putSite(site, key, target);
+}
+
+inline bool
+Accel::findDirect(CodeByteAddr target_addr, ProcTarget &out,
+                  CallSite *site)
+{
+    if (lookup(direct_, target_addr, false, site, out)) {
+        ++stats.directHits;
+        return true;
+    }
+    ++stats.directMisses;
+    return false;
+}
+
+inline void
+Accel::putDirect(CodeByteAddr target_addr, const ProcTarget &target,
+                 CallSite *site)
+{
+    putLink(direct_, target_addr, target);
+    putSite(site, target_addr, target);
+}
+
+inline bool
+Accel::findFat(CodeByteAddr target_addr, unsigned &fsi, CallSite *site)
+{
+    ProcTarget t;
+    if (lookup(fat_, target_addr, false, site, t)) {
+        fsi = t.fsi;
+        ++stats.fatHits;
+        return true;
+    }
+    ++stats.fatMisses;
+    return false;
+}
+
+inline void
+Accel::putFat(CodeByteAddr target_addr, unsigned fsi, CallSite *site)
+{
+    ProcTarget t;
+    t.fsi = fsi;
+    putLink(fat_, target_addr, t);
+    putSite(site, target_addr, t);
+}
 
 } // namespace fpc
 

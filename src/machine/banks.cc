@@ -11,72 +11,11 @@ BankFile::BankFile(unsigned num_banks, unsigned bank_words)
     if (num_banks < 2)
         panic("BankFile: at least two banks are required (stack + "
               "frame)");
-    if (bank_words < 8 || bank_words > 32)
+    if (bank_words < 8 || bank_words > maxBankWords)
         panic("BankFile: bank size {} out of the modelled range",
               bank_words);
     banks_.resize(num_banks);
     numBanks_ = num_banks;
-    for (auto &b : banks_)
-        b.data.assign(bank_words, 0);
-}
-
-int
-BankFile::bankOf(Addr frame_ptr) const
-{
-    for (unsigned i = 0; i < banks_.size(); ++i)
-        if (!banks_[i].free && banks_[i].owner == frame_ptr)
-            return static_cast<int>(i);
-    return -1;
-}
-
-int
-BankFile::assignFree(Addr frame_ptr)
-{
-    for (unsigned i = 0; i < banks_.size(); ++i) {
-        if (banks_[i].free) {
-            banks_[i].free = false;
-            banks_[i].owner = frame_ptr;
-            banks_[i].dirty = 0;
-            banks_[i].assignedAt = ++clock_;
-            banks_[i].ownerFsi = 0;
-            return static_cast<int>(i);
-        }
-    }
-    return -1;
-}
-
-int
-BankFile::victim(int pinned_a, int pinned_b) const
-{
-    int best = -1;
-    for (unsigned i = 0; i < banks_.size(); ++i) {
-        const int bi = static_cast<int>(i);
-        if (banks_[i].free || bi == pinned_a || bi == pinned_b)
-            continue;
-        if (best < 0 || banks_[i].assignedAt < banks_[best].assignedAt)
-            best = bi;
-    }
-    return best;
-}
-
-void
-BankFile::rename(int bank, Addr new_owner)
-{
-    Bank &b = banks_.at(bank);
-    if (b.free)
-        panic("rename of a free bank");
-    b.owner = new_owner;
-    b.assignedAt = ++clock_;
-}
-
-void
-BankFile::free(int bank)
-{
-    Bank &b = banks_.at(bank);
-    b.free = true;
-    b.owner = nilAddr;
-    b.dirty = 0;
-    b.ownerFsi = 0;
 }
 
 void
@@ -86,9 +25,9 @@ BankFile::bankRangePanic(int bank, unsigned word) const
 }
 
 void
-BankFile::setOwnerFsi(int bank, unsigned fsi)
+BankFile::freeBankPanic()
 {
-    banks_.at(bank).ownerFsi = fsi;
+    panic("rename of a free bank");
 }
 
 void

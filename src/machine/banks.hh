@@ -17,6 +17,7 @@
 #ifndef FPC_MACHINE_BANKS_HH
 #define FPC_MACHINE_BANKS_HH
 
+#include <array>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -35,23 +36,81 @@ class BankFile
     unsigned numBanks() const { return numBanks_; }
     unsigned bankWords() const { return bankWords_; }
 
+    /** Words a bank can hold at most (the constructor's range). */
+    static constexpr unsigned maxBankWords = 32;
+
+    /** @name Ownership. Inline: every I4 transfer renames, assigns or
+     *  frees a bank, and returns look banks up by owner. @{ */
+
     /** Bank currently shadowing the frame, or -1. */
-    int bankOf(Addr frame_ptr) const;
+    int
+    bankOf(Addr frame_ptr) const
+    {
+        for (unsigned i = 0; i < numBanks_; ++i)
+            if (!banks_[i].free && banks_[i].owner == frame_ptr)
+                return static_cast<int>(i);
+        return -1;
+    }
 
     /** Take a free bank for the frame; -1 if none is free. */
-    int assignFree(Addr frame_ptr);
+    int
+    assignFree(Addr frame_ptr)
+    {
+        for (unsigned i = 0; i < numBanks_; ++i) {
+            Bank &b = banks_[i];
+            if (b.free) {
+                b.free = false;
+                b.owner = frame_ptr;
+                b.dirty = 0;
+                b.assignedAt = ++clock_;
+                b.ownerFsi = 0;
+                return static_cast<int>(i);
+            }
+        }
+        return -1;
+    }
 
     /**
      * Pick the eviction victim: the oldest-assigned owned bank that is
      * not one of the pinned banks. -1 if every bank is pinned.
      */
-    int victim(int pinned_a, int pinned_b) const;
+    int
+    victim(int pinned_a, int pinned_b) const
+    {
+        int best = -1;
+        for (unsigned i = 0; i < numBanks_; ++i) {
+            const int bi = static_cast<int>(i);
+            if (banks_[i].free || bi == pinned_a || bi == pinned_b)
+                continue;
+            if (best < 0 ||
+                banks_[i].assignedAt < banks_[best].assignedAt)
+                best = bi;
+        }
+        return best;
+    }
 
     /** Rename a bank to shadow a (new) frame, keeping its contents. */
-    void rename(int bank, Addr new_owner);
+    void
+    rename(int bank, Addr new_owner)
+    {
+        Bank &b = checked(bank);
+        if (b.free) [[unlikely]]
+            freeBankPanic();
+        b.owner = new_owner;
+        b.assignedAt = ++clock_;
+    }
 
     /** Release a bank (its contents become garbage). */
-    void free(int bank);
+    void
+    free(int bank)
+    {
+        Bank &b = checked(bank);
+        b.free = true;
+        b.owner = nilAddr;
+        b.dirty = 0;
+        b.ownerFsi = 0;
+    }
+    /** @} */
 
     bool isFree(int bank) const { return banks_[bank].free; }
     Addr owner(int bank) const { return banks_[bank].owner; }
@@ -112,7 +171,7 @@ class BankFile
     void markClean(int bank) { banks_[bank].dirty = 0; }
 
     /** Host-side cached frame metadata (fsi / flags snapshot). */
-    void setOwnerFsi(int bank, unsigned fsi);
+    void setOwnerFsi(int bank, unsigned fsi) { checked(bank).ownerFsi = fsi; }
     unsigned ownerFsi(int bank) const { return banks_[bank].ownerFsi; }
 
     /** Drop every ownership (full flush is handled by the machine). */
@@ -126,8 +185,17 @@ class BankFile
         std::uint32_t dirty = 0;
         std::uint64_t assignedAt = 0;
         unsigned ownerFsi = 0;
-        std::vector<Word> data;
+        std::array<Word, maxBankWords> data{};
     };
+
+    /** Bounds-checked bank reference for the ownership calls. */
+    Bank &
+    checked(int bank)
+    {
+        if (static_cast<unsigned>(bank) >= numBanks_) [[unlikely]]
+            bankRangePanic(bank, 0);
+        return banks_[bank];
+    }
 
     const Bank &
     bankAt(int bank, unsigned word) const
@@ -146,6 +214,7 @@ class BankFile
     }
 
     [[noreturn]] void bankRangePanic(int bank, unsigned word) const;
+    [[noreturn]] static void freeBankPanic();
 
     std::vector<Bank> banks_;
     unsigned numBanks_ = 0;

@@ -151,6 +151,7 @@ Machine::Machine(Memory &memory, const LoadedImage &image,
     }
     stackCap_ = banked() ? banks_.bankWords() - frame::varsOffset
                          : static_cast<unsigned>(stack_.size());
+    retStack_.init(config_.returnStackDepth);
     reset();
 }
 
@@ -168,6 +169,8 @@ Machine::reset()
     returnCtx_ = nilContext;
     sp_ = 0;
     retStack_.clear();
+    if (sblocks_)
+        sblocks_->flushReturns();
     banks_.reset();
     curLbank_ = -1;
     stackBank_ = -1;
@@ -194,104 +197,12 @@ Machine::reset()
 // Cost accounting
 // ---------------------------------------------------------------------
 
-Word
-Machine::readMem(Addr addr, AccessKind kind)
-{
-    stats_.cycles += config_.latency.memCycles;
-    return mem_.read(addr, kind);
-}
-
-void
-Machine::writeMem(Addr addr, Word value, AccessKind kind)
-{
-    stats_.cycles += config_.latency.memCycles;
-    mem_.write(addr, value, kind);
-}
-
-Word
-Machine::readData(Addr addr)
-{
-    if (cache_) {
-        stats_.cycles += cache_->access(addr, false);
-        return mem_.read(addr, AccessKind::Data);
-    }
-    stats_.cycles += config_.latency.memCycles;
-    return mem_.read(addr, AccessKind::Data);
-}
-
-void
-Machine::writeData(Addr addr, Word value)
-{
-    // A program store into the GFT or a global frame's code-base word
-    // changes what a memoized link walk would resolve to; drop the
-    // link caches. One compare for the common case: every frame/local
-    // store lands at or above globalEnd and skips the map lookup.
-    if (accel_ && addr < layout_.globalEnd && accel_->linkSensitive(addr))
-        accel_->flushLinks();
-    if (cache_) {
-        stats_.cycles += cache_->access(addr, true);
-        mem_.write(addr, value, AccessKind::Data);
-        return;
-    }
-    stats_.cycles += config_.latency.memCycles;
-    mem_.write(addr, value, AccessKind::Data);
-}
-
 std::uint8_t
 Machine::fetchCodeByte(unsigned offset_from_pc)
 {
     // The IFU prefetches sequential code, so byte fetches cost no
     // extra cycles; they are still counted as code traffic.
     return mem_.readByte(pcAbs_ + offset_from_pc);
-}
-
-void
-Machine::chargeRedirect()
-{
-    stats_.cycles += config_.latency.redirectCycles;
-    xferRedirected_ = true;
-}
-
-// ---------------------------------------------------------------------
-// Frame word routing: register bank when one shadows the frame
-// ---------------------------------------------------------------------
-
-Word
-Machine::readFrameWord(Addr frame_ptr, unsigned offset)
-{
-    if (banked() && offset < banks_.bankWords()) {
-        const int bank = banks_.bankOf(frame_ptr);
-        if (bank >= 0) {
-            stats_.cycles += config_.latency.regCycles;
-            return banks_.read(bank, offset);
-        }
-    }
-    const AccessKind kind = offset < frame::varsOffset
-                                ? AccessKind::FrameState
-                                : AccessKind::Data;
-    if (kind == AccessKind::Data)
-        return readData(frame_ptr + offset);
-    return readMem(frame_ptr + offset, kind);
-}
-
-void
-Machine::writeFrameWord(Addr frame_ptr, unsigned offset, Word value)
-{
-    if (banked() && offset < banks_.bankWords()) {
-        const int bank = banks_.bankOf(frame_ptr);
-        if (bank >= 0) {
-            stats_.cycles += config_.latency.regCycles;
-            banks_.write(bank, offset, value);
-            return;
-        }
-    }
-    const AccessKind kind = offset < frame::varsOffset
-                                ? AccessKind::FrameState
-                                : AccessKind::Data;
-    if (kind == AccessKind::Data)
-        writeData(frame_ptr + offset, value);
-    else
-        writeMem(frame_ptr + offset, value, kind);
 }
 
 // ---------------------------------------------------------------------
@@ -400,16 +311,9 @@ Machine::returnStackFrames() const
 {
     std::vector<Addr> out;
     out.reserve(retStack_.size());
-    for (const auto &entry : retStack_)
-        out.push_back(entry.lf);
+    for (unsigned i = 0; i < retStack_.size(); ++i)
+        out.push_back(retStack_.at(i).lf);
     return out;
-}
-
-Word
-Machine::currentFrameContext() const
-{
-    return lf_ == nilAddr ? nilContext
-                          : packFrameContext(lf_, layout_);
 }
 
 void
@@ -473,6 +377,7 @@ Machine::fireBoundarySample()
     // self-consistent machine.
     if (sblocks_ && accel_)
         sblocks_->flushDeferred(stats_, accel_->stats);
+    foldXferSums();
     // Same catch-up discipline as the exact sampler: advance strictly
     // past the current cycle count so each interval fires once.
     do {
@@ -763,13 +668,10 @@ Machine::stepCoreT(BurstAcc *acc)
     execute(*inst);
 }
 
-void
-Machine::chargeLinkWalk(CountT table_reads, CountT code_bytes)
-{
-    stats_.cycles += config_.latency.memCycles * table_reads;
-    mem_.chargeReads(AccessKind::Table, table_reads);
-    mem_.chargeCodeBytes(code_bytes);
-}
+// The threaded loop (threaded.cc) takes its exact eager steps through
+// this variant; instantiate it so the link never depends on what the
+// optimizer happened to emit here.
+template void Machine::stepCoreT<true, false>(BurstAcc *);
 
 void
 Machine::maybePreempt()

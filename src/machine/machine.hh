@@ -25,7 +25,9 @@
 #ifndef FPC_MACHINE_MACHINE_HH
 #define FPC_MACHINE_MACHINE_HH
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -370,11 +372,15 @@ class Machine
     }
     /** @} */
 
-    /** @name Transfer primitives (also for trace-driven use). @{ */
-    void callExternal(unsigned lv_index);
-    void callLocal(unsigned ev_index);
-    void callDirect(CodeByteAddr target);
-    void callFat(CodeByteAddr target, Addr gf);
+    /** @name Transfer primitives (also for trace-driven use).
+     *
+     * The call primitives take the calling superblock's target cache
+     * when the threaded loop runs them; every other caller leaves it
+     * null and resolves through the shared link caches. @{ */
+    void callExternal(unsigned lv_index, CallSite *site = nullptr);
+    void callLocal(unsigned ev_index, CallSite *site = nullptr);
+    void callDirect(CodeByteAddr target, CallSite *site = nullptr);
+    void callFat(CodeByteAddr target, Addr gf, CallSite *site = nullptr);
     void callDescriptor(Word descriptor, XferKind kind);
     void doReturn();
     void xferTo(Word ctx);      ///< the raw XFER primitive
@@ -492,8 +498,12 @@ class Machine
 
     ProcTarget resolveDescriptor(const Context &ctx);
     ProcTarget resolveDirect(CodeByteAddr target);
-    void dispatchContext(Word ctx, XferKind kind, bool followable);
+    void dispatchContext(Word ctx, XferKind kind, bool followable,
+                         CallSite *site = nullptr);
     void xferKinded(Word ctx, XferKind kind);
+    /** Any XFER besides a simple call or return (§6): flush the IFU
+     *  return stack and the threaded loop's host return stack. */
+    void unusualXfer();
     void finishCall(const ProcTarget &target, XferKind kind,
                     bool followable);
 
@@ -515,6 +525,9 @@ class Machine
     void trap(Word code, const std::string &message);
 
     struct XferProbe;
+    /** Fold the threaded loop's deferred per-kind XFER samples into
+     *  MachineStats::xferRefs/xferCycles (see XferSums). */
+    void foldXferSums();
 
     // -- interpreter ---------------------------------------------------
     void execute(const isa::Inst &inst);
@@ -604,13 +617,58 @@ class Machine
         Addr gf;
         CodeByteAddr pcAbs;
         CodeByteAddr codeBase;
+        std::int16_t lbank;
+        std::uint8_t fsi;
         bool codeBaseValid;
-        int lbank;
-        unsigned fsi;
         bool fsiValid;
         bool retained;
     };
-    std::vector<RetEntry> retStack_;
+    /** The return stack as a fixed ring of returnStackDepth entries
+     *  (one slot when the depth is 0, which still holds the newest
+     *  call until the next one spills it): push, pop and the spill of
+     *  the oldest entry are each O(1) and never allocate. */
+    class ReturnRing
+    {
+      public:
+        void
+        init(unsigned depth)
+        {
+            depth_ = depth;
+            slots_.assign(std::bit_ceil(std::max(1u, depth)), RetEntry{});
+            mask_ = static_cast<unsigned>(slots_.size()) - 1;
+            clear();
+        }
+        unsigned size() const { return n_; }
+        bool empty() const { return n_ == 0; }
+        bool full() const { return n_ >= depth_; }
+        void push(const RetEntry &e) { slots_[(head_ + n_++) & mask_] = e; }
+        RetEntry pop() { return slots_[(head_ + --n_) & mask_]; }
+        /** Entry i counted from the oldest. */
+        const RetEntry &at(unsigned i) const
+        {
+            return slots_[(head_ + i) & mask_];
+        }
+        void
+        dropOldest()
+        {
+            head_ = (head_ + 1) & mask_;
+            --n_;
+        }
+        void
+        clear()
+        {
+            head_ = 0;
+            n_ = 0;
+        }
+
+      private:
+        std::vector<RetEntry> slots_;
+        unsigned mask_ = 0;
+        unsigned depth_ = 0;
+        unsigned head_ = 0;
+        unsigned n_ = 0;
+    };
+    ReturnRing retStack_;
 
     // I4 bank state
     int curLbank_ = -1;
@@ -651,11 +709,162 @@ class Machine
     bool switchPending_ = false;
     bool preempting_ = false;
 
+    /** Per-kind XFER samples as integer sums, kept while the threaded
+     *  loop runs without a probe sink (xferDeferred_) and folded into
+     *  the xferRefs/xferCycles distributions at every loop exit and
+     *  boundary sample. A run of identical samples — the common case:
+     *  one call site's transfers cost the same every time — costs one
+     *  compare and one count until it ends. Exact: each sample is a
+     *  small integer, so the sums stay far below 2^53, where doubles
+     *  add exactly. */
+    struct XferSums
+    {
+        CountT runRefs = 0, runCycles = 0, run = 0;
+        CountT n = 0;
+        CountT refs = 0, refsSq = 0, refsMin = ~CountT{0}, refsMax = 0;
+        CountT cycles = 0, cyclesSq = 0, cyclesMin = ~CountT{0},
+               cyclesMax = 0;
+
+        void
+        add(CountT r, CountT c)
+        {
+            if (r == runRefs && c == runCycles) [[likely]] {
+                ++run;
+                return;
+            }
+            endRun();
+            runRefs = r;
+            runCycles = c;
+            run = 1;
+        }
+        /** Move the pending run into the sums. */
+        void
+        endRun()
+        {
+            n += run;
+            refs += run * runRefs;
+            refsSq += run * runRefs * runRefs;
+            cycles += run * runCycles;
+            cyclesSq += run * runCycles * runCycles;
+            if (run != 0) {
+                refsMin = std::min(refsMin, runRefs);
+                refsMax = std::max(refsMax, runRefs);
+                cyclesMin = std::min(cyclesMin, runCycles);
+                cyclesMax = std::max(cyclesMax, runCycles);
+            }
+            run = 0;
+        }
+    };
+    std::array<XferSums, MachineStats::numXferKinds> xferSums_{};
+    bool xferDeferred_ = false;
+
     RunResult result_;
     StopReason stop_ = StopReason::Halted;
     MachineStats stats_;
     std::vector<Word> output_;
 };
+
+// ---------------------------------------------------------------------
+// Storage and frame-word accessors, inline: every transfer makes
+// several of these, from machine.cc, transfers.cc and threaded.cc.
+// ---------------------------------------------------------------------
+
+[[gnu::always_inline]] inline Word
+Machine::readMem(Addr addr, AccessKind kind)
+{
+    stats_.cycles += config_.latency.memCycles;
+    return mem_.read(addr, kind);
+}
+
+[[gnu::always_inline]] inline void
+Machine::writeMem(Addr addr, Word value, AccessKind kind)
+{
+    stats_.cycles += config_.latency.memCycles;
+    mem_.write(addr, value, kind);
+}
+
+[[gnu::always_inline]] inline Word
+Machine::readData(Addr addr)
+{
+    if (cache_) {
+        stats_.cycles += cache_->access(addr, false);
+        return mem_.read(addr, AccessKind::Data);
+    }
+    stats_.cycles += config_.latency.memCycles;
+    return mem_.read(addr, AccessKind::Data);
+}
+
+[[gnu::always_inline]] inline void
+Machine::writeData(Addr addr, Word value)
+{
+    // A program store into the GFT or a global frame's code-base word
+    // changes what a memoized link walk would resolve to; drop the
+    // link caches. One compare for the common case: every frame/local
+    // store lands at or above globalEnd and skips the map lookup.
+    if (accel_ && addr < layout_.globalEnd && accel_->linkSensitive(addr))
+        accel_->flushLinks();
+    if (cache_) {
+        stats_.cycles += cache_->access(addr, true);
+        mem_.write(addr, value, AccessKind::Data);
+        return;
+    }
+    stats_.cycles += config_.latency.memCycles;
+    mem_.write(addr, value, AccessKind::Data);
+}
+
+[[gnu::always_inline]] inline void
+Machine::chargeRedirect()
+{
+    stats_.cycles += config_.latency.redirectCycles;
+    xferRedirected_ = true;
+}
+
+// Frame word routing: register bank when one shadows the frame.
+
+[[gnu::always_inline]] inline Word
+Machine::readFrameWord(Addr frame_ptr, unsigned offset)
+{
+    if (banked() && offset < banks_.bankWords()) {
+        const int bank = banks_.bankOf(frame_ptr);
+        if (bank >= 0) {
+            stats_.cycles += config_.latency.regCycles;
+            return banks_.read(bank, offset);
+        }
+    }
+    const AccessKind kind = offset < frame::varsOffset
+                                ? AccessKind::FrameState
+                                : AccessKind::Data;
+    if (kind == AccessKind::Data)
+        return readData(frame_ptr + offset);
+    return readMem(frame_ptr + offset, kind);
+}
+
+[[gnu::always_inline]] inline void
+Machine::writeFrameWord(Addr frame_ptr, unsigned offset, Word value)
+{
+    if (banked() && offset < banks_.bankWords()) {
+        const int bank = banks_.bankOf(frame_ptr);
+        if (bank >= 0) {
+            stats_.cycles += config_.latency.regCycles;
+            banks_.write(bank, offset, value);
+            return;
+        }
+    }
+    const AccessKind kind = offset < frame::varsOffset
+                                ? AccessKind::FrameState
+                                : AccessKind::Data;
+    if (kind == AccessKind::Data)
+        writeData(frame_ptr + offset, value);
+    else
+        writeMem(frame_ptr + offset, value, kind);
+}
+
+[[gnu::always_inline]] inline Word
+Machine::currentFrameContext() const
+{
+    return lf_ == nilAddr ? nilContext
+                          : packFrameContext(lf_, layout_);
+}
 
 } // namespace fpc
 

@@ -68,6 +68,7 @@ SuperblockCache::flushAll(MachineStats &stats, AccelStats &astats)
     flushDeferred(stats, astats);
     std::fill(table_.begin(), table_.end(), nullptr);
     arena_.clear();
+    flushReturns();
 }
 
 void
@@ -86,17 +87,19 @@ SuperblockCache::invalidateRange(CodeByteAddr begin, CodeByteAddr end,
             ++astats.probeDeoptBlocks;
         }
     }
-    // Chains bypass the outer loop's lookup (and its armed check), so
-    // no surviving chain may lead into the range.
+    // Chains and return predictions bypass the outer loop's lookup
+    // (and its armed check), so no surviving link may lead into the
+    // range.
     for (auto &owned : arena_) {
         Superblock &b = *owned;
-        if (b.chain == nullptr)
-            continue;
-        if (intersects(*b.chain) ||
-            (b.chainPc >= begin && b.chainPc < end)) {
+        if (b.chain != nullptr &&
+            (intersects(*b.chain) ||
+             (b.chainPc >= begin && b.chainPc < end))) {
             b.chain = nullptr;
             b.chainPc = ~0u;
         }
+        if (b.retSucc != nullptr && intersects(*b.retSucc))
+            b.retSucc = nullptr;
     }
 }
 
@@ -106,6 +109,7 @@ SuperblockCache::flushDeferred(MachineStats &stats, AccelStats &astats)
     ++astats.deferredFlushes;
     for (auto &owned : arena_) {
         Superblock &b = *owned;
+        foldExits(b, stats, astats);
         if (b.execPending == 0)
             continue;
         const std::uint64_t execs = b.execPending;
@@ -119,6 +123,29 @@ SuperblockCache::flushDeferred(MachineStats &stats, AccelStats &astats)
         astats.icacheHits += static_cast<CountT>(b.n) * execs;
         astats.sblockFusionHits +=
             static_cast<CountT>(b.fusedPairs) * execs;
+    }
+}
+
+void
+SuperblockCache::foldExits(Superblock &b, MachineStats &stats,
+                           AccelStats &astats)
+{
+    if (!b.exitsPending)
+        return;
+    b.exitsPending = false;
+    // Instruction i ran once in every exit after more than i
+    // instructions: a suffix sum over the exit counts.
+    std::uint64_t runs = 0;
+    for (std::size_t k = b.exitPending.size(); k-- > 0;) {
+        runs += b.exitPending[k];
+        b.exitPending[k] = 0;
+        if (runs == 0)
+            continue;
+        const TInst &t = b.insts[k];
+        stats.opCount[t.op] += runs;
+        if (t.length < stats.instLenCount.size())
+            stats.instLenCount[t.length] += runs;
+        astats.icacheHits += runs;
     }
 }
 
@@ -165,7 +192,10 @@ enum HIdx : unsigned
     H_Xor,
     H_Shl,
     H_Shr,
-    H_ArithSlow, ///< DIV/MOD/NEG/NOT: delegate to execArith
+    /** DIV/MOD: in place unless the divisor is 0 (the trap path). */
+    H_Div,
+    H_Mod,
+    H_ArithSlow, ///< NEG/NOT: delegate to execArith
     H_Lt,
     H_Le,
     H_Eq,
@@ -272,7 +302,9 @@ handlerIndexFor(const isa::Inst &inst)
           case Op::XOR: return H_Xor;
           case Op::SHL: return H_Shl;
           case Op::SHR: return H_Shr;
-          default: return H_ArithSlow; // DIV, MOD, NEG, NOT
+          case Op::DIV: return H_Div;
+          case Op::MOD: return H_Mod;
+          default: return H_ArithSlow; // NEG, NOT
         }
       case OpClass::Compare:
         switch (inst.op) {
@@ -485,6 +517,27 @@ buildBlock(Memory &mem, CodeByteAddr entry, const void *const *labels)
         FPC_T_NEXT();                                                  \
     } while (0)
 
+/** DIV/MOD body: arithResult's signed division in place when the
+ *  divisor is nonzero; a zero divisor (or underflow) takes execArith,
+ *  which traps exactly as the eager loop does. */
+#define FPC_T_DIVISION(OPERATOR)                                       \
+    do {                                                               \
+        if (sp >= 2 && tslot(sp - 1) != 0) [[likely]] {                \
+            const unsigned bse = sp - 2;                               \
+            tslotw(bse, static_cast<Word>(                             \
+                            static_cast<SWord>(tslot(bse))             \
+                                OPERATOR static_cast<SWord>(           \
+                                    tslot(bse + 1))));                 \
+            sp = bse + 1;                                              \
+            FPC_T_NEXT_FAST();                                         \
+        }                                                              \
+        FPC_T_PRE();                                                   \
+        execArith(static_cast<isa::Op>(ti->op));                       \
+        sp = sp_;                                                      \
+        treload();                                                     \
+        FPC_T_NEXT();                                                  \
+    } while (0)
+
 /** Fused compare + forward-conditional body. The guard covers the
  *  whole pair (compare needs two slots; the branch pops the one the
  *  compare would push, so net sp >= 2 suffices) and the boolean never
@@ -553,6 +606,8 @@ Machine::threadedLoopT(std::uint64_t &steps)
         &&h_xor,
         &&h_shl,
         &&h_shr,
+        &&h_div,
+        &&h_mod,
         &&h_arith_slow,
         &&h_lt,
         &&h_le,
@@ -625,8 +680,14 @@ Machine::threadedLoopT(std::uint64_t &steps)
         ~Flusher()
         {
             m.sblocks_->flushDeferred(m.stats_, m.accel_->stats);
+            m.foldXferSums();
+            m.xferDeferred_ = false;
         }
     } flusher{*this};
+    // Per-XFER refs/cycles samples defer as integer sums (XferSums);
+    // a probe sink reads those distributions' inputs per event, so it
+    // keeps the exact per-sample path.
+    xferDeferred_ = probes_ == nullptr;
 
     // Register-cached run-step counter: `steps` is a reference into
     // the caller's frame, which the compiler must assume any member
@@ -845,6 +906,10 @@ Machine::threadedLoopT(std::uint64_t &steps)
 
     Superblock *prev = nullptr;
     Superblock *cur = nullptr;
+    // The caller block a RET popped off the host return stack, until
+    // the return's successor block is known (full_exit follows its
+    // prediction, or the loop head records the block it looked up).
+    Superblock *retFrom = nullptr;
     const TInst *base = nullptr;
     const TInst *ti = nullptr;
     // Register-cached stack pointer. Fast paths read and write only
@@ -881,8 +946,12 @@ Machine::threadedLoopT(std::uint64_t &steps)
         // machine never pokes code while running, so the epoch cannot
         // move inside a block.
         acc->sync(mem_.codeEpoch());
-        if (cache.sync(mem_.codeEpoch(), stats_, acc->stats))
+        if (cache.sync(mem_.codeEpoch(), stats_, acc->stats)) {
             prev = nullptr;
+            retFrom = nullptr;
+        }
+        Superblock *retCaller = retFrom;
+        retFrom = nullptr;
 
         // Selective deopt: an armed PC takes one exact eager step
         // instead of entering the block world, so probe events inside
@@ -913,6 +982,7 @@ Machine::threadedLoopT(std::uint64_t &steps)
                 if (cache.overLimit()) {
                     cache.flushAll(stats_, acc->stats);
                     prev = nullptr;
+                    retCaller = nullptr;
                 }
                 std::unique_ptr<Superblock> built =
                     buildBlock(mem_, pcAbs_, labels);
@@ -925,6 +995,12 @@ Machine::threadedLoopT(std::uint64_t &steps)
             if (prev != nullptr && sb != nullptr) {
                 prev->chain = sb;
                 prev->chainPc = pcAbs_;
+            }
+            if (retCaller != nullptr) {
+                // A return neither link served: remember where it
+                // went, for the next return into this caller.
+                ++acc->stats.returnPredMisses;
+                retCaller->retSucc = sb;
             }
         }
 
@@ -1234,9 +1310,13 @@ Machine::threadedLoopT(std::uint64_t &steps)
             FPC_T_BIN(static_cast<Word>(b >= 16 ? 0 : a >> b),
                       execArith);
 
+          h_div:
+            FPC_T_DIVISION(/);
+          h_mod:
+            FPC_T_DIVISION(%);
+
           h_arith_slow:
-            // DIV/MOD (trap-prone) and the unaries: the member does
-            // the exact eager sequence.
+            // The unaries: the member does the exact eager sequence.
             FPC_T_PRE();
             execArith(static_cast<isa::Op>(ti->op));
             sp = sp_;
@@ -1444,6 +1524,7 @@ Machine::threadedLoopT(std::uint64_t &steps)
           h_ret:
             FPC_T_PRE();
             doReturn();
+            retFrom = cache.popReturn();
             goto full_exit;
 
           h_brk:
@@ -1470,28 +1551,33 @@ Machine::threadedLoopT(std::uint64_t &steps)
 
           h_efc:
             FPC_T_PRE();
-            callExternal(static_cast<unsigned>(ti->operand));
+            cache.pushReturn(cur);
+            callExternal(static_cast<unsigned>(ti->operand), &cur->site);
             goto full_exit;
 
           h_lfc:
             FPC_T_PRE();
-            callLocal(static_cast<unsigned>(ti->operand));
+            cache.pushReturn(cur);
+            callLocal(static_cast<unsigned>(ti->operand), &cur->site);
             goto full_exit;
 
           h_dfc:
             FPC_T_PRE();
-            callDirect(static_cast<CodeByteAddr>(ti->operand));
+            cache.pushReturn(cur);
+            callDirect(static_cast<CodeByteAddr>(ti->operand), &cur->site);
             goto full_exit;
 
           h_sdfc:
             FPC_T_PRE();
-            callDirect(instStart_ + ti->operand);
+            cache.pushReturn(cur);
+            callDirect(instStart_ + ti->operand, &cur->site);
             goto full_exit;
 
           h_fcall:
             FPC_T_PRE();
+            cache.pushReturn(cur);
             callFat(static_cast<CodeByteAddr>(ti->operand),
-                    static_cast<Addr>(ti->operand2));
+                    static_cast<Addr>(ti->operand2), &cur->site);
             goto full_exit;
 
           h_illegal:
@@ -1518,19 +1604,33 @@ Machine::threadedLoopT(std::uint64_t &steps)
             ++cur->execPending;
             st += cur->n;
             prev = cur;
-            // Chain-follow fast re-entry: the code epoch only moves on
-            // external pokes (loader, relocator, test patching), never
-            // while run() executes, so a chain hit can skip the outer
-            // loop's epoch polls and cache probe entirely.
-            // An expired sampling budget breaks the chain so the
+            // Fast re-entry through the chain pointer or, for a return
+            // the chain missed, the host return prediction: the code
+            // epoch only moves on external pokes (loader, relocator,
+            // test patching), never while run() executes, so either
+            // link can skip the outer loop's epoch polls and cache
+            // probe entirely. A prediction is followed only when its
+            // block starts at the PC the return produced, and it
+            // updates the chain exactly as the outer loop's lookup
+            // would have. An expired sampling budget breaks both so the
             // outer loop can fire the sample at this block boundary.
             if (stop_ == StopReason::Running &&
-                cur->chainPc == pcAbs_ &&
                 (bsmp == nullptr || stats_.cycles < bsampleNextAt_))
                 [[likely]] {
-                Superblock *nb = cur->chain;
-                if (nb->n <= maxSteps - st) [[likely]] {
-                    ++acc->stats.sblockChainHits;
+                const bool chained = cur->chainPc == pcAbs_;
+                Superblock *nb = chained ? cur->chain
+                                 : retFrom != nullptr ? retFrom->retSucc
+                                                      : nullptr;
+                if (nb != nullptr && nb->entry == pcAbs_ &&
+                    nb->n <= maxSteps - st) [[likely]] {
+                    if (chained) {
+                        ++acc->stats.sblockChainHits;
+                    } else {
+                        ++acc->stats.returnPredHits;
+                        cur->chain = nb;
+                        cur->chainPc = pcAbs_;
+                    }
+                    retFrom = nullptr;
                     cur = nb;
                     base = cur->insts.data();
                     ti = base;
@@ -1551,12 +1651,12 @@ Machine::threadedLoopT(std::uint64_t &steps)
             stats_.steps += k;
             stats_.cycles += k * decodeCyc;
             mem_.chargeCodeBytes(base[k - 1].cumBytes);
-            for (std::uint64_t i = 0; i < k; ++i) {
-                ++stats_.opCount[base[i].op];
-                if (base[i].length < stats_.instLenCount.size())
-                    ++stats_.instLenCount[base[i].length];
-            }
-            acc->stats.icacheHits += k;
+            // Sized on the block's first exit: most blocks never take
+            // one, and a cold block build stays one allocation.
+            if (cur->exitPending.empty()) [[unlikely]]
+                cur->exitPending.assign(cur->n, 0);
+            ++cur->exitPending[k - 1];
+            cur->exitsPending = true;
             st += k;
             prev = nullptr;
             goto block_done;
@@ -1592,6 +1692,7 @@ Machine::threadedLoopT(std::uint64_t &steps)
 }
 
 #undef FPC_T_CMPBR
+#undef FPC_T_DIVISION
 #undef FPC_T_BIN
 #undef FPC_T_NEXT_FAST
 #undef FPC_T_NEXT

@@ -19,7 +19,20 @@
  *    step, so every simulated number stays bit-identical;
  *  - an XFER at a block exit chains to the successor block through an
  *    inline pointer the way I3's IFU follows a DIRECTCALL: a chain
- *    hit re-enters the next block without touching the cache index.
+ *    hit re-enters the next block without touching the cache index;
+ *  - a block that ends in a call keeps the call's resolved target in
+ *    a call-site cache (Superblock::site), so a repeated call skips
+ *    the link-cache lookup and charges exactly what a link-cache hit
+ *    charges. DIRECTCALL, SHORTDIRECTCALL and FCALL entries live as
+ *    long as the block (one code epoch); EFC and LFC entries also die
+ *    at Accel::flushLinks;
+ *  - returns are predicted the way §6's return stack predicts them:
+ *    call exits push the calling block on a host return stack, and a
+ *    RET the chain pointer misses pops it and enters the block last
+ *    seen at that caller's return PC (Superblock::retSucc), if that
+ *    block starts exactly where the return landed. Unusual XFERs and
+ *    every cache flush empty the stack; selective deopt nulls its
+ *    links into armed ranges.
  *
  * The contract is the acceleration contract (machine/accel.hh): all
  * simulated numbers are bit-identical with the backend off, on, or
@@ -31,6 +44,7 @@
 #ifndef FPC_MACHINE_THREADED_HH
 #define FPC_MACHINE_THREADED_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -92,6 +106,14 @@ struct Superblock
      *  eager loop. Only the bank dirty bits fold at every slow-path
      *  entry: transfers read dirty masks directly. */
     std::uint64_t execPending = 0;
+    /** Early exits not yet folded, by length: exitPending[k - 1]
+     *  counts side exits (taken forward branches, traps, stops) after
+     *  the block's first k instructions (empty until the first one).
+     *  Their opcode/length histograms and icache hits defer with
+     *  execPending, so an exit costs one count instead of a walk over
+     *  its prefix. */
+    std::vector<std::uint64_t> exitPending;
+    bool exitsPending = false;
 
     /** Inline successor chain (the IFU-follows-DIRECTCALL idiom at
      *  block granularity): the block most recently entered from this
@@ -100,6 +122,17 @@ struct Superblock
      *  arena precisely so chains never dangle within an epoch. */
     Superblock *chain = nullptr;
     CodeByteAddr chainPc = ~0u;
+
+    /** Call-site target cache for the call that ends this block (a
+     *  block ends in at most one XFER). The callee's block needs no
+     *  field of its own: a call always exits to its callee's entry,
+     *  so the chain pointer above already holds it. */
+    CallSite site;
+    /** Host return prediction: the block last entered at this block's
+     *  return PC (the fall-through of its terminal call), followed
+     *  when a RET pops this block off the host return stack and the
+     *  block's entry equals the PC the return produced. */
+    Superblock *retSucc = nullptr;
 };
 
 /**
@@ -145,12 +178,39 @@ class SuperblockCache
      *  mid-block, so the cap can be checked lazily. */
     bool overLimit() const { return arena_.size() >= maxBlocks; }
 
-    /** Drop all blocks (deferred accounting folds into stats first). */
+    /** Drop all blocks (deferred accounting folds into stats first)
+     *  and the host return stack with them. */
     void flushAll(MachineStats &stats, AccelStats &astats);
 
+    /** @name Host return stack (§6's return stack, for the
+     *  translator): caller blocks pushed at call exits, popped at RET.
+     *  Bounded; an overflow forgets the oldest entry. @{ */
+    void
+    pushReturn(Superblock *caller)
+    {
+        retTop_ = (retTop_ + 1) & (returnSlots - 1);
+        returns_[retTop_] = caller;
+        if (retCount_ < returnSlots)
+            ++retCount_;
+    }
+    /** The newest caller block, or null when the stack is empty. */
+    Superblock *
+    popReturn()
+    {
+        if (retCount_ == 0)
+            return nullptr;
+        Superblock *caller = returns_[retTop_];
+        retTop_ = (retTop_ - 1) & (returnSlots - 1);
+        --retCount_;
+        return caller;
+    }
+    void flushReturns() { retCount_ = 0; }
+    /** @} */
+
     /** Selective deopt for dynamic probes: forget the table entries of
-     *  blocks intersecting [begin, end) and null every chain pointer
-     *  into them, folding deferred accounting first. Arena blocks stay
+     *  blocks intersecting [begin, end) and null every chain and
+     *  return-prediction link into them, folding deferred accounting
+     *  first. Arena blocks stay
      *  alive (nothing dangles); the outer loop's armed check keeps the
      *  range on the exact eager path afterwards. Counts the dropped
      *  blocks into AccelStats::probeDeoptBlocks. */
@@ -164,7 +224,12 @@ class SuperblockCache
     void flushDeferred(MachineStats &stats, AccelStats &astats);
 
   private:
+    /** Fold one block's pending early exits (see exitPending). */
+    static void foldExits(Superblock &b, MachineStats &stats,
+                          AccelStats &astats);
+
     static constexpr std::size_t maxBlocks = 1u << 16;
+    static constexpr unsigned returnSlots = 64;
 
     std::size_t
     slot(CodeByteAddr pc) const
@@ -176,6 +241,9 @@ class SuperblockCache
     std::size_t mask_ = 0;
     std::vector<Superblock *> table_;
     std::vector<std::unique_ptr<Superblock>> arena_;
+    std::array<Superblock *, returnSlots> returns_{};
+    unsigned retTop_ = 0;
+    unsigned retCount_ = 0;
 };
 
 } // namespace fpc

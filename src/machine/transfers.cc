@@ -10,6 +10,7 @@
 
 #include "common/logging.hh"
 #include "machine/machine.hh"
+#include "machine/threaded.hh"
 
 namespace fpc
 {
@@ -38,26 +39,41 @@ struct Machine::XferProbe
     Tick cycles0;
     Word srcCtx = nilContext;
 
-    XferProbe(Machine &machine, XferKind k)
+    [[gnu::always_inline]] XferProbe(Machine &machine, XferKind k)
         : m(machine), kind(k), refs0(machine.mem_.totalRefs()),
           cycles0(machine.stats_.cycles)
     {
         m.xferRedirected_ = false;
-        if (m.observer_ != nullptr)
+        if (m.observer_ != nullptr) [[unlikely]]
             srcCtx = m.currentFrameContext();
     }
 
-    ~XferProbe()
+    [[gnu::always_inline]] ~XferProbe()
     {
         const CountT refs = m.mem_.totalRefs() - refs0;
         const Tick cycles = m.stats_.cycles - cycles0;
-        auto &s = m.stats_;
-        ++s.xferCount[kindIndex(kind)];
-        s.xferRefs[kindIndex(kind)].sample(static_cast<double>(refs));
-        s.xferCycles[kindIndex(kind)].sample(
-            static_cast<double>(cycles));
+        const unsigned k = kindIndex(kind);
+        ++m.stats_.xferCount[k];
         if (refs == 0 && !m.xferRedirected_)
-            ++s.xferFast[kindIndex(kind)];
+            ++m.stats_.xferFast[k];
+        // Deferred sums only ever run with no probe sink or observer
+        // attached (the threaded loop's entry condition).
+        if (m.xferDeferred_) [[likely]]
+            m.xferSums_[k].add(refs, cycles);
+        else
+            exact(refs, cycles);
+    }
+
+    /** The per-sample path (eager and burst loops, and any run with
+     *  a probe sink): both distributions, then the probe and observer
+     *  hooks. */
+    void
+    exact(CountT refs, Tick cycles)
+    {
+        auto &s = m.stats_;
+        const unsigned k = kindIndex(kind);
+        s.xferRefs[k].sample(static_cast<double>(refs));
+        s.xferCycles[k].sample(static_cast<double>(cycles));
         // Dynamic probes sample the same deltas; the deferred
         // burst/threaded counters are constant across the member
         // transfer code bracketed here, so refs/cycles are exact
@@ -79,6 +95,28 @@ struct Machine::XferProbe
         }
     }
 };
+
+void
+Machine::foldXferSums()
+{
+    for (unsigned k = 0; k < xferSums_.size(); ++k) {
+        XferSums &x = xferSums_[k];
+        x.endRun();
+        if (x.n == 0)
+            continue;
+        stats_.xferRefs[k].sampleSums(
+            x.n, static_cast<double>(x.refs),
+            static_cast<double>(x.refsSq),
+            static_cast<double>(x.refsMin),
+            static_cast<double>(x.refsMax));
+        stats_.xferCycles[k].sampleSums(
+            x.n, static_cast<double>(x.cycles),
+            static_cast<double>(x.cyclesSq),
+            static_cast<double>(x.cyclesMin),
+            static_cast<double>(x.cyclesMax));
+        x = XferSums();
+    }
+}
 
 // ---------------------------------------------------------------------
 // Register banks (I4)
@@ -134,9 +172,10 @@ Machine::loadBankFor(Addr frame_ptr)
         banks_.bankWords(), image_.classes().classWords(fsi));
 
     const int bank = acquireBank(frame_ptr, stackBank_, curLbank_);
+    // Straight into the bank's storage: the load leaves it clean.
+    Word *const data = banks_.dataPtr(bank);
     for (unsigned w = 0; w < words; ++w)
-        banks_.write(bank, w,
-                     readMem(frame_ptr + w, AccessKind::FrameState));
+        data[w] = readMem(frame_ptr + w, AccessKind::FrameState);
     banks_.markClean(bank);
     banks_.setOwnerFsi(bank, fsi);
     stats_.bankLoadWords += words;
@@ -211,7 +250,7 @@ Machine::divertToBank(Addr addr, bool is_write, Word &value)
 // Frame allocation / release
 // ---------------------------------------------------------------------
 
-Machine::AllocResult
+[[gnu::always_inline]] inline Machine::AllocResult
 Machine::allocFrame(unsigned fsi)
 {
     // §7.1: "a reasonable strategy is to make the smallest frame size
@@ -250,7 +289,7 @@ Machine::allocFrame(unsigned fsi)
     return {lf, fsi, false};
 }
 
-void
+[[gnu::always_inline]] inline void
 Machine::releaseFrame(Addr frame_ptr, int bank)
 {
     // Fast path: the current frame's size class and retained flag are
@@ -290,11 +329,7 @@ Machine::releaseFrame(Addr frame_ptr, int bank)
     }
 }
 
-// ---------------------------------------------------------------------
-// Descriptor resolution
-// ---------------------------------------------------------------------
-
-CodeByteAddr
+[[gnu::always_inline]] inline CodeByteAddr
 Machine::currentCodeBase()
 {
     if (!codeBaseValid_) {
@@ -305,6 +340,54 @@ Machine::currentCodeBase()
     }
     return codeBase_;
 }
+
+[[gnu::always_inline]] inline void
+Machine::saveCurrentPc()
+{
+    if (lf_ == nilAddr)
+        return;
+    const CodeByteAddr base = currentCodeBase();
+    writeFrameWord(lf_, frame::savedPcOffset,
+                   static_cast<Word>(pcAbs_ - base));
+}
+
+[[gnu::always_inline]] inline void
+Machine::resumeFrame(Addr frame_ptr, XferKind kind)
+{
+    (void)kind;
+    if (banked()) {
+        int bank = banks_.bankOf(frame_ptr);
+        if (bank < 0) {
+            ++stats_.bankUnderflows;
+            bank = loadBankFor(frame_ptr);
+        }
+        curLbank_ = bank;
+        curFrameFlagged_ = bank < 0;
+    }
+    lf_ = frame_ptr;
+    curFrameFsiValid_ = false;
+    curFrameRetainedHint_ = false;
+    curProcEntry_ = 0;
+
+    gf_ = readFrameWord(frame_ptr, frame::globalFrameOffset);
+    const Word seg = readMem(gf_, AccessKind::Table);
+    codeBase_ = layout_.codeSegBase(seg);
+    codeBaseValid_ = true;
+    const Word rel = readFrameWord(frame_ptr, frame::savedPcOffset);
+    pcAbs_ = codeBase_ + rel;
+}
+
+[[gnu::always_inline]] inline void
+Machine::chargeLinkWalk(CountT table_reads, CountT code_bytes)
+{
+    stats_.cycles += config_.latency.memCycles * table_reads;
+    mem_.chargeReads(AccessKind::Table, table_reads);
+    mem_.chargeCodeBytes(code_bytes);
+}
+
+// ---------------------------------------------------------------------
+// Descriptor resolution
+// ---------------------------------------------------------------------
 
 ProcTarget
 Machine::resolveDescriptor(const Context &ctx)
@@ -355,16 +438,16 @@ Machine::resolveDirect(CodeByteAddr target_addr)
 // ---------------------------------------------------------------------
 
 void
-Machine::callExternal(unsigned lv_index)
+Machine::callExternal(unsigned lv_index, CallSite *site)
 {
     XferProbe probe(*this, XferKind::ExtCall);
     // "The context is retrieved from LV."
     const Word desc = readMem(gf_ - 1 - lv_index, AccessKind::Table);
-    dispatchContext(desc, XferKind::ExtCall, false);
+    dispatchContext(desc, XferKind::ExtCall, false, site);
 }
 
 void
-Machine::callLocal(unsigned ev_index)
+Machine::callLocal(unsigned ev_index, CallSite *site)
 {
     XferProbe probe(*this, XferKind::LocalCall);
     // "This kind of call keeps the same environment and code base,
@@ -378,7 +461,7 @@ Machine::callLocal(unsigned ev_index)
     target.codeBaseValid = true;
     if (accel_ &&
         accel_->findLocal(target.codeBase, ev_index, target.fsi,
-                          target.entryPc)) {
+                          target.entryPc, site)) {
         chargeLinkWalk(1, 1); // the EV word read + the fsi byte
         finishCall(target, XferKind::LocalCall, false);
         return;
@@ -388,23 +471,23 @@ Machine::callLocal(unsigned ev_index)
     target.fsi = mem_.readByte(target.codeBase + ev_offset);
     target.entryPc = target.codeBase + ev_offset + 1;
     if (accel_)
-        accel_->putLocal(target.codeBase, ev_index, target);
+        accel_->putLocal(target.codeBase, ev_index, target, site);
     finishCall(target, XferKind::LocalCall, false);
 }
 
 void
-Machine::callDirect(CodeByteAddr target_addr)
+Machine::callDirect(CodeByteAddr target_addr, CallSite *site)
 {
     XferProbe probe(*this, XferKind::DirectCall);
     if (accel_) {
         ProcTarget target;
-        if (accel_->findDirect(target_addr, target)) {
+        if (accel_->findDirect(target_addr, target, site)) {
             mem_.chargeCodeBytes(4); // the GF/fsi header bytes
             finishCall(target, XferKind::DirectCall, ifuEnabled());
             return;
         }
         const ProcTarget resolved = resolveDirect(target_addr);
-        accel_->putDirect(target_addr, resolved);
+        accel_->putDirect(target_addr, resolved, site);
         finishCall(resolved, XferKind::DirectCall, ifuEnabled());
         return;
     }
@@ -413,7 +496,7 @@ Machine::callDirect(CodeByteAddr target_addr)
 }
 
 void
-Machine::callFat(CodeByteAddr target_addr, Addr gf)
+Machine::callFat(CodeByteAddr target_addr, Addr gf, CallSite *site)
 {
     XferProbe probe(*this, XferKind::FatCall);
     // §4: the descriptor was a literal in the instruction stream; only
@@ -422,14 +505,14 @@ Machine::callFat(CodeByteAddr target_addr, Addr gf)
     target.gf = gf;
     target.codeBaseValid = false;
     target.entryPc = target_addr + 1;
-    if (accel_ && accel_->findFat(target_addr, target.fsi)) {
+    if (accel_ && accel_->findFat(target_addr, target.fsi, site)) {
         mem_.chargeCodeBytes(1);
         finishCall(target, XferKind::FatCall, ifuEnabled());
         return;
     }
     target.fsi = mem_.readByte(target_addr);
     if (accel_)
-        accel_->putFat(target_addr, target.fsi);
+        accel_->putFat(target_addr, target.fsi, site);
     finishCall(target, XferKind::FatCall, ifuEnabled());
 }
 
@@ -441,7 +524,8 @@ Machine::callDescriptor(Word descriptor, XferKind kind)
 }
 
 void
-Machine::dispatchContext(Word ctx_word, XferKind kind, bool followable)
+Machine::dispatchContext(Word ctx_word, XferKind kind, bool followable,
+                         CallSite *site)
 {
     const Context ctx = unpackContext(ctx_word, layout_);
     if (ctx.tag == Context::Tag::Proc) {
@@ -452,11 +536,11 @@ Machine::dispatchContext(Word ctx_word, XferKind kind, bool followable)
         // read at memCycles, plus the fsi code byte).
         if (accel_) {
             ProcTarget target;
-            if (accel_->findExt(ctx_word, target)) {
+            if (accel_->findExt(ctx_word, target, site)) {
                 chargeLinkWalk(3, 1);
             } else {
                 target = resolveDescriptor(ctx);
-                accel_->putExt(ctx_word, target);
+                accel_->putExt(ctx_word, target, site);
             }
             finishCall(target, kind, followable);
             return;
@@ -471,8 +555,7 @@ Machine::dispatchContext(Word ctx_word, XferKind kind, bool followable)
         return;
     }
     const Word ret_ctx = currentFrameContext();
-    if (ifuEnabled())
-        flushReturnStack();
+    unusualXfer();
     saveCurrentPc();
     resumeFrame(ctx.framePtr, kind);
     returnCtx_ = ret_ctx;
@@ -506,12 +589,13 @@ Machine::finishCall(const ProcTarget &target, XferKind kind,
         // IFU return stack instead of storage. On overflow the oldest
         // entry is materialized into the frames to make room (the
         // whole-stack flush is reserved for unusual transfers).
-        if (retStack_.size() >= config_.returnStackDepth)
+        if (retStack_.full())
             spillOldestReturnEntry();
-        retStack_.push_back({lf_, gf_, pcAbs_, codeBase_,
-                             codeBaseValid_, curLbank_, curFrameFsi_,
-                             curFrameFsiValid_,
-                             curFrameRetainedHint_});
+        retStack_.push({lf_, gf_, pcAbs_, codeBase_,
+                        static_cast<std::int16_t>(curLbank_),
+                        static_cast<std::uint8_t>(curFrameFsi_),
+                        codeBaseValid_, curFrameFsiValid_,
+                        curFrameRetainedHint_});
     } else if (lf_ != nilAddr) {
         saveCurrentPc();
     }
@@ -590,8 +674,7 @@ Machine::doReturn()
         // Otherwise start fetching instructions from the PC value on
         // the return stack, and restore the frame and global frame
         // registers from those values."
-        const RetEntry entry = retStack_.back();
-        retStack_.pop_back();
+        const RetEntry entry = retStack_.pop();
         ++stats_.returnStackHits;
 
         releaseFrame(dying, banked() ? curLbank_ : -1);
@@ -653,37 +736,10 @@ Machine::doReturn()
 }
 
 void
-Machine::resumeFrame(Addr frame_ptr, XferKind kind)
-{
-    (void)kind;
-    if (banked()) {
-        int bank = banks_.bankOf(frame_ptr);
-        if (bank < 0) {
-            ++stats_.bankUnderflows;
-            bank = loadBankFor(frame_ptr);
-        }
-        curLbank_ = bank;
-        curFrameFlagged_ = bank < 0;
-    }
-    lf_ = frame_ptr;
-    curFrameFsiValid_ = false;
-    curFrameRetainedHint_ = false;
-    curProcEntry_ = 0;
-
-    gf_ = readFrameWord(frame_ptr, frame::globalFrameOffset);
-    const Word seg = readMem(gf_, AccessKind::Table);
-    codeBase_ = layout_.codeSegBase(seg);
-    codeBaseValid_ = true;
-    const Word rel = readFrameWord(frame_ptr, frame::savedPcOffset);
-    pcAbs_ = codeBase_ + rel;
-}
-
-void
 Machine::xferTo(Word ctx)
 {
     XferProbe probe(*this, XferKind::Coroutine);
-    if (ifuEnabled())
-        flushReturnStack(); // any XFER besides simple call/return
+    unusualXfer();
     dispatchContext(ctx, XferKind::Coroutine, false);
 }
 
@@ -691,9 +747,17 @@ void
 Machine::xferKinded(Word ctx, XferKind kind)
 {
     XferProbe probe(*this, kind);
+    unusualXfer();
+    dispatchContext(ctx, kind, false);
+}
+
+void
+Machine::unusualXfer()
+{
     if (ifuEnabled())
         flushReturnStack();
-    dispatchContext(ctx, kind, false);
+    if (sblocks_)
+        sblocks_->flushReturns();
 }
 
 void
@@ -705,8 +769,7 @@ Machine::processSwitch()
     }
     const Word next = scheduler_(*this);
     XferProbe probe(*this, XferKind::ProcSwitch);
-    if (ifuEnabled())
-        flushReturnStack();
+    unusualXfer();
     if (banked())
         flushAllBanks(); // §7.1: process switch flushes all banks
     dispatchContext(next, XferKind::ProcSwitch, false);
@@ -721,8 +784,7 @@ Machine::resumeProcess(Word ctx)
     stop_ = StopReason::Running;
     result_ = RunResult();
     XferProbe probe(*this, XferKind::ProcSwitch);
-    if (ifuEnabled())
-        flushReturnStack();
+    unusualXfer();
     if (banked())
         flushAllBanks();
     dispatchContext(ctx, XferKind::ProcSwitch, false);
@@ -779,8 +841,7 @@ Machine::flushReturnStack()
 
     Addr child = lf_;
     while (!retStack_.empty()) {
-        const RetEntry entry = retStack_.back();
-        retStack_.pop_back();
+        const RetEntry entry = retStack_.pop();
         ++stats_.returnStackFlushedEntries;
         materializeEntry(entry, child);
         child = entry.lf;
@@ -793,23 +854,12 @@ Machine::spillOldestReturnEntry()
     if (retStack_.empty())
         return;
     ++stats_.returnStackSpills;
-    const RetEntry oldest = retStack_.front();
-    retStack_.erase(retStack_.begin());
+    const RetEntry oldest = retStack_.at(0);
+    retStack_.dropOldest();
     // The child above the oldest entry: the next entry up, or the
     // current frame when the spilled entry was the only one.
-    const Addr child =
-        retStack_.empty() ? lf_ : retStack_.front().lf;
+    const Addr child = retStack_.empty() ? lf_ : retStack_.at(0).lf;
     materializeEntry(oldest, child);
-}
-
-void
-Machine::saveCurrentPc()
-{
-    if (lf_ == nilAddr)
-        return;
-    const CodeByteAddr base = currentCodeBase();
-    writeFrameWord(lf_, frame::savedPcOffset,
-                   static_cast<Word>(pcAbs_ - base));
 }
 
 // ---------------------------------------------------------------------

@@ -21,7 +21,7 @@ accessKindName(AccessKind kind)
     }
 }
 
-Memory::Memory(std::size_t words) : store_(words, 0)
+Memory::Memory(std::size_t words) : store_(words, 0), words_(words)
 {
     if (words == 0)
         panic("Memory: zero size");

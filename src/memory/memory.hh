@@ -50,11 +50,11 @@ class Memory
     /** Construct a memory of the given size in 16-bit words. */
     explicit Memory(std::size_t words);
 
-    std::size_t size() const { return store_.size(); }
+    std::size_t size() const { return words_; }
 
     /** Accounted word read. Inline: every interpreted instruction
      *  makes one or more of these. */
-    Word
+    [[gnu::always_inline]] Word
     read(Addr addr, AccessKind kind)
     {
         checkAddr(addr);
@@ -64,7 +64,7 @@ class Memory
     }
 
     /** Accounted word write. */
-    void
+    [[gnu::always_inline]] void
     write(Addr addr, Word value, AccessKind kind)
     {
         checkAddr(addr);
@@ -161,13 +161,15 @@ class Memory
     void
     checkAddr(Addr addr) const
     {
-        if (addr >= store_.size())
+        if (addr >= words_) [[unlikely]]
             addrPanic(addr);
     }
 
     [[noreturn]] void addrPanic(Addr addr) const;
 
     std::vector<Word> store_;
+    /** store_.size(), held apart: every accounted access checks it. */
+    std::size_t words_;
     std::array<CountT, static_cast<std::size_t>(AccessKind::NumKinds)>
         readCounts_{};
     std::array<CountT, static_cast<std::size_t>(AccessKind::NumKinds)>

@@ -296,6 +296,12 @@ accelStatsJson(JsonWriter &w, const AccelStats &s)
     w.kv("execs", s.sblockExecs);
     w.kv("chainHits", s.sblockChainHits);
     w.endObject();
+    w.key("calls").beginObject();
+    w.kv("siteHits", s.callSiteHits);
+    w.kv("siteMisses", s.callSiteMisses);
+    w.kv("returnPredHits", s.returnPredHits);
+    w.kv("returnPredMisses", s.returnPredMisses);
+    w.endObject();
     w.key("probes").beginObject();
     w.kv("sites", s.probeSites);
     w.kv("deoptBlocks", s.probeDeoptBlocks);

@@ -984,6 +984,23 @@ Server::scrapeText() const
         counter("fpc_serve_accel_deferred_flushes",
                 "Deferred-accounting folds into MachineStats.",
                 a.deferredFlushes);
+        counter("fpc_serve_accel_call_site_hits",
+                "Calls resolved by their superblock's call-site target "
+                "cache (threaded backend).",
+                a.callSiteHits);
+        counter("fpc_serve_accel_call_site_misses",
+                "Calls whose call-site target cache was empty or stale "
+                "(threaded backend).",
+                a.callSiteMisses);
+        counter("fpc_serve_accel_return_pred_hits",
+                "Returns the chain pointer missed that entered their "
+                "successor through the host return stack (threaded "
+                "backend).",
+                a.returnPredHits);
+        counter("fpc_serve_accel_return_pred_misses",
+                "Returns neither the chain pointer nor the host return "
+                "stack served (threaded backend).",
+                a.returnPredMisses);
         counter("fpc_serve_accel_probe_sites",
                 "Probe code ranges armed at sink attach.",
                 a.probeSites);

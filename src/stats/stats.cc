@@ -25,6 +25,19 @@ Distribution::merge(const Distribution &other)
     max_ = std::max(max_, other.max_);
 }
 
+void
+Distribution::sampleSums(CountT n, double sum, double sum_sq, double lo,
+                         double hi)
+{
+    if (n == 0)
+        return;
+    count_ += n;
+    sum_ += sum;
+    sumSq_ += sum_sq;
+    min_ = std::min(min_, lo);
+    max_ = std::max(max_, hi);
+}
+
 double
 Distribution::variance() const
 {

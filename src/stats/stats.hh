@@ -63,6 +63,13 @@ class Distribution
     /** Fold another distribution in; exact for count/sum/moments. */
     void merge(const Distribution &other);
 
+    /** Fold n samples given by their sum, sum of squares and extremes:
+     *  the same result as sampling them one by one whenever the
+     *  samples and all partial sums are integers below 2^53, which
+     *  doubles add exactly in any order. */
+    void sampleSums(CountT n, double sum, double sum_sq, double lo,
+                    double hi);
+
     CountT count() const { return count_; }
     double total() const { return sum_; }
     double mean() const { return count_ ? sum_ / count_ : 0.0; }

@@ -12,20 +12,15 @@ namespace
 constexpr unsigned tagBit = 15;
 } // namespace
 
-Word
-packFrameContext(Addr frame_ptr, const SystemLayout &layout)
+void
+badFrameContext(Addr frame_ptr, const SystemLayout &layout)
 {
-    if (frame_ptr == nilAddr)
-        return nilContext;
-    const Addr block = frame_ptr - 1; // the header word
+    const Addr block = frame_ptr - 1;
     if (block < layout.frameBase || frame_ptr >= layout.frameEnd)
         panic("frame pointer {} outside the frame region", frame_ptr);
     if ((block - layout.frameBase) % 4 != 0)
         panic("frame block {} is not quad-aligned", block);
-    const Addr quad = (block - layout.frameBase) / 4;
-    if (quad == 0)
-        panic("frame quad 0 is reserved for NIL");
-    return static_cast<Word>(quad); // tag bit 15 is 0
+    panic("frame quad 0 is reserved for NIL");
 }
 
 Word
@@ -34,26 +29,6 @@ packProcDesc(unsigned gft_index, unsigned ev_low5)
     checkedField(gft_index, 10, "procDesc.env");
     checkedField(ev_low5, 5, "procDesc.code");
     return static_cast<Word>((1u << tagBit) | (gft_index << 5) | ev_low5);
-}
-
-Context
-unpackContext(Word ctx, const SystemLayout &layout)
-{
-    Context out;
-    if (ctx & (1u << tagBit)) {
-        out.tag = Context::Tag::Proc;
-        out.env = bits(ctx, 5, 10);
-        out.code = bits(ctx, 0, 5);
-    } else {
-        out.tag = Context::Tag::Frame;
-        if (ctx == nilContext) {
-            out.framePtr = nilAddr;
-        } else {
-            out.framePtr =
-                layout.frameBase + static_cast<Addr>(ctx) * 4 + 1;
-        }
-    }
-    return out;
 }
 
 bool

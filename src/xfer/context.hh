@@ -56,15 +56,43 @@ struct Context
     bool isNil() const { return tag == Tag::Frame && framePtr == nilAddr; }
 };
 
+/** Panic for a frame pointer packFrameContext cannot encode. */
+[[noreturn]] void badFrameContext(Addr frame_ptr,
+                                  const SystemLayout &layout);
+
 /** Pack a frame context. The frame pointer must be in the frame region
- *  and (framePtr - 1) must be quad-aligned. */
-Word packFrameContext(Addr frame_ptr, const SystemLayout &layout);
+ *  and (framePtr - 1) must be quad-aligned. Inline: every call and
+ *  return packs one. */
+[[gnu::always_inline]] inline Word
+packFrameContext(Addr frame_ptr, const SystemLayout &layout)
+{
+    if (frame_ptr == nilAddr)
+        return nilContext;
+    const Addr block = frame_ptr - 1; // the header word
+    if (block < layout.frameBase || frame_ptr >= layout.frameEnd ||
+        (block - layout.frameBase) % 4 != 0 || block == layout.frameBase)
+        [[unlikely]]
+        badFrameContext(frame_ptr, layout);
+    return static_cast<Word>((block - layout.frameBase) / 4); // tag 0
+}
 
 /** Pack a procedure-descriptor context. */
 Word packProcDesc(unsigned gft_index, unsigned ev_low5);
 
-/** Decode a context word. */
-Context unpackContext(Word ctx, const SystemLayout &layout);
+/** Decode a context word. Inline, like packFrameContext. */
+[[gnu::always_inline]] inline Context
+unpackContext(Word ctx, const SystemLayout &layout)
+{
+    Context out;
+    if (ctx & 0x8000u) { // the tag bit
+        out.tag = Context::Tag::Proc;
+        out.env = (ctx >> 5) & 0x3FFu;
+        out.code = ctx & 0x1Fu;
+    } else if (ctx != nilContext) {
+        out.framePtr = layout.frameBase + static_cast<Addr>(ctx) * 4 + 1;
+    }
+    return out;
+}
 
 /** True when ctx is a non-NIL frame context (a suspended activation a
  *  scheduler may dispatch, as opposed to a procedure descriptor). */

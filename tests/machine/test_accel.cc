@@ -9,12 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "asm/builder.hh"
 #include "common/logging.hh"
+#include "lang/codegen.hh"
 #include "machine/machine.hh"
 #include "obs/json.hh"
 #include "obs/trace.hh"
@@ -341,6 +343,352 @@ TEST(AccelDeterminism, ThreadedFastPathActuallyEngages)
 }
 
 // ---------------------------------------------------------------------
+// Call-heavy cases: the threaded backend's call-site target caches,
+// host return prediction and deferred XFER sums must leave every
+// simulated number where the eager loop puts it.
+// ---------------------------------------------------------------------
+
+std::vector<Module>
+fibModules()
+{
+    return lang::compile(R"(
+        module M;
+        proc fib(n) {
+            if (n < 2) { return n; }
+            return fib(n - 1) + fib(n - 2);
+        }
+        proc main(n) { return fib(n); }
+    )");
+}
+
+/** One call-heavy case: the program, its argument, and optional
+ *  machine configuration and hooks. */
+struct CallCase
+{
+    CallCase(std::vector<Module> program, Word argument)
+        : modules(std::move(program)), arg(argument)
+    {
+    }
+
+    std::vector<Module> modules;
+    Word arg = 0;
+    std::function<void(MachineConfig &)> configure;
+    /** Attach a logging probe sink armed on M.fib. */
+    bool probeFib = false;
+    /** Rewrite one code byte with its own value from a boundary
+     *  sampler, moving the code epoch mid-run. */
+    bool pokeMidRun = false;
+    /** Install M.handler as the trap context. */
+    bool trapHandler = false;
+};
+
+/** Logs every probe event's exact fields (the deltas, not absolute
+ *  stamps, which may lag on the fast backends by contract). */
+struct LoggingProbes : ProbeSink
+{
+    std::ostringstream log;
+    void
+    onProbeXfer(XferKind kind, CountT refs, Tick cycles,
+                const Machine &) override
+    {
+        log << "x" << static_cast<unsigned>(kind) << ":" << refs << ":"
+            << cycles << " ";
+    }
+    void
+    onProbeFrameAlloc(unsigned fsi, bool fast, const Machine &) override
+    {
+        log << "a" << fsi << fast << " ";
+    }
+    void
+    onProbeFrameFree(unsigned fsi, bool fast, const Machine &) override
+    {
+        log << "f" << fsi << fast << " ";
+    }
+    void
+    onProbeTrap(Word code, const Machine &) override
+    {
+        log << "t" << code << " ";
+    }
+};
+
+/** Moves the code epoch at every boundary sample without changing a
+ *  byte of code. */
+struct EpochPoker : BoundarySampler
+{
+    Memory *mem = nullptr;
+    CodeByteAddr at = 0;
+    unsigned pokes = 0;
+    void
+    onBoundarySample(const Machine &) override
+    {
+        mem->pokeByte(at, mem->peekByte(at));
+        ++pokes;
+    }
+};
+
+struct CaseOut
+{
+    Word value = 0;
+    StopReason reason = StopReason::Running;
+    std::string statsJson;
+    std::string probeLog;
+    AccelStats accel;
+};
+
+CaseOut
+runCase(const CallCase &c, const EngineCombo &combo, Mode mode)
+{
+    const SystemLayout layout;
+    Memory mem(layout.memWords);
+    Loader loader{layout, SizeClasses::standard()};
+    for (const Module &m : c.modules)
+        loader.add(m);
+    LinkPlan plan;
+    plan.lowering = combo.lowering;
+    const LoadedImage image = loader.load(mem, plan);
+
+    MachineConfig config;
+    config.impl = combo.impl;
+    applyMode(config, mode);
+    if (c.configure)
+        c.configure(config);
+    Machine machine(mem, image, config);
+
+    const PlacedModule &pm = image.module("M");
+    LoggingProbes probes;
+    if (c.probeFib) {
+        const PlacedProc &fib =
+            pm.procs[static_cast<unsigned>(pm.src->procIndex("fib"))];
+        const CodeByteAddr end =
+            fib.prologueAddr + fib.prologueBytes + fib.bodyBytes;
+        machine.setProbeSink(&probes, {{fib.prologueAddr, end}});
+    }
+    EpochPoker poker;
+    if (c.pokeMidRun) {
+        poker.mem = &mem;
+        poker.at = pm.procs.front().prologueAddr;
+        machine.setBoundarySampler(&poker, 5000);
+    }
+    if (c.trapHandler)
+        machine.setTrapContext(image.procDescriptor("M", "handler"));
+
+    machine.start("M", "main", std::array<Word, 1>{c.arg});
+    CaseOut out;
+    out.reason = machine.run().reason;
+    if (out.reason == StopReason::TopReturn)
+        out.value = machine.popValue();
+    if (c.pokeMidRun) {
+        EXPECT_GT(poker.pokes, 0u);
+    }
+
+    std::ostringstream stats;
+    obs::StatsExport exp;
+    exp.driver = "test_accel";
+    exp.impl = implName(config.impl);
+    exp.stopReason = stopReasonName(out.reason);
+    exp.machine = &machine.stats();
+    exp.memory = &mem;
+    exp.heap = &machine.heap().stats();
+    exp.cache = machine.dataCache();
+    obs::writeStatsJson(stats, exp);
+    out.statsJson = stats.str();
+    out.probeLog = probes.log.str();
+    out.accel = machine.accelStats();
+    return out;
+}
+
+/** Every engine: the burst and threaded backends match the eager
+ *  loop's value, stop reason, stats document and probe log. Returns
+ *  the threaded runs (one per engine) for case-specific checks. */
+std::vector<CaseOut>
+expectMatchesEager(const CallCase &c)
+{
+    std::vector<CaseOut> threaded;
+    for (const EngineCombo &combo : combos) {
+        const CaseOut off = runCase(c, combo, Mode::Off);
+        for (Mode mode : {Mode::On, Mode::Threaded}) {
+            CaseOut out = runCase(c, combo, mode);
+            EXPECT_EQ(out.reason, off.reason)
+                << implName(combo.impl) << " " << modeName(mode);
+            EXPECT_EQ(out.value, off.value)
+                << implName(combo.impl) << " " << modeName(mode);
+            EXPECT_EQ(out.statsJson, off.statsJson)
+                << implName(combo.impl) << " " << modeName(mode);
+            EXPECT_EQ(out.probeLog, off.probeLog)
+                << implName(combo.impl) << " " << modeName(mode);
+            if (mode == Mode::Threaded)
+                threaded.push_back(std::move(out));
+        }
+    }
+    return threaded;
+}
+
+/** The value of a "name": N, field in a stats document. */
+std::uint64_t
+statsField(const std::string &json, const std::string &name)
+{
+    const std::string key = "\"" + name + "\": ";
+    const std::size_t at = json.find(key);
+    EXPECT_NE(at, std::string::npos) << name;
+    if (at == std::string::npos)
+        return 0;
+    return std::stoull(json.substr(at + key.size()));
+}
+
+TEST(AccelDeterminism, RecursionDeeperThanTheReturnStack)
+{
+    // fib(16) nests 16 deep against a 4-entry IFU return stack, so
+    // I3 and I4 spill on every deep call.
+    CallCase c{fibModules(), 16};
+    c.configure = [](MachineConfig &config) {
+        config.returnStackDepth = 4;
+    };
+    const std::vector<CaseOut> thr = expectMatchesEager(c);
+    for (const CaseOut &out : thr) {
+        EXPECT_EQ(out.value, 987);
+        if (Machine::threadedSupported()) {
+            EXPECT_GT(out.accel.callSiteHits, 0u);
+            EXPECT_GT(out.accel.returnPredHits, 0u);
+        }
+    }
+    EXPECT_GT(statsField(thr[2].statsJson, "spills"), 0u);
+    EXPECT_GT(statsField(thr[3].statsJson, "spills"), 0u);
+}
+
+TEST(AccelDeterminism, BankOverflowAndUnderflow)
+{
+    // Two banks on I4: deep calls overflow, returns underflow.
+    CallCase c{fibModules(), 14};
+    c.configure = [](MachineConfig &config) { config.numBanks = 2; };
+    const std::vector<CaseOut> thr = expectMatchesEager(c);
+    EXPECT_EQ(thr[3].value, 377);
+    EXPECT_GT(statsField(thr[3].statsJson, "overflows"), 0u);
+    EXPECT_GT(statsField(thr[3].statsJson, "underflows"), 0u);
+}
+
+/** A coroutine ping-pong through raw XFERs: main starts gen through a
+ *  procedure descriptor (LPD + XF), then resumes it through the frame
+ *  context gen leaves in returnContext. Each of gen's turns calls
+ *  bump and hands main a 5; main adds it and calls bump too, so calls
+ *  and returns interleave with the coroutine transfers. */
+std::vector<Module>
+coroutineModules()
+{
+    ModuleBuilder b("M");
+    const unsigned self = b.externRef("M", "gen");
+    auto &bump = b.proc("bump", 1, 1);
+    bump.loadLocal(0).loadImm(3).op(isa::Op::ADD).ret();
+
+    auto &gen = b.proc("gen", 0, 1);
+    auto top = gen.newLabel();
+    gen.label(top);
+    gen.op(isa::Op::LRC).storeLocal(0); // who resumed us
+    gen.loadImm(2).callLocal("bump");   // 5 on the stack
+    gen.loadLocal(0).op(isa::Op::XF);   // back to main with it
+    gen.jump(top);
+
+    auto &main = b.proc("main", 1, 3); // n, acc, co
+    auto loop = main.newLabel();
+    auto done = main.newLabel();
+    main.loadImm(0).storeLocal(1);
+    main.loadDescriptor(self).op(isa::Op::XF);
+    main.op(isa::Op::LRC).storeLocal(2);
+    main.loadLocal(1).op(isa::Op::ADD).storeLocal(1);
+    main.label(loop);
+    main.loadLocal(0).jumpZero(done);
+    main.loadLocal(2).op(isa::Op::XF);
+    main.op(isa::Op::LRC).storeLocal(2);
+    main.loadLocal(1).op(isa::Op::ADD).storeLocal(1);
+    main.loadLocal(1).callLocal("bump").storeLocal(1);
+    main.loadLocal(0).loadImm(1).op(isa::Op::SUB).storeLocal(0);
+    main.jump(loop);
+    main.label(done);
+    main.loadLocal(1).ret();
+    return {b.build()};
+}
+
+TEST(AccelDeterminism, CoroutineAndDescriptorTransfers)
+{
+    CallCase c{coroutineModules(), 50};
+    const std::vector<CaseOut> thr = expectMatchesEager(c);
+    for (const CaseOut &out : thr) {
+        EXPECT_EQ(out.reason, StopReason::TopReturn);
+        EXPECT_EQ(out.value, 51 * 5 + 50 * 3);
+    }
+}
+
+TEST(AccelDeterminism, TrapRaisedInsideACallee)
+{
+    // f BRKs on every call; the handler returns straight back into
+    // f, which finishes normally.
+    ModuleBuilder b("M");
+    auto &handler = b.proc("handler", 1, 1);
+    handler.ret();
+    auto &f = b.proc("f", 1, 1);
+    f.op(isa::Op::BRK).loadLocal(0).loadImm(1).op(isa::Op::ADD).ret();
+    auto &main = b.proc("main", 1, 2);
+    auto loop = main.newLabel();
+    auto done = main.newLabel();
+    main.loadImm(0).storeLocal(1);
+    main.label(loop);
+    main.loadLocal(0).jumpZero(done);
+    main.loadLocal(0).callLocal("f");
+    main.loadLocal(1).op(isa::Op::ADD).storeLocal(1);
+    main.loadLocal(0).loadImm(1).op(isa::Op::SUB).storeLocal(0);
+    main.jump(loop);
+    main.label(done);
+    main.loadLocal(1).ret();
+
+    CallCase c{{b.build()}, 40};
+    c.trapHandler = true;
+    const std::vector<CaseOut> thr = expectMatchesEager(c);
+    for (const CaseOut &out : thr) {
+        EXPECT_EQ(out.reason, StopReason::TopReturn);
+        EXPECT_EQ(out.value, 40 * 41 / 2 + 40);
+    }
+}
+
+TEST(AccelDeterminism, StepBudgetExpiresMidRecursion)
+{
+    CallCase c{fibModules(), 20};
+    c.configure = [](MachineConfig &config) { config.maxSteps = 100003; };
+    const std::vector<CaseOut> thr = expectMatchesEager(c);
+    for (const CaseOut &out : thr)
+        EXPECT_EQ(out.reason, StopReason::StepLimit);
+}
+
+TEST(AccelDeterminism, CodePokeMidRunFlushesHostReturnStack)
+{
+    // Every boundary sample moves the code epoch mid-recursion: the
+    // threaded loop drops its superblocks and, with them, the caller
+    // blocks on its host return stack.
+    CallCase c{fibModules(), 16};
+    c.pokeMidRun = true;
+    const std::vector<CaseOut> thr = expectMatchesEager(c);
+    for (const CaseOut &out : thr) {
+        EXPECT_EQ(out.value, 987);
+        EXPECT_GT(out.accel.codeFlushes, 1u);
+    }
+}
+
+TEST(AccelDeterminism, ProbeArmedOnCalleeStaysExact)
+{
+    // Probes on fib keep its blocks on the eager path while main's
+    // block still calls through its site cache and pushes the host
+    // return stack; every probe event must match the eager run.
+    CallCase c{fibModules(), 12};
+    c.probeFib = true;
+    const std::vector<CaseOut> thr = expectMatchesEager(c);
+    for (const CaseOut &out : thr) {
+        EXPECT_EQ(out.value, 144);
+        EXPECT_FALSE(out.probeLog.empty());
+        if (Machine::threadedSupported()) {
+            EXPECT_GT(out.accel.probeEagerSteps, 0u);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Invalidation
 // ---------------------------------------------------------------------
 
@@ -519,10 +867,16 @@ TEST(AccelCounters, MergeSumsEveryField)
     a.fatHits = 6;
     a.extMisses = 1;
     a.codeFlushes = 7;
+    a.callSiteHits = 11;
+    a.returnPredMisses = 12;
     AccelStats b;
     b.icacheHits = 100;
     b.localMisses = 9;
     b.tableFlushes = 8;
+    b.callSiteHits = 100;
+    b.callSiteMisses = 13;
+    b.returnPredHits = 14;
+    b.returnPredMisses = 15;
 
     a.merge(b);
     EXPECT_EQ(a.icacheHits, 110u);
@@ -531,6 +885,10 @@ TEST(AccelCounters, MergeSumsEveryField)
     EXPECT_EQ(a.linkMisses(), 1u + 9u);
     EXPECT_EQ(a.codeFlushes, 7u);
     EXPECT_EQ(a.tableFlushes, 8u);
+    EXPECT_EQ(a.callSiteHits, 111u);
+    EXPECT_EQ(a.callSiteMisses, 13u);
+    EXPECT_EQ(a.returnPredHits, 14u);
+    EXPECT_EQ(a.returnPredMisses, 27u);
 }
 
 TEST(AccelCounters, DisabledMachineReportsZeroes)

@@ -515,7 +515,12 @@ try {
                       << a.linkMisses() << " misses ("
                       << stats::percent(a.linkHitRate()) << ")\n"
                       << "flushes: " << a.codeFlushes << " code, "
-                      << a.tableFlushes << " link\n";
+                      << a.tableFlushes << " link\n"
+                      << "call sites: " << a.callSiteHits << " hits, "
+                      << a.callSiteMisses
+                      << " misses   return predictions: "
+                      << a.returnPredHits << " taken, "
+                      << a.returnPredMisses << " missed\n";
             if (a.probeSites != 0 || a.probeEagerSteps != 0)
                 std::cout << "probes: " << a.probeSites
                           << " armed sites, " << a.probeDeoptBlocks

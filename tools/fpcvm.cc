@@ -395,6 +395,11 @@ dumpAccelStats(const Machine &machine)
               << stats::percent(a.linkHitRate()) << ")\n"
               << "flushes: " << a.codeFlushes << " code, "
               << a.tableFlushes << " link\n";
+    if (machine.threadedActive())
+        std::cout << "call sites: " << a.callSiteHits << " hits, "
+                  << a.callSiteMisses << " misses   return predictions: "
+                  << a.returnPredHits << " taken, " << a.returnPredMisses
+                  << " missed\n";
     if (a.probeSites != 0 || a.probeEagerSteps != 0)
         std::cout << "probes: " << a.probeSites << " armed sites, "
                   << a.probeDeoptBlocks << " deopt blocks, "
