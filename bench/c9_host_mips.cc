@@ -5,19 +5,18 @@
  * Unlike C1–C8, which report *simulated* costs (cycles, storage
  * references), C9 measures the wall-clock speed of the simulator
  * itself: simulated instructions per second and XFERs per second for
- * each engine I1–I4, across the three host backends — the eager loop
- * (accel=off), the burst loop over the predecoded icache + XFER link
- * caches (accel=on), and the threaded-code superblock interpreter
- * (accel=threaded, docs/PERFORMANCE.md). The acceleration contract
- * makes this a pure host experiment: every simulated number is
- * bit-identical in all three modes, so the speedup columns are free —
- * no accuracy was traded for them.
+ * each engine I1–I4, on both host backends — the eager loop
+ * (accel=off) and the threaded-code superblock interpreter over the
+ * predecoded icache + XFER link caches (accel=threaded,
+ * docs/PERFORMANCE.md). The acceleration contract makes this a pure
+ * host experiment: every simulated number is bit-identical on both,
+ * so the speedup column is free — no accuracy was traded for it.
  *
  * The workload is C1's call-heavy primes program, the shape the paper
  * optimizes for (a call per loop iteration), so the XFER link cache,
  * the superblock chain, and the icache are all on the hot path. Host
  * times are min-of-N (--repeat=N, default 3) over interleaved
- * off/on/threaded repetitions: interference only ever adds time, so
+ * off/threaded repetitions: interference only ever adds time, so
  * the fastest repetition estimates the undisturbed cost, and
  * interleaving keeps a noise burst from landing on only one side of a
  * ratio.
@@ -40,26 +39,20 @@ namespace
 
 constexpr Word primesLimit = 2000;
 
-/** The three host execution backends (same simulated numbers). */
+/** The two host execution backends (same simulated numbers). */
 enum class Backend
 {
     Off,      ///< eager per-step loop
-    On,       ///< burst loop, icache + link caches
-    Threaded, ///< computed-goto superblocks
+    Threaded, ///< computed-goto superblocks (the default)
 };
 
-constexpr std::array<Backend, 3> allBackends = {
-    Backend::Off, Backend::On, Backend::Threaded};
+constexpr std::array<Backend, 2> allBackends = {Backend::Off,
+                                                Backend::Threaded};
 
 const char *
 backendName(Backend backend)
 {
-    switch (backend) {
-      case Backend::Off: return "off";
-      case Backend::On: return "on";
-      case Backend::Threaded: return "threaded";
-      default: return "?";
-    }
+    return backend == Backend::Off ? "off" : "threaded";
 }
 
 struct Measurement
@@ -76,7 +69,6 @@ warmRig(const EngineCombo &combo, Backend backend)
 {
     MachineConfig config = configFor(combo);
     config.accel.enabled = backend != Backend::Off;
-    config.accel.threaded = backend == Backend::Threaded;
     auto rig = std::make_unique<Rig>(primesProgram(), planFor(combo),
                                      config);
     // Warm run: fills the frame free lists and the host caches, then
@@ -90,18 +82,18 @@ warmRig(const EngineCombo &combo, Backend backend)
 }
 
 /**
- * Measure all backends together, interleaving the timed repetitions
- * (off, on, threaded, off, on, threaded, ...). Host interference
- * comes in bursts that last longer than one repetition, so timing
- * all-off then all-on lets a burst land on one side only and skew the
- * ratio; adjacent samples see the same conditions, and min-of-N then
- * picks every side's quiet-window cost.
+ * Measure both backends together, interleaving the timed repetitions
+ * (off, threaded, off, threaded, ...). Host interference comes in
+ * bursts that last longer than one repetition, so timing all-off then
+ * all-threaded lets a burst land on one side only and skew the ratio;
+ * adjacent samples see the same conditions, and min-of-N then picks
+ * each side's quiet-window cost.
  */
-std::array<Measurement, 3>
+std::array<Measurement, 2>
 measureBackends(const EngineCombo &combo, unsigned repeat)
 {
-    std::array<std::unique_ptr<Rig>, 3> rigs;
-    std::array<Measurement, 3> m;
+    std::array<std::unique_ptr<Rig>, 2> rigs;
+    std::array<Measurement, 2> m;
     for (std::size_t i = 0; i < allBackends.size(); ++i) {
         rigs[i] = warmRig(combo, allBackends[i]);
         // One counted run for the per-run denominators (deterministic,
@@ -141,36 +133,23 @@ printHostThroughput(unsigned repeat, JsonReport &json)
     stats::Table table({"impl", "accel", "wall ms", "sim Minst/s",
                         "XFER/s", "speedup", "icache hit",
                         "link hit"});
-    stats::Table dispatch({"impl", "eager ns/inst", "burst ns/inst",
-                           "threaded ns/inst", "burst/thr"});
+    stats::Table dispatch({"impl", "eager ns/inst", "threaded ns/inst"});
     stats::Table sblocks({"impl", "builds", "execs", "chain hits",
                           "chain rate"});
 
-    double min_speedup = 0;
     double min_thr_speedup = 0;
-    double min_thr_vs_on = 0;
     bool first = true;
     for (const EngineCombo &combo : allEngines()) {
         const auto m = measureBackends(combo, repeat);
         const Measurement &off = m[0];
-        const Measurement &on = m[1];
-        const Measurement &thr = m[2];
-        const double speedup = off.seconds / on.seconds;
+        const Measurement &thr = m[1];
         const double thr_speedup = off.seconds / thr.seconds;
-        const double thr_vs_on = on.seconds / thr.seconds;
 
         table.row(implName(combo.impl), "off",
                   stats::fixed(off.seconds * 1e3, 2),
                   stats::fixed(off.steps / off.seconds / 1e6, 1),
                   stats::fixed(off.xfers / off.seconds, 0), "-", "-",
                   "-");
-        table.row(implName(combo.impl), "on",
-                  stats::fixed(on.seconds * 1e3, 2),
-                  stats::fixed(on.steps / on.seconds / 1e6, 1),
-                  stats::fixed(on.xfers / on.seconds, 0),
-                  stats::fixed(speedup, 2),
-                  stats::percent(on.accel.icacheHitRate()),
-                  stats::percent(on.accel.linkHitRate()));
         table.row(implName(combo.impl), "threaded",
                   stats::fixed(thr.seconds * 1e3, 2),
                   stats::fixed(thr.steps / thr.seconds / 1e6, 1),
@@ -181,11 +160,9 @@ printHostThroughput(unsigned repeat, JsonReport &json)
 
         // Dispatch cost: the per-instruction host price of each loop.
         const double eager_ns = off.seconds / off.steps * 1e9;
-        const double burst_ns = on.seconds / on.steps * 1e9;
         const double thr_ns = thr.seconds / thr.steps * 1e9;
         dispatch.row(implName(combo.impl), stats::fixed(eager_ns, 2),
-                     stats::fixed(burst_ns, 2), stats::fixed(thr_ns, 2),
-                     stats::fixed(burst_ns / thr_ns, 2));
+                     stats::fixed(thr_ns, 2));
 
         const AccelStats &ta = thr.accel;
         const double chain_rate =
@@ -198,26 +175,16 @@ printHostThroughput(unsigned repeat, JsonReport &json)
                     stats::percent(chain_rate));
 
         const std::string impl = implName(combo.impl);
-        json.metric("speedup_" + impl, speedup);
         json.metric("speedup_threaded_" + impl, thr_speedup);
-        json.metric("threaded_vs_on_" + impl, thr_vs_on);
         json.metric("sim_mips_off_" + impl,
                     off.steps / off.seconds / 1e6);
-        json.metric("sim_mips_on_" + impl,
-                    on.steps / on.seconds / 1e6);
         json.metric("sim_mips_threaded_" + impl,
                     thr.steps / thr.seconds / 1e6);
-        json.metric("xfers_per_sec_on_" + impl, on.xfers / on.seconds);
-        json.metric("icache_hit_rate_" + impl,
-                    on.accel.icacheHitRate());
-        json.metric("link_hit_rate_" + impl, on.accel.linkHitRate());
+        json.metric("icache_hit_rate_" + impl, ta.icacheHitRate());
+        json.metric("link_hit_rate_" + impl, ta.linkHitRate());
         json.metric("sblock_chain_rate_" + impl, chain_rate);
-        if (first || speedup < min_speedup)
-            min_speedup = speedup;
         if (first || thr_speedup < min_thr_speedup)
             min_thr_speedup = thr_speedup;
-        if (first || thr_vs_on < min_thr_vs_on)
-            min_thr_vs_on = thr_vs_on;
         first = false;
     }
     table.print(std::cout);
@@ -229,16 +196,13 @@ printHostThroughput(unsigned repeat, JsonReport &json)
     json.table("host_throughput", table);
     json.table("dispatch_cost", dispatch);
     json.table("superblocks", sblocks);
-    json.metric("min_speedup", min_speedup);
     json.metric("min_speedup_threaded", min_thr_speedup);
-    json.metric("min_threaded_vs_on", min_thr_vs_on);
     json.metric("repeat", repeat);
     json.note("contract",
               "simulated numbers are bit-identical with accel "
-              "off/on/threaded; these tables are host wall-clock only");
+              "off/threaded; these tables are host wall-clock only");
 
-    std::cout << "\nAcceptance shape: accel-on >= 2x accel-off and "
-                 "accel-threaded >= 2x accel-on (>= 4x accel-off) on "
+    std::cout << "\nAcceptance shape: accel-threaded >= 4x accel-off on "
                  "every engine, with icache, link-cache, and "
                  "superblock-chain hit rates above 90% at steady "
                  "state.\n";
@@ -291,9 +255,7 @@ printCallCost(unsigned repeat, JsonReport &json)
     if (repeat == 0)
         repeat = 1;
     for (const EngineCombo &combo : allEngines()) {
-        MachineConfig config = configFor(combo);
-        config.accel.enabled = true;
-        config.accel.threaded = true;
+        const MachineConfig config = configFor(combo);
         Rig fib(fibProgram(), planFor(combo), config);
         Rig loop(loopProgram(), planFor(combo), config);
         // Warm runs: superblocks, site caches and free lists.
@@ -379,14 +341,12 @@ printObsOverhead(unsigned repeat, JsonReport &json)
             repeat = 1;
         for (unsigned r = 0; r < repeat; ++r) {
             for (std::size_t i = 0; i < allObsStates.size(); ++i) {
-                // Every state *requests* the threaded backend — the
-                // machine demotes to the eager loop itself when the
-                // exact sampler attaches, which is precisely the cost
-                // being measured.
-                MachineConfig config = configFor(combo);
-                config.accel.enabled = true;
-                config.accel.threaded = true;
-                Rig rig(primesProgram(), planFor(combo), config);
+                // Every state runs the default threaded configuration
+                // — the machine demotes to the eager loop itself when
+                // the exact sampler attaches, which is precisely the
+                // cost being measured.
+                Rig rig(primesProgram(), planFor(combo),
+                        configFor(combo));
                 std::optional<obs::SampledProfiler> profiler;
                 std::optional<obs::Telemetry> telemetry;
                 obs::BoundaryFanout fan;
@@ -537,10 +497,8 @@ printProbeOverhead(unsigned repeat, JsonReport &json)
             repeat = 1;
         for (unsigned r = 0; r < repeat; ++r) {
             for (std::size_t i = 0; i < allProbeStates.size(); ++i) {
-                MachineConfig config = configFor(combo);
-                config.accel.enabled = true;
-                config.accel.threaded = true;
-                Rig rig(probeWorkload(), planFor(combo), config);
+                Rig rig(probeWorkload(), planFor(combo),
+                        configFor(combo));
                 obs::ProbeRegistry *registry = nullptr;
                 switch (allProbeStates[i]) {
                   case ProbeState::Unprobed:
@@ -606,13 +564,12 @@ BM_HostPrimes(benchmark::State &state)
     const auto backend = static_cast<Backend>(state.range(0));
     MachineConfig config = configFor(combo);
     config.accel.enabled = backend != Backend::Off;
-    config.accel.threaded = backend == Backend::Threaded;
     Rig rig(primesProgram(), planFor(combo), config);
     for (auto _ : state)
         runToResult(*rig.machine, "Primes", "main", {200});
     state.SetLabel(std::string("accel-") + backendName(backend));
 }
-BENCHMARK(BM_HostPrimes)->DenseRange(0, 2);
+BENCHMARK(BM_HostPrimes)->DenseRange(0, 1);
 
 } // namespace
 

@@ -53,10 +53,9 @@ struct AccelConfig
     /** Entries per link-cache flavor (power of two). */
     unsigned linkEntries = 1u << 8;
     /** Threaded-code backend: computed-goto dispatch over superblocks
-     *  (see machine/threaded.hh). Requires enabled; only honored when
-     *  Machine::threadedSupported() — callers reject it up front on
-     *  toolchains without the computed-goto extension. */
-    bool threaded = false;
+     *  (see machine/threaded.hh). Requires enabled; with it off an
+     *  enabled machine runs the eager loop over the caches above. */
+    bool threaded = true;
     /** Superblock cache entries (power of two). */
     unsigned sblockEntries = 1u << 12;
 };
@@ -191,16 +190,6 @@ class Accel
         }
         ++stats.icacheMisses;
         return nullptr;
-    }
-
-    /** Counter-free probe for the batched fast loop: the caller
-     *  accounts hits and misses at burst granularity instead of
-     *  bumping a counter on every step. */
-    const isa::Inst *
-    probeInst(CodeByteAddr pc) const
-    {
-        const IEntry &e = icache_[pc & icacheMask_];
-        return e.tag == pc ? &e.inst : nullptr;
     }
 
     /** Store a freshly decoded instruction (only after a successful

@@ -180,19 +180,18 @@ class CycleSampler
 /**
  * Boundary sampling hook clocked on simulated cycles; attach with
  * Machine::setBoundarySampler. Unlike a CycleSampler, an attached
- * boundary sampler does NOT force the eager loop: the accelerated
- * backends check the cycle budget only where their deferred
- * accounting is (or can cheaply be made) exact — the threaded loop's
- * block-exit and chain-follow sites and the burst loop's per-burst
- * flush — so onBoundarySample fires at the first such boundary at or
- * past each interval multiple. The documented slop contract: the
- * firing cycle exceeds the nominal interval multiple by at most one
- * superblock (≤ 64 instructions, threaded) or one burst (≤ 4096
- * instructions, burst) worth of cycles; the eager loop fires exactly
- * like a CycleSampler (≤ 1 instruction of slop). Deferred
- * opcode/length histograms and accel counters are folded before the
- * hook runs, so the machine the hook reads is self-consistent. Reads
- * must be unaccounted; the hook charges zero simulated cycles.
+ * boundary sampler does NOT force the eager loop: the threaded loop
+ * checks the cycle budget only where its deferred accounting is
+ * exact — the block-exit and chain-follow sites — so
+ * onBoundarySample fires at the first such boundary at or past each
+ * interval multiple. The documented slop contract: the firing cycle
+ * exceeds the nominal interval multiple by at most one superblock
+ * (≤ 64 instructions) worth of cycles on the threaded loop, and by at
+ * most one instruction on the eager loop, which fires exactly like a
+ * CycleSampler. Deferred opcode/length histograms and accel counters
+ * are folded before the hook runs, so the machine the hook reads is
+ * self-consistent. Reads must be unaccounted; the hook charges zero
+ * simulated cycles.
  */
 class BoundarySampler
 {
@@ -213,17 +212,16 @@ struct ProbeRange
  * Dynamic-probe hook; attach with Machine::setProbeSink. Unlike an
  * XferObserver, an attached probe sink does NOT force the eager loop:
  * the callbacks fire from inside the member transfer/frame/trap code
- * all three backends share, where the accelerated loops' deferred
- * counters are constant, so the refs/cycles deltas delivered here are
- * exact under every backend. Absolute readings (machine.cycles(),
+ * both backends share, where the threaded loop's deferred counters
+ * are constant, so the refs/cycles deltas delivered here are exact
+ * under either backend. Absolute readings (machine.cycles(),
  * stats().steps) obey a bounded-slop contract instead: events fired
- * from unprobed threaded/burst code may lag the eager loop's stamps
- * by at most one superblock or one burst of decode cycles, while
- * events inside an armed range are exact — arming deoptimizes just
- * the superblocks/bursts containing those PCs to the eager path
- * (selective deopt; see setProbeSink). The hooks charge zero
- * simulated cycles, so all simulated numbers are byte-identical with
- * any probe set attached.
+ * from unprobed threaded code may lag the eager loop's stamps by at
+ * most one superblock of decode cycles, while events inside an armed
+ * range are exact — arming deoptimizes just the superblocks
+ * containing those PCs to the eager path (selective deopt; see
+ * setProbeSink). The hooks charge zero simulated cycles, so all
+ * simulated numbers are byte-identical with any probe set attached.
  */
 class ProbeSink
 {
@@ -351,7 +349,7 @@ class Machine
      *  code ranges whose events need exact absolute stamps (probed
      *  procedures): superblocks intersecting an armed range are
      *  invalidated and those PCs execute on the exact eager path,
-     *  while unprobed code keeps full threaded/burst speed. An
+     *  while unprobed code keeps full threaded speed. An
      *  attached sink does not force the eager loop — the detached
      *  cost is one pointer null-check per transfer/frame/trap and the
      *  armed check costs nothing until a sink is attached. */
@@ -416,13 +414,9 @@ class Machine
     }
     bool accelEnabled() const { return accel_ != nullptr; }
 
-    /** True when this build can run the threaded-code backend (the
-     *  computed-goto dispatch needs the GNU label-address extension).
-     *  Callers must reject --accel=threaded up front when false. */
-    static bool threadedSupported();
     /** True when the threaded backend is configured on this machine
      *  (run() still falls back to the eager loop for observers,
-     *  samplers and preemption, exactly like bursts). */
+     *  samplers and preemption). */
     bool threadedActive() const { return sblocks_ != nullptr; }
 
     /** @name Microarchitectural state, for experiments/diagnostics. @{ */
@@ -531,31 +525,11 @@ class Machine
 
     // -- interpreter ---------------------------------------------------
     void execute(const isa::Inst &inst);
-    /** Per-burst accumulators for the run() fast path: bookkeeping
-     *  that is a pure sum over the burst (step count, decode cycles,
-     *  hit-path code-byte charges) accumulates here and flushes into
-     *  the real counters once per burst. Exact because only XFER
-     *  probes read these counters mid-run, and they take deltas,
-     *  which a pending constant offset cannot change. Not used when
-     *  an observer is attached: XFER records carry absolute
-     *  cycle/step stamps, which pending offsets would skew. */
-    struct BurstAcc
-    {
-        std::uint64_t steps = 0;
-        CountT codeBytes = 0;
-        /** Icache misses this burst; hits are recovered at flush time
-         *  as steps - misses (host-side counters, so the ±1 skew of a
-         *  decode that throws mid-burst is tolerable). */
-        CountT icacheMisses = 0;
-    };
     /** One instruction, without the stop check / epoch sync /
-     *  preemption poll that step() wraps around it (the run() fast
-     *  path batches those). The template parameters fold the accel
-     *  null-check and the batched-accounting choice out of the
-     *  per-step path: each loop knows statically which variant it
-     *  runs. */
-    template <bool WithAccel, bool Batched = false>
-    void stepCoreT(BurstAcc *acc = nullptr);
+     *  preemption poll that step() wraps around it. WithAccel folds
+     *  the icache null-check out of the per-step path. */
+    template <bool WithAccel>
+    void stepCoreT();
     void stepCore();
     /** The threaded-code superblock loop (threaded.cc): computed-goto
      *  dispatch with block-fused accounting. Runs until stop or the

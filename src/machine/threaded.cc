@@ -21,24 +21,8 @@
 
 #include "common/logging.hh"
 
-#if defined(__GNUC__) || defined(__clang__)
-#define FPC_THREADED_DISPATCH 1
-#else
-#define FPC_THREADED_DISPATCH 0
-#endif
-
 namespace fpc
 {
-
-bool
-Machine::threadedSupported()
-{
-#if FPC_THREADED_DISPATCH
-    return true;
-#else
-    return false;
-#endif
-}
 
 // ---------------------------------------------------------------------
 // SuperblockCache
@@ -148,8 +132,6 @@ SuperblockCache::foldExits(Superblock &b, MachineStats &stats,
         astats.icacheHits += runs;
     }
 }
-
-#if FPC_THREADED_DISPATCH
 
 // ---------------------------------------------------------------------
 // Handler indices and the superblock builder
@@ -452,15 +434,15 @@ buildBlock(Memory &mem, CodeByteAddr entry, const void *const *labels)
  *  before execute(), plus the spill of the register-cached stack
  *  pointer. Fast paths skip this entirely — nothing they call reads
  *  instStart_/pcAbs_/sp_, traps only happen behind the guards, and
- *  the store-port traffic of three spills per instruction is the
- *  difference between matching and beating the burst loop. The
- *  members are re-established at every place control can leave the
- *  fast path: slow bodies and terminals run this macro, a taken side
- *  exit and the BlockEnd sentinel restore them by hand, and the
- *  catch block's accounting works from `ti` alone. (After a thrown
- *  storage panic the members can be stale — the machine is dead at
- *  that point and the simulated stats, which the catch charges
- *  exactly, are the only thing still observable.) */
+ *  the store-port traffic of three spills per instruction is a large
+ *  share of a short handler's cost. The members are re-established
+ *  at every place control can leave the fast path: slow bodies and
+ *  terminals run this macro, a taken side exit and the BlockEnd
+ *  sentinel restore them by hand, and the catch block's accounting
+ *  works from `ti` alone. (After a thrown storage panic the members
+ *  can be stale — the machine is dead at that point and the simulated
+ *  stats, which the catch charges exactly, are the only thing still
+ *  observable.) */
 #define FPC_T_PRE()                                                    \
     do {                                                               \
         instStart_ = ti->start;                                        \
@@ -942,9 +924,8 @@ Machine::threadedLoopT(std::uint64_t &steps)
                 prev != nullptr ? prev->entry : instStart_;
             fireBoundarySample();
         }
-        // Per-iteration epoch poll, as the burst loop does: the
-        // machine never pokes code while running, so the epoch cannot
-        // move inside a block.
+        // Per-iteration epoch poll: the machine never pokes code while
+        // running, so the epoch cannot move inside a block.
         acc->sync(mem_.codeEpoch());
         if (cache.sync(mem_.codeEpoch(), stats_, acc->stats)) {
             prev = nullptr;
@@ -1669,7 +1650,7 @@ Machine::threadedLoopT(std::uint64_t &steps)
             // A handler threw (storage panic): the prefix through the
             // throwing instruction is charged exactly like the eager
             // loop, whose counters include the instruction that threw;
-            // the run-steps total, like the burst loop's, counts only
+            // the run-steps total, like the eager loop's, counts only
             // completed instructions.
             const std::uint64_t k =
                 static_cast<std::uint64_t>(ti - base) + 1;
@@ -1697,33 +1678,6 @@ Machine::threadedLoopT(std::uint64_t &steps)
 #undef FPC_T_NEXT_FAST
 #undef FPC_T_NEXT
 #undef FPC_T_PRE
-
-#else // !FPC_THREADED_DISPATCH
-
-template <bool Banked>
-void
-Machine::threadedLoopT(std::uint64_t &steps)
-{
-    // No label-address extension on this toolchain:
-    // threadedSupported() is false and the constructor refuses the
-    // configuration, so this body is unreachable; keep an exact eager
-    // loop as belt and braces.
-    while (stop_ == StopReason::Running) {
-        if (steps >= config_.maxSteps) {
-            stopWith(StopReason::StepLimit, "step budget exhausted");
-            break;
-        }
-        accel_->sync(mem_.codeEpoch());
-        stepCoreT<true>();
-        ++steps;
-        if (bsampler_ != nullptr && stats_.cycles >= bsampleNextAt_) {
-            bsampleAnchorPc_ = instStart_;
-            fireBoundarySample();
-        }
-    }
-}
-
-#endif // FPC_THREADED_DISPATCH
 
 template void Machine::threadedLoopT<false>(std::uint64_t &);
 template void Machine::threadedLoopT<true>(std::uint64_t &);

@@ -35,10 +35,9 @@
  *    links into armed ranges.
  *
  * The contract is the acceleration contract (machine/accel.hh): all
- * simulated numbers are bit-identical with the backend off, on, or
- * threaded. Observers, samplers, preemption, step-budget tails, and
- * code-epoch moves fall back to the eager loop exactly as bursts do.
- * Host counters (AccelStats) may differ across backends by design.
+ * simulated numbers are bit-identical with the backend off or
+ * threaded. Observers, samplers, preemption and step-budget tails
+ * fall back to the eager loop. Host counters (AccelStats) may differ across backends by design.
  */
 
 #ifndef FPC_MACHINE_THREADED_HH

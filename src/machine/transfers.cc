@@ -64,9 +64,8 @@ struct Machine::XferProbe
             exact(refs, cycles);
     }
 
-    /** The per-sample path (eager and burst loops, and any run with
-     *  a probe sink): both distributions, then the probe and observer
-     *  hooks. */
+    /** The per-sample path (the eager loop, and any run with a probe
+     *  sink): both distributions, then the probe and observer hooks. */
     void
     exact(CountT refs, Tick cycles)
     {
@@ -74,10 +73,10 @@ struct Machine::XferProbe
         const unsigned k = kindIndex(kind);
         s.xferRefs[k].sample(static_cast<double>(refs));
         s.xferCycles[k].sample(static_cast<double>(cycles));
-        // Dynamic probes sample the same deltas; the deferred
-        // burst/threaded counters are constant across the member
-        // transfer code bracketed here, so refs/cycles are exact
-        // under every backend (machine.hh ProbeSink contract).
+        // Dynamic probes sample the same deltas; the threaded loop's
+        // deferred counters are constant across the member transfer
+        // code bracketed here, so refs/cycles are exact under either
+        // backend (machine.hh ProbeSink contract).
         if (m.probes_ != nullptr)
             m.probes_->onProbeXfer(kind, refs, cycles, m);
         if (m.observer_ != nullptr) {

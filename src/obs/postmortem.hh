@@ -12,7 +12,7 @@
  * PC, and the final telemetry snapshot when a sampler was attached.
  * Recording honors the zero-simulated-cost contract (the recorder is
  * an ordinary XferObserver), and — like any observer — forces the
- * eager run loop, never the accel burst path.
+ * eager run loop, never the threaded one.
  */
 
 #ifndef FPC_OBS_POSTMORTEM_HH

@@ -18,13 +18,12 @@
  * Cost model: probes charge zero simulated cycles, so all simulated
  * numbers are byte-identical with any probe set attached. Host-side,
  * entry/exit probes arm their procedures' code ranges: the machine
- * selectively deoptimizes just the superblocks/bursts containing
- * those PCs to the exact eager path (events there read exact
- * absolute cycle/step stamps) while unprobed code keeps full
- * threaded speed. Events fired from unprobed accelerated code carry
- * exact refs/cycles *deltas* but absolute stamps with bounded slop
- * (one superblock / one burst of decode cycles), deterministically
- * per backend.
+ * selectively deoptimizes just the superblocks containing those
+ * PCs to the exact eager path (events there read exact absolute
+ * cycle/step stamps) while unprobed code keeps full threaded speed.
+ * Events fired from unprobed threaded code carry exact refs/cycles
+ * *deltas* but absolute stamps with bounded slop (one superblock of
+ * decode cycles), deterministically per backend.
  *
  * Determinism: fpc-probes-v1 output is ordered by probe id (attach
  * order), quantize buckets ascending, capture rings sorted by

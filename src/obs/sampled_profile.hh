@@ -1,15 +1,14 @@
 /**
  * @file
- * Low-overhead sampling profiler for the accelerated host backends.
+ * Low-overhead sampling profiler for the threaded host backend.
  *
  * The exact Profiler (obs/profile.hh) rides the XFER observer hook,
  * which forces the eager loop: attaching it to an `--accel=threaded`
  * run silently throws away the speedup it is supposed to measure.
- * This profiler rides the BoundarySampler hook instead — the accel
- * fast paths keep running, and a sample is taken the next time the
- * machine reaches a superblock exit (threaded), a burst flush
- * (burst), or an instruction boundary (eager) after the simulated
- * cycle budget expires.
+ * This profiler rides the BoundarySampler hook instead — the threaded
+ * loop keeps running, and a sample is taken the next time the machine
+ * reaches a superblock exit (threaded) or an instruction boundary
+ * (eager) after the simulated cycle budget expires.
  *
  * What a sample records is the *currently executing procedure*: the
  * machine's shadow-of-shadow top-frame register (currentProcEntry(),
@@ -19,8 +18,8 @@
  * therefore statistical, not exact — cycle shares converge on the
  * exact profiler's exclusive shares as the sample count grows — and
  * the timestamps obey the documented slop contract: each sample
- * lands within one superblock (threaded), one burst (burst), or one
- * instruction (eager) of its nominal interval boundary.
+ * lands within one superblock (threaded) or one instruction (eager)
+ * of its nominal interval boundary.
  */
 
 #ifndef FPC_OBS_SAMPLED_PROFILE_HH

@@ -24,7 +24,6 @@ struct Replayer::ExecSpec
 {
     Impl impl = Impl::Mesa;
     bool accel = true;
-    bool threaded = false;
     /** Collect per-XFER digests of this scope inside the window. */
     bool perXfer = false;
     DigestScope xferScope = DigestScope::Full;
@@ -73,7 +72,6 @@ Replayer::executeJob(const JobRecord &job, const ExecSpec &spec)
     config.numBanks = log_.banks;
     config.timesliceSteps = log_.timeslice;
     config.accel.enabled = spec.accel;
-    config.accel.threaded = spec.accel && spec.threaded;
     Machine machine(mem, image, config);
 
     obs::Fanout fanout;
@@ -204,7 +202,6 @@ Replayer::diagnose(const JobRecord &job, Divergence divergence,
     ExecSpec spec;
     spec.impl = log_.impl;
     spec.accel = options.accelOverride.value_or(log_.accel);
-    spec.threaded = options.threaded;
     spec.perXfer = true;
     spec.xferScope = DigestScope::Full;
     spec.windowBegin = divergence.windowBeginStep;
@@ -339,7 +336,6 @@ Replayer::verify(const VerifyOptions &options)
     ExecSpec spec;
     spec.impl = log_.impl;
     spec.accel = options.accelOverride.value_or(log_.accel);
-    spec.threaded = options.threaded;
 
     for (const JobRecord &job : log_.jobs) {
         const ExecOutcome out = executeJob(job, spec);

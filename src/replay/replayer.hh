@@ -41,17 +41,14 @@ namespace fpc::replay
 
 struct VerifyOptions
 {
-    /** Replay with host acceleration forced on/off regardless of the
-     *  recording — digests must be invariant, so this *tests* the
-     *  acceleration contract rather than weakening verification. */
+    /** Replay with the host backend forced regardless of the
+     *  recording: true configures the threaded backend, false the
+     *  eager loop. Digests must be invariant, so this *tests* the
+     *  acceleration contract rather than weakening verification. The
+     *  verifier's sampler routes execution through the eager loop
+     *  either way, so this checks that a threaded-configured machine
+     *  honors the record/replay gating contract bit-for-bit. */
     std::optional<bool> accelOverride;
-    /** Configure the threaded-code backend on the replay machine
-     *  (implies acceleration on). The verifier's sampler routes
-     *  execution through the eager loop either way — this checks that
-     *  a threaded-configured machine honors the record/replay gating
-     *  contract bit-for-bit. Callers must check
-     *  Machine::threadedSupported() first. */
-    bool threaded = false;
     /** When nonempty, a divergence writes
      *  "<dir>/job-<id>-divergence.json". */
     std::string divergenceDir;

@@ -6,15 +6,20 @@
  *
  * Random synthetic programs (different seeds and shapes) are run
  * under every (engine, linkage) combination; results, outputs and
- * global side effects must agree bit-for-bit. Cost *orderings* the
- * paper predicts are asserted as invariants.
+ * global side effects must agree bit-for-bit. Each combination also
+ * runs on both host backends, whose fpc-stats-v1 documents must be
+ * byte-identical. Cost *orderings* the paper predicts are asserted as
+ * invariants.
  */
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "asm/builder.hh"
 #include "lang/codegen.hh"
 #include "machine/machine.hh"
+#include "obs/json.hh"
 #include "program/loader.hh"
 #include "workload/synthetic.hh"
 
@@ -31,12 +36,16 @@ struct RunOutcome
     Tick cycles = 0;
     CountT refs = 0;
     double fastRate = 0;
+    std::string statsJson; ///< the fpc-stats-v1 document
 };
 
+/** One run; accel=false runs the eager reference loop, accel=true
+ *  the default configuration (the threaded backend). */
 RunOutcome
 runWith(const std::vector<Module> &modules, const std::string &mod,
         const std::string &proc, std::vector<Word> args, Impl impl,
-        CallLowering lowering, bool short_calls = false)
+        CallLowering lowering, bool short_calls = false,
+        bool accel = true)
 {
     const SystemLayout layout;
     Memory mem(layout.memWords);
@@ -50,7 +59,10 @@ runWith(const std::vector<Module> &modules, const std::string &mod,
 
     MachineConfig config;
     config.impl = impl;
+    if (!accel)
+        config.accel.enabled = false;
     Machine machine(mem, image, config);
+    EXPECT_EQ(machine.threadedActive(), accel);
     machine.start(mod, proc, args);
     const RunResult result = machine.run();
     EXPECT_EQ(result.reason, StopReason::TopReturn) << result.message;
@@ -65,6 +77,18 @@ runWith(const std::vector<Module> &modules, const std::string &mod,
     out.cycles = machine.cycles();
     out.refs = mem.totalRefs();
     out.fastRate = machine.stats().fastCallReturnRate();
+
+    std::ostringstream stats;
+    obs::StatsExport exp;
+    exp.driver = "test_equivalence";
+    exp.impl = implName(config.impl);
+    exp.stopReason = stopReasonName(result.reason);
+    exp.machine = &machine.stats();
+    exp.memory = &mem;
+    exp.heap = &machine.heap().stats();
+    exp.cache = machine.dataCache();
+    obs::writeStatsJson(stats, exp);
+    out.statsJson = stats.str();
     return out;
 }
 
@@ -107,6 +131,15 @@ TEST_P(RandomPrograms, AllEnginesAgree)
                                    generatedEntryProc(), args,
                                    combo.impl, combo.lowering,
                                    combo.shortCalls));
+        // The backend contract: the eager reference loop produces the
+        // same stats document, byte for byte.
+        const RunOutcome eager = runWith(
+            modules, generatedEntryModule(), generatedEntryProc(), args,
+            combo.impl, combo.lowering, combo.shortCalls, false);
+        EXPECT_EQ(eager.result, outcomes.back().result)
+            << "combo " << outcomes.size() - 1;
+        EXPECT_EQ(eager.statsJson, outcomes.back().statsJson)
+            << "combo " << outcomes.size() - 1;
     }
 
     for (std::size_t i = 1; i < outcomes.size(); ++i) {
@@ -129,8 +162,9 @@ TEST_P(RandomPrograms, AllEnginesAgree)
     // Tiny programs (a handful of transfers) cannot amortize the
     // boot-time call; only assert the jump-speed rate when the run is
     // long enough to be meaningful.
-    if (outcomes[0].output.size() + i4.cycles > 20000)
+    if (outcomes[0].output.size() + i4.cycles > 20000) {
         EXPECT_GT(i4.fastRate, 0.3);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomPrograms,

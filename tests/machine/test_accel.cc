@@ -28,32 +28,17 @@ namespace fpc
 namespace
 {
 
-/** The three host execution backends under test. */
+/** The two host execution backends under test. */
 enum class Mode
 {
     Off,      ///< eager per-step loop
-    On,       ///< burst loop (icache + link caches)
-    Threaded, ///< computed-goto superblocks
+    Threaded, ///< computed-goto superblocks (the default)
 };
-
-const Mode allModes[] = {Mode::Off, Mode::On, Mode::Threaded};
-
-const char *
-modeName(Mode mode)
-{
-    switch (mode) {
-      case Mode::Off: return "off";
-      case Mode::On: return "on";
-      case Mode::Threaded: return "threaded";
-      default: return "?";
-    }
-}
 
 void
 applyMode(MachineConfig &config, Mode mode)
 {
     config.accel.enabled = mode != Mode::Off;
-    config.accel.threaded = mode == Mode::Threaded;
 }
 
 /** A call-heavy program: main loops n times, each iteration calling
@@ -196,13 +181,9 @@ TEST(AccelDeterminism, StatsJsonByteIdenticalOnEveryEngine)
         const RunOut off = runOnce(combo, Mode::Off, 200, false);
         ASSERT_EQ(off.reason, StopReason::TopReturn)
             << implName(combo.impl);
-        for (Mode mode : {Mode::On, Mode::Threaded}) {
-            const RunOut out = runOnce(combo, mode, 200, false);
-            EXPECT_EQ(off.value, out.value)
-                << implName(combo.impl) << " " << modeName(mode);
-            EXPECT_EQ(off.statsJson, out.statsJson)
-                << implName(combo.impl) << " " << modeName(mode);
-        }
+        const RunOut out = runOnce(combo, Mode::Threaded, 200, false);
+        EXPECT_EQ(off.value, out.value) << implName(combo.impl);
+        EXPECT_EQ(off.statsJson, out.statsJson) << implName(combo.impl);
     }
 }
 
@@ -220,14 +201,10 @@ TEST(AccelDeterminism, CompareBranchStatsIdenticalOnEveryEngine)
             << implName(combo.impl);
         EXPECT_EQ(off.value, static_cast<Word>(99 * 77))
             << implName(combo.impl);
-        for (Mode mode : {Mode::On, Mode::Threaded}) {
-            const RunOut out =
-                runOnce(combo, mode, 200, false, compareLoopModule);
-            EXPECT_EQ(off.value, out.value)
-                << implName(combo.impl) << " " << modeName(mode);
-            EXPECT_EQ(off.statsJson, out.statsJson)
-                << implName(combo.impl) << " " << modeName(mode);
-        }
+        const RunOut out =
+            runOnce(combo, Mode::Threaded, 200, false, compareLoopModule);
+        EXPECT_EQ(off.value, out.value) << implName(combo.impl);
+        EXPECT_EQ(off.statsJson, out.statsJson) << implName(combo.impl);
     }
 }
 
@@ -238,13 +215,9 @@ TEST(AccelDeterminism, TraceByteIdenticalWithObserverAttached)
     // stamps must come out identical.
     for (const EngineCombo &combo : combos) {
         const RunOut off = runOnce(combo, Mode::Off, 100, true);
-        for (Mode mode : {Mode::On, Mode::Threaded}) {
-            const RunOut out = runOnce(combo, mode, 100, true);
-            EXPECT_EQ(off.traceJson, out.traceJson)
-                << implName(combo.impl) << " " << modeName(mode);
-            EXPECT_EQ(off.statsJson, out.statsJson)
-                << implName(combo.impl) << " " << modeName(mode);
-        }
+        const RunOut out = runOnce(combo, Mode::Threaded, 100, true);
+        EXPECT_EQ(off.traceJson, out.traceJson) << implName(combo.impl);
+        EXPECT_EQ(off.statsJson, out.statsJson) << implName(combo.impl);
     }
 }
 
@@ -324,8 +297,6 @@ TEST(AccelDeterminism, ThreadedFastPathActuallyEngages)
     // Sanity check on the force-eager tests above: with no observer
     // attached the same workload does run through superblocks, so a
     // zero sblockExecs there means "fell back", not "never built".
-    if (!Machine::threadedSupported())
-        GTEST_SKIP() << "threaded backend not compiled in";
     const SystemLayout layout;
     Memory mem(layout.memWords);
     Loader loader{layout, SizeClasses::standard()};
@@ -497,28 +468,21 @@ runCase(const CallCase &c, const EngineCombo &combo, Mode mode)
     return out;
 }
 
-/** Every engine: the burst and threaded backends match the eager
- *  loop's value, stop reason, stats document and probe log. Returns
- *  the threaded runs (one per engine) for case-specific checks. */
+/** Every engine: the threaded backend matches the eager loop's
+ *  value, stop reason, stats document and probe log. Returns the
+ *  threaded runs (one per engine) for case-specific checks. */
 std::vector<CaseOut>
 expectMatchesEager(const CallCase &c)
 {
     std::vector<CaseOut> threaded;
     for (const EngineCombo &combo : combos) {
         const CaseOut off = runCase(c, combo, Mode::Off);
-        for (Mode mode : {Mode::On, Mode::Threaded}) {
-            CaseOut out = runCase(c, combo, mode);
-            EXPECT_EQ(out.reason, off.reason)
-                << implName(combo.impl) << " " << modeName(mode);
-            EXPECT_EQ(out.value, off.value)
-                << implName(combo.impl) << " " << modeName(mode);
-            EXPECT_EQ(out.statsJson, off.statsJson)
-                << implName(combo.impl) << " " << modeName(mode);
-            EXPECT_EQ(out.probeLog, off.probeLog)
-                << implName(combo.impl) << " " << modeName(mode);
-            if (mode == Mode::Threaded)
-                threaded.push_back(std::move(out));
-        }
+        CaseOut out = runCase(c, combo, Mode::Threaded);
+        EXPECT_EQ(out.reason, off.reason) << implName(combo.impl);
+        EXPECT_EQ(out.value, off.value) << implName(combo.impl);
+        EXPECT_EQ(out.statsJson, off.statsJson) << implName(combo.impl);
+        EXPECT_EQ(out.probeLog, off.probeLog) << implName(combo.impl);
+        threaded.push_back(std::move(out));
     }
     return threaded;
 }
@@ -546,10 +510,8 @@ TEST(AccelDeterminism, RecursionDeeperThanTheReturnStack)
     const std::vector<CaseOut> thr = expectMatchesEager(c);
     for (const CaseOut &out : thr) {
         EXPECT_EQ(out.value, 987);
-        if (Machine::threadedSupported()) {
-            EXPECT_GT(out.accel.callSiteHits, 0u);
-            EXPECT_GT(out.accel.returnPredHits, 0u);
-        }
+        EXPECT_GT(out.accel.callSiteHits, 0u);
+        EXPECT_GT(out.accel.returnPredHits, 0u);
     }
     EXPECT_GT(statsField(thr[2].statsJson, "spills"), 0u);
     EXPECT_GT(statsField(thr[3].statsJson, "spills"), 0u);
@@ -682,9 +644,7 @@ TEST(AccelDeterminism, ProbeArmedOnCalleeStaysExact)
     for (const CaseOut &out : thr) {
         EXPECT_EQ(out.value, 144);
         EXPECT_FALSE(out.probeLog.empty());
-        if (Machine::threadedSupported()) {
-            EXPECT_GT(out.accel.probeEagerSteps, 0u);
-        }
+        EXPECT_GT(out.accel.probeEagerSteps, 0u);
     }
 }
 
@@ -750,14 +710,12 @@ TEST(AccelInvalidation, PokeByteMidRunDropsStaleDecode)
     // the patch landed mid-run, not before or after.
     EXPECT_NE(off, static_cast<Word>(100 * 77));
     EXPECT_NE(off, static_cast<Word>(100 * 5));
-    for (Mode mode : {Mode::On, Mode::Threaded}) {
-        // The patch must take effect under acceleration (a stale
-        // cached decode of the old immediate would keep adding 77).
-        std::string json;
-        const Word value = patchMidRun(mode, &json);
-        EXPECT_EQ(value, off) << modeName(mode);
-        EXPECT_EQ(json, off_json) << modeName(mode);
-    }
+    // The patch must take effect under acceleration (a stale cached
+    // decode of the old immediate would keep adding 77).
+    std::string json;
+    const Word value = patchMidRun(Mode::Threaded, &json);
+    EXPECT_EQ(value, off);
+    EXPECT_EQ(json, off_json);
 }
 
 TEST(AccelInvalidation, PokeByteInvalidatesWarmSuperblocks)

@@ -132,7 +132,6 @@ runGolden(const GoldenCase &c, const GoldenEngine &e, bool threaded)
     MachineConfig config;
     config.impl = e.impl;
     config.accel.enabled = threaded;
-    config.accel.threaded = threaded;
     Machine machine(mem, image, config);
     machine.start(c.module, c.proc, std::array<Word, 1>{c.arg});
     const RunResult result = machine.run();
@@ -185,8 +184,6 @@ TEST(ParentGoldens, StatsJsonMatchesOnEveryEngineAndBackend)
             if (c.name == "primes2000") {
                 EXPECT_EQ(eager.value, 303) << e.name;
             }
-            if (!Machine::threadedSupported())
-                continue;
             const GoldenRun fast = runGolden(c, e, true);
             EXPECT_EQ(fast.statsJson, golden) << c.name << " " << e.name
                                               << " threaded";

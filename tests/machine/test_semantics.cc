@@ -56,8 +56,16 @@ struct MiniRig
 struct BinCase
 {
     isa::Op op;
+    /**
+     * ctest names each case after its bytes ("8-byte object <...>"), so
+     * the byte after `op` is a field rather than padding: as padding it
+     * held stack garbage and the names changed on every test listing.
+     * The values are the names the cases are tracked under.
+     */
+    std::uint8_t nameByte;
     Word a, b, expect;
 };
+static_assert(sizeof(BinCase) == 8, "BinCase must have no padding");
 
 class BinaryOps : public testing::TestWithParam<BinCase>
 {};
@@ -82,34 +90,39 @@ w(int v)
 INSTANTIATE_TEST_SUITE_P(
     Arithmetic, BinaryOps,
     testing::Values(
-        BinCase{isa::Op::ADD, 3, 4, 7},
-        BinCase{isa::Op::ADD, 0xFFFF, 1, 0},     // wraps
-        BinCase{isa::Op::SUB, 3, 5, w(-2)},
-        BinCase{isa::Op::MUL, 300, 300, w(90000 & 0xFFFF)},
-        BinCase{isa::Op::MUL, w(-3), 5, w(-15)},
-        BinCase{isa::Op::DIV, 17, 5, 3},
-        BinCase{isa::Op::DIV, w(-17), 5, w(-3)}, // truncates
-        BinCase{isa::Op::MOD, 17, 5, 2},
-        BinCase{isa::Op::MOD, w(-17), 5, w(-2)},
-        BinCase{isa::Op::AND, 0xF0F0, 0xFF00, 0xF000},
-        BinCase{isa::Op::IOR, 0xF0F0, 0x0F00, 0xFFF0},
-        BinCase{isa::Op::XOR, 0xFFFF, 0x0F0F, 0xF0F0},
-        BinCase{isa::Op::SHL, 1, 4, 16},
-        BinCase{isa::Op::SHL, 1, 16, 0},  // full shift-out
-        BinCase{isa::Op::SHR, 0x8000, 15, 1},
-        BinCase{isa::Op::SHR, 0x8000, 16, 0}));
+        BinCase{isa::Op::ADD, 0xFF, 3, 4, 7},
+        BinCase{isa::Op::ADD, 0xFF, 0xFFFF, 1, 0},     // wraps
+        BinCase{isa::Op::SUB, 0x00, 3, 5, w(-2)},
+        BinCase{isa::Op::MUL, 0x00, 300, 300, w(90000 & 0xFFFF)},
+        BinCase{isa::Op::MUL, 0x00, w(-3), 5, w(-15)},
+        BinCase{isa::Op::DIV, 0x00, 17, 5, 3},
+        BinCase{isa::Op::DIV, 0x00, w(-17), 5, w(-3)}, // truncates
+        BinCase{isa::Op::MOD, 0x00, 17, 5, 2},
+        BinCase{isa::Op::MOD, 0xDA, w(-17), 5, w(-2)},
+        BinCase{isa::Op::AND, 0xDA, 0xF0F0, 0xFF00, 0xF000},
+        BinCase{isa::Op::IOR, 0x00, 0xF0F0, 0x0F00, 0xFFF0},
+        BinCase{isa::Op::XOR, 0x00, 0xFFFF, 0x0F0F, 0xF0F0},
+        BinCase{isa::Op::SHL, 0x00, 1, 4, 16},
+        BinCase{isa::Op::SHL, 0x00, 1, 16, 0},  // full shift-out
+        BinCase{isa::Op::SHR, 0x00, 0x8000, 15, 1},
+        BinCase{isa::Op::SHR, 0x00, 0x8000, 16, 0}));
 
 INSTANTIATE_TEST_SUITE_P(
     Comparisons, BinaryOps,
     testing::Values(
-        BinCase{isa::Op::LT, 3, 4, 1}, BinCase{isa::Op::LT, 4, 3, 0},
-        BinCase{isa::Op::LT, w(-1), 0, 1}, // signed compare
-        BinCase{isa::Op::LE, 4, 4, 1}, BinCase{isa::Op::LE, 5, 4, 0},
-        BinCase{isa::Op::EQ, 7, 7, 1}, BinCase{isa::Op::EQ, 7, 8, 0},
-        BinCase{isa::Op::NE, 7, 8, 1}, BinCase{isa::Op::NE, 7, 7, 0},
-        BinCase{isa::Op::GE, 4, 4, 1}, BinCase{isa::Op::GE, 3, 4, 0},
-        BinCase{isa::Op::GT, 5, 4, 1},
-        BinCase{isa::Op::GT, 0, w(-1), 1}));
+        BinCase{isa::Op::LT, 0x97, 3, 4, 1},
+        BinCase{isa::Op::LT, 0x76, 4, 3, 0},
+        BinCase{isa::Op::LT, 0x00, w(-1), 0, 1}, // signed compare
+        BinCase{isa::Op::LE, 0x76, 4, 4, 1},
+        BinCase{isa::Op::LE, 0x00, 5, 4, 0},
+        BinCase{isa::Op::EQ, 0xFF, 7, 7, 1},
+        BinCase{isa::Op::EQ, 0x00, 7, 8, 0},
+        BinCase{isa::Op::NE, 0xCC, 7, 8, 1},
+        BinCase{isa::Op::NE, 0x00, 7, 7, 0},
+        BinCase{isa::Op::GE, 0xCE, 4, 4, 1},
+        BinCase{isa::Op::GE, 0x66, 3, 4, 0},
+        BinCase{isa::Op::GT, 0xDF, 5, 4, 1},
+        BinCase{isa::Op::GT, 0x68, 0, w(-1), 1}));
 
 TEST(UnaryOps, NegNotBang)
 {

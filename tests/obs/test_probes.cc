@@ -66,19 +66,13 @@ const char *kPrimes = R"(
 enum class Mode
 {
     Off,
-    On,
     Threaded,
 };
 
 const char *
 modeName(Mode mode)
 {
-    switch (mode) {
-      case Mode::Off: return "off";
-      case Mode::On: return "on";
-      case Mode::Threaded: return "threaded";
-      default: return "?";
-    }
+    return mode == Mode::Off ? "off" : "threaded";
 }
 
 struct Rig
@@ -107,7 +101,6 @@ configFor(Impl impl, Mode mode)
     MachineConfig config;
     config.impl = impl;
     config.accel.enabled = mode != Mode::Off;
-    config.accel.threaded = mode == Mode::Threaded;
     return config;
 }
 
@@ -288,31 +281,26 @@ TEST(ProbeEngine, AggregationsAreBackendInvariant)
 
     for (Impl impl : {Impl::Simple, Impl::Mesa, Impl::Ifu,
                       Impl::Banked}) {
-        for (Mode mode : {Mode::On, Mode::Threaded}) {
-            const std::string tag = std::string(implName(impl)) + "/" +
-                                    modeName(mode);
-            const auto probed = runProbed(specs, 120, impl, mode);
-            // Same engine, other backend: same simulated history, so
-            // identical counts everywhere. Sum aggregations compare
-            // against the same engine's eager baseline.
-            const auto eager =
-                impl == Impl::Banked
-                    ? baseline
-                    : runProbed(specs, 120, impl, Mode::Off);
-            ASSERT_EQ(probed.size(), eager.size()) << tag;
-            for (std::size_t i = 0; i < probed.size(); ++i) {
-                EXPECT_EQ(probed[i].second.hits,
-                          eager[i].second.hits)
-                    << tag << " " << specs[i];
-                EXPECT_EQ(probed[i].second.dist.total(),
-                          eager[i].second.dist.total())
-                    << tag << " " << specs[i];
-                for (std::size_t b = 0;
-                     b < probed[i].second.quant.buckets.size(); ++b)
-                    EXPECT_EQ(probed[i].second.quant.buckets[b],
-                              eager[i].second.quant.buckets[b])
-                        << tag << " " << specs[i] << " bucket " << b;
-            }
+        const std::string tag = implName(impl);
+        const auto probed = runProbed(specs, 120, impl, Mode::Threaded);
+        // Same engine, other backend: same simulated history, so
+        // identical counts everywhere. Sum aggregations compare
+        // against the same engine's eager baseline.
+        const auto eager = impl == Impl::Banked
+                               ? baseline
+                               : runProbed(specs, 120, impl, Mode::Off);
+        ASSERT_EQ(probed.size(), eager.size()) << tag;
+        for (std::size_t i = 0; i < probed.size(); ++i) {
+            EXPECT_EQ(probed[i].second.hits, eager[i].second.hits)
+                << tag << " " << specs[i];
+            EXPECT_EQ(probed[i].second.dist.total(),
+                      eager[i].second.dist.total())
+                << tag << " " << specs[i];
+            for (std::size_t b = 0;
+                 b < probed[i].second.quant.buckets.size(); ++b)
+                EXPECT_EQ(probed[i].second.quant.buckets[b],
+                          eager[i].second.quant.buckets[b])
+                    << tag << " " << specs[i] << " bucket " << b;
         }
     }
 }
@@ -392,7 +380,7 @@ TEST(ProbeEngine, DoesNotPerturbSimulatedStats)
 
     for (Impl impl : {Impl::Simple, Impl::Mesa, Impl::Ifu,
                       Impl::Banked}) {
-        for (Mode mode : {Mode::Off, Mode::On, Mode::Threaded}) {
+        for (Mode mode : {Mode::Off, Mode::Threaded}) {
             const std::string tag = std::string(implName(impl)) + "/" +
                                     modeName(mode);
             Rig bare(kPrimes, configFor(impl, mode));

@@ -4,9 +4,8 @@
  * and the BoundarySampler machinery it rides:
  *
  *  - the slop contract — every sample lands at or after its nominal
- *    interval boundary, within one instruction (eager), one burst
- *    (burst loop) or one superblock (threaded) of it, on all four
- *    engines;
+ *    interval boundary, within one instruction (eager) or one
+ *    superblock (threaded) of it, on all four engines;
  *  - the validation harness the tentpole promises: sampled cycle
  *    shares on a deterministic call-heavy workload agree with the
  *    exact eager profiler's exclusive shares within tolerance;
@@ -21,7 +20,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "lang/codegen.hh"
@@ -65,19 +63,13 @@ const char *kPrimes = R"(
 enum class Mode
 {
     Off,
-    On,
     Threaded,
 };
 
 const char *
 modeName(Mode mode)
 {
-    switch (mode) {
-      case Mode::Off: return "off";
-      case Mode::On: return "on";
-      case Mode::Threaded: return "threaded";
-      default: return "?";
-    }
+    return mode == Mode::Off ? "off" : "threaded";
 }
 
 struct Rig
@@ -106,7 +98,6 @@ configFor(Impl impl, Mode mode)
     MachineConfig config;
     config.impl = impl;
     config.accel.enabled = mode != Mode::Off;
-    config.accel.threaded = mode == Mode::Threaded;
     return config;
 }
 
@@ -120,16 +111,15 @@ runMain(Rig &rig, Word arg)
     return rig.machine->popValue();
 }
 
-/** Records the (cycles, steps) coordinates of every boundary fire. */
+/** Records the cycle count of every boundary fire. */
 struct RecordingBsampler : BoundarySampler
 {
-    std::vector<std::pair<Tick, std::uint64_t>> fires;
+    std::vector<Tick> fires;
 
     void
     onBoundarySample(const Machine &machine) override
     {
-        fires.emplace_back(machine.stats().cycles,
-                           machine.stats().steps);
+        fires.push_back(machine.stats().cycles);
     }
 };
 
@@ -151,12 +141,8 @@ constexpr Tick kPerStepCycleCap = 64;
 std::uint64_t
 unitSteps(Mode mode)
 {
-    switch (mode) {
-      case Mode::Off: return 1;        // instruction boundary
-      case Mode::On: return 4096;      // one burst
-      case Mode::Threaded: return 64;  // one superblock (maxBlockInsts)
-      default: return 1;
-    }
+    // One instruction, or one superblock (maxBlockInsts).
+    return mode == Mode::Off ? 1 : 64;
 }
 
 } // namespace
@@ -176,7 +162,7 @@ TEST(BoundarySampling, SlopBoundedOnEveryEngineAndBackend)
     };
 
     for (const auto &combo : combos) {
-        for (Mode mode : {Mode::Off, Mode::On, Mode::Threaded}) {
+        for (Mode mode : {Mode::Off, Mode::Threaded}) {
             const std::string tag = std::string(implName(combo.impl)) +
                                     "/" + modeName(mode);
             LinkPlan plan;
@@ -186,14 +172,9 @@ TEST(BoundarySampling, SlopBoundedOnEveryEngineAndBackend)
             rig.machine->setBoundarySampler(&rec, interval);
             runMain(rig, 300);
 
-            // The burst backend fires at most once per 4096-step
-            // burst, so a short run yields only a handful of samples.
-            ASSERT_GT(rec.fires.size(), mode == Mode::On ? 3u : 10u)
-                << tag;
+            ASSERT_GT(rec.fires.size(), 10u) << tag;
             const Tick slopBound = static_cast<Tick>(unitSteps(mode)) *
                                    kPerStepCycleCap;
-            const std::uint64_t finalSteps =
-                rig.machine->stats().steps;
 
             // Replicate the machine's catch-up bookkeeping: each fire
             // must land at or after its nominal boundary, within the
@@ -201,7 +182,7 @@ TEST(BoundarySampling, SlopBoundedOnEveryEngineAndBackend)
             // the observed cycle count.
             Tick nextAt = interval;
             Tick prevCycles = 0;
-            for (const auto &[cycles, steps] : rec.fires) {
+            for (const Tick cycles : rec.fires) {
                 EXPECT_GE(cycles, nextAt) << tag;
                 EXPECT_LE(cycles - nextAt, slopBound) << tag;
                 EXPECT_GT(cycles, prevCycles) << tag;
@@ -209,14 +190,6 @@ TEST(BoundarySampling, SlopBoundedOnEveryEngineAndBackend)
                 do
                     nextAt += interval;
                 while (nextAt <= cycles);
-                if (mode == Mode::On) {
-                    // Burst boundaries are structural: a fire can only
-                    // happen at a burst flush (a 4096-step multiple)
-                    // or at the run's final, possibly partial, burst.
-                    EXPECT_TRUE(steps % 4096 == 0 ||
-                                steps == finalSteps)
-                        << tag << " steps=" << steps;
-                }
             }
         }
     }
@@ -284,7 +257,7 @@ TEST(BoundarySampling, DoesNotPerturbSimulatedStats)
         return os.str();
     };
 
-    for (Mode mode : {Mode::Off, Mode::On, Mode::Threaded}) {
+    for (Mode mode : {Mode::Off, Mode::Threaded}) {
         Rig bare(kPrimes, configFor(Impl::Banked, mode));
         const Word bareValue = runMain(bare, 200);
         const std::string bareJson = statsJson(bare);

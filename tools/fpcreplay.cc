@@ -52,9 +52,8 @@ struct Options
     bool shortCalls = false;
     unsigned banks = 4;
     std::uint64_t timeslice = 0;
-    bool accel = true;
-    bool threaded = false;             ///< verify: threaded backend
-    std::optional<bool> accelOverride; ///< verify: force accel on/off
+    bool accel = true; ///< threaded backend; false runs eager
+    std::optional<bool> accelOverride; ///< verify: force the backend
     Tick interval = 10000;
     std::string entryModule;
     std::string entryProc = "main";
@@ -86,7 +85,7 @@ printUsage(std::ostream &os, const char *argv0)
           "digests (default 10000)\n"
           "  --entry=Mod.proc                entry point\n"
           "verify options:\n"
-          "  --accel=on|off|threaded         force the host backend "
+          "  --accel=off|threaded            force the host backend "
           "(digests must not care)\n"
           "  --postmortem-dir=DIR            write a divergence bundle "
           "on mismatch\n"
@@ -153,23 +152,9 @@ parseArgs(int argc, char **argv)
             opt.entryProc = v.substr(dot + 1);
         } else if (arg.rfind("--accel=", 0) == 0) {
             const std::string v = value("--accel=");
-            if (v == "on") {
-                opt.accel = true;
-            } else if (v == "off") {
-                opt.accel = false;
-            } else if (v == "threaded") {
-                if (!Machine::threadedSupported()) {
-                    std::cerr << argv[0]
-                              << ": --accel=threaded is not supported "
-                                 "by this build (needs the computed-"
-                                 "goto extension)\n";
-                    std::exit(2);
-                }
-                opt.accel = true;
-                opt.threaded = true;
-            } else {
+            if (v != "off" && v != "threaded")
                 usage(argv[0]);
-            }
+            opt.accel = v == "threaded";
             opt.accelOverride = opt.accel;
         } else if (arg.rfind("--postmortem-dir=", 0) == 0) {
             opt.postmortemDir = value("--postmortem-dir=");
@@ -303,7 +288,6 @@ doVerify(const Options &opt)
 
     replay::VerifyOptions vo;
     vo.accelOverride = opt.accelOverride;
-    vo.threaded = opt.threaded;
     vo.divergenceDir = opt.postmortemDir;
     const replay::VerifyResult result = replayer.verify(vo);
 

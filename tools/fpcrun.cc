@@ -52,8 +52,7 @@ struct Options
     CallLowering lowering = CallLowering::Mesa;
     bool shortCalls = false;
     bool stats = false;
-    bool accel = true;
-    bool threaded = false;
+    bool accel = true; ///< threaded backend; false runs eager
     bool accelStats = false;
     bool synthetic = false;
     unsigned depth = 8; ///< synthetic entry argument
@@ -98,12 +97,12 @@ printUsage(std::ostream &os, const char *argv0)
           "  --depth=N                       synthetic recursion depth\n"
           "  --entry=Mod.proc                entry point\n"
           "  --stats                         dump merged statistics\n"
-          "  --accel=on|off|threaded         host backend: burst, off, "
-          "or threaded-code\n"
+          "  --accel=off|threaded            host backend: eager or "
+          "threaded-code\n"
           "                                  superblocks (simulated "
           "numbers are identical\n"
-          "                                  in every mode; default "
-          "on)\n"
+          "                                  in both; default "
+          "threaded)\n"
           "  --accel-stats                   dump merged host cache "
           "counters\n"
           "  --trace-out=FILE                write a Chrome/Perfetto "
@@ -232,23 +231,9 @@ parseArgs(int argc, char **argv)
             opt.stats = true;
         } else if (arg.rfind("--accel=", 0) == 0) {
             const std::string v = value("--accel=");
-            if (v == "on") {
-                opt.accel = true;
-            } else if (v == "off") {
-                opt.accel = false;
-            } else if (v == "threaded") {
-                if (!Machine::threadedSupported()) {
-                    std::cerr << argv[0]
-                              << ": --accel=threaded is not supported "
-                                 "by this build (needs the computed-"
-                                 "goto extension)\n";
-                    std::exit(2);
-                }
-                opt.accel = true;
-                opt.threaded = true;
-            } else {
+            if (v != "off" && v != "threaded")
                 usage(argv[0]);
-            }
+            opt.accel = v == "threaded";
         } else if (arg == "--accel-stats") {
             opt.accelStats = true;
         } else if (arg.rfind("--trace-out=", 0) == 0) {
@@ -370,7 +355,6 @@ try {
     rc.machine.numBanks = opt.banks;
     rc.machine.timesliceSteps = opt.timeslice;
     rc.machine.accel.enabled = opt.accel;
-    rc.machine.accel.threaded = opt.threaded;
     rc.plan.lowering = opt.lowering;
     rc.plan.shortCalls = opt.shortCalls;
     rc.trace = !opt.traceOut.empty();
@@ -411,10 +395,9 @@ try {
     if (opt.accel && forcesEager) {
         warn("fpcrun: exact observation (--profile/--trace-out/"
              "--record-out/--postmortem-dir/exact metrics) forces the "
-             "eager loop; --accel={} keeps only its XFER caches. Use "
-             "--profile-sampled / --telemetry-mode=sampled to keep "
-             "the fast path",
-             opt.threaded ? "threaded" : "on");
+             "eager loop; --accel=threaded keeps only its XFER caches. "
+             "Use --profile-sampled / --telemetry-mode=sampled to keep "
+             "the fast path");
     }
     // Batch spans: the runtime synthesizes request ⊃ queued ⊃ execute
     // trees per job (host time only — simulated numbers untouched).

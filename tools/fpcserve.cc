@@ -68,9 +68,10 @@ printUsage(std::ostream &os, const char *argv0)
           "  --banks=N                       register banks (I4)\n"
           "  --timeslice=N                   preempt every N "
           "instructions\n"
-          "  --accel=on|off|threaded         host backend: burst, off, "
-          "or threaded-code\n"
-          "                                  superblocks (default on)\n"
+          "  --accel=off|threaded            host backend: eager or "
+          "threaded-code\n"
+          "                                  superblocks (default "
+          "threaded)\n"
           "  --queue-capacity=N              admitted-job bound across "
           "tenants (default 256)\n"
           "  --max-inflight=N                jobs on the pool at once "
@@ -207,23 +208,9 @@ parseArgs(int argc, char **argv)
                 std::stoull(value("--timeslice="));
         } else if (arg.rfind("--accel=", 0) == 0) {
             const std::string v = value("--accel=");
-            if (v == "on") {
-                sc.machine.accel.enabled = true;
-            } else if (v == "off") {
-                sc.machine.accel.enabled = false;
-            } else if (v == "threaded") {
-                if (!Machine::threadedSupported()) {
-                    std::cerr << argv[0]
-                              << ": --accel=threaded is not supported "
-                                 "by this build (needs the computed-"
-                                 "goto extension)\n";
-                    std::exit(2);
-                }
-                sc.machine.accel.enabled = true;
-                sc.machine.accel.threaded = true;
-            } else {
+            if (v != "off" && v != "threaded")
                 usage(argv[0]);
-            }
+            sc.machine.accel.enabled = v == "threaded";
         } else if (arg.rfind("--queue-capacity=", 0) == 0) {
             sc.queueCapacity =
                 std::stoull(value("--queue-capacity="));
@@ -328,9 +315,8 @@ parseArgs(int argc, char **argv)
     if (sc.machine.accel.enabled && forcesEager) {
         warn("fpcserve: exact observation (--trace-out/"
              "--postmortem-dir/exact metrics) forces the eager loop; "
-             "--accel={} keeps only its XFER caches. Use "
-             "--telemetry-mode=sampled to keep the fast path",
-             sc.machine.accel.threaded ? "threaded" : "on");
+             "--accel=threaded keeps only its XFER caches. Use "
+             "--telemetry-mode=sampled to keep the fast path");
     }
     return opt;
 }

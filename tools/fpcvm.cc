@@ -53,8 +53,7 @@ struct Options
     bool shortCalls = false;
     bool stats = false;
     bool disasm = false;
-    bool accel = true;
-    bool threaded = false;
+    bool accel = true; ///< threaded backend; false runs eager
     bool accelStats = false;
     unsigned banks = 4;
     std::uint64_t timeslice = 0;
@@ -92,12 +91,12 @@ printUsage(std::ostream &os, const char *argv0)
           "instructions\n"
           "  --entry=Mod.proc                entry point\n"
           "  --stats                         dump machine statistics\n"
-          "  --accel=on|off|threaded         host backend: burst, off, "
-          "or threaded-code\n"
+          "  --accel=off|threaded            host backend: eager or "
+          "threaded-code\n"
           "                                  superblocks (simulated "
           "numbers are identical\n"
-          "                                  in every mode; default "
-          "on)\n"
+          "                                  in both; default "
+          "threaded)\n"
           "  --accel-stats                   dump host cache counters\n"
           "  --disasm                        dump the loaded code\n"
           "  --trace-out=FILE                write a Chrome/Perfetto "
@@ -213,23 +212,9 @@ parseArgs(int argc, char **argv)
             opt.stats = true;
         } else if (arg.rfind("--accel=", 0) == 0) {
             const std::string v = value("--accel=");
-            if (v == "on") {
-                opt.accel = true;
-            } else if (v == "off") {
-                opt.accel = false;
-            } else if (v == "threaded") {
-                if (!Machine::threadedSupported()) {
-                    std::cerr << argv[0]
-                              << ": --accel=threaded is not supported "
-                                 "by this build (needs the computed-"
-                                 "goto extension)\n";
-                    std::exit(2);
-                }
-                opt.accel = true;
-                opt.threaded = true;
-            } else {
+            if (v != "off" && v != "threaded")
                 usage(argv[0]);
-            }
+            opt.accel = v == "threaded";
         } else if (arg == "--accel-stats") {
             opt.accelStats = true;
         } else if (arg == "--disasm") {
@@ -454,7 +439,6 @@ try {
     config.numBanks = opt.banks;
     config.timesliceSteps = opt.timeslice;
     config.accel.enabled = opt.accel;
-    config.accel.threaded = opt.threaded;
     Machine machine(mem, image, config);
 
     // Observability: a tracer and/or profiler share the machine's one
@@ -521,10 +505,9 @@ try {
     if (opt.accel && forcesEager) {
         warn("fpcvm: exact observation (--profile/--trace-out/"
              "--record-out/--postmortem-dir/exact metrics) forces the "
-             "eager loop; --accel={} keeps only its XFER caches. Use "
-             "--profile-sampled / --telemetry-mode=sampled to keep "
-             "the fast path",
-             opt.threaded ? "threaded" : "on");
+             "eager loop; --accel=threaded keeps only its XFER caches. "
+             "Use --profile-sampled / --telemetry-mode=sampled to keep "
+             "the fast path");
     }
 
     // Dynamic probes: zero simulated cost and accel-safe (only the
@@ -682,7 +665,8 @@ try {
         meta.impl = implName(config.impl);
         meta.interval = opt.metricsInterval;
         // Host hit rates only on request, like --accel-stats: the
-        // default series must be byte-identical with --accel=on|off.
+        // default series must be byte-identical with
+        // --accel=off|threaded.
         // Sampled series are not byte-identical across the switch
         // anyway (their purpose is observing accelerated runs), so
         // there the accel gauges flow by default.
