@@ -37,7 +37,6 @@ replayFigure3(JsonReport &json)
 
     std::map<Addr, std::string> names;
     names[m.currentFrame()] = "FX";
-    char next = 'A';
 
     std::vector<std::string> headers = {"event"};
     for (unsigned b = 0; b < m.banks().numBanks(); ++b)

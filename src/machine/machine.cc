@@ -597,7 +597,7 @@ Machine::maybePreempt()
 // ---------------------------------------------------------------------
 
 void
-Machine::execute(const isa::Inst &inst)
+Machine::execute(const isa::Inst &inst, CallSite *site)
 {
     using isa::OpClass;
 
@@ -704,10 +704,8 @@ Machine::execute(const isa::Inst &inst)
         break;
 
       case OpClass::Arith:
-        execArith(inst.op);
-        break;
       case OpClass::Compare:
-        execCompare(inst.op);
+        execArith(inst.op);
         break;
 
       case OpClass::Jump:
@@ -723,20 +721,20 @@ Machine::execute(const isa::Inst &inst)
         break;
 
       case OpClass::ExtCall:
-        callExternal(static_cast<unsigned>(inst.operand));
+        callExternal(static_cast<unsigned>(inst.operand), site);
         break;
       case OpClass::LocalCall:
-        callLocal(static_cast<unsigned>(inst.operand));
+        callLocal(static_cast<unsigned>(inst.operand), site);
         break;
       case OpClass::DirectCall:
-        callDirect(static_cast<CodeByteAddr>(inst.operand));
+        callDirect(static_cast<CodeByteAddr>(inst.operand), site);
         break;
       case OpClass::ShortDirectCall:
-        callDirect(instStart_ + inst.operand);
+        callDirect(instStart_ + inst.operand, site);
         break;
       case OpClass::FatCall:
         callFat(static_cast<CodeByteAddr>(inst.operand),
-                static_cast<Addr>(inst.operand2));
+                static_cast<Addr>(inst.operand2), site);
         break;
 
       case OpClass::Illegal:
@@ -749,70 +747,6 @@ Machine::execute(const isa::Inst &inst)
         panic("unhandled op class");
     }
 }
-
-namespace
-{
-
-/** Two-operand ALU result; reports division by zero instead of
- *  dividing, so both execArith paths trap identically. */
-Word
-arithResult(isa::Op op, Word a, Word b, bool &div_zero)
-{
-    using isa::Op;
-    switch (op) {
-      case Op::ADD:
-        return static_cast<Word>(a + b);
-      case Op::SUB:
-        return static_cast<Word>(a - b);
-      case Op::MUL:
-        return static_cast<Word>(
-            static_cast<SDWord>(static_cast<SWord>(a)) *
-            static_cast<SWord>(b));
-      case Op::DIV:
-        if (b == 0) {
-            div_zero = true;
-            return 0;
-        }
-        return static_cast<Word>(static_cast<SWord>(a) /
-                                 static_cast<SWord>(b));
-      case Op::MOD:
-        if (b == 0) {
-            div_zero = true;
-            return 0;
-        }
-        return static_cast<Word>(static_cast<SWord>(a) %
-                                 static_cast<SWord>(b));
-      case Op::AND:
-        return static_cast<Word>(a & b);
-      case Op::IOR:
-        return static_cast<Word>(a | b);
-      case Op::XOR:
-        return static_cast<Word>(a ^ b);
-      case Op::SHL:
-        return static_cast<Word>(b >= 16 ? 0 : a << b);
-      case Op::SHR:
-        return static_cast<Word>(b >= 16 ? 0 : a >> b);
-      default:
-        panic("execArith: bad op");
-    }
-}
-
-bool
-compareResult(isa::Op op, SWord a, SWord b)
-{
-    using isa::Op;
-    switch (op) {
-      case Op::LT: return a < b;
-      case Op::LE: return a <= b;
-      case Op::EQ: return a == b;
-      case Op::NE: return a != b;
-      case Op::GE: return a >= b;
-      case Op::GT: return a > b;
-      default: panic("execCompare: bad op");
-    }
-}
-
-} // namespace
 
 void
 Machine::execArith(isa::Op op)
@@ -864,7 +798,7 @@ Machine::execArith(isa::Op op)
             b = stack_[base + 1];
         }
         bool div_zero = false;
-        const Word r = arithResult(op, a, b, div_zero);
+        const Word r = binaryResult(op, a, b, div_zero);
         sp_ = base;
         if (div_zero) [[unlikely]] {
             trap(5, "division by zero");
@@ -883,42 +817,12 @@ Machine::execArith(isa::Op op)
     const Word b = pop();
     const Word a = pop();
     bool div_zero = false;
-    const Word r = arithResult(op, a, b, div_zero);
+    const Word r = binaryResult(op, a, b, div_zero);
     if (div_zero) {
         trap(5, "division by zero");
         return;
     }
     push(r);
-}
-
-void
-Machine::execCompare(isa::Op op)
-{
-    if (sp_ >= 2) [[likely]] {
-        // Same in-place fast path as execArith's binary case.
-        const unsigned base = sp_ - 2;
-        SWord a, b;
-        if (banked()) {
-            a = static_cast<SWord>(
-                banks_.readOwned(stackBank_, frame::varsOffset + base));
-            b = static_cast<SWord>(banks_.readOwned(
-                stackBank_, frame::varsOffset + base + 1));
-        } else {
-            a = static_cast<SWord>(stack_[base]);
-            b = static_cast<SWord>(stack_[base + 1]);
-        }
-        const Word r = compareResult(op, a, b) ? 1 : 0;
-        if (banked())
-            banks_.writeOwned(stackBank_, frame::varsOffset + base, r);
-        else
-            stack_[base] = r;
-        sp_ = base + 1;
-        return;
-    }
-
-    const auto b = static_cast<SWord>(pop());
-    const auto a = static_cast<SWord>(pop());
-    push(compareResult(op, a, b) ? 1 : 0);
 }
 
 } // namespace fpc

@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "frames/frame_heap.hh"
 #include "isa/decode.hh"
 #include "machine/accel.hh"
@@ -524,7 +525,11 @@ class Machine
     void foldXferSums();
 
     // -- interpreter ---------------------------------------------------
-    void execute(const isa::Inst &inst);
+    /** The one definition of every instruction, run by the eager
+     *  loop and by the threaded loop's slow paths and terminals. A
+     *  call reaches its target through `site` when one is given
+     *  (the threaded loop passes its block's call-site cache). */
+    void execute(const isa::Inst &inst, CallSite *site = nullptr);
     /** One instruction, without the stop check / epoch sync /
      *  preemption poll that step() wraps around it. WithAccel folds
      *  the icache null-check out of the per-step path. */
@@ -548,8 +553,8 @@ class Machine
      *  CycleSampler). Out of line — runs at most once per interval. */
     void fireBoundarySample();
     void maybePreempt();
+    /** ALU and compare ops (OpClass::Arith and Compare). */
     void execArith(isa::Op op);
-    void execCompare(isa::Op op);
     void stopWith(StopReason reason, std::string message);
 
     // -- state ---------------------------------------------------------
@@ -737,6 +742,48 @@ class Machine
     MachineStats stats_;
     std::vector<Word> output_;
 };
+
+// ---------------------------------------------------------------------
+// ALU and compare results, inline: execArith and the threaded loop's
+// binary handlers share this one definition, and a constant op folds
+// to its one case.
+// ---------------------------------------------------------------------
+
+/** Two-operand ALU or compare result (a compare yields 1 or 0);
+ *  reports division by zero instead of dividing, so every caller
+ *  traps identically. */
+[[gnu::always_inline]] inline Word
+binaryResult(isa::Op op, Word a, Word b, bool &div_zero)
+{
+    using isa::Op;
+    const auto sa = static_cast<SWord>(a);
+    const auto sb = static_cast<SWord>(b);
+    switch (op) {
+      case Op::ADD: return static_cast<Word>(a + b);
+      case Op::SUB: return static_cast<Word>(a - b);
+      case Op::MUL:
+        return static_cast<Word>(static_cast<SDWord>(sa) * sb);
+      case Op::DIV:
+      case Op::MOD:
+        if (b == 0) {
+            div_zero = true;
+            return 0;
+        }
+        return static_cast<Word>(op == Op::DIV ? sa / sb : sa % sb);
+      case Op::AND: return static_cast<Word>(a & b);
+      case Op::IOR: return static_cast<Word>(a | b);
+      case Op::XOR: return static_cast<Word>(a ^ b);
+      case Op::SHL: return static_cast<Word>(b >= 16 ? 0 : a << b);
+      case Op::SHR: return static_cast<Word>(b >= 16 ? 0 : a >> b);
+      case Op::LT: return sa < sb ? 1 : 0;
+      case Op::LE: return sa <= sb ? 1 : 0;
+      case Op::EQ: return sa == sb ? 1 : 0;
+      case Op::NE: return sa != sb ? 1 : 0;
+      case Op::GE: return sa >= sb ? 1 : 0;
+      case Op::GT: return sa > sb ? 1 : 0;
+      default: panic("binaryResult: bad op");
+    }
+}
 
 // ---------------------------------------------------------------------
 // Storage and frame-word accessors, inline: every transfer makes

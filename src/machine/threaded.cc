@@ -6,11 +6,13 @@
  * carries the address of its handler, handlers end by jumping straight
  * into the next handler, and a straight-line run executes out of one
  * sequential TInst array with one fused accounting charge per block.
- * The whole file is exact-accounting-first: every handler body is the
- * corresponding execute() case verbatim (with the bank checks folded
- * out by the Banked template parameter), and every block exit charges
- * precisely what the eager loop would have charged for the same
- * instruction sequence.
+ * The whole file is exact-accounting-first. A straight-line handler
+ * is a register-cached fast path (the bank checks folded out by the
+ * Banked template parameter) behind a guard that rules out every
+ * trap; a failed guard, an opcode with no fast path, and every block
+ * terminal run Machine::execute(), the one definition the eager loop
+ * also runs. Every block exit charges precisely what the eager loop
+ * would have charged for the same instruction sequence.
  */
 
 #include "machine/threaded.hh"
@@ -143,7 +145,7 @@ namespace
 /**
  * Handler index space. Order matters twice: the labels array in
  * threadedLoopT must list the labels in exactly this order, and
- * every handler from H_Halt on is a block terminal (isTerminalIdx).
+ * every handler from H_Exit on is a block terminal (isTerminalIdx).
  */
 enum HIdx : unsigned
 {
@@ -157,15 +159,15 @@ enum HIdx : unsigned
     H_LoadRetCtx,
     H_LoadLocal,
     H_StoreLocal,
-    H_LoadLocalAddr,
     H_LoadGlobal,
     H_StoreGlobal,
     H_LoadImm,
+    /** RD/WR: on the banked engine the labels table routes both to
+     *  H_Slow (an address may divert into a bank). */
     H_LoadIndirect,
     H_StoreIndirect,
     H_ReadField,
     H_WriteField,
-    H_LoadDesc,
     H_Add,
     H_Sub,
     H_Mul,
@@ -177,7 +179,6 @@ enum HIdx : unsigned
     /** DIV/MOD: in place unless the divisor is 0 (the trap path). */
     H_Div,
     H_Mod,
-    H_ArithSlow, ///< NEG/NOT: delegate to execArith
     H_Lt,
     H_Le,
     H_Eq,
@@ -218,24 +219,19 @@ enum HIdx : unsigned
     H_LlLi,
     H_LiLl,
     H_LiLi,
+    /** No fast path (LLA, LPD, NEG/NOT): execute() runs it. Every
+     *  failed fast-path guard lands here too. */
+    H_Slow,
 
     // Terminals: every handler from here on ends its block.
-    H_Halt,
-    H_Xfer,
+    /** HALT, XF, BRK, YIELD, illegal opcodes, and the backward
+     *  conditionals (BTFN: predicted taken, so a taken latch pays the
+     *  O(1) full-block exit and re-enters through the chain pointer). */
+    H_Exit,
+    /** The five call classes: push the host return stack, then call
+     *  through the block's call-site cache. */
+    H_Call,
     H_Ret,
-    H_Brk,
-    H_Yield,
-    /** Backward conditional (BTFN: predicted taken): terminal, so a
-     *  taken latch pays the O(1) full-block exit and re-enters through
-     *  the chain pointer. */
-    H_JumpZero,
-    H_JumpNotZero,
-    H_ExtCall,
-    H_LocalCall,
-    H_DirectCall,
-    H_ShortDirectCall,
-    H_FatCall,
-    H_Illegal,
     H_BlockEnd, ///< sentinel after the length cap: fall to next block
     H_Count
 };
@@ -243,7 +239,7 @@ enum HIdx : unsigned
 constexpr bool
 isTerminalIdx(unsigned h)
 {
-    return h >= H_Halt;
+    return h >= H_Exit;
 }
 
 unsigned
@@ -253,19 +249,13 @@ handlerIndexFor(const isa::Inst &inst)
     using isa::OpClass;
     switch (inst.cls) {
       case OpClass::Noop: return H_Noop;
-      case OpClass::Halt: return H_Halt;
       case OpClass::Dup: return H_Dup;
       case OpClass::Drop: return H_Drop;
       case OpClass::Exch: return H_Exch;
       case OpClass::Out: return H_Out;
       case OpClass::LoadRetCtx: return H_LoadRetCtx;
-      case OpClass::Xfer: return H_Xfer;
-      case OpClass::Ret: return H_Ret;
-      case OpClass::Brk: return H_Brk;
-      case OpClass::Yield: return H_Yield;
       case OpClass::LoadLocal: return H_LoadLocal;
       case OpClass::StoreLocal: return H_StoreLocal;
-      case OpClass::LoadLocalAddr: return H_LoadLocalAddr;
       case OpClass::LoadGlobal: return H_LoadGlobal;
       case OpClass::StoreGlobal: return H_StoreGlobal;
       case OpClass::LoadImm: return H_LoadImm;
@@ -273,7 +263,6 @@ handlerIndexFor(const isa::Inst &inst)
       case OpClass::StoreIndirect: return H_StoreIndirect;
       case OpClass::ReadField: return H_ReadField;
       case OpClass::WriteField: return H_WriteField;
-      case OpClass::LoadDesc: return H_LoadDesc;
       case OpClass::Arith:
         switch (inst.op) {
           case Op::ADD: return H_Add;
@@ -286,7 +275,7 @@ handlerIndexFor(const isa::Inst &inst)
           case Op::SHR: return H_Shr;
           case Op::DIV: return H_Div;
           case Op::MOD: return H_Mod;
-          default: return H_ArithSlow; // NEG, NOT
+          default: return H_Slow; // NEG, NOT
         }
       case OpClass::Compare:
         switch (inst.op) {
@@ -296,23 +285,48 @@ handlerIndexFor(const isa::Inst &inst)
           case Op::NE: return H_Ne;
           case Op::GE: return H_Ge;
           case Op::GT: return H_Gt;
-          default: return H_ArithSlow; // unreachable
+          default: return H_Slow; // unreachable
         }
       case OpClass::Jump:
         return H_JumpFused;
       case OpClass::JumpZero:
-        return inst.operand > 0 ? H_JumpZeroFall : H_JumpZero;
+        return inst.operand > 0 ? H_JumpZeroFall : H_Exit;
       case OpClass::JumpNotZero:
-        return inst.operand > 0 ? H_JumpNotZeroFall : H_JumpNotZero;
-      case OpClass::ExtCall: return H_ExtCall;
-      case OpClass::LocalCall: return H_LocalCall;
-      case OpClass::DirectCall: return H_DirectCall;
-      case OpClass::ShortDirectCall: return H_ShortDirectCall;
-      case OpClass::FatCall: return H_FatCall;
-      case OpClass::Illegal: return H_Illegal;
+        return inst.operand > 0 ? H_JumpNotZeroFall : H_Exit;
+      case OpClass::LoadLocalAddr:
+      case OpClass::LoadDesc:
+        return H_Slow;
+      case OpClass::Halt:
+      case OpClass::Xfer:
+      case OpClass::Brk:
+      case OpClass::Yield:
+      case OpClass::Illegal:
+        return H_Exit;
+      case OpClass::ExtCall:
+      case OpClass::LocalCall:
+      case OpClass::DirectCall:
+      case OpClass::ShortDirectCall:
+      case OpClass::FatCall:
+        return H_Call;
+      case OpClass::Ret:
+        return H_Ret;
       default:
         panic("threaded: unhandled op class");
     }
+}
+
+/** The decoded instruction a TInst was built from: TInst keeps the
+ *  raw opcode, not its class, so it stays 32 bytes. */
+isa::Inst
+instOf(const TInst &t)
+{
+    isa::Inst inst;
+    inst.op = static_cast<isa::Op>(t.op);
+    inst.cls = isa::opInfo(t.op).cls;
+    inst.operand = t.operand;
+    inst.operand2 = t.operand2;
+    inst.length = t.length;
+    return inst;
 }
 
 /** Longest block: bounds both unrolled-loop blow-up (a fused jump can
@@ -432,17 +446,17 @@ buildBlock(Memory &mem, CodeByteAddr entry, const void *const *labels)
 
 /** Begin a slow-path or terminal instruction: what stepCoreT does
  *  before execute(), plus the spill of the register-cached stack
- *  pointer. Fast paths skip this entirely — nothing they call reads
- *  instStart_/pcAbs_/sp_, traps only happen behind the guards, and
- *  the store-port traffic of three spills per instruction is a large
- *  share of a short handler's cost. The members are re-established
- *  at every place control can leave the fast path: slow bodies and
- *  terminals run this macro, a taken side exit and the BlockEnd
- *  sentinel restore them by hand, and the catch block's accounting
- *  works from `ti` alone. (After a thrown storage panic the members
- *  can be stale — the machine is dead at that point and the simulated
- *  stats, which the catch charges exactly, are the only thing still
- *  observable.) */
+ *  pointer and the stack bank's dirty bits. Fast paths skip this
+ *  entirely — nothing they call reads instStart_/pcAbs_/sp_, traps
+ *  only happen behind the guards, and the store-port traffic of three
+ *  spills per instruction is a large share of a short handler's cost.
+ *  The members are re-established at every place control can leave
+ *  the fast path: h_slow and the terminals run this macro, a taken
+ *  side exit and the BlockEnd sentinel restore them by hand, and the
+ *  catch block's accounting works from `ti` alone. (After a thrown
+ *  storage panic the members can be stale — the machine is dead at
+ *  that point and the simulated stats, which the catch charges
+ *  exactly, are the only thing still observable.) */
 #define FPC_T_PRE()                                                    \
     do {                                                               \
         instStart_ = ti->start;                                        \
@@ -468,81 +482,59 @@ buildBlock(Memory &mem, CodeByteAddr entry, const void *const *labels)
 /** End a fast path that provably could not diverge. The only ways a
  *  straight-line body leaves the decoded path are a trap (stack
  *  over/underflow, DIV/MOD faults) or a taken side-exit branch, so a
- *  fast path whose stack-bounds guard held — and whose body calls
- *  nothing that traps — needs no check at all: just the dispatch.
- *  (Thrown storage panics bypass this and land in the catch block
- *  with `ti` still on the faulting instruction.) */
+ *  fast path whose guard held — and whose body calls nothing that
+ *  traps — needs no check at all: just the dispatch. (Thrown storage
+ *  panics bypass this and land in the catch block with `ti` still on
+ *  the faulting instruction.) */
 #define FPC_T_NEXT_FAST()                                              \
     do {                                                               \
         ++ti;                                                          \
         goto *const_cast<void *>(ti->handler);                         \
     } while (0)
 
-/** Binary ALU/compare body: execArith/execCompare's in-place fast
- *  path with the bank checks folded out; underflow delegates to the
- *  member for exact trap parity. The fast path cannot trap (the ops
- *  routed here are total), so it dispatches unchecked. */
-#define FPC_T_BIN(RESULT_EXPR, FALLBACK)                               \
+/** Binary ALU/compare body: execute()'s in-place binary path with the
+ *  bank checks folded out; binaryResult folds to OP's one case. A
+ *  failed guard (underflow, or a DIV/MOD divisor of 0) takes h_slow,
+ *  which traps exactly as the eager loop does. */
+#define FPC_T_BIN(OP)                                                  \
     do {                                                               \
         if (sp >= 2) [[likely]] {                                      \
             const unsigned bse = sp - 2;                               \
-            const Word a = tslot(bse);                                 \
-            const Word b = tslot(bse + 1);                             \
-            tslotw(bse, (RESULT_EXPR));                                \
-            sp = bse + 1;                                              \
-            FPC_T_NEXT_FAST();                                         \
+            bool divZero = false;                                      \
+            const Word r =                                             \
+                binaryResult(OP, tslot(bse), tslot(bse + 1), divZero); \
+            if (!divZero) [[likely]] {                                 \
+                tslotw(bse, r);                                        \
+                sp = bse + 1;                                          \
+                FPC_T_NEXT_FAST();                                     \
+            }                                                          \
         }                                                              \
-        FPC_T_PRE();                                                   \
-        FALLBACK(static_cast<isa::Op>(ti->op));                        \
-        sp = sp_;                                                      \
-        treload();                                                     \
-        FPC_T_NEXT();                                                  \
-    } while (0)
-
-/** DIV/MOD body: arithResult's signed division in place when the
- *  divisor is nonzero; a zero divisor (or underflow) takes execArith,
- *  which traps exactly as the eager loop does. */
-#define FPC_T_DIVISION(OPERATOR)                                       \
-    do {                                                               \
-        if (sp >= 2 && tslot(sp - 1) != 0) [[likely]] {                \
-            const unsigned bse = sp - 2;                               \
-            tslotw(bse, static_cast<Word>(                             \
-                            static_cast<SWord>(tslot(bse))             \
-                                OPERATOR static_cast<SWord>(           \
-                                    tslot(bse + 1))));                 \
-            sp = bse + 1;                                              \
-            FPC_T_NEXT_FAST();                                         \
-        }                                                              \
-        FPC_T_PRE();                                                   \
-        execArith(static_cast<isa::Op>(ti->op));                       \
-        sp = sp_;                                                      \
-        treload();                                                     \
-        FPC_T_NEXT();                                                  \
+        goto h_slow;                                                   \
     } while (0)
 
 /** Fused compare + forward-conditional body. The guard covers the
  *  whole pair (compare needs two slots; the branch pops the one the
- *  compare would push, so net sp >= 2 suffices) and the boolean never
- *  touches the stack. ti advances onto the branch TInst first so a
+ *  compare would push, so net sp >= 2 suffices) and the boolean is
+ *  never pushed or popped (only its slot write stays). ti advances onto the branch TInst first so a
  *  taken side exit charges the exact two-instruction prefix; the
  *  untaken path's dispatch then steps over it. The fallback is the
  *  compare alone — underflow traps there, diverges, and the branch
  *  TInst never runs, exactly as in the eager loop. */
-#define FPC_T_CMPBR(COND_EXPR, TAKEN_ON_TRUE)                          \
+#define FPC_T_CMPBR(OP, TAKEN_ON_TRUE)                                 \
     do {                                                               \
         if (sp >= 2) [[likely]] {                                      \
             const unsigned bse = sp - 2;                               \
-            const Word a = tslot(bse);                                 \
-            const Word b = tslot(bse + 1);                             \
+            bool divZero = false;                                      \
+            const Word r =                                             \
+                binaryResult(OP, tslot(bse), tslot(bse + 1), divZero); \
             sp = bse;                                                  \
-            const bool cond = (COND_EXPR);                             \
             /* Eager pushes the boolean then pops it: the slot write   \
              * (value and dirty bit) is observable when the stack bank \
              * is renamed into a frame bank and later flushed, so the  \
              * fusion must keep it. */                                 \
-            tslotw(bse, static_cast<Word>(cond ? 1 : 0));              \
+            tslotw(bse, r);                                            \
             ++ti;                                                      \
-            if (TAKEN_ON_TRUE ? cond : !cond) [[unlikely]] {           \
+            if ((r != 0) == (TAKEN_ON_TRUE)) [[unlikely]] {            \
                 sp_ = sp;                                              \
                 instStart_ = ti->start;                                \
                 pcAbs_ = ti->start + ti->operand;                      \
@@ -550,11 +542,7 @@ buildBlock(Memory &mem, CodeByteAddr entry, const void *const *labels)
             }                                                          \
             FPC_T_NEXT_FAST();                                         \
         }                                                              \
-        FPC_T_PRE();                                                   \
-        execCompare(static_cast<isa::Op>(ti->op));                     \
-        sp = sp_;                                                      \
-        treload();                                                     \
-        FPC_T_NEXT();                                                  \
+        goto h_slow;                                                   \
     } while (0)
 
 template <bool Banked>
@@ -562,7 +550,7 @@ void
 Machine::threadedLoopT(std::uint64_t &steps)
 {
     // Label order must match HIdx exactly.
-    const void *const labels[H_Count] = {
+    const void *const labels[] = {
         &&h_noop,
         &&h_dup,
         &&h_drop,
@@ -571,15 +559,13 @@ Machine::threadedLoopT(std::uint64_t &steps)
         &&h_lrc,
         &&h_ll,
         &&h_sl,
-        &&h_lla,
         &&h_lg,
         &&h_sg,
         &&h_li,
-        &&h_rd,
-        &&h_wr,
+        Banked ? &&h_slow : &&h_rd,
+        Banked ? &&h_slow : &&h_wr,
         &&h_readf,
         &&h_writef,
-        &&h_lpd,
         &&h_add,
         &&h_sub,
         &&h_mul,
@@ -590,7 +576,6 @@ Machine::threadedLoopT(std::uint64_t &steps)
         &&h_shr,
         &&h_div,
         &&h_mod,
-        &&h_arith_slow,
         &&h_lt,
         &&h_le,
         &&h_eq,
@@ -616,21 +601,13 @@ Machine::threadedLoopT(std::uint64_t &steps)
         &&h_ll_li,
         &&h_li_ll,
         &&h_li_li,
-        &&h_halt,
-        &&h_xf,
+        &&h_slow,
+        &&h_exit,
+        &&h_call,
         &&h_ret,
-        &&h_brk,
-        &&h_yield,
-        &&h_jz,
-        &&h_jnz,
-        &&h_efc,
-        &&h_lfc,
-        &&h_dfc,
-        &&h_sdfc,
-        &&h_fcall,
-        &&h_illegal,
         &&h_block_end,
     };
+    static_assert(std::size(labels) == H_Count);
 
     SuperblockCache &cache = *sblocks_;
     Accel *const acc = accel_.get();
@@ -692,20 +669,19 @@ Machine::threadedLoopT(std::uint64_t &steps)
     // running, and stackCap_ is set once at reset. lf mirrors lf_ and
     // sbData/sbDirty mirror the stack bank's raw views; both only
     // move inside transfer code — every such call ends its block, and
-    // both the block (re)entry and every slow-path tail reload them
-    // (treload).
+    // both the block (re)entry and h_slow reload them (treload).
     //
     // dReads/dWrites count fast-path Data references; when no dcache
     // is configured each such reference also costs exactly memCyc
     // cycles, so the cycle charge is derived from the counts at spill
     // time instead of spending a third register (with a dcache the
     // charge is data-dependent and goes straight to stats_.cycles).
-    // They flush at every slow-path entry (FPC_T_PRE, so member code
-    // always sees exact absolute values), at block_done, and in the
-    // catch block, so no path leaves run() with a pending delta. The
-    // transfer walks' reference-delta probes are unaffected: the
-    // pending deltas are constant across any member call, so snapshot
-    // differences stay exact.
+    // They, and dLocalBank, spill only at block_done and in the catch
+    // block, so no path leaves run() with a pending delta. Member
+    // code in between (h_slow, the terminals) sees them pending; its
+    // mid-run readers are delta-based (the transfer walks' reference
+    // probes snapshot differences across a member call, where the
+    // pending deltas are constant), so nothing it reports moves.
     Word *const memBase = mem_.raw();
     const std::size_t memSize = mem_.size();
     Word *const stackBase = stack_.data();
@@ -718,9 +694,10 @@ Machine::threadedLoopT(std::uint64_t &steps)
     CountT dLocalBank = 0;
     // Register accumulator for the stack bank's dirty bits: the
     // memory word is a loop-carried store-forward chain when every
-    // push RMWs it, so fast paths OR into this register and the
-    // spillStats choke points (slow entries, block_done, the catch)
-    // fold it into the real mask before any member code can look.
+    // push RMWs it, so fast paths OR into this register and
+    // foldDirty (FPC_T_PRE, and spillStats at block_done and in the
+    // catch) folds it into the real mask before any member code can
+    // look.
     std::uint32_t sbAcc = 0;
     (void)stackBase;
     (void)sbData;
@@ -762,8 +739,8 @@ Machine::threadedLoopT(std::uint64_t &steps)
         foldDirty();
     };
     // Re-derive the block-cached mirrors from their members: run at
-    // block (re)entry and after every slow-path body, the only places
-    // transfer code (which moves them) can have run.
+    // block (re)entry and after h_slow, the only places transfer code
+    // (which moves them) can have run.
     const auto treload = [&]() __attribute__((always_inline)) {
         lf = lf_;
         if constexpr (Banked) {
@@ -773,44 +750,17 @@ Machine::threadedLoopT(std::uint64_t &steps)
         }
     };
 
-    // Inlined accessor bodies, identical to the members they mirror,
-    // with the Banked checks resolved at compile time.
-    const auto tpush = [&](Word value) __attribute__((always_inline)) {
-        if (sp_ >= stackCap_) [[unlikely]] {
-            trap(2, "evaluation stack overflow");
-            return;
-        }
-        if constexpr (Banked)
-            banks_.writeOwned(stackBank_, frame::varsOffset + sp_,
-                              value);
-        else
-            stack_[sp_] = value;
-        ++sp_;
-    };
-    const auto tpop = [&]() __attribute__((always_inline)) -> Word {
-        if (sp_ == 0) [[unlikely]] {
-            trap(3, "evaluation stack underflow");
-            return 0;
-        }
-        --sp_;
-        if constexpr (Banked)
-            return banks_.readOwned(stackBank_,
-                                    frame::varsOffset + sp_);
-        return stack_[sp_];
-    };
+    // Inlined accessor bodies for the fast paths, identical to the
+    // members they mirror, with the Banked checks resolved at compile
+    // time.
     const auto treadData = [&](Addr addr) __attribute__((always_inline)) -> Word {
         // Banked data accesses off the bank file are rare (globals,
-        // indirects, bank-miss locals), so they take readData's exact
-        // member path and keep four registers free for the bank fast
-        // paths. The other engines hit this on every LL/SL and keep
-        // the counts in registers instead.
-        if constexpr (Banked) {
-            if (dcache != nullptr)
-                stats_.cycles += dcache->access(addr, false);
-            else
-                stats_.cycles += memCyc;
-            return mem_.read(addr, AccessKind::Data);
-        }
+        // indirects, bank-miss locals), so they take the member path
+        // and keep four registers free for the bank fast paths. The
+        // other engines hit this on every LL/SL and keep the counts
+        // in registers instead.
+        if constexpr (Banked)
+            return readData(addr);
         // Eager read() order is charge, check, count: a storage panic
         // must leave the cycle charged and the reference uncounted.
         if (dcache != nullptr)
@@ -825,16 +775,12 @@ Machine::threadedLoopT(std::uint64_t &steps)
         return v;
     };
     const auto twriteData = [&](Addr addr, Word value) __attribute__((always_inline)) {
-        if (addr < globalEnd && acc->linkSensitive(addr))
-            acc->flushLinks();
         if constexpr (Banked) {
-            if (dcache != nullptr)
-                stats_.cycles += dcache->access(addr, true);
-            else
-                stats_.cycles += memCyc;
-            mem_.write(addr, value, AccessKind::Data);
+            writeData(addr, value);
             return;
         }
+        if (addr < globalEnd && acc->linkSensitive(addr))
+            acc->flushLinks();
         if (dcache != nullptr)
             stats_.cycles += dcache->access(addr, true);
         if (addr >= memSize) [[unlikely]] {
@@ -895,9 +841,9 @@ Machine::threadedLoopT(std::uint64_t &steps)
     const TInst *base = nullptr;
     const TInst *ti = nullptr;
     // Register-cached stack pointer. Fast paths read and write only
-    // this; FPC_T_PRE spills it to sp_ at every instruction start,
-    // and it reloads from sp_ after anything that runs member code
-    // (fallbacks, terminals via the block-entry reload).
+    // this; FPC_T_PRE spills it to sp_ before any member code runs,
+    // and it reloads from sp_ after it (h_slow directly, terminals via
+    // the block-entry reload).
     unsigned sp = 0;
 
     while (stop_ == StopReason::Running) {
@@ -999,11 +945,13 @@ Machine::threadedLoopT(std::uint64_t &steps)
         base = cur->insts.data();
         ti = base;
         sp = sp_;
-            treload();
+        treload();
         try {
             goto *const_cast<void *>(ti->handler);
 
             // -- straight-line handlers --------------------------------
+            // Each is a register-cached fast path behind a guard that
+            // rules out every trap; a failed guard takes h_slow.
           h_noop:
             // Cannot trap, stop, or move the PC: unchecked dispatch.
             FPC_T_NEXT_FAST();
@@ -1015,26 +963,14 @@ Machine::threadedLoopT(std::uint64_t &steps)
                 ++sp;
                 FPC_T_NEXT_FAST();
             }
-            FPC_T_PRE();
-            {
-                const Word v = tpop();
-                tpush(v);
-                tpush(v);
-            }
-            sp = sp_;
-            treload();
-            FPC_T_NEXT();
+            goto h_slow;
 
           h_drop:
             if (sp >= 1) [[likely]] {
                 --sp;
                 FPC_T_NEXT_FAST();
             }
-            FPC_T_PRE();
-            tpop();
-            sp = sp_;
-            treload();
-            FPC_T_NEXT();
+            goto h_slow;
 
           h_exch:
             if (sp >= 2) [[likely]] {
@@ -1043,16 +979,7 @@ Machine::threadedLoopT(std::uint64_t &steps)
                 tslotw(sp - 2, a);
                 FPC_T_NEXT_FAST();
             }
-            FPC_T_PRE();
-            {
-                const Word a = tpop();
-                const Word b = tpop();
-                tpush(a);
-                tpush(b);
-            }
-            sp = sp_;
-            treload();
-            FPC_T_NEXT();
+            goto h_slow;
 
           h_out:
             if (sp >= 1) [[likely]] {
@@ -1060,11 +987,7 @@ Machine::threadedLoopT(std::uint64_t &steps)
                 output_.push_back(tslot(sp));
                 FPC_T_NEXT_FAST();
             }
-            FPC_T_PRE();
-            output_.push_back(tpop());
-            sp = sp_;
-            treload();
-            FPC_T_NEXT();
+            goto h_slow;
 
           h_lrc:
             if (sp < stackCap) [[likely]] {
@@ -1072,11 +995,7 @@ Machine::threadedLoopT(std::uint64_t &steps)
                 ++sp;
                 FPC_T_NEXT_FAST();
             }
-            FPC_T_PRE();
-            tpush(returnCtx_);
-            sp = sp_;
-            treload();
-            FPC_T_NEXT();
+            goto h_slow;
 
           h_ll:
             if (sp < stackCap) [[likely]] {
@@ -1085,11 +1004,7 @@ Machine::threadedLoopT(std::uint64_t &steps)
                 ++sp;
                 FPC_T_NEXT_FAST();
             }
-            FPC_T_PRE();
-            tpush(treadVar(static_cast<unsigned>(ti->operand)));
-            sp = sp_;
-            treload();
-            FPC_T_NEXT();
+            goto h_slow;
 
           h_sl:
             if (sp >= 1) [[likely]] {
@@ -1098,45 +1013,18 @@ Machine::threadedLoopT(std::uint64_t &steps)
                           tslot(sp));
                 FPC_T_NEXT_FAST();
             }
-            FPC_T_PRE();
-            {
-                const Word v = tpop();
-                twriteVar(static_cast<unsigned>(ti->operand), v);
-            }
-            sp = sp_;
-            treload();
-            FPC_T_NEXT();
-
-          h_lla:
-            FPC_T_PRE();
-            {
-                if constexpr (Banked) {
-                    if (curLbank_ >= 0)
-                        dropCurrentBank();
-                }
-                const Addr addr = lf_ + frame::varsOffset +
-                                  static_cast<unsigned>(ti->operand);
-                tpush(static_cast<Word>(addr));
-            }
-            sp = sp_;
-            treload();
-            FPC_T_NEXT();
+            goto h_slow;
 
           h_lg:
-            ++stats_.globalAccesses;
             if (sp < stackCap) [[likely]] {
+                ++stats_.globalAccesses;
                 tslotw(sp,
                        treadData(gf_ + 1 +
                                  static_cast<unsigned>(ti->operand)));
                 ++sp;
                 FPC_T_NEXT_FAST();
             }
-            FPC_T_PRE();
-            tpush(
-                treadData(gf_ + 1 + static_cast<unsigned>(ti->operand)));
-            sp = sp_;
-            treload();
-            FPC_T_NEXT();
+            goto h_slow;
 
           h_sg:
             if (sp >= 1) [[likely]] {
@@ -1147,16 +1035,7 @@ Machine::threadedLoopT(std::uint64_t &steps)
                            v);
                 FPC_T_NEXT_FAST();
             }
-            FPC_T_PRE();
-            {
-                const Word v = tpop();
-                ++stats_.globalAccesses;
-                twriteData(gf_ + 1 + static_cast<unsigned>(ti->operand),
-                           v);
-            }
-            sp = sp_;
-            treload();
-            FPC_T_NEXT();
+            goto h_slow;
 
           h_li:
             if (sp < stackCap) [[likely]] {
@@ -1164,60 +1043,26 @@ Machine::threadedLoopT(std::uint64_t &steps)
                 ++sp;
                 FPC_T_NEXT_FAST();
             }
-            FPC_T_PRE();
-            tpush(static_cast<Word>(ti->operand));
-            sp = sp_;
-            treload();
-            FPC_T_NEXT();
+            goto h_slow;
 
           h_rd:
-            if constexpr (!Banked) {
-                // No bank divert to consider: pop addr, push value in
-                // place; treadData never traps (panics throw).
-                if (sp >= 1) [[likely]] {
-                    tslotw(sp - 1, treadData(tslot(sp - 1)));
-                    FPC_T_NEXT_FAST();
-                }
+            // Not on the banked engine (see the labels table): pop
+            // addr, push value in place.
+            if (sp >= 1) [[likely]] {
+                tslotw(sp - 1, treadData(tslot(sp - 1)));
+                FPC_T_NEXT_FAST();
             }
-            FPC_T_PRE();
-            {
-                const Addr addr = tpop();
-                Word value = 0;
-                bool diverted = false;
-                if constexpr (Banked)
-                    diverted = divertToBank(addr, false, value);
-                if (diverted)
-                    tpush(value);
-                else
-                    tpush(treadData(addr));
-            }
-            sp = sp_;
-            treload();
-            FPC_T_NEXT();
+            goto h_slow;
 
           h_wr:
-            if constexpr (!Banked) {
-                if (sp >= 2) [[likely]] {
-                    const Addr addr = tslot(sp - 1);
-                    const Word value = tslot(sp - 2);
-                    sp -= 2;
-                    twriteData(addr, value);
-                    FPC_T_NEXT_FAST();
-                }
+            if (sp >= 2) [[likely]] {
+                const Addr addr = tslot(sp - 1);
+                const Word value = tslot(sp - 2);
+                sp -= 2;
+                twriteData(addr, value);
+                FPC_T_NEXT_FAST();
             }
-            FPC_T_PRE();
-            {
-                const Addr addr = tpop();
-                Word value = tpop();
-                bool diverted = false;
-                if constexpr (Banked)
-                    diverted = divertToBank(addr, true, value);
-                if (!diverted)
-                    twriteData(addr, value);
-            }
-            sp = sp_;
-            treload();
-            FPC_T_NEXT();
+            goto h_slow;
 
           h_readf:
             if (sp >= 1) [[likely]] {
@@ -1226,15 +1071,7 @@ Machine::threadedLoopT(std::uint64_t &steps)
                                  static_cast<unsigned>(ti->operand)));
                 FPC_T_NEXT_FAST();
             }
-            FPC_T_PRE();
-            {
-                const Addr addr = tpop();
-                tpush(treadData(addr +
-                                static_cast<unsigned>(ti->operand)));
-            }
-            sp = sp_;
-            treload();
-            FPC_T_NEXT();
+            goto h_slow;
 
           h_writef:
             if (sp >= 2) [[likely]] {
@@ -1245,101 +1082,41 @@ Machine::threadedLoopT(std::uint64_t &steps)
                            value);
                 FPC_T_NEXT_FAST();
             }
-            FPC_T_PRE();
-            {
-                const Addr addr = tpop();
-                const Word value = tpop();
-                twriteData(addr + static_cast<unsigned>(ti->operand),
-                           value);
-            }
-            sp = sp_;
-            treload();
-            FPC_T_NEXT();
+            goto h_slow;
 
-          h_lpd:
-            FPC_T_PRE();
-            {
-                stats_.cycles += memCyc;
-                tpush(mem_.read(
-                    gf_ - 1 - static_cast<unsigned>(ti->operand),
-                    AccessKind::Table));
-            }
-            sp = sp_;
-            treload();
-            FPC_T_NEXT();
-
-            // -- ALU / compare (execArith/execCompare fast paths) ------
+            // -- ALU / compare -----------------------------------------
           h_add:
-            FPC_T_BIN(static_cast<Word>(a + b), execArith);
+            FPC_T_BIN(isa::Op::ADD);
           h_sub:
-            FPC_T_BIN(static_cast<Word>(a - b), execArith);
+            FPC_T_BIN(isa::Op::SUB);
           h_mul:
-            FPC_T_BIN(static_cast<Word>(
-                          static_cast<SDWord>(static_cast<SWord>(a)) *
-                          static_cast<SWord>(b)),
-                      execArith);
+            FPC_T_BIN(isa::Op::MUL);
           h_and:
-            FPC_T_BIN(static_cast<Word>(a & b), execArith);
+            FPC_T_BIN(isa::Op::AND);
           h_ior:
-            FPC_T_BIN(static_cast<Word>(a | b), execArith);
+            FPC_T_BIN(isa::Op::IOR);
           h_xor:
-            FPC_T_BIN(static_cast<Word>(a ^ b), execArith);
+            FPC_T_BIN(isa::Op::XOR);
           h_shl:
-            FPC_T_BIN(static_cast<Word>(b >= 16 ? 0 : a << b),
-                      execArith);
+            FPC_T_BIN(isa::Op::SHL);
           h_shr:
-            FPC_T_BIN(static_cast<Word>(b >= 16 ? 0 : a >> b),
-                      execArith);
-
+            FPC_T_BIN(isa::Op::SHR);
           h_div:
-            FPC_T_DIVISION(/);
+            FPC_T_BIN(isa::Op::DIV);
           h_mod:
-            FPC_T_DIVISION(%);
-
-          h_arith_slow:
-            // The unaries: the member does the exact eager sequence.
-            FPC_T_PRE();
-            execArith(static_cast<isa::Op>(ti->op));
-            sp = sp_;
-            treload();
-            FPC_T_NEXT();
-
+            FPC_T_BIN(isa::Op::MOD);
           h_lt:
-            FPC_T_BIN(static_cast<Word>(static_cast<SWord>(a) <
-                                                static_cast<SWord>(b)
-                                            ? 1
-                                            : 0),
-                      execCompare);
+            FPC_T_BIN(isa::Op::LT);
           h_le:
-            FPC_T_BIN(static_cast<Word>(static_cast<SWord>(a) <=
-                                                static_cast<SWord>(b)
-                                            ? 1
-                                            : 0),
-                      execCompare);
+            FPC_T_BIN(isa::Op::LE);
           h_eq:
-            FPC_T_BIN(static_cast<Word>(static_cast<SWord>(a) ==
-                                                static_cast<SWord>(b)
-                                            ? 1
-                                            : 0),
-                      execCompare);
+            FPC_T_BIN(isa::Op::EQ);
           h_ne:
-            FPC_T_BIN(static_cast<Word>(static_cast<SWord>(a) !=
-                                                static_cast<SWord>(b)
-                                            ? 1
-                                            : 0),
-                      execCompare);
+            FPC_T_BIN(isa::Op::NE);
           h_ge:
-            FPC_T_BIN(static_cast<Word>(static_cast<SWord>(a) >=
-                                                static_cast<SWord>(b)
-                                            ? 1
-                                            : 0),
-                      execCompare);
+            FPC_T_BIN(isa::Op::GE);
           h_gt:
-            FPC_T_BIN(static_cast<Word>(static_cast<SWord>(a) >
-                                                static_cast<SWord>(b)
-                                            ? 1
-                                            : 0),
-                      execCompare);
+            FPC_T_BIN(isa::Op::GT);
 
             // -- fused / predicted-not-taken branches ------------------
           h_jmp_fused:
@@ -1357,12 +1134,7 @@ Machine::threadedLoopT(std::uint64_t &steps)
                 pcAbs_ = ti->start + ti->operand;
                 goto early_exit; // taken: known divergence
             }
-            FPC_T_PRE();
-            if (tpop() == 0)
-                pcAbs_ = instStart_ + ti->operand;
-            sp = sp_;
-            treload();
-            FPC_T_NEXT();
+            goto h_slow;
 
           h_jnz_fall:
             if (sp >= 1) [[likely]] {
@@ -1374,52 +1146,35 @@ Machine::threadedLoopT(std::uint64_t &steps)
                 pcAbs_ = ti->start + ti->operand;
                 goto early_exit; // taken: known divergence
             }
-            FPC_T_PRE();
-            if (tpop() != 0)
-                pcAbs_ = instStart_ + ti->operand;
-            sp = sp_;
-            treload();
-            FPC_T_NEXT();
+            goto h_slow;
 
             // -- fused compare+branch superinstructions ----------------
             // JumpZeroFall takes when the pushed boolean would be 0,
             // i.e. when the comparison is false.
           h_lt_jz:
-            FPC_T_CMPBR(static_cast<SWord>(a) < static_cast<SWord>(b),
-                        false);
+            FPC_T_CMPBR(isa::Op::LT, false);
           h_le_jz:
-            FPC_T_CMPBR(static_cast<SWord>(a) <= static_cast<SWord>(b),
-                        false);
+            FPC_T_CMPBR(isa::Op::LE, false);
           h_eq_jz:
-            FPC_T_CMPBR(static_cast<SWord>(a) == static_cast<SWord>(b),
-                        false);
+            FPC_T_CMPBR(isa::Op::EQ, false);
           h_ne_jz:
-            FPC_T_CMPBR(static_cast<SWord>(a) != static_cast<SWord>(b),
-                        false);
+            FPC_T_CMPBR(isa::Op::NE, false);
           h_ge_jz:
-            FPC_T_CMPBR(static_cast<SWord>(a) >= static_cast<SWord>(b),
-                        false);
+            FPC_T_CMPBR(isa::Op::GE, false);
           h_gt_jz:
-            FPC_T_CMPBR(static_cast<SWord>(a) > static_cast<SWord>(b),
-                        false);
+            FPC_T_CMPBR(isa::Op::GT, false);
           h_lt_jnz:
-            FPC_T_CMPBR(static_cast<SWord>(a) < static_cast<SWord>(b),
-                        true);
+            FPC_T_CMPBR(isa::Op::LT, true);
           h_le_jnz:
-            FPC_T_CMPBR(static_cast<SWord>(a) <= static_cast<SWord>(b),
-                        true);
+            FPC_T_CMPBR(isa::Op::LE, true);
           h_eq_jnz:
-            FPC_T_CMPBR(static_cast<SWord>(a) == static_cast<SWord>(b),
-                        true);
+            FPC_T_CMPBR(isa::Op::EQ, true);
           h_ne_jnz:
-            FPC_T_CMPBR(static_cast<SWord>(a) != static_cast<SWord>(b),
-                        true);
+            FPC_T_CMPBR(isa::Op::NE, true);
           h_ge_jnz:
-            FPC_T_CMPBR(static_cast<SWord>(a) >= static_cast<SWord>(b),
-                        true);
+            FPC_T_CMPBR(isa::Op::GE, true);
           h_gt_jnz:
-            FPC_T_CMPBR(static_cast<SWord>(a) > static_cast<SWord>(b),
-                        true);
+            FPC_T_CMPBR(isa::Op::GT, true);
 
             // -- fused load pairs --------------------------------------
             // One guard covers both pushes; ti steps onto the second
@@ -1439,11 +1194,7 @@ Machine::threadedLoopT(std::uint64_t &steps)
                 sp += 2;
                 FPC_T_NEXT_FAST();
             }
-            FPC_T_PRE();
-            tpush(treadVar(static_cast<unsigned>(ti->operand)));
-            sp = sp_;
-            treload();
-            FPC_T_NEXT();
+            goto h_slow;
 
           h_ll_li:
             if (sp + 2 <= stackCap) [[likely]] {
@@ -1455,11 +1206,7 @@ Machine::threadedLoopT(std::uint64_t &steps)
                 sp += 2;
                 FPC_T_NEXT_FAST();
             }
-            FPC_T_PRE();
-            tpush(treadVar(static_cast<unsigned>(ti->operand)));
-            sp = sp_;
-            treload();
-            FPC_T_NEXT();
+            goto h_slow;
 
           h_li_ll:
             if (sp + 2 <= stackCap) [[likely]] {
@@ -1471,11 +1218,7 @@ Machine::threadedLoopT(std::uint64_t &steps)
                 sp += 2;
                 FPC_T_NEXT_FAST();
             }
-            FPC_T_PRE();
-            tpush(static_cast<Word>(ti->operand));
-            sp = sp_;
-            treload();
-            FPC_T_NEXT();
+            goto h_slow;
 
           h_li_li:
             if (sp + 2 <= stackCap) [[likely]] {
@@ -1485,86 +1228,33 @@ Machine::threadedLoopT(std::uint64_t &steps)
                 sp += 2;
                 FPC_T_NEXT_FAST();
             }
+            goto h_slow;
+
+          h_slow:
+            // The general scheme: execute() is the one definition of
+            // every instruction, traps included.
             FPC_T_PRE();
-            tpush(static_cast<Word>(ti->operand));
+            execute(instOf(*ti));
             sp = sp_;
             treload();
             FPC_T_NEXT();
 
             // -- terminals ---------------------------------------------
-          h_halt:
+          h_exit:
             FPC_T_PRE();
-            stopWith(StopReason::Halted, "HALT");
+            execute(instOf(*ti));
             goto full_exit;
 
-          h_xf:
+          h_call:
             FPC_T_PRE();
-            xferTo(tpop());
+            cache.pushReturn(cur);
+            execute(instOf(*ti), &cur->site);
             goto full_exit;
 
           h_ret:
             FPC_T_PRE();
-            doReturn();
+            execute(instOf(*ti));
             retFrom = cache.popReturn();
-            goto full_exit;
-
-          h_brk:
-            FPC_T_PRE();
-            trap(1, "BRK trap");
-            goto full_exit;
-
-          h_yield:
-            FPC_T_PRE();
-            processSwitch();
-            goto full_exit;
-
-          h_jz:
-            FPC_T_PRE();
-            if (tpop() == 0)
-                pcAbs_ = instStart_ + ti->operand;
-            goto full_exit;
-
-          h_jnz:
-            FPC_T_PRE();
-            if (tpop() != 0)
-                pcAbs_ = instStart_ + ti->operand;
-            goto full_exit;
-
-          h_efc:
-            FPC_T_PRE();
-            cache.pushReturn(cur);
-            callExternal(static_cast<unsigned>(ti->operand), &cur->site);
-            goto full_exit;
-
-          h_lfc:
-            FPC_T_PRE();
-            cache.pushReturn(cur);
-            callLocal(static_cast<unsigned>(ti->operand), &cur->site);
-            goto full_exit;
-
-          h_dfc:
-            FPC_T_PRE();
-            cache.pushReturn(cur);
-            callDirect(static_cast<CodeByteAddr>(ti->operand), &cur->site);
-            goto full_exit;
-
-          h_sdfc:
-            FPC_T_PRE();
-            cache.pushReturn(cur);
-            callDirect(instStart_ + ti->operand, &cur->site);
-            goto full_exit;
-
-          h_fcall:
-            FPC_T_PRE();
-            cache.pushReturn(cur);
-            callFat(static_cast<CodeByteAddr>(ti->operand),
-                    static_cast<Addr>(ti->operand2), &cur->site);
-            goto full_exit;
-
-          h_illegal:
-            FPC_T_PRE();
-            trap(4, strfmt("illegal opcode {} at {}",
-                           static_cast<int>(ti->op), instStart_));
             goto full_exit;
 
           h_block_end:
@@ -1616,7 +1306,7 @@ Machine::threadedLoopT(std::uint64_t &steps)
                     base = cur->insts.data();
                     ti = base;
                     sp = sp_;
-            treload();
+                    treload();
                     prev = cur;
                     goto *const_cast<void *>(ti->handler);
                 }
@@ -1673,7 +1363,6 @@ Machine::threadedLoopT(std::uint64_t &steps)
 }
 
 #undef FPC_T_CMPBR
-#undef FPC_T_DIVISION
 #undef FPC_T_BIN
 #undef FPC_T_NEXT_FAST
 #undef FPC_T_NEXT

@@ -72,6 +72,7 @@ struct TInst
     std::uint8_t op = 0;     ///< raw opcode (opCount accounting)
     std::uint8_t length = 0; ///< encoded length (instLenCount)
 };
+static_assert(sizeof(TInst) == 32);
 
 /**
  * A superblock: a straight-line decoded run ending at a control

@@ -45,8 +45,9 @@ TEST(SizeClasses, FsiForIsMinimal)
     for (unsigned words = 1; words <= classes.maxWords(); ++words) {
         const unsigned fsi = classes.fsiFor(words);
         EXPECT_GE(classes.classWords(fsi), words);
-        if (fsi > 0)
+        if (fsi > 0) {
             EXPECT_LT(classes.classWords(fsi - 1), words);
+        }
     }
     EXPECT_FALSE(classes.fits(classes.maxWords() + 1));
     EXPECT_THROW(classes.fsiFor(classes.maxWords() + 1), PanicError);

@@ -649,6 +649,125 @@ TEST(AccelDeterminism, ProbeArmedOnCalleeStaysExact)
 }
 
 // ---------------------------------------------------------------------
+// Slow paths: a straight-line handler whose stack guard fails (or a
+// DIV/MOD whose divisor is zero) runs the instruction's general
+// definition, trap included, and must charge exactly what the eager
+// loop charges for it.
+// ---------------------------------------------------------------------
+
+/** One slow-path case: main's body fragment, whether the stack
+ *  starts it one short of full (else empty), and whether it traps. */
+struct SlowCase
+{
+    const char *name;
+    std::function<void(ProcBuilder &)> body;
+    bool nearlyFull = false;
+    bool traps = true;
+};
+
+/** main(n) runs a short prefix, the fragment, then returns 42; the
+ *  trap handler's frame holds a full evaluation stack as its argument
+ *  record and returns straight back into main. The NOOP keeps the
+ *  fragment's last load from fusing with the epilogue's. */
+std::vector<Module>
+slowPathModules(const SlowCase &sc)
+{
+    ModuleBuilder b("M");
+    b.globals(1);
+    b.proc("handler", 1, 20).ret();
+    auto &main = b.proc("main", 1, 4);
+    main.loadLocal(0).storeLocal(1);
+    if (sc.nearlyFull) {
+        main.loadImm(0);
+        for (int i = 0; i < 14; ++i)
+            main.op(isa::Op::DUP);
+    }
+    sc.body(main);
+    main.op(isa::Op::NOOP).loadImm(42).ret();
+    return {b.build()};
+}
+
+TEST(AccelDeterminism, SlowPathsMatchEager)
+{
+    using isa::Op;
+    using P = ProcBuilder;
+    const SlowCase cases[] = {
+        // Underflow: the body starts on an empty stack (EXCH, WR,
+        // WRITEF, ADD and LT find one operand of two).
+        {"DUP", [](P &p) { p.op(Op::DUP); }},
+        {"DROP", [](P &p) { p.op(Op::DROP); }},
+        {"EXCH", [](P &p) { p.loadImm(1).op(Op::EXCH); }},
+        {"OUT", [](P &p) { p.op(Op::OUT); }},
+        {"SL", [](P &p) { p.storeLocal(2); }},
+        {"SG", [](P &p) { p.storeGlobal(0); }},
+        {"RD", [](P &p) { p.op(Op::RD); }},
+        {"WR", [](P &p) { p.loadLocalAddr(2).op(Op::WR); }},
+        {"READF", [](P &p) { p.op(Op::READF, 1); }},
+        {"WRITEF", [](P &p) { p.loadLocalAddr(2).op(Op::WRITEF, 1); }},
+        {"ADD", [](P &p) { p.loadImm(1).op(Op::ADD); }},
+        {"LT", [](P &p) { p.loadImm(1).op(Op::LT); }},
+        {"LT+JZ",
+         [](P &p) {
+             const AsmLabel skip = p.newLabel();
+             p.loadImm(1).op(Op::LT).jumpZero(skip);
+             p.loadImm(7).op(Op::OUT).label(skip);
+         }},
+        {"JZ",
+         [](P &p) {
+             const AsmLabel skip = p.newLabel();
+             p.jumpZero(skip).loadImm(7).op(Op::OUT).label(skip);
+         }},
+        {"JNZ",
+         [](P &p) {
+             const AsmLabel skip = p.newLabel();
+             p.jumpNotZero(skip).loadImm(7).op(Op::OUT).label(skip);
+         }},
+        {"NEG", [](P &p) { p.op(Op::NEG); }},
+        // Overflow: one free slot, so a fused load pair fails its
+        // guard, runs its first load alone, and the second load
+        // overflows in its own handler; the single pushes fill the
+        // last slot with a DUP first.
+        {"LL+LL", [](P &p) { p.loadLocal(0).loadLocal(1); }, true},
+        {"LL+LI", [](P &p) { p.loadLocal(0).loadImm(3); }, true},
+        {"LI+LL", [](P &p) { p.loadImm(3).loadLocal(0); }, true},
+        {"LI+LI", [](P &p) { p.loadImm(3).loadImm(4); }, true},
+        {"LI", [](P &p) { p.op(Op::DUP).loadImm(3); }, true},
+        {"LG", [](P &p) { p.op(Op::DUP).loadGlobal(0); }, true},
+        {"LRC", [](P &p) { p.op(Op::DUP).op(Op::LRC); }, true},
+        {"DUP full", [](P &p) { p.op(Op::DUP).op(Op::DUP); }, true},
+        // Division by zero.
+        {"DIV", [](P &p) { p.loadImm(7).loadImm(0).op(Op::DIV); }},
+        {"MOD", [](P &p) { p.loadImm(7).loadImm(0).op(Op::MOD); }},
+        // No fast path: LLA (which drops the current bank on I4) and
+        // the RD/WR that use its address.
+        {"LLA+WR+RD",
+         [](P &p) {
+             p.loadImm(9).loadLocalAddr(2).op(Op::WR);
+             p.loadLocalAddr(2).op(Op::RD).op(Op::OUT);
+         },
+         false, false},
+    };
+    for (const SlowCase &sc : cases) {
+        for (const bool handler : {false, true}) {
+            SCOPED_TRACE(std::string(sc.name) +
+                         (handler ? " with handler" : ""));
+            CallCase c{slowPathModules(sc), 5};
+            c.trapHandler = handler;
+            // The same 16-word evaluation stack on every engine.
+            c.configure = [](MachineConfig &config) {
+                config.bankWords = 16 + frame::varsOffset;
+            };
+            for (const CaseOut &out : expectMatchesEager(c)) {
+                EXPECT_GT(out.accel.sblockBuilds, 0u);
+                EXPECT_EQ(out.reason, sc.traps && !handler
+                                          ? StopReason::Error
+                                          : StopReason::TopReturn);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Invalidation
 // ---------------------------------------------------------------------
 

@@ -206,10 +206,12 @@ TEST(StatGroup, VisitRunsInRegistrationOrder)
             EXPECT_EQ(desc, "first");
             EXPECT_NE(c, nullptr);
         }
-        if (name == "d1")
+        if (name == "d1") {
             EXPECT_NE(d, nullptr);
-        if (name == "h1")
+        }
+        if (name == "h1") {
             EXPECT_NE(h, nullptr);
+        }
         EXPECT_EQ((c != nullptr) + (d != nullptr) + (h != nullptr), 1);
     });
     EXPECT_EQ(order,

@@ -395,7 +395,8 @@ try {
     if (opt.accel && forcesEager) {
         warn("fpcrun: exact observation (--profile/--trace-out/"
              "--record-out/--postmortem-dir/exact metrics) forces the "
-             "eager loop; --accel=threaded keeps only its XFER caches. "
+             "eager loop; --accel=threaded keeps only its predecoded "
+             "instruction cache and XFER link caches. "
              "Use --profile-sampled / --telemetry-mode=sampled to keep "
              "the fast path");
     }

@@ -315,7 +315,8 @@ parseArgs(int argc, char **argv)
     if (sc.machine.accel.enabled && forcesEager) {
         warn("fpcserve: exact observation (--trace-out/"
              "--postmortem-dir/exact metrics) forces the eager loop; "
-             "--accel=threaded keeps only its XFER caches. Use "
+             "--accel=threaded keeps only its predecoded instruction "
+             "cache and XFER link caches. Use "
              "--telemetry-mode=sampled to keep the fast path");
     }
     return opt;
