@@ -96,7 +96,15 @@ struct ComboParam
     Impl impl;
     CallLowering lowering;
     bool shortCalls;
+    /**
+     * ctest names each case after its bytes ("12-byte object <...>"),
+     * so the tail after `shortCalls` is a zeroed field rather than
+     * padding: as padding it held stack garbage and the names changed
+     * between test listings.
+     */
+    std::uint8_t nameTail[3] = {};
 };
+static_assert(sizeof(ComboParam) == 12, "ComboParam must have no padding");
 
 std::string
 comboName(const testing::TestParamInfo<ComboParam> &info)

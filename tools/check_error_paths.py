@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Exercise the drivers' exporter/postmortem error paths.
+"""Exercise the drivers' exporter/postmortem and command-line error paths.
 
 Every artifact flag pointed at an unwritable target must make the
 driver report the failure and exit nonzero — without crashing, and
 without losing the run's primary output (program output and --stats
 still appear). A --postmortem-dir= that cannot be created is a
 warning, not a second failure: the bundle is best-effort diagnostics
-for a run that already failed.
+for a run that already failed. A malformed flag value or program
+argument is a usage error: exit 2 with the usage text on stderr.
 
 Usage: check_error_paths.py <fpcvm> <fpcrun> <programs-dir>
 """
@@ -85,6 +86,25 @@ def main():
         check("fpcrun --postmortem-dir=<file>: no crash", p.returncode >= 0)
         check("fpcrun --postmortem-dir=<file>: exit nonzero",
               p.returncode == 1, f"(exit {p.returncode})")
+
+        # Malformed values: the whole string must be a number that fits.
+        for label, cmd in (
+                ("fpcvm --banks=4x", [fpcvm, "--banks=4x", primes, "10"]),
+                ("fpcvm --timeslice=-5",
+                 [fpcvm, "--timeslice=-5", "--stats", primes, "10"]),
+                ("fpcvm --impl=bogus", [fpcvm, "--impl=bogus", primes, "10"]),
+                ("fpcvm <file> abc", [fpcvm, primes, "abc"]),
+                ("fpcrun --jobs=2x", [fpcrun, "--jobs=2x", primes, "10"]),
+                ("fpcrun --impl=bogus",
+                 [fpcrun, "--impl=bogus", primes, "10"]),
+                ("fpcrun <file> 10x", [fpcrun, "--jobs=1", primes, "10x"])):
+            p = run(cmd)
+            check(f"{label}: no crash", p.returncode >= 0,
+                  f"(signal {-p.returncode})")
+            check(f"{label}: usage error", p.returncode == 2,
+                  f"(exit {p.returncode})")
+            check(f"{label}: prints the usage", "usage:" in p.stderr,
+                  f"(stderr: {p.stderr!r})")
 
         # Control: the same flags pointed somewhere writable succeed.
         p = run([fpcvm, f"--metrics-out={tmpdir/'m.json'}",

@@ -26,78 +26,49 @@
 #include "common/logging.hh"
 #include "serve/client.hh"
 
+#include "cli.hh"
+
 using namespace fpc;
 
 namespace
 {
 
-struct Options
+struct Options : cli::Common
 {
-    std::string host = "127.0.0.1";
-    std::uint16_t port = 0;
     std::string command; ///< attach | detach | read
     std::string operand; ///< attach: spec; detach: id
+    std::uint32_t id = 0; ///< detach
 };
-
-void
-printUsage(std::ostream &os, const char *argv0)
-{
-    os << "usage: " << argv0
-       << " [options] attach '<spec>'\n"
-          "       " << argv0 << " [options] detach <id>\n"
-          "       " << argv0 << " [options] read\n"
-          "  --host=ADDR   server address (default 127.0.0.1)\n"
-          "  --port=N      server port (required)\n"
-          "  --help        show this help\n"
-          "probe specs: '<site>{<predicate>,...} -> <action>', e.g.\n"
-          "  'entry:Primes.isPrime -> count'\n"
-          "  'entry:Sort.* {depth<=8} -> quantize(cycles)'\n"
-          "  'xfer:return {tenant==gold} -> sum(refs)'\n";
-}
-
-[[noreturn]] void
-usage(const char *argv0)
-{
-    printUsage(std::cerr, argv0);
-    std::exit(2);
-}
 
 Options
 parseArgs(int argc, char **argv)
 {
     Options opt;
-    std::vector<std::string> positional;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&](const std::string &prefix) {
-            return arg.substr(prefix.size());
-        };
-        if (arg.rfind("--host=", 0) == 0) {
-            opt.host = value("--host=");
-        } else if (arg.rfind("--port=", 0) == 0) {
-            opt.port = static_cast<std::uint16_t>(
-                std::stoul(value("--port=")));
-        } else if (arg == "--help") {
-            printUsage(std::cout, argv[0]);
-            std::exit(0);
-        } else if (arg.rfind("--", 0) == 0) {
-            usage(argv[0]);
-        } else {
-            positional.push_back(arg);
-        }
-    }
+    cli::Parser p(argv[0],
+                  {"[options] attach '<spec>'", "[options] detach <id>",
+                   "[options] read"},
+                  "probe specs: '<site>{<predicate>,...} -> <action>', "
+                  "e.g.\n"
+                  "  'entry:Primes.isPrime -> count'\n"
+                  "  'entry:Sort.* {depth<=8} -> quantize(cycles)'\n"
+                  "  'xfer:return {tenant==gold} -> sum(refs)'\n");
+    cli::addGroups(p, opt, cli::Address);
+    const std::vector<std::string> positional = p.parse(argc, argv);
     if (positional.empty() || opt.port == 0)
-        usage(argv[0]);
+        p.usage();
     opt.command = positional[0];
     if (opt.command == "attach" || opt.command == "detach") {
         if (positional.size() != 2)
-            usage(argv[0]);
+            p.usage();
         opt.operand = positional[1];
+        if (opt.command == "detach" &&
+            !cli::parseUnsigned(opt.operand, opt.id))
+            p.usage("bad probe id " + opt.operand);
     } else if (opt.command == "read") {
         if (positional.size() != 1)
-            usage(argv[0]);
+            p.usage();
     } else {
-        usage(argv[0]);
+        p.usage();
     }
     return opt;
 }
@@ -128,14 +99,8 @@ try {
         }
         std::cout << reply.probeId << "\n";
     } else if (opt.command == "detach") {
-        std::uint32_t id = 0;
-        try {
-            id = static_cast<std::uint32_t>(std::stoul(opt.operand));
-        } catch (const std::exception &) {
-            usage(argv[0]);
-        }
         serve::Reply reply;
-        if (!client.probeDetach(id, reply)) {
+        if (!client.probeDetach(opt.id, reply)) {
             error("fpcprobe: connection lost during detach");
             return 1;
         }

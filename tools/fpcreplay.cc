@@ -23,12 +23,10 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/logging.hh"
-#include "lang/codegen.hh"
 #include "machine/digest.hh"
 #include "machine/machine.hh"
 #include "program/loader.hh"
@@ -36,233 +34,89 @@
 #include "replay/recorder.hh"
 #include "replay/replayer.hh"
 
+#include "cli.hh"
+
 using namespace fpc;
 
 namespace
 {
 
-struct Options
+struct Options : cli::Common
 {
     std::string command; ///< record | verify | diverge
     std::string file;    ///< .mm for record, .fpcr otherwise
     std::vector<Word> args;
     std::string out = "run.fpcr";
-    Impl impl = Impl::Mesa;
-    CallLowering lowering = CallLowering::Mesa;
-    bool shortCalls = false;
-    unsigned banks = 4;
-    std::uint64_t timeslice = 0;
-    bool accel = true; ///< threaded backend; false runs eager
-    std::optional<bool> accelOverride; ///< verify: force the backend
     Tick interval = 10000;
-    std::string entryModule;
-    std::string entryProc = "main";
-    std::string postmortemDir;
     std::optional<Impl> engine; ///< diverge: the other engine
 };
-
-void
-printUsage(std::ostream &os, const char *argv0)
-{
-    os << "usage: " << argv0
-       << " record <file.mm> [int args...] [options]\n"
-          "       "
-       << argv0
-       << " verify <run.fpcr> [options]\n"
-          "       "
-       << argv0
-       << " diverge <run.fpcr> --engine=ENGINE [options]\n"
-          "record options:\n"
-          "  --out=FILE                      recording path (default "
-          "run.fpcr)\n"
-          "  --impl=simple|mesa|ifu|banked   machine (default mesa)\n"
-          "  --linkage=fat|mesa|direct       binding (default mesa)\n"
-          "  --short-calls                   use SHORTDIRECTCALL\n"
-          "  --banks=N                       register banks (I4)\n"
-          "  --timeslice=N                   preempt every N "
-          "instructions\n"
-          "  --interval=N                    cycles between state "
-          "digests (default 10000)\n"
-          "  --entry=Mod.proc                entry point\n"
-          "verify options:\n"
-          "  --accel=off|threaded            force the host backend "
-          "(digests must not care)\n"
-          "  --postmortem-dir=DIR            write a divergence bundle "
-          "on mismatch\n"
-          "diverge options:\n"
-          "  --engine=I1|I2|I3|I4            the engine to compare "
-          "against\n"
-          "common options:\n"
-          "  --log-level=error|warn|info|debug  stderr verbosity "
-          "(default info)\n"
-          "  --help                          show this help\n";
-}
-
-[[noreturn]] void
-usage(const char *argv0)
-{
-    printUsage(std::cerr, argv0);
-    std::exit(2);
-}
-
-Impl
-parseEngine(const std::string &v, const char *argv0)
-{
-    if (v == "I1" || v == "i1" || v == "simple")
-        return Impl::Simple;
-    if (v == "I2" || v == "i2" || v == "mesa")
-        return Impl::Mesa;
-    if (v == "I3" || v == "i3" || v == "ifu")
-        return Impl::Ifu;
-    if (v == "I4" || v == "i4" || v == "banked")
-        return Impl::Banked;
-    usage(argv0);
-}
 
 Options
 parseArgs(int argc, char **argv)
 {
     Options opt;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&](const std::string &prefix) {
-            return arg.substr(prefix.size());
-        };
-        if (arg.rfind("--out=", 0) == 0) {
-            opt.out = value("--out=");
-        } else if (arg.rfind("--impl=", 0) == 0) {
-            opt.impl = parseEngine(value("--impl="), argv[0]);
-        } else if (arg.rfind("--linkage=", 0) == 0) {
-            opt.lowering =
-                replay::parseLoweringToken(value("--linkage="));
-        } else if (arg == "--short-calls") {
-            opt.shortCalls = true;
-        } else if (arg.rfind("--banks=", 0) == 0) {
-            opt.banks = std::stoul(value("--banks="));
-        } else if (arg.rfind("--timeslice=", 0) == 0) {
-            opt.timeslice = std::stoull(value("--timeslice="));
-        } else if (arg.rfind("--interval=", 0) == 0) {
-            opt.interval = std::stoull(value("--interval="));
-        } else if (arg.rfind("--entry=", 0) == 0) {
-            const std::string v = value("--entry=");
-            const auto dot = v.find('.');
-            if (dot == std::string::npos)
-                usage(argv[0]);
-            opt.entryModule = v.substr(0, dot);
-            opt.entryProc = v.substr(dot + 1);
-        } else if (arg.rfind("--accel=", 0) == 0) {
-            const std::string v = value("--accel=");
-            if (v != "off" && v != "threaded")
-                usage(argv[0]);
-            opt.accel = v == "threaded";
-            opt.accelOverride = opt.accel;
-        } else if (arg.rfind("--postmortem-dir=", 0) == 0) {
-            opt.postmortemDir = value("--postmortem-dir=");
-        } else if (arg.rfind("--engine=", 0) == 0) {
-            opt.engine = parseEngine(value("--engine="), argv[0]);
-        } else if (arg.rfind("--log-level=", 0) == 0) {
-            LogLevel level;
-            if (!parseLogLevel(value("--log-level="), level))
-                usage(argv[0]);
-            setLogLevel(level);
-        } else if (arg == "--help") {
-            printUsage(std::cout, argv[0]);
-            std::exit(0);
-        } else if (arg.rfind("--", 0) == 0) {
-            usage(argv[0]);
-        } else if (opt.command.empty()) {
-            opt.command = arg;
-        } else if (opt.file.empty()) {
-            opt.file = arg;
-        } else {
-            opt.args.push_back(
-                static_cast<Word>(std::stol(arg) & 0xFFFF));
-        }
-    }
-    if (opt.command.empty() || opt.file.empty())
-        usage(argv[0]);
+    cli::Parser p(argv[0],
+                  {"record <file.mm> [int args...] [options]",
+                   "verify <run.fpcr> [options]",
+                   "diverge <run.fpcr> --engine=ENGINE [options]"},
+                  "record takes the machine flags, --entry, --out and\n"
+                  "--interval. verify takes --accel, to force the host "
+                  "backend (the\ndigests must not care), and "
+                  "--postmortem-dir, for a divergence bundle.\n"
+                  "diverge takes --engine.\n");
+    p.add({"--out", "FILE", "recording path (default run.fpcr)",
+           cli::text(opt.out)});
+    p.add({"--interval", "N", "cycles between state digests (default "
+           "10000)", cli::number(opt.interval)});
+    p.add({"--engine", "I1|I2|I3|I4", "the engine to compare against",
+           cli::choice(opt.engine, cli::engines())});
+    cli::addGroups(p, opt,
+                   cli::Machine | cli::Entry | cli::Postmortem |
+                       cli::LogLevel);
+    const std::vector<std::string> positional = p.parse(argc, argv);
+    if (positional.size() < 2)
+        p.usage();
+    opt.command = positional[0];
+    opt.file = positional[1];
+    opt.args = p.words(positional, 2);
     if (opt.command != "record" && opt.command != "verify" &&
         opt.command != "diverge")
-        usage(argv[0]);
+        p.usage();
     if (opt.command == "diverge" && !opt.engine)
-        usage(argv[0]);
+        p.usage();
     return opt;
 }
 
 int
 doRecord(const Options &opt)
 {
-    std::ifstream in(opt.file);
-    if (!in) {
-        error("fpcreplay: cannot open {}", opt.file);
-        return 1;
-    }
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    const std::string source = buffer.str();
+    const cli::Program program = cli::compileFile(opt.file, opt.entryModule);
 
-    const auto modules = lang::compile(source);
-    std::string entry = opt.entryModule;
-    if (entry.empty()) {
-        entry = modules.front().name;
-        for (const auto &m : modules)
-            if (m.name == "Main")
-                entry = "Main";
-    }
+    Memory mem(SystemLayout().memWords);
+    const LoadedImage image = program.load(mem, opt.plan);
 
-    const SystemLayout layout;
-    Memory mem(layout.memWords);
-    Loader loader{layout, SizeClasses::standard()};
-    for (const auto &m : modules)
-        loader.add(m);
-    LinkPlan plan;
-    plan.lowering = opt.lowering;
-    plan.shortCalls = opt.shortCalls;
-    const LoadedImage image = loader.load(mem, plan);
-
-    replay::RecordLog log;
-    log.impl = opt.impl;
-    log.lowering = opt.lowering;
-    log.shortCalls = opt.shortCalls;
-    log.banks = opt.banks;
-    log.timeslice = opt.timeslice;
-    log.accel = opt.accel;
-    log.interval = opt.interval;
-    log.workers = 1;
-    log.stride = 1;
+    replay::RecordLog log =
+        cli::recordHeader(opt, opt.interval, program, opt.args);
     log.imageHash = replay::imageHash(mem, image);
-    log.entryModule = entry;
-    log.entryProc = opt.entryProc;
-    log.args = opt.args;
-    log.source = source;
 
-    MachineConfig config;
-    config.impl = opt.impl;
-    config.numBanks = opt.banks;
-    config.timesliceSteps = opt.timeslice;
-    config.accel.enabled = opt.accel;
-    Machine machine(mem, image, config);
+    Machine machine(mem, image, opt.machine);
 
     replay::Recorder recorder;
     recorder.beginJob(0, 0);
     machine.setSampler(&recorder, opt.interval);
-    if (opt.timeslice > 0) {
+    if (opt.machine.timesliceSteps > 0) {
         machine.setScheduler(recorder.wrapPolicy(
             [](Machine &m) { return m.currentFrameContext(); }));
     }
 
-    machine.start(entry, opt.entryProc, opt.args);
+    machine.start(program.entryModule, opt.entryProc, opt.args);
     recorder.sample(machine);
     const RunResult result = machine.run();
     recorder.finish(machine, result);
     log.jobs.push_back(recorder.takeJob());
 
-    std::ofstream os(opt.out);
-    if (!os) {
-        error("fpcreplay: cannot write {}", opt.out);
-        return 1;
-    }
-    replay::writeRecord(os, log);
+    cli::writeFile(opt.out,
+                   [&](std::ostream &os) { replay::writeRecord(os, log); });
     const replay::JobRecord &job = log.jobs.front();
     std::cout << "recorded " << opt.file << " -> " << opt.out << " ("
               << stopReasonName(result.reason) << ", "
@@ -287,7 +141,8 @@ doVerify(const Options &opt)
     replay::Replayer replayer(loadRecord(opt.file));
 
     replay::VerifyOptions vo;
-    vo.accelOverride = opt.accelOverride;
+    if (opt.accelGiven)
+        vo.accelOverride = opt.machine.accel.enabled;
     vo.divergenceDir = opt.postmortemDir;
     const replay::VerifyResult result = replayer.verify(vo);
 

@@ -15,16 +15,13 @@
  * module named Main, the first module's "main".
  */
 
-#include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/logging.hh"
 #include "isa/disasm.hh"
-#include "lang/codegen.hh"
 #include "machine/machine.hh"
 #include "obs/fanout.hh"
 #include "obs/json.hh"
@@ -37,262 +34,35 @@
 #include "program/loader.hh"
 #include "replay/record.hh"
 #include "replay/recorder.hh"
-#include "stats/table.hh"
+
+#include "cli.hh"
 
 using namespace fpc;
 
 namespace
 {
 
-struct Options
+struct Options : cli::Common
 {
     std::string file;
     std::vector<Word> args;
-    Impl impl = Impl::Mesa;
-    CallLowering lowering = CallLowering::Mesa;
-    bool shortCalls = false;
-    bool stats = false;
     bool disasm = false;
-    bool accel = true; ///< threaded backend; false runs eager
-    bool accelStats = false;
-    unsigned banks = 4;
-    std::uint64_t timeslice = 0;
-    std::string entryModule;
-    std::string entryProc = "main";
-    std::string traceOut;      ///< Chrome trace JSON path
-    std::size_t traceCapacity = obs::Tracer::defaultCapacity;
-    bool profile = false;
-    unsigned profileTop = 20;
-    std::string profileFolded; ///< folded-stacks path (flamegraph.pl)
-    bool profileSampled = false;
-    Tick sampleInterval = 9973; ///< cycles between boundary samples
-    bool telemetrySampled = false;
-    std::string statsJson;     ///< "fpc-stats-v1" document path
-    std::string metricsOut;    ///< "fpc-metrics-v1" time-series path
-    Tick metricsInterval = obs::Telemetry::defaultInterval;
-    std::size_t metricsCapacity = obs::Telemetry::defaultCapacity;
-    std::string openmetricsOut; ///< OpenMetrics exposition path
-    std::string postmortemDir;  ///< bundle directory on error stops
-    std::string recordOut;      ///< "fpc-record-v1" recording path
-    std::vector<std::string> probeSpecs; ///< --probe= one-liners
-    std::string probeOut;       ///< "fpc-probes-v1" document path
 };
-
-void
-printUsage(std::ostream &os, const char *argv0)
-{
-    os << "usage: " << argv0
-       << " [options] <file.mm> [int args...]\n"
-          "  --impl=simple|mesa|ifu|banked   machine (default mesa)\n"
-          "  --linkage=fat|mesa|direct       binding (default mesa)\n"
-          "  --short-calls                   use SHORTDIRECTCALL\n"
-          "  --banks=N                       register banks (I4)\n"
-          "  --timeslice=N                   preempt every N "
-          "instructions\n"
-          "  --entry=Mod.proc                entry point\n"
-          "  --stats                         dump machine statistics\n"
-          "  --accel=off|threaded            host backend: eager or "
-          "threaded-code\n"
-          "                                  superblocks (simulated "
-          "numbers are identical\n"
-          "                                  in both; default "
-          "threaded)\n"
-          "  --accel-stats                   dump host cache counters\n"
-          "  --disasm                        dump the loaded code\n"
-          "  --trace-out=FILE                write a Chrome/Perfetto "
-          "XFER trace\n"
-          "  --trace-capacity=N              trace ring size (default "
-       << obs::Tracer::defaultCapacity
-       << ")\n"
-          "  --profile                       per-procedure cycle "
-          "profile\n"
-          "  --profile-top=N                 profile rows to print "
-          "(default 20)\n"
-          "  --profile-folded=FILE           write folded stacks "
-          "(flamegraph.pl)\n"
-          "  --profile-sampled               sampled (accel-safe) "
-          "profile: boundary\n"
-          "                                  samples instead of exact "
-          "XFER observation,\n"
-          "                                  so --accel fast paths "
-          "keep running\n"
-          "  --sample-interval=N             cycles between boundary "
-          "samples (default\n"
-          "                                  9973; prime to avoid "
-          "loop aliasing)\n"
-          "  --telemetry-mode=exact|sampled  exact: cycle-precise "
-          "sampler (forces the\n"
-          "                                  eager loop; default). "
-          "sampled: bounded-slop\n"
-          "                                  boundary samples, accel "
-          "fast paths kept\n"
-          "  --stats-json=FILE               write statistics as JSON\n"
-          "  --metrics-out=FILE              write a fpc-metrics-v1 "
-          "time series\n"
-          "  --metrics-interval=N            cycles between samples "
-          "(default "
-       << obs::Telemetry::defaultInterval
-       << ")\n"
-          "  --metrics-capacity=N            metrics ring size "
-          "(default "
-       << obs::Telemetry::defaultCapacity
-       << ")\n"
-          "  --openmetrics-out=FILE          write the series as "
-          "OpenMetrics text\n"
-          "  --postmortem-dir=DIR            write a postmortem bundle "
-          "on error stops\n"
-          "  --record-out=FILE               write an fpc-record-v1 "
-          "recording (fpcreplay)\n"
-          "  --probe=SPEC                    attach a dynamic probe "
-          "(repeatable); e.g.\n"
-          "                                  'entry:Mod.proc"
-          "{depth<=4} -> quantize(cycles)'\n"
-          "                                  zero simulated cost; "
-          "accel backends deopt only\n"
-          "                                  the probed procedures\n"
-          "  --probe-out=FILE                write probe aggregations "
-          "as fpc-probes-v1\n"
-          "  --log-level=error|warn|info|debug  stderr verbosity "
-          "(default info)\n"
-          "  --help                          show this help\n";
-}
-
-[[noreturn]] void
-usage(const char *argv0)
-{
-    printUsage(std::cerr, argv0);
-    std::exit(2);
-}
 
 Options
 parseArgs(int argc, char **argv)
 {
     Options opt;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&](const std::string &prefix) {
-            return arg.substr(prefix.size());
-        };
-        if (arg.rfind("--impl=", 0) == 0) {
-            const std::string v = value("--impl=");
-            if (v == "simple")
-                opt.impl = Impl::Simple;
-            else if (v == "mesa")
-                opt.impl = Impl::Mesa;
-            else if (v == "ifu")
-                opt.impl = Impl::Ifu;
-            else if (v == "banked")
-                opt.impl = Impl::Banked;
-            else
-                usage(argv[0]);
-        } else if (arg.rfind("--linkage=", 0) == 0) {
-            const std::string v = value("--linkage=");
-            if (v == "fat")
-                opt.lowering = CallLowering::Fat;
-            else if (v == "mesa")
-                opt.lowering = CallLowering::Mesa;
-            else if (v == "direct")
-                opt.lowering = CallLowering::Direct;
-            else
-                usage(argv[0]);
-        } else if (arg == "--short-calls") {
-            opt.shortCalls = true;
-        } else if (arg.rfind("--banks=", 0) == 0) {
-            opt.banks = std::stoul(value("--banks="));
-        } else if (arg.rfind("--timeslice=", 0) == 0) {
-            opt.timeslice = std::stoull(value("--timeslice="));
-        } else if (arg.rfind("--entry=", 0) == 0) {
-            const std::string v = value("--entry=");
-            const auto dot = v.find('.');
-            if (dot == std::string::npos)
-                usage(argv[0]);
-            opt.entryModule = v.substr(0, dot);
-            opt.entryProc = v.substr(dot + 1);
-        } else if (arg == "--stats") {
-            opt.stats = true;
-        } else if (arg.rfind("--accel=", 0) == 0) {
-            const std::string v = value("--accel=");
-            if (v != "off" && v != "threaded")
-                usage(argv[0]);
-            opt.accel = v == "threaded";
-        } else if (arg == "--accel-stats") {
-            opt.accelStats = true;
-        } else if (arg == "--disasm") {
-            opt.disasm = true;
-        } else if (arg.rfind("--trace-out=", 0) == 0) {
-            opt.traceOut = value("--trace-out=");
-        } else if (arg.rfind("--trace-capacity=", 0) == 0) {
-            opt.traceCapacity = std::stoull(value("--trace-capacity="));
-        } else if (arg == "--profile") {
-            opt.profile = true;
-        } else if (arg.rfind("--profile-top=", 0) == 0) {
-            opt.profile = true;
-            opt.profileTop = std::stoul(value("--profile-top="));
-        } else if (arg.rfind("--profile-folded=", 0) == 0) {
-            opt.profileFolded = value("--profile-folded=");
-        } else if (arg == "--profile-sampled") {
-            opt.profileSampled = true;
-        } else if (arg.rfind("--sample-interval=", 0) == 0) {
-            opt.sampleInterval =
-                std::stoull(value("--sample-interval="));
-        } else if (arg.rfind("--telemetry-mode=", 0) == 0) {
-            const std::string v = value("--telemetry-mode=");
-            if (v == "exact")
-                opt.telemetrySampled = false;
-            else if (v == "sampled")
-                opt.telemetrySampled = true;
-            else
-                usage(argv[0]);
-        } else if (arg.rfind("--stats-json=", 0) == 0) {
-            opt.statsJson = value("--stats-json=");
-        } else if (arg.rfind("--metrics-out=", 0) == 0) {
-            opt.metricsOut = value("--metrics-out=");
-        } else if (arg.rfind("--metrics-interval=", 0) == 0) {
-            opt.metricsInterval =
-                std::stoull(value("--metrics-interval="));
-        } else if (arg.rfind("--metrics-capacity=", 0) == 0) {
-            opt.metricsCapacity =
-                std::stoull(value("--metrics-capacity="));
-        } else if (arg.rfind("--openmetrics-out=", 0) == 0) {
-            opt.openmetricsOut = value("--openmetrics-out=");
-        } else if (arg.rfind("--postmortem-dir=", 0) == 0) {
-            opt.postmortemDir = value("--postmortem-dir=");
-        } else if (arg.rfind("--record-out=", 0) == 0) {
-            opt.recordOut = value("--record-out=");
-        } else if (arg.rfind("--probe=", 0) == 0) {
-            opt.probeSpecs.push_back(value("--probe="));
-        } else if (arg.rfind("--probe-out=", 0) == 0) {
-            opt.probeOut = value("--probe-out=");
-        } else if (arg.rfind("--log-level=", 0) == 0) {
-            LogLevel level;
-            if (!parseLogLevel(value("--log-level="), level))
-                usage(argv[0]);
-            setLogLevel(level);
-        } else if (arg == "--help") {
-            printUsage(std::cout, argv[0]);
-            std::exit(0);
-        } else if (arg.rfind("--", 0) == 0) {
-            usage(argv[0]);
-        } else if (opt.file.empty()) {
-            opt.file = arg;
-        } else {
-            opt.args.push_back(
-                static_cast<Word>(std::stol(arg) & 0xFFFF));
-        }
-    }
-    if (opt.file.empty())
-        usage(argv[0]);
-    // A folded path alone keeps its historical meaning (exact
-    // profile); with --profile-sampled it exports the sampled one.
-    if (!opt.profileFolded.empty() && !opt.profileSampled)
-        opt.profile = true;
-    if (opt.telemetrySampled && !opt.recordOut.empty()) {
-        std::cerr << argv[0]
-                  << ": --telemetry-mode=sampled cannot be combined "
-                     "with --record-out (replay requires the exact "
-                     "sampler chain)\n";
-        std::exit(2);
-    }
+    cli::Parser p(argv[0], {"[options] <file.mm> [int args...]"});
+    p.add({"--disasm", "", "dump the loaded code", cli::set(opt.disasm)});
+    cli::addGroups(p, opt,
+                   cli::Machine | cli::Entry | cli::Observe | cli::Reports |
+                       cli::Postmortem | cli::LogLevel);
+    const std::vector<std::string> positional = p.parse(argc, argv);
+    if (positional.empty())
+        p.usage();
+    opt.file = positional.front();
+    opt.args = p.words(positional, 1);
     return opt;
 }
 
@@ -330,19 +100,7 @@ dumpStats(const Machine &machine, const Memory &mem)
               << "   cycles: " << s.cycles
               << "   storage refs: " << mem.totalRefs() << "\n";
 
-    stats::Table table({"transfer", "count", "fast", "mean refs",
-                        "mean cycles"});
-    for (unsigned k = 0; k < MachineStats::numXferKinds; ++k) {
-        if (s.xferCount[k] == 0)
-            continue;
-        table.row(xferKindName(static_cast<XferKind>(k)),
-                  s.xferCount[k], s.xferFast[k],
-                  stats::fixed(s.xferRefs[k].mean(), 2),
-                  stats::fixed(s.xferCycles[k].mean(), 1));
-    }
-    table.print(std::cout);
-    std::cout << "jump-speed calls+returns: "
-              << stats::percent(s.fastCallReturnRate()) << "\n";
+    cli::printTransfers(std::cout, s);
     if (machine.config().impl == Impl::Banked) {
         std::cout << "bank overflows: " << s.bankOverflows
                   << "   underflows: " << s.bankUnderflows
@@ -363,34 +121,6 @@ dumpStats(const Machine &machine, const Memory &mem)
     }
 }
 
-void
-dumpAccelStats(const Machine &machine)
-{
-    std::cout << "\n--- host acceleration ---\n";
-    if (!machine.accelEnabled()) {
-        std::cout << "disabled (--accel=off)\n";
-        return;
-    }
-    const AccelStats a = machine.accelStats();
-    std::cout << "icache: " << a.icacheHits << " hits, "
-              << a.icacheMisses << " misses ("
-              << stats::percent(a.icacheHitRate()) << ")\n"
-              << "link cache: " << a.linkHits() << " hits, "
-              << a.linkMisses() << " misses ("
-              << stats::percent(a.linkHitRate()) << ")\n"
-              << "flushes: " << a.codeFlushes << " code, "
-              << a.tableFlushes << " link\n";
-    if (machine.threadedActive())
-        std::cout << "call sites: " << a.callSiteHits << " hits, "
-                  << a.callSiteMisses << " misses   return predictions: "
-                  << a.returnPredHits << " taken, " << a.returnPredMisses
-                  << " missed\n";
-    if (a.probeSites != 0 || a.probeEagerSteps != 0)
-        std::cout << "probes: " << a.probeSites << " armed sites, "
-                  << a.probeDeoptBlocks << " deopt blocks, "
-                  << a.probeEagerSteps << " eager steps\n";
-}
-
 } // namespace
 
 int
@@ -398,33 +128,10 @@ main(int argc, char **argv)
 try {
     const Options opt = parseArgs(argc, argv);
 
-    std::ifstream in(opt.file);
-    if (!in) {
-        error("fpcvm: cannot open {}", opt.file);
-        return 1;
-    }
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    const std::string source = buffer.str();
+    const cli::Program program = cli::compileFile(opt.file, opt.entryModule);
 
-    const auto modules = lang::compile(source);
-    std::string entry = opt.entryModule;
-    if (entry.empty()) {
-        entry = modules.front().name;
-        for (const auto &m : modules)
-            if (m.name == "Main")
-                entry = "Main";
-    }
-
-    const SystemLayout layout;
-    Memory mem(layout.memWords);
-    Loader loader{layout, SizeClasses::standard()};
-    for (const auto &m : modules)
-        loader.add(m);
-    LinkPlan plan;
-    plan.lowering = opt.lowering;
-    plan.shortCalls = opt.shortCalls;
-    const LoadedImage image = loader.load(mem, plan);
+    Memory mem(SystemLayout().memWords);
+    const LoadedImage image = program.load(mem, opt.plan);
     // Hash before the Machine exists: its FrameHeap constructor
     // rewrites the AV, and replay hashes at this same point.
     const std::uint64_t imageHash = opt.recordOut.empty()
@@ -434,11 +141,7 @@ try {
     if (opt.disasm)
         dumpDisassembly(image, mem);
 
-    MachineConfig config;
-    config.impl = opt.impl;
-    config.numBanks = opt.banks;
-    config.timesliceSteps = opt.timeslice;
-    config.accel.enabled = opt.accel;
+    const MachineConfig &config = opt.machine;
     Machine machine(mem, image, config);
 
     // Observability: a tracer and/or profiler share the machine's one
@@ -462,10 +165,8 @@ try {
     if (!fanout.empty())
         machine.setObserver(&fanout);
 
-    const bool metricsWanted =
-        !opt.metricsOut.empty() || !opt.openmetricsOut.empty();
     const bool telemetryWanted =
-        metricsWanted || !opt.postmortemDir.empty();
+        opt.metricsWanted() || !opt.postmortemDir.empty();
     obs::Telemetry telemetry(opt.metricsCapacity);
     // The replay recorder takes the machine's one sampler slot and
     // chains the telemetry sampler behind it, so both fire on the
@@ -495,25 +196,11 @@ try {
         machine.setBoundarySampler(&boundaryFan,
                                    boundaryFan.machineInterval());
 
-    // Exact observation forces the eager loop: say so once, up
-    // front, rather than letting an accelerated run silently lose
-    // its speedup.
-    const bool forcesEager =
-        !opt.traceOut.empty() || opt.profile ||
-        !opt.postmortemDir.empty() || !opt.recordOut.empty() ||
-        (telemetryWanted && !opt.telemetrySampled);
-    if (opt.accel && forcesEager) {
-        warn("fpcvm: exact observation (--profile/--trace-out/"
-             "--record-out/--postmortem-dir/exact metrics) forces the "
-             "eager loop; --accel=threaded keeps only its predecoded "
-             "instruction cache and XFER link caches. "
-             "Use --profile-sampled / --telemetry-mode=sampled to keep "
-             "the fast path");
-    }
+    cli::warnIfForcedEager("fpcvm", opt);
 
     // Dynamic probes: zero simulated cost and accel-safe (only the
     // armed procedures deoptimize), so they are deliberately absent
-    // from forcesEager above.
+    // from Common::forcesEager.
     obs::ProbeRegistry probeRegistry;
     std::optional<obs::ProbeEngine> probeEngine;
     if (!opt.probeSpecs.empty()) {
@@ -529,7 +216,7 @@ try {
                              probeEngine->armedRanges());
     }
 
-    if (opt.timeslice > 0) {
+    if (config.timesliceSteps > 0) {
         // Single program, so every expired slice switches the process
         // to itself — still a full ProcSwitch XFER through the engine.
         Machine::Scheduler policy =
@@ -538,7 +225,7 @@ try {
             policy = replayRec.wrapPolicy(std::move(policy));
         machine.setScheduler(std::move(policy));
     }
-    machine.start(entry, opt.entryProc, opt.args);
+    machine.start(program.entryModule, opt.entryProc, opt.args);
     // Bracket the run: even programs shorter than one interval export
     // a start and a final point.
     if (!opt.recordOut.empty())
@@ -583,66 +270,33 @@ try {
     if (opt.stats)
         dumpStats(machine, mem);
     if (opt.accelStats)
-        dumpAccelStats(machine);
+        cli::printAccelStats(std::cout, "host acceleration",
+                             machine.accelStats(), machine.accelEnabled(),
+                             machine.threadedActive());
 
     // Artifacts are written even when the program stopped on an error:
     // a trace of a failing run is the one you want to look at.
-    if (!opt.traceOut.empty()) {
-        std::ofstream out(opt.traceOut);
-        if (!out) {
-            error("fpcvm: cannot write {}", opt.traceOut);
-            return 1;
-        }
-        obs::writeChromeTrace(out, tracer);
+    cli::writeFile(opt.traceOut, [&](std::ostream &os) {
+        obs::writeChromeTrace(os, tracer);
         if (tracer.dropped() > 0)
             warn("fpcvm: trace ring dropped {} of {} events (raise "
                  "--trace-capacity)",
                  tracer.dropped(), tracer.recorded());
+    });
+    {
+        std::optional<obs::ProfileData> exact;
+        std::optional<obs::SampledProfile> sampled;
+        if (profiler)
+            exact = profiler->finish(machine.cycles());
+        if (sampledProfiler)
+            sampled = sampledProfiler->finish();
+        cli::printProfiles(opt, "", exact ? &*exact : nullptr,
+                           sampled ? &*sampled : nullptr);
     }
-    if (profiler) {
-        const obs::ProfileData data =
-            profiler->finish(machine.cycles());
-        std::cout << "\n--- profile (top " << opt.profileTop
-                  << " by exclusive cycles) ---\n";
-        data.topTable(opt.profileTop).print(std::cout);
-        if (!opt.profileFolded.empty()) {
-            std::ofstream out(opt.profileFolded);
-            if (!out) {
-                error("fpcvm: cannot write {}", opt.profileFolded);
-                return 1;
-            }
-            data.writeFolded(out);
-        }
-    }
-    if (sampledProfiler) {
-        const obs::SampledProfile data = sampledProfiler->finish();
-        std::cout << "\n--- sampled profile (top " << opt.profileTop
-                  << " by samples, interval " << opt.sampleInterval
-                  << " cycles) ---\n";
-        data.topTable(opt.profileTop).print(std::cout);
-        if (!opt.profileFolded.empty() && !opt.profile) {
-            std::ofstream out(opt.profileFolded);
-            if (!out) {
-                error("fpcvm: cannot write {}", opt.profileFolded);
-                return 1;
-            }
-            data.writeFolded(out);
-        }
-    }
-    if (!opt.probeOut.empty()) {
-        std::ofstream out(opt.probeOut);
-        if (!out) {
-            error("fpcvm: cannot write {}", opt.probeOut);
-            return 1;
-        }
-        probeRegistry.writeJson(out, "fpcvm");
-    }
-    if (!opt.statsJson.empty()) {
-        std::ofstream out(opt.statsJson);
-        if (!out) {
-            error("fpcvm: cannot write {}", opt.statsJson);
-            return 1;
-        }
+    cli::writeFile(opt.probeOut, [&](std::ostream &os) {
+        probeRegistry.writeJson(os, "fpcvm");
+    });
+    cli::writeFile(opt.statsJson, [&](std::ostream &os) {
         obs::StatsExport exp;
         exp.driver = "fpcvm";
         exp.impl = implName(config.impl);
@@ -658,9 +312,9 @@ try {
             accel_counters = machine.accelStats();
             exp.accel = &accel_counters;
         }
-        obs::writeStatsJson(out, exp);
-    }
-    if (metricsWanted) {
+        obs::writeStatsJson(os, exp);
+    });
+    if (opt.metricsWanted()) {
         obs::MetricsExport meta;
         meta.driver = "fpcvm";
         meta.impl = implName(config.impl);
@@ -672,50 +326,25 @@ try {
         // anyway (their purpose is observing accelerated runs), so
         // there the accel gauges flow by default.
         meta.includeAccel = opt.accelStats || opt.telemetrySampled;
-        if (!opt.metricsOut.empty()) {
-            std::ofstream out(opt.metricsOut);
-            if (!out) {
-                error("fpcvm: cannot write {}", opt.metricsOut);
-                return 1;
-            }
-            obs::writeMetricsJson(out, meta, telemetry);
+        cli::writeFile(opt.metricsOut, [&](std::ostream &os) {
+            obs::writeMetricsJson(os, meta, telemetry);
             if (telemetry.dropped() > 0)
                 warn("fpcvm: metrics ring dropped {} of {} samples "
                      "(raise --metrics-capacity)",
                      telemetry.dropped(), telemetry.recorded());
-        }
-        if (!opt.openmetricsOut.empty()) {
-            std::ofstream out(opt.openmetricsOut);
-            if (!out) {
-                error("fpcvm: cannot write {}", opt.openmetricsOut);
-                return 1;
-            }
-            obs::writeOpenMetrics(out, meta, telemetry);
-        }
+        });
+        cli::writeFile(opt.openmetricsOut, [&](std::ostream &os) {
+            obs::writeOpenMetrics(os, meta, telemetry);
+        });
     }
     if (!opt.recordOut.empty()) {
-        replay::RecordLog log;
-        log.impl = opt.impl;
-        log.lowering = opt.lowering;
-        log.shortCalls = opt.shortCalls;
-        log.banks = opt.banks;
-        log.timeslice = opt.timeslice;
-        log.accel = opt.accel;
-        log.interval = opt.metricsInterval;
-        log.workers = 1;
-        log.stride = 1;
+        replay::RecordLog log = cli::recordHeader(
+            opt, opt.metricsInterval, program, opt.args);
         log.imageHash = imageHash;
-        log.entryModule = entry;
-        log.entryProc = opt.entryProc;
-        log.args = opt.args;
-        log.source = source;
         log.jobs.push_back(replayRec.takeJob());
-        std::ofstream out(opt.recordOut);
-        if (!out) {
-            error("fpcvm: cannot write {}", opt.recordOut);
-            return 1;
-        }
-        replay::writeRecord(out, log);
+        cli::writeFile(opt.recordOut, [&](std::ostream &os) {
+            replay::writeRecord(os, log);
+        });
     }
     return exit_code;
 } catch (const std::exception &err) {
