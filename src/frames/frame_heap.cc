@@ -14,6 +14,20 @@ FrameHeapStats::fragmentation() const
     return 1.0 - static_cast<double>(requestedWords) / allocatedWords;
 }
 
+void
+FrameHeapStats::merge(const FrameHeapStats &other)
+{
+    allocs += other.allocs;
+    frees += other.frees;
+    softwareTraps += other.softwareTraps;
+    retainedSkips += other.retainedSkips;
+    requestedWords += other.requestedWords;
+    allocatedWords += other.allocatedWords;
+    blockWords += other.blockWords;
+    refsAlloc += other.refsAlloc;
+    refsFree += other.refsFree;
+}
+
 FrameHeap::FrameHeap(Memory &memory, const SystemLayout &layout,
                      SizeClasses classes, unsigned frames_per_trap)
     : mem_(memory), layout_(layout), classes_(std::move(classes)),

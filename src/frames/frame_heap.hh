@@ -50,6 +50,9 @@ struct FrameHeapStats
     /** Internal fragmentation: fraction of granted payload unused. */
     double fragmentation() const;
 
+    /** Adds another run's counts. */
+    void merge(const FrameHeapStats &other);
+
     /** Frames currently allocated and not yet freed. */
     CountT liveFrames() const { return allocs - frees; }
 };

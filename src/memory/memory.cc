@@ -21,10 +21,23 @@ accessKindName(AccessKind kind)
     }
 }
 
+void
+MemoryStats::merge(const MemoryStats &other)
+{
+    words = std::max(words, other.words);
+    for (std::size_t k = 0; k < numKinds; ++k) {
+        reads[k] += other.reads[k];
+        writes[k] += other.writes[k];
+    }
+    totalRefs += other.totalRefs;
+    codeBytes += other.codeBytes;
+}
+
 Memory::Memory(std::size_t words) : store_(words, 0), words_(words)
 {
     if (words == 0)
         panic("Memory: zero size");
+    stats_.words = words;
 }
 
 void
@@ -37,7 +50,7 @@ Memory::addrPanic(Addr addr) const
 std::uint8_t
 Memory::readByte(CodeByteAddr byte_addr)
 {
-    ++codeBytes_;
+    ++stats_.codeBytes;
     return peekByte(byte_addr);
 }
 
@@ -93,22 +106,20 @@ Memory::pokeByte(CodeByteAddr byte_addr, std::uint8_t value)
 CountT
 Memory::reads(AccessKind kind) const
 {
-    return readCounts_[static_cast<std::size_t>(kind)];
+    return stats_.reads[static_cast<std::size_t>(kind)];
 }
 
 CountT
 Memory::writes(AccessKind kind) const
 {
-    return writeCounts_[static_cast<std::size_t>(kind)];
+    return stats_.writes[static_cast<std::size_t>(kind)];
 }
 
 void
 Memory::resetStats()
 {
-    readCounts_.fill(0);
-    writeCounts_.fill(0);
-    totalRefs_ = 0;
-    codeBytes_ = 0;
+    stats_ = MemoryStats{};
+    stats_.words = words_;
 }
 
 void
@@ -121,7 +132,8 @@ Memory::dumpStats(std::ostream &os) const
         os << "  " << accessKindName(kind) << ": reads=" << reads(kind)
            << " writes=" << writes(kind) << "\n";
     }
-    os << "  totalRefs=" << totalRefs_ << " codeBytes=" << codeBytes_
+    os << "  totalRefs=" << stats_.totalRefs
+       << " codeBytes=" << stats_.codeBytes
        << "\n";
 }
 

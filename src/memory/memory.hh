@@ -43,6 +43,21 @@ enum class AccessKind : unsigned
 /** Printable name of an AccessKind. */
 const char *accessKindName(AccessKind kind);
 
+/** A memory's reference counts; runs' counts add up with merge(). */
+struct MemoryStats
+{
+    static constexpr std::size_t numKinds =
+        static_cast<std::size_t>(AccessKind::NumKinds);
+
+    std::size_t words = 0; ///< store size, the same for every run
+    std::array<CountT, numKinds> reads{};
+    std::array<CountT, numKinds> writes{};
+    CountT totalRefs = 0;
+    CountT codeBytes = 0;
+
+    void merge(const MemoryStats &other);
+};
+
 /** Flat simulated main storage. */
 class Memory
 {
@@ -58,8 +73,8 @@ class Memory
     read(Addr addr, AccessKind kind)
     {
         checkAddr(addr);
-        ++readCounts_[static_cast<std::size_t>(kind)];
-        ++totalRefs_;
+        ++stats_.reads[static_cast<std::size_t>(kind)];
+        ++stats_.totalRefs;
         return store_[addr];
     }
 
@@ -68,8 +83,8 @@ class Memory
     write(Addr addr, Word value, AccessKind kind)
     {
         checkAddr(addr);
-        ++writeCounts_[static_cast<std::size_t>(kind)];
-        ++totalRefs_;
+        ++stats_.writes[static_cast<std::size_t>(kind)];
+        ++stats_.totalRefs;
         store_[addr] = value;
     }
 
@@ -105,16 +120,16 @@ class Memory
     void
     chargeReads(AccessKind kind, CountT n)
     {
-        readCounts_[static_cast<std::size_t>(kind)] += n;
-        totalRefs_ += n;
+        stats_.reads[static_cast<std::size_t>(kind)] += n;
+        stats_.totalRefs += n;
     }
     void
     chargeWrites(AccessKind kind, CountT n)
     {
-        writeCounts_[static_cast<std::size_t>(kind)] += n;
-        totalRefs_ += n;
+        stats_.writes[static_cast<std::size_t>(kind)] += n;
+        stats_.totalRefs += n;
     }
-    void chargeCodeBytes(CountT n) { codeBytes_ += n; }
+    void chargeCodeBytes(CountT n) { stats_.codeBytes += n; }
 
     /** Checked but uncounted accesses, for hosts that keep the access
      *  counts in registers and batch them in via chargeReads /
@@ -143,10 +158,11 @@ class Memory
     /** @} */
 
     /** Reference counts. */
+    const MemoryStats &stats() const { return stats_; }
     CountT reads(AccessKind kind) const;
     CountT writes(AccessKind kind) const;
-    CountT totalRefs() const { return totalRefs_; }
-    CountT codeByteFetches() const { return codeBytes_; }
+    CountT totalRefs() const { return stats_.totalRefs; }
+    CountT codeByteFetches() const { return stats_.codeBytes; }
 
     /** Zero the whole store and advance the code epoch, returning the
      *  memory to its just-constructed contents. Lets a long-lived
@@ -170,12 +186,7 @@ class Memory
     std::vector<Word> store_;
     /** store_.size(), held apart: every accounted access checks it. */
     std::size_t words_;
-    std::array<CountT, static_cast<std::size_t>(AccessKind::NumKinds)>
-        readCounts_{};
-    std::array<CountT, static_cast<std::size_t>(AccessKind::NumKinds)>
-        writeCounts_{};
-    CountT totalRefs_ = 0;
-    CountT codeBytes_ = 0;
+    MemoryStats stats_;
     std::uint64_t codeEpoch_ = 0;
 };
 

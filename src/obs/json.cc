@@ -311,25 +311,19 @@ accelStatsJson(JsonWriter &w, const AccelStats &s)
 }
 
 void
-memoryStatsJson(JsonWriter &w, const Memory &mem)
+memoryStatsJson(JsonWriter &w, const MemoryStats &s)
 {
     w.beginObject();
-    w.kv("words", std::uint64_t(mem.size()));
-    w.kv("totalRefs", mem.totalRefs());
-    w.kv("codeByteFetches", mem.codeByteFetches());
+    w.kv("words", std::uint64_t(s.words));
+    w.kv("totalRefs", s.totalRefs);
+    w.kv("codeByteFetches", s.codeBytes);
     w.key("reads").beginObject();
-    for (unsigned k = 0; k < static_cast<unsigned>(AccessKind::NumKinds);
-         ++k) {
-        w.kv(accessKindName(static_cast<AccessKind>(k)),
-             mem.reads(static_cast<AccessKind>(k)));
-    }
+    for (std::size_t k = 0; k < MemoryStats::numKinds; ++k)
+        w.kv(accessKindName(static_cast<AccessKind>(k)), s.reads[k]);
     w.endObject();
     w.key("writes").beginObject();
-    for (unsigned k = 0; k < static_cast<unsigned>(AccessKind::NumKinds);
-         ++k) {
-        w.kv(accessKindName(static_cast<AccessKind>(k)),
-             mem.writes(static_cast<AccessKind>(k)));
-    }
+    for (std::size_t k = 0; k < MemoryStats::numKinds; ++k)
+        w.kv(accessKindName(static_cast<AccessKind>(k)), s.writes[k]);
     w.endObject();
     w.endObject();
 }

@@ -25,7 +25,7 @@ namespace fpc
 {
 struct MachineStats;
 struct AccelStats;
-class Memory;
+struct MemoryStats;
 struct FrameHeapStats;
 class Cache;
 } // namespace fpc
@@ -99,7 +99,7 @@ class JsonWriter
 void distributionJson(JsonWriter &w, const stats::Distribution &d);
 void machineStatsJson(JsonWriter &w, const MachineStats &s);
 void accelStatsJson(JsonWriter &w, const AccelStats &s);
-void memoryStatsJson(JsonWriter &w, const Memory &mem);
+void memoryStatsJson(JsonWriter &w, const MemoryStats &s);
 void heapStatsJson(JsonWriter &w, const FrameHeapStats &s);
 void cacheStatsJson(JsonWriter &w, const Cache &cache);
 void statGroupJson(JsonWriter &w, const stats::StatGroup &group);
@@ -116,7 +116,7 @@ struct StatsExport
     std::string stopReason;      ///< stopReasonName() (single runs)
     unsigned workers = 0;        ///< worker count (batch runs)
     const MachineStats *machine = nullptr;
-    const Memory *memory = nullptr;
+    const MemoryStats *memory = nullptr;
     const FrameHeapStats *heap = nullptr;
     const Cache *cache = nullptr;
     /** Host-acceleration counters. Left null unless explicitly

@@ -199,14 +199,6 @@ writeMetricsJson(std::ostream &os, const MetricsExport &meta,
     os << "\n";
 }
 
-void
-writeMetricsJson(std::ostream &os, const MetricsExport &meta,
-                 const Telemetry &telemetry)
-{
-    writeMetricsJson(os, meta,
-                     std::vector<const Telemetry *>{&telemetry});
-}
-
 // ---------------------------------------------------------------------
 // OpenMetrics text exposition
 // ---------------------------------------------------------------------
@@ -456,14 +448,6 @@ writeOpenMetrics(std::ostream &os, const MetricsExport &meta,
     }
 
     os << "# EOF\n";
-}
-
-void
-writeOpenMetrics(std::ostream &os, const MetricsExport &meta,
-                 const Telemetry &telemetry)
-{
-    writeOpenMetrics(os, meta,
-                     std::vector<const Telemetry *>{&telemetry});
 }
 
 } // namespace fpc::obs

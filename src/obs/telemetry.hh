@@ -154,15 +154,11 @@ struct MetricsExport
 
 /**
  * Write the append-only "fpc-metrics-v1" JSON time series: one series
- * per worker (fpcvm exports exactly one), each an array of samples in
+ * per worker (a one-job batch exports exactly one), each an array of samples in
  * time order. Null tracks are skipped.
  */
 void writeMetricsJson(std::ostream &os, const MetricsExport &meta,
                       const std::vector<const Telemetry *> &workers);
-
-/** Single-machine convenience: one series, worker 0. */
-void writeMetricsJson(std::ostream &os, const MetricsExport &meta,
-                      const Telemetry &telemetry);
 
 /**
  * Write the series in OpenMetrics text exposition format: one
@@ -173,10 +169,6 @@ void writeMetricsJson(std::ostream &os, const MetricsExport &meta,
  */
 void writeOpenMetrics(std::ostream &os, const MetricsExport &meta,
                       const std::vector<const Telemetry *> &workers);
-
-/** Single-machine convenience: one series, worker 0. */
-void writeOpenMetrics(std::ostream &os, const MetricsExport &meta,
-                      const Telemetry &telemetry);
 
 } // namespace fpc::obs
 

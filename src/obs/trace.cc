@@ -189,10 +189,4 @@ writeChromeTrace(std::ostream &os,
     os << "\n  ]\n}\n";
 }
 
-void
-writeChromeTrace(std::ostream &os, const Tracer &tracer)
-{
-    writeChromeTrace(os, std::vector<const Tracer *>{&tracer});
-}
-
 } // namespace fpc::obs

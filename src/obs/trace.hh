@@ -110,9 +110,6 @@ class Tracer : public XferObserver
 void writeChromeTrace(std::ostream &os,
                       const std::vector<const Tracer *> &tracks);
 
-/** Single-machine convenience: one track. */
-void writeChromeTrace(std::ostream &os, const Tracer &tracer);
-
 /** @name Building blocks for combined documents (see obs/spans.hh).
  *  Append events to an already-open "traceEvents" array; `first`
  *  tracks whether a comma is needed and is updated in place. @{ */

@@ -86,29 +86,81 @@ Runtime::closeSpansOnAbort(const Job &job, unsigned id,
                                         worker_id);
 }
 
-JobResult
-Runtime::canceledResult(unsigned id, unsigned worker_id) const
+Runtime::Worker::Worker(Runtime &rt, unsigned id_, bool pool)
+    : id(id_),
+      jobsCompleted(group.counter("jobs_completed",
+                                  "jobs that finished ok")),
+      jobsFailed(group.counter("jobs_failed",
+                               "jobs that stopped on an error")),
+      jobSteps(group.distribution("job_steps", "instructions per job")),
+      jobCycles(group.distribution("job_cycles",
+                                   "simulated cycles per job")),
+      contextBuilds(group.counter("context_builds",
+                                  "fresh per-worker machine contexts")),
+      contextReuses(group.counter("context_reuses",
+                                  "jobs that recycled a worker context"))
 {
+    if (pool)
+        jobsStolen = &group.counter(
+            "jobs_stolen", "jobs taken from another worker's deque");
+    // A job's trace and series land on the track of the worker that
+    // executes it: in pool mode a stolen job re-homes to the thief's
+    // track (matching JobResult::worker and the job's spans).
+    if (rt.config_.trace && id < rt.tracers_.size())
+        tracer = rt.tracers_[id].get();
+    if (rt.config_.metrics && id < rt.telemetry_.size())
+        telemetry = rt.telemetry_[id].get();
+    if (telemetry != nullptr) {
+        telemetry->setProvider(
+            [this, &rt](std::vector<std::pair<std::string, double>> &g) {
+                g.emplace_back("worker_jobs_done", jobsDone);
+                g.emplace_back("worker_jobs_assigned", jobsAssigned);
+                if (rt.config_.gaugeProvider)
+                    rt.config_.gaugeProvider(g);
+            });
+    }
+}
+
+JobResult
+Runtime::runJob(Worker &w, const Job &job, unsigned id)
+{
+    ++w.jobsAssigned;
     JobResult r;
-    r.id = id;
-    r.worker = worker_id;
-    r.ok = false;
-    r.reason = StopReason::Error;
-    r.error = "canceled: drain requested";
+    std::string failure;
+    if (stopRequested()) {
+        failure = "canceled: drain requested";
+    } else {
+        try {
+            r = executeJob(job, id, w);
+        } catch (const std::exception &err) {
+            failure = err.what();
+        }
+    }
+    if (!failure.empty()) {
+        // Canceled, or died mid-execution: a failed result, and no
+        // span left open.
+        r.id = id;
+        r.worker = w.id;
+        r.reason = StopReason::Error;
+        r.error = std::move(failure);
+        closeSpansOnAbort(job, id, w.id);
+    }
+    if (r.ok)
+        ++w.jobsCompleted;
+    else
+        ++w.jobsFailed;
+    w.jobSteps.sample(static_cast<double>(r.steps));
+    w.jobCycles.sample(static_cast<double>(r.cycles));
+    ++w.jobsDone;
     return r;
 }
 
 JobResult
-Runtime::executeJob(const Job &job, unsigned id, unsigned worker_id,
-                    ExecContext &ctx, MachineStats &acc,
-                    AccelStats &accel_acc, obs::Tracer *tracer,
-                    obs::ProfileData *profile_acc,
-                    obs::SampledProfile *sampled_acc,
-                    obs::Telemetry *telemetry)
+Runtime::executeJob(const Job &job, unsigned id, Worker &w)
 {
     JobResult out;
     out.id = id;
-    out.worker = worker_id;
+    out.worker = w.id;
 
     // Host-time execution bracket, stamped unconditionally (two clock
     // reads per job) so the serving layer can attribute queue-wait vs
@@ -124,9 +176,9 @@ Runtime::executeJob(const Job &job, unsigned id, unsigned worker_id,
     out.execStartNs = obs::SpanCollector::nowNs();
     if (spans != nullptr) {
         spans->endPhase(sid, out.execStartNs, true,
-                        obs::SpanTrack::Worker, worker_id);
+                        obs::SpanTrack::Worker, w.id);
         spans->begin(obs::SpanKind::Execute, sid,
-                     obs::SpanTrack::Worker, worker_id, job.span.tenant,
+                     obs::SpanTrack::Worker, w.id, job.span.tenant,
                      out.execStartNs, job.span.traceId);
     }
 
@@ -134,9 +186,9 @@ Runtime::executeJob(const Job &job, unsigned id, unsigned worker_id,
     // image and processor — but the worker's context (the Memory
     // allocation) persists across jobs. Workers share nothing but
     // the job queue, and scale with host cores.
-    prepareContext(ctx, job);
-    Memory &mem = *ctx.mem;
-    const LoadedImage &image = *ctx.image;
+    prepareContext(w.ctx, job);
+    Memory &mem = *w.ctx.mem;
+    const LoadedImage &image = *w.ctx.image;
     if (config_.record) {
         // Hash before the Machine exists: its FrameHeap constructor
         // rewrites the AV, and replay hashes at this same point.
@@ -144,8 +196,9 @@ Runtime::executeJob(const Job &job, unsigned id, unsigned worker_id,
                                  std::memory_order_relaxed);
     }
 
-    ctx.machine.emplace(mem, image, config_.machine);
-    Machine &machine = *ctx.machine;
+    w.ctx.machine.emplace(mem, image, config_.machine);
+    Machine &machine = *w.ctx.machine;
+    obs::Telemetry *telemetry = w.telemetry;
 
     // Observers are per-job: the ProcMap indexes this job's image, and
     // the tracer interns names at record time, so nothing here has to
@@ -153,13 +206,13 @@ Runtime::executeJob(const Job &job, unsigned id, unsigned worker_id,
     obs::ProcMap procMap;
     obs::Fanout fanout;
     std::optional<obs::Profiler> profiler;
-    if (tracer != nullptr || profile_acc != nullptr)
+    if (w.tracer != nullptr || config_.profile)
         procMap = obs::ProcMap(image);
-    if (tracer != nullptr) {
-        tracer->setProcMap(&procMap);
-        fanout.add(tracer);
+    if (w.tracer != nullptr) {
+        w.tracer->setProcMap(&procMap);
+        fanout.add(w.tracer);
     }
-    if (profile_acc != nullptr) {
+    if (config_.profile) {
         profiler.emplace(image);
         fanout.add(&*profiler);
     }
@@ -178,7 +231,7 @@ Runtime::executeJob(const Job &job, unsigned id, unsigned worker_id,
     const bool sampledMetrics =
         config_.metricsSampled && !config_.record;
     if (config_.record) {
-        replayRec.beginJob(id, worker_id);
+        replayRec.beginJob(id, w.id);
         replayRec.setNext(telemetry);
         machine.setSampler(&replayRec, config_.metricsInterval);
     } else if (telemetry != nullptr && !sampledMetrics) {
@@ -191,7 +244,7 @@ Runtime::executeJob(const Job &job, unsigned id, unsigned worker_id,
     // and sampled telemetry share the one slot on distinct budgets.
     std::optional<obs::SampledProfiler> sampledProfiler;
     obs::BoundaryFanout boundaryFan;
-    if (sampled_acc != nullptr) {
+    if (config_.profileSampled) {
         sampledProfiler.emplace(image);
         boundaryFan.add(&*sampledProfiler, config_.sampleInterval);
     }
@@ -211,7 +264,7 @@ Runtime::executeJob(const Job &job, unsigned id, unsigned worker_id,
         obs::ProbeRegistry::Snapshot snap = config_.probes->snapshot();
         if (!snap->empty()) {
             probeEngine.emplace(std::move(snap), image, job.tenant,
-                                worker_id);
+                                w.id);
             machine.setProbeSink(&*probeEngine,
                                  probeEngine->armedRanges());
         }
@@ -229,6 +282,8 @@ Runtime::executeJob(const Job &job, unsigned id, unsigned worker_id,
     }
 
     machine.start(job.module, job.proc, job.args);
+    // Bracket the run: even jobs shorter than one interval export a
+    // start and a final point.
     if (config_.record)
         replayRec.sample(machine);
     if (telemetry != nullptr)
@@ -244,6 +299,7 @@ Runtime::executeJob(const Job &job, unsigned id, unsigned worker_id,
     out.reason = result.reason;
     out.steps = machine.stats().steps;
     out.cycles = machine.stats().cycles;
+    out.output = machine.output();
     if (result.reason == StopReason::TopReturn) {
         out.ok = true;
         out.value = machine.popValue();
@@ -252,8 +308,10 @@ Runtime::executeJob(const Job &job, unsigned id, unsigned worker_id,
     } else {
         out.error = result.message;
     }
-    acc.merge(machine.stats());
-    accel_acc.merge(machine.accelStats());
+    w.machine.merge(machine.stats());
+    w.accel.merge(machine.accelStats());
+    w.memory.merge(mem.stats());
+    w.heap.merge(machine.heap().stats());
     {
         // Fold per job so a live scrape (serving) can surface accel
         // gauges mid-run: mergedAccel_ only folds at join.
@@ -269,18 +327,22 @@ Runtime::executeJob(const Job &job, unsigned id, unsigned worker_id,
             // the tree is request ⊃ queued ⊃ execute, all ending here,
             // re-homed to the executing worker.
             spans->end(obs::SpanKind::Request, sid, out.execEndNs,
-                       out.ok, obs::SpanTrack::Worker, worker_id);
+                       out.ok, obs::SpanTrack::Worker, w.id);
         }
     }
 
     if (!out.ok && recorder) {
         obs::PostmortemConfig pm;
         pm.dir = config_.postmortemDir;
-        pm.filePrefix = "job-" + std::to_string(id) + "-";
+        // A one-job batch is a single run: its bundle needs no job id.
+        if (jobs_.size() != 1)
+            pm.filePrefix = "job-" + std::to_string(id) + "-";
         pm.driver = config_.driver;
         pm.impl = implName(config_.machine.impl);
-        obs::writePostmortem(pm, machine, result, image, *recorder,
-                             telemetry);
+        if (obs::writePostmortem(pm, machine, result, image, *recorder,
+                                 telemetry))
+            inform("{}: postmortem bundle written to {}", config_.driver,
+                   config_.postmortemDir);
     }
 
     if (telemetry != nullptr) {
@@ -290,16 +352,16 @@ Runtime::executeJob(const Job &job, unsigned id, unsigned worker_id,
                            telemetry->stepBase() +
                                machine.stats().steps);
     }
-    if (tracer != nullptr) {
+    if (w.tracer != nullptr) {
         // Lay consecutive jobs out consecutively on this worker's
         // track; the ProcMap dies with this job.
-        tracer->setBase(tracer->base() + machine.stats().cycles);
-        tracer->setProcMap(nullptr);
+        w.tracer->setBase(w.tracer->base() + machine.stats().cycles);
+        w.tracer->setProcMap(nullptr);
     }
     if (profiler)
-        profile_acc->merge(profiler->finish(machine.stats().cycles));
+        w.profile.merge(profiler->finish(machine.stats().cycles));
     if (sampledProfiler)
-        sampled_acc->merge(sampledProfiler->finish());
+        w.sampled.merge(sampledProfiler->finish());
 
     if (probeEngine) {
         machine.setProbeSink(nullptr);
@@ -318,196 +380,43 @@ Runtime::executeJob(const Job &job, unsigned id, unsigned worker_id,
 }
 
 void
+Runtime::fold(Worker &w)
+{
+    w.contextBuilds += w.ctx.builds;
+    w.contextReuses += w.ctx.reuses;
+    std::lock_guard<std::mutex> lock(mergeMutex_);
+    merged_.merge(w.machine);
+    mergedAccel_.merge(w.accel);
+    mergedMemory_.merge(w.memory);
+    mergedHeap_.merge(w.heap);
+    group_.mergeFrom(w.group);
+    if (config_.profile)
+        profile_.merge(w.profile);
+    if (config_.profileSampled)
+        sampledProfile_.merge(w.sampled);
+}
+
+void
 Runtime::workerMain(unsigned worker_id)
 {
-    MachineStats acc;
-    AccelStats accelAcc;
-    stats::StatGroup local("fpc_runtime");
-    auto &jobs_completed =
-        local.counter("jobs_completed", "jobs that finished ok");
-    auto &jobs_failed =
-        local.counter("jobs_failed", "jobs that stopped on an error");
-    auto &job_steps =
-        local.distribution("job_steps", "instructions per job");
-    auto &job_cycles =
-        local.distribution("job_cycles", "simulated cycles per job");
-    auto &context_builds = local.counter(
-        "context_builds", "fresh per-worker machine contexts");
-    auto &context_reuses = local.counter(
-        "context_reuses", "jobs that recycled a worker context");
-
-    obs::Tracer *tracer =
-        config_.trace ? tracers_[worker_id].get() : nullptr;
-    obs::ProfileData profile_acc;
-    obs::ProfileData *profile_ptr =
-        config_.profile ? &profile_acc : nullptr;
-    obs::SampledProfile sampled_acc;
-    obs::SampledProfile *sampled_ptr =
-        config_.profileSampled ? &sampled_acc : nullptr;
-    obs::Telemetry *telemetry =
-        config_.metrics ? telemetry_[worker_id].get() : nullptr;
-    ExecContext ctx;
-
-    // This worker's job progress, visible in every sample it takes.
-    // Deterministic because metrics force the static assignment.
-    double jobs_done = 0;
-    double jobs_assigned = 0;
-    if (telemetry != nullptr) {
-        telemetry->setProvider(
-            [this, &jobs_done, &jobs_assigned](
-                std::vector<std::pair<std::string, double>> &g) {
-                g.emplace_back("worker_jobs_done", jobs_done);
-                g.emplace_back("worker_jobs_assigned", jobs_assigned);
-                if (config_.gaugeProvider)
-                    config_.gaugeProvider(g);
-            });
-    }
-
-    // The dynamic queue is fast but nondeterministic: which worker
-    // claims which job depends on thread timing. With observation on
-    // (tracing, metrics, postmortems) we want reproducible tracks, so
-    // jobs stride statically instead (job i runs on worker i mod n).
-    const std::size_t stride = poolSize_;
-    std::size_t strided = worker_id;
-
-    while (true) {
-        std::size_t i;
-        if (staticAssignment()) {
-            i = strided;
-            strided += stride;
-        } else {
-            i = next_.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (i >= jobs_.size())
-            break;
-        ++jobs_assigned;
-        JobResult r;
-        if (stopRequested()) {
-            r = canceledResult(static_cast<unsigned>(i), worker_id);
-            closeSpansOnAbort(jobs_[i], static_cast<unsigned>(i),
-                              worker_id);
-        } else {
-            try {
-                r = executeJob(jobs_[i], static_cast<unsigned>(i),
-                               worker_id, ctx, acc, accelAcc, tracer,
-                               profile_ptr, sampled_ptr, telemetry);
-            } catch (const std::exception &err) {
-                r.id = static_cast<unsigned>(i);
-                r.worker = worker_id;
-                r.ok = false;
-                r.reason = StopReason::Error;
-                r.error = err.what();
-                closeSpansOnAbort(jobs_[i], static_cast<unsigned>(i),
-                                  worker_id);
-            }
-        }
-        if (r.ok)
-            ++jobs_completed;
-        else
-            ++jobs_failed;
-        job_steps.sample(static_cast<double>(r.steps));
-        job_cycles.sample(static_cast<double>(r.cycles));
-        ++jobs_done;
-        results_[i] = std::move(r); // distinct slot per job: no lock
-    }
-    context_builds += ctx.builds;
-    context_reuses += ctx.reuses;
-
-    // Per-worker stats fold into the runtime's registries at join.
-    std::lock_guard<std::mutex> lock(mergeMutex_);
-    merged_.merge(acc);
-    mergedAccel_.merge(accelAcc);
-    group_.mergeFrom(local);
-    if (profile_ptr != nullptr)
-        profile_.merge(profile_acc);
-    if (sampled_ptr != nullptr)
-        sampledProfile_.merge(sampled_acc);
+    // Reproducible observation: jobs stride statically (job i runs on
+    // worker i mod n), so tracks and series are the same every run.
+    Worker w(*this, worker_id, false);
+    for (std::size_t i = worker_id; i < jobs_.size(); i += poolSize_)
+        results_[i] = runJob(w, jobs_[i], static_cast<unsigned>(i));
+    fold(w);
 }
 
 void
 Runtime::poolWorkerMain(unsigned worker_id)
 {
-    MachineStats acc;
-    AccelStats accelAcc;
-    stats::StatGroup local("fpc_runtime");
-    auto &jobs_completed =
-        local.counter("jobs_completed", "jobs that finished ok");
-    auto &jobs_failed =
-        local.counter("jobs_failed", "jobs that stopped on an error");
-    auto &job_steps =
-        local.distribution("job_steps", "instructions per job");
-    auto &job_cycles =
-        local.distribution("job_cycles", "simulated cycles per job");
-    auto &context_builds = local.counter(
-        "context_builds", "fresh per-worker machine contexts");
-    auto &context_reuses = local.counter(
-        "context_reuses", "jobs that recycled a worker context");
-    auto &jobs_stolen = local.counter(
-        "jobs_stolen", "jobs taken from another worker's deque");
-
-    // Pool-mode tracing: this worker's track records every job it
-    // executes — including stolen ones, which thereby re-home to the
-    // thief's track (matching JobResult::worker and the job's spans).
-    obs::Tracer *tracer =
-        config_.trace && worker_id < tracers_.size()
-            ? tracers_[worker_id].get()
-            : nullptr;
-    obs::ProfileData profile_acc;
-    obs::ProfileData *profile_ptr =
-        config_.profile ? &profile_acc : nullptr;
-    obs::SampledProfile sampled_acc;
-    obs::SampledProfile *sampled_ptr =
-        config_.profileSampled ? &sampled_acc : nullptr;
-    obs::Telemetry *telemetry =
-        config_.metrics && worker_id < telemetry_.size()
-            ? telemetry_[worker_id].get()
-            : nullptr;
-    ExecContext ctx;
-
-    double jobs_done = 0;
-    double jobs_assigned = 0;
-    if (telemetry != nullptr) {
-        telemetry->setProvider(
-            [this, &jobs_done, &jobs_assigned](
-                std::vector<std::pair<std::string, double>> &g) {
-                g.emplace_back("worker_jobs_done", jobs_done);
-                g.emplace_back("worker_jobs_assigned", jobs_assigned);
-                if (config_.gaugeProvider)
-                    config_.gaugeProvider(g);
-            });
-    }
-
+    Worker w(*this, worker_id, true);
     PoolTask task;
     bool stolen = false;
     while (takeTask(worker_id, task, stolen)) {
-        ++jobs_assigned;
         if (stolen)
-            ++jobs_stolen;
-        JobResult r;
-        if (stopRequested()) {
-            r = canceledResult(task.id, worker_id);
-            closeSpansOnAbort(task.job, task.id, worker_id);
-        } else {
-            try {
-                r = executeJob(task.job, task.id, worker_id, ctx, acc,
-                               accelAcc, tracer, profile_ptr,
-                               sampled_ptr, telemetry);
-            } catch (const std::exception &err) {
-                r.id = task.id;
-                r.worker = worker_id;
-                r.ok = false;
-                r.reason = StopReason::Error;
-                r.error = err.what();
-                closeSpansOnAbort(task.job, task.id, worker_id);
-            }
-        }
-        if (r.ok)
-            ++jobs_completed;
-        else
-            ++jobs_failed;
-        job_steps.sample(static_cast<double>(r.steps));
-        job_cycles.sample(static_cast<double>(r.cycles));
-        ++jobs_done;
+            ++*w.jobsStolen;
+        JobResult r = runJob(w, task.job, task.id);
 
         // Completion fires before this job stops counting as running,
         // so a drain that began while it ran cannot observe an idle
@@ -525,18 +434,7 @@ Runtime::poolWorkerMain(unsigned worker_id)
         }
         idleCv_.notify_all();
     }
-    context_builds += ctx.builds;
-    context_reuses += ctx.reuses;
-
-    // Per-worker stats fold into the runtime's registries at join.
-    std::lock_guard<std::mutex> lock(mergeMutex_);
-    merged_.merge(acc);
-    mergedAccel_.merge(accelAcc);
-    group_.mergeFrom(local);
-    if (profile_ptr != nullptr)
-        profile_.merge(profile_acc);
-    if (sampled_ptr != nullptr)
-        sampledProfile_.merge(sampled_acc);
+    fold(w);
 }
 
 AccelStats
@@ -786,6 +684,11 @@ void
 Runtime::writeTrace(std::ostream &os) const
 {
     obs::writeChromeTrace(os, tracers());
+    for (const auto &t : tracers_)
+        if (t->dropped() > 0)
+            warn("{}: trace ring dropped {} of {} events (raise "
+                 "--trace-capacity)",
+                 config_.driver, t->dropped(), t->recorded());
 }
 
 std::vector<const obs::Tracer *>
@@ -806,9 +709,9 @@ Runtime::metricsMeta() const
     meta.impl = implName(config_.machine.impl);
     meta.interval = config_.metricsInterval;
     // Sampled series are not byte-identical across the accel switch
-    // anyway (their purpose is observing accelerated runs), so the
-    // accel gauges flow by default; exact mode keeps the strict
-    // byte-identity contract and exports them only on request.
+    // anyway (their purpose is observing accelerated runs), so they
+    // carry the accel gauges; exact series keep the byte-identity
+    // contract and never do, whatever else the driver reports.
     meta.includeAccel = config_.metricsSampled && !config_.record;
     return meta;
 }
@@ -818,8 +721,13 @@ Runtime::writeMetricsJson(std::ostream &os) const
 {
     std::vector<const obs::Telemetry *> series;
     series.reserve(telemetry_.size());
-    for (const auto &t : telemetry_)
+    for (const auto &t : telemetry_) {
         series.push_back(t.get());
+        if (t->dropped() > 0)
+            warn("{}: metrics ring dropped {} of {} samples (raise "
+                 "--metrics-capacity)",
+                 config_.driver, t->dropped(), t->recorded());
+    }
     obs::writeMetricsJson(os, metricsMeta(), series);
 }
 

@@ -12,6 +12,10 @@
  * with MachineConfig::timesliceSteps set, every worker also exercises
  * the in-VM preemption path, so the throughput numbers include the
  * process-switch overhead the paper's §7.1 fallback prescribes.
+ *
+ * Every driver runs its programs here: fpcvm and `fpcreplay record`
+ * submit a one-job batch to one worker, so executeJob is the one place
+ * that builds a Machine and attaches observers to it.
  */
 
 #ifndef FPC_SCHED_RUNTIME_HH
@@ -61,9 +65,10 @@ struct Job
     std::string proc;
     std::vector<Word> args;
 
-    /** Owning tenant (serving mode); probe `tenant ==` predicates
-     *  match against it. Empty in batch mode. */
-    std::string tenant;
+    /** Owning tenant; probe `tenant ==` predicates match against it.
+     *  Batch jobs belong to "default", the tenant fpcserve gives a
+     *  request that names none. */
+    std::string tenant = "default";
 
     /** Span propagation context (see obs::SpanRef). When requestId is
      *  nonzero the serving layer owns the request/admission/queued/
@@ -82,6 +87,7 @@ struct JobResult
     bool ok = false;
     StopReason reason = StopReason::Running;
     Word value = 0;       ///< top-level return value, when ok
+    std::vector<Word> output; ///< the words the program wrote with OUT
     std::string error;    ///< failure message, when !ok
     std::uint64_t steps = 0;
     Tick cycles = 0;
@@ -167,8 +173,10 @@ struct RuntimeConfig
     bool metricsSampled = false;
 
     /** When nonempty, every failed job writes a postmortem bundle
-     *  ("job-<id>-postmortem.json" + disassembly) into this
-     *  directory. Forces the static assignment, like trace. */
+     *  ("job-<id>-postmortem.json" + disassembly; "postmortem.json"
+     *  in a one-job batch) into this directory, with the final
+     *  telemetry sample when metrics are on. Forces the static
+     *  assignment, like trace. */
     std::string postmortemDir;
 
     /** Record every job's execution history (scheduler decisions +
@@ -270,6 +278,11 @@ class Runtime
      *  after run(); all zero when acceleration is off). */
     const AccelStats &accelStats() const { return mergedAccel_; }
 
+    /** Storage references and frame-heap counters summed across all
+     *  jobs (valid after run()). */
+    const MemoryStats &memoryStats() const { return mergedMemory_; }
+    const FrameHeapStats &heapStats() const { return mergedHeap_; }
+
     /** The merged "fpc_runtime" stat registry: job counts, per-job
      *  step/cycle distributions (valid after run()). */
     const stats::StatGroup &stats() const { return group_; }
@@ -342,6 +355,36 @@ class Runtime
         std::uint64_t reuses = 0; ///< jobs that recycled the Memory
     };
 
+    /** One worker thread's state: its reusable context, the
+     *  observers it records into, and the counters it folds into the
+     *  merged view when it exits. */
+    struct Worker
+    {
+        Worker(Runtime &rt, unsigned id, bool pool);
+
+        unsigned id;
+        ExecContext ctx;
+        MachineStats machine;
+        AccelStats accel;
+        MemoryStats memory;
+        FrameHeapStats heap;
+        obs::ProfileData profile;
+        obs::SampledProfile sampled;
+        obs::Tracer *tracer = nullptr;
+        obs::Telemetry *telemetry = nullptr;
+        stats::StatGroup group{"fpc_runtime"};
+        stats::Counter &jobsCompleted;
+        stats::Counter &jobsFailed;
+        stats::Distribution &jobSteps;
+        stats::Distribution &jobCycles;
+        stats::Counter &contextBuilds;
+        stats::Counter &contextReuses;
+        stats::Counter *jobsStolen = nullptr; ///< pool workers only
+        /** This worker's job progress, a gauge in its samples. */
+        double jobsDone = 0;
+        double jobsAssigned = 0;
+    };
+
     struct PoolTask
     {
         unsigned id = 0;
@@ -363,13 +406,9 @@ class Runtime
     bool takeTask(unsigned worker_id, PoolTask &out, bool &stolen);
     void startPoolWorkers(unsigned n);
     void prepareContext(ExecContext &ctx, const Job &job);
-    JobResult executeJob(const Job &job, unsigned id,
-                         unsigned worker_id, ExecContext &ctx,
-                         MachineStats &acc, AccelStats &accel_acc,
-                         obs::Tracer *tracer,
-                         obs::ProfileData *profile_acc,
-                         obs::SampledProfile *sampled_acc,
-                         obs::Telemetry *telemetry);
+    JobResult runJob(Worker &w, const Job &job, unsigned id);
+    JobResult executeJob(const Job &job, unsigned id, Worker &w);
+    void fold(Worker &w);
     void closeSpansOnAbort(const Job &job, unsigned id,
                            unsigned worker_id);
     bool stopRequested() const
@@ -377,7 +416,6 @@ class Runtime
         return config_.stopFlag != nullptr &&
                config_.stopFlag->load(std::memory_order_relaxed);
     }
-    JobResult canceledResult(unsigned id, unsigned worker_id) const;
 
     /** Reproducible observation wants the static job-to-worker
      *  stride instead of the dynamic queue. */
@@ -392,10 +430,11 @@ class Runtime
     RuntimeConfig config_;
     std::vector<Job> jobs_;
     std::vector<JobResult> results_;
-    std::atomic<std::size_t> next_{0};
     std::mutex mergeMutex_;
     MachineStats merged_;
     AccelStats mergedAccel_;
+    MemoryStats mergedMemory_;
+    FrameHeapStats mergedHeap_;
     stats::StatGroup group_{"fpc_runtime"};
     obs::ProfileData profile_;
     obs::SampledProfile sampledProfile_;

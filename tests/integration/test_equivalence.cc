@@ -84,7 +84,7 @@ runWith(const std::vector<Module> &modules, const std::string &mod,
     exp.impl = implName(config.impl);
     exp.stopReason = stopReasonName(result.reason);
     exp.machine = &machine.stats();
-    exp.memory = &mem;
+    exp.memory = &mem.stats();
     exp.heap = &machine.heap().stats();
     exp.cache = machine.dataCache();
     obs::writeStatsJson(stats, exp);

@@ -157,7 +157,7 @@ runOnce(const EngineCombo &combo, Mode mode, Word n, bool with_trace,
     exp.impl = implName(config.impl);
     exp.stopReason = stopReasonName(out.reason);
     exp.machine = &machine.stats();
-    exp.memory = &mem;
+    exp.memory = &mem.stats();
     exp.heap = &machine.heap().stats();
     exp.cache = machine.dataCache();
     obs::writeStatsJson(stats, exp);
@@ -165,7 +165,7 @@ runOnce(const EngineCombo &combo, Mode mode, Word n, bool with_trace,
 
     if (with_trace) {
         std::ostringstream trace;
-        obs::writeChromeTrace(trace, tracer);
+        obs::writeChromeTrace(trace, {&tracer});
         out.traceJson = trace.str();
     }
     return out;
@@ -282,7 +282,7 @@ TEST(AccelDeterminism, SamplerForcesEagerUnderThreaded)
         exp.impl = implName(config.impl);
         exp.stopReason = stopReasonName(StopReason::TopReturn);
         exp.machine = &machine.stats();
-        exp.memory = &mem;
+        exp.memory = &mem.stats();
         exp.heap = &machine.heap().stats();
         obs::writeStatsJson(os, exp);
         json[i] = os.str();
@@ -458,7 +458,7 @@ runCase(const CallCase &c, const EngineCombo &combo, Mode mode)
     exp.impl = implName(config.impl);
     exp.stopReason = stopReasonName(out.reason);
     exp.machine = &machine.stats();
-    exp.memory = &mem;
+    exp.memory = &mem.stats();
     exp.heap = &machine.heap().stats();
     exp.cache = machine.dataCache();
     obs::writeStatsJson(stats, exp);
@@ -813,7 +813,7 @@ patchMidRun(Mode mode, std::string *stats_json)
         exp.impl = implName(config.impl);
         exp.stopReason = stopReasonName(result.reason);
         exp.machine = &machine.stats();
-        exp.memory = &mem;
+        exp.memory = &mem.stats();
         exp.heap = &machine.heap().stats();
         obs::writeStatsJson(os, exp);
         *stats_json = os.str();

@@ -145,7 +145,7 @@ runGolden(const GoldenCase &c, const GoldenEngine &e, bool threaded)
     exp.impl = implName(config.impl);
     exp.stopReason = stopReasonName(result.reason);
     exp.machine = &machine.stats();
-    exp.memory = &mem;
+    exp.memory = &mem.stats();
     exp.heap = &machine.heap().stats();
     exp.cache = machine.dataCache();
     obs::writeStatsJson(os, exp);

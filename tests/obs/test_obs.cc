@@ -98,7 +98,7 @@ traceOnce(Word limit)
     rig.machine->setObserver(&tracer);
     runMain(rig, "Main", limit);
     std::ostringstream os;
-    obs::writeChromeTrace(os, tracer);
+    obs::writeChromeTrace(os, {&tracer});
     return os.str();
 }
 
@@ -449,7 +449,7 @@ TEST(Json, StatsExportHasStableSchema)
         exp.impl = implName(rig.machine->config().impl);
         exp.stopReason = stopReasonName(StopReason::TopReturn);
         exp.machine = &rig.machine->stats();
-        exp.memory = rig.mem.get();
+        exp.memory = &rig.mem->stats();
         exp.heap = &rig.machine->heap().stats();
         exp.cache = rig.machine->dataCache();
         std::ostringstream os;

@@ -362,7 +362,7 @@ TEST(ProbeEngine, DoesNotPerturbSimulatedStats)
         exp.impl = implName(rig.machine->config().impl);
         exp.stopReason = stopReasonName(StopReason::TopReturn);
         exp.machine = &rig.machine->stats();
-        exp.memory = rig.mem.get();
+        exp.memory = &rig.mem->stats();
         exp.heap = &rig.machine->heap().stats();
         exp.cache = rig.machine->dataCache();
         obs::writeStatsJson(os, exp);

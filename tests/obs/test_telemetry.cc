@@ -108,7 +108,7 @@ metricsOnce(MachineConfig config, LinkPlan plan, Word limit,
     meta.impl = implName(config.impl);
     meta.interval = interval;
     std::ostringstream os;
-    obs::writeMetricsJson(os, meta, telemetry);
+    obs::writeMetricsJson(os, meta, {&telemetry});
     return os.str();
 }
 
@@ -266,8 +266,8 @@ TEST(Telemetry, ProviderGaugesAppearInBothExports)
     meta.driver = "test";
     meta.impl = "I2-mesa";
     std::ostringstream js, om;
-    obs::writeMetricsJson(js, meta, telemetry);
-    obs::writeOpenMetrics(om, meta, telemetry);
+    obs::writeMetricsJson(js, meta, {&telemetry});
+    obs::writeOpenMetrics(om, meta, {&telemetry});
     EXPECT_NE(js.str().find("\"custom_gauge\": 42"),
               std::string::npos);
     EXPECT_NE(om.str().find("fpc_custom_gauge"), std::string::npos);
@@ -284,7 +284,7 @@ TEST(Telemetry, OpenMetricsShape)
     meta.driver = "test";
     meta.impl = "I2-mesa";
     std::ostringstream os;
-    obs::writeOpenMetrics(os, meta, telemetry);
+    obs::writeOpenMetrics(os, meta, {&telemetry});
     const std::string text = os.str();
 
     EXPECT_NE(text.find("# TYPE fpc_cycles counter"),

@@ -403,6 +403,72 @@ TEST(Runtime, FailingJobIsIsolated)
     EXPECT_EQ(runtime.stats().findCounter("jobs_failed").value(), 1u);
 }
 
+/** The stats document's machine, memory and heap sections. */
+std::string
+statsDoc(const MachineStats &machine, const MemoryStats &memory,
+         const FrameHeapStats &heap)
+{
+    obs::StatsExport exp;
+    exp.driver = "test_scheduler";
+    exp.machine = &machine;
+    exp.memory = &memory;
+    exp.heap = &heap;
+    std::ostringstream os;
+    obs::writeStatsJson(os, exp);
+    return os.str();
+}
+
+TEST(Runtime, OneJobBatchMatchesADirectMachine)
+{
+    // fpcvm runs its program as a one-job batch: on every engine that
+    // must be indistinguishable from building and running the Machine
+    // directly, for a program that returns and for one that traps.
+    const auto oops = lang::compile(R"(
+        module Oops;
+        proc main(n) { out n; return 100 / n; }
+    )");
+    const struct
+    {
+        std::vector<Module> modules;
+        const char *module;
+        Word arg;
+    } programs[] = {{fibTracer(), "Fib", 10}, {oops, "Oops", 0}};
+    for (const Combo &combo : allCombos()) {
+        for (const auto &prog : programs) {
+            SCOPED_TRACE(std::string(implName(combo.impl)) + " " +
+                         prog.module);
+            const std::vector<Word> args{prog.arg};
+            Rig rig(prog.modules, combo);
+            rig.machine.start(prog.module, "main", args);
+            const RunResult direct = rig.machine.run();
+            const Word value = direct.reason == StopReason::TopReturn
+                                   ? rig.machine.popValue()
+                                   : 0;
+
+            sched::RuntimeConfig rc;
+            rc.machine.impl = combo.impl;
+            rc.plan.lowering = combo.lowering;
+            rc.plan.shortCalls = combo.shortCalls;
+            sched::Runtime runtime(rc);
+            runtime.submit(
+                {shared(prog.modules), prog.module, "main", args});
+            const sched::JobResult r = runtime.run().front();
+
+            EXPECT_EQ(r.reason, direct.reason);
+            EXPECT_EQ(r.ok, direct.reason == StopReason::TopReturn);
+            EXPECT_EQ(r.value, value);
+            EXPECT_EQ(r.output, rig.machine.output());
+            EXPECT_FALSE(r.output.empty());
+            EXPECT_EQ(r.steps, rig.machine.stats().steps);
+            EXPECT_EQ(statsDoc(runtime.machineStats(),
+                               runtime.memoryStats(),
+                               runtime.heapStats()),
+                      statsDoc(rig.machine.stats(), rig.mem.stats(),
+                               rig.machine.heap().stats()));
+        }
+    }
+}
+
 TEST(Runtime, RunTwicePanics)
 {
     const auto prog = shared(fibTracer());

@@ -1,8 +1,9 @@
 /**
  * @file
  * The drivers' option table (tools/cli.hh): checked values, the
- * shared engine and linkage tables, duplicate registration and the
- * generated help.
+ * shared engine and linkage tables, duplicate registration, the
+ * generated help, and the RuntimeConfig and forced-eager rule the
+ * flags imply.
  *
  * Values that would ask a driver for billions of threads, jobs or
  * banks (--workers=-1 and friends) are tested here, through the
@@ -240,3 +241,61 @@ TEST(CliParser, HelpListsEveryFlagOnce)
 }
 
 } // namespace
+
+TEST(CliReports, ProfileTopSetsOnlyTheRowCount)
+{
+    // The row count must not attach the exact profiler: that would
+    // print a second table and drop a sampled run to the eager loop.
+    Rig r;
+    ASSERT_EQ(r.parse({"--profile-sampled", "--profile-top=3"}),
+              Status::Ok);
+    EXPECT_EQ(r.c.profileTop, 3u);
+    EXPECT_TRUE(r.c.profileSampled);
+    EXPECT_FALSE(r.c.profile);
+    EXPECT_FALSE(r.c.forcesEager());
+    EXPECT_FALSE(cli::runtimeConfig(r.c).profile);
+}
+
+TEST(CliReports, PreemptionForcesTheEagerLoop)
+{
+    // Machine::run() steps every preemptible job eagerly, so the
+    // forced-eager warning must cover --timeslice.
+    Rig r;
+    ASSERT_EQ(r.parse({"--timeslice=1000"}), Status::Ok);
+    EXPECT_TRUE(r.c.forcesEager());
+    Rig plain;
+    ASSERT_EQ(plain.parse({}), Status::Ok);
+    EXPECT_FALSE(plain.c.forcesEager());
+}
+
+TEST(CliReports, RuntimeConfigFollowsTheFlags)
+{
+    Rig r;
+    ASSERT_EQ(r.parse({"--workers=3", "--impl=I4", "--linkage=direct",
+                       "--timeslice=500", "--trace-out=t.json",
+                       "--trace-capacity=64", "--profile",
+                       "--postmortem-dir=pm", "--record-out=r.fpcr",
+                       "--metrics-interval=700"}),
+              Status::Ok);
+    const sched::RuntimeConfig rc = cli::runtimeConfig(r.c);
+    EXPECT_EQ(rc.workers, 3u);
+    EXPECT_EQ(rc.machine.impl, Impl::Banked);
+    EXPECT_EQ(rc.machine.timesliceSteps, 500u);
+    EXPECT_EQ(rc.plan.lowering, CallLowering::Direct);
+    EXPECT_TRUE(rc.trace);
+    EXPECT_EQ(rc.traceCapacity, 64u);
+    EXPECT_TRUE(rc.profile);
+    EXPECT_FALSE(rc.profileSampled);
+    EXPECT_EQ(rc.postmortemDir, "pm");
+    EXPECT_TRUE(rc.record);
+    EXPECT_EQ(rc.metricsInterval, 700u);
+    // A postmortem bundle carries the final telemetry sample.
+    EXPECT_TRUE(rc.metrics);
+    EXPECT_FALSE(rc.metricsSampled);
+
+    Rig bare;
+    ASSERT_EQ(bare.parse({}), Status::Ok);
+    const sched::RuntimeConfig none = cli::runtimeConfig(bare.c);
+    EXPECT_FALSE(none.trace || none.profile || none.metrics ||
+                 none.record || !none.postmortemDir.empty());
+}

@@ -247,7 +247,8 @@ bool
 Common::forcesEager() const
 {
     return !traceOut.empty() || profile || !postmortemDir.empty() ||
-           !recordOut.empty() || (metricsWanted() && !telemetrySampled);
+           !recordOut.empty() || (metricsWanted() && !telemetrySampled) ||
+           machine.timesliceSteps > 0;
 }
 
 void
@@ -302,11 +303,7 @@ addGroups(Parser &p, Common &c, unsigned groups)
         {Reports, {"--profile", "", "per-procedure cycle profile",
                    set(c.profile)}},
         {Reports, {"--profile-top", "N", "profile rows to print" +
-                   dflt(c.profileTop) + "; implies --profile",
-                   [&c](const std::string &v) {
-                       c.profile = true;
-                       return parseUnsigned(v, c.profileTop);
-                   }}},
+                   dflt(c.profileTop), number(c.profileTop)}},
         {Reports, {"--profile-folded", "FILE", "write folded stacks "
                    "(flamegraph.pl) of the exact profile, or of the "
                    "sampled one with --profile-sampled",
@@ -420,23 +417,40 @@ writeFile(const std::string &path,
     write(out);
 }
 
-replay::RecordLog
-recordHeader(const Common &c, Tick interval, const Program &program,
-             const std::vector<Word> &args)
+sched::RuntimeConfig
+runtimeConfig(const Common &c)
 {
-    replay::RecordLog log;
-    log.impl = c.machine.impl;
-    log.lowering = c.plan.lowering;
-    log.shortCalls = c.plan.shortCalls;
-    log.banks = c.machine.numBanks;
-    log.timeslice = c.machine.timesliceSteps;
-    log.accel = c.machine.accel.enabled;
-    log.interval = interval;
-    log.entryModule = program.entryModule;
-    log.entryProc = c.entryProc;
-    log.args = args;
-    log.source = program.source;
-    return log;
+    sched::RuntimeConfig rc;
+    rc.workers = c.workers;
+    rc.machine = c.machine;
+    rc.plan = c.plan;
+    rc.trace = !c.traceOut.empty();
+    rc.traceCapacity = c.traceCapacity;
+    rc.profile = c.profile;
+    rc.profileSampled = c.profileSampled;
+    rc.sampleInterval = c.sampleInterval;
+    // A postmortem bundle carries the final telemetry sample.
+    rc.metrics = c.metricsWanted() || !c.postmortemDir.empty();
+    rc.metricsInterval = c.metricsInterval;
+    rc.metricsCapacity = c.metricsCapacity;
+    rc.metricsSampled = c.telemetrySampled;
+    rc.postmortemDir = c.postmortemDir;
+    rc.record = !c.recordOut.empty();
+    return rc;
+}
+
+obs::ProbeRegistry *
+attachProbes(const char *driver, const Common &c,
+             obs::ProbeRegistry &registry)
+{
+    if (c.probeSpecs.empty())
+        return nullptr;
+    std::string why;
+    if (!obs::attachProbeSpecs(registry, c.probeSpecs, why)) {
+        error("{}: {}", driver, why);
+        std::exit(2);
+    }
+    return &registry;
 }
 
 void
@@ -444,11 +458,28 @@ warnIfForcedEager(const char *driver, const Common &c)
 {
     if (c.machine.accel.enabled && c.forcesEager())
         warn("{}: exact observation (a trace, exact profile, recording, "
-             "postmortem bundle or exact metrics) forces the eager loop; "
-             "--accel=threaded keeps only its predecoded instruction "
-             "cache and XFER link caches. Sampled profiles and "
-             "--telemetry-mode=sampled keep the fast path",
+             "postmortem bundle or exact metrics) or preemption "
+             "(--timeslice) forces the eager loop; --accel=threaded "
+             "keeps only its predecoded instruction cache and XFER link "
+             "caches. Sampled profiles and --telemetry-mode=sampled keep "
+             "the fast path",
              driver);
+}
+
+obs::StatsExport
+statsExport(const char *driver, const Common &c, const sched::Runtime &rt)
+{
+    obs::StatsExport exp;
+    exp.driver = driver;
+    exp.impl = implName(c.machine.impl);
+    exp.machine = &rt.machineStats();
+    exp.memory = &rt.memoryStats();
+    exp.heap = &rt.heapStats();
+    // Host counters only on request: the default document must be
+    // byte-identical with acceleration on or off.
+    if (c.accelStats)
+        exp.accel = &rt.accelStats();
+    return exp;
 }
 
 void
@@ -471,7 +502,7 @@ printTransfers(std::ostream &os, const MachineStats &s)
 
 void
 printAccelStats(std::ostream &os, const std::string &title,
-                const AccelStats &a, bool enabled, bool callSites)
+                const AccelStats &a, bool enabled)
 {
     os << "\n--- " << title << " ---\n";
     if (!enabled) {
@@ -483,12 +514,11 @@ printAccelStats(std::ostream &os, const std::string &title,
        << "link cache: " << a.linkHits() << " hits, " << a.linkMisses()
        << " misses (" << stats::percent(a.linkHitRate()) << ")\n"
        << "flushes: " << a.codeFlushes << " code, " << a.tableFlushes
-       << " link\n";
-    if (callSites)
-        os << "call sites: " << a.callSiteHits << " hits, "
-           << a.callSiteMisses << " misses   return predictions: "
-           << a.returnPredHits << " taken, " << a.returnPredMisses
-           << " missed\n";
+       << " link\n"
+       << "call sites: " << a.callSiteHits << " hits, "
+       << a.callSiteMisses << " misses   return predictions: "
+       << a.returnPredHits << " taken, " << a.returnPredMisses
+       << " missed\n";
     if (a.probeSites != 0 || a.probeEagerSteps != 0)
         os << "probes: " << a.probeSites << " armed sites, "
            << a.probeDeoptBlocks << " deopt blocks, "
@@ -496,26 +526,60 @@ printAccelStats(std::ostream &os, const std::string &title,
 }
 
 void
-printProfiles(const Common &c, const std::string &prefix,
-              const obs::ProfileData *exact,
-              const obs::SampledProfile *sampled)
+writeReports(const char *driver, const Common &c, const std::string &prefix,
+             const sched::Runtime &rt, const obs::ProbeRegistry &probes)
 {
-    if (exact) {
+    if (c.profile) {
         std::cout << "\n--- " << prefix << "profile (top " << c.profileTop
                   << " by exclusive cycles) ---\n";
-        exact->topTable(c.profileTop).print(std::cout);
-        writeFile(c.profileFolded,
-                  [&](std::ostream &os) { exact->writeFolded(os); });
+        rt.profile().topTable(c.profileTop).print(std::cout);
     }
-    if (sampled) {
+    if (c.profileSampled) {
         std::cout << "\n--- " << prefix << "sampled profile (top "
                   << c.profileTop << " by samples, interval "
                   << c.sampleInterval << " cycles) ---\n";
-        sampled->topTable(c.profileTop).print(std::cout);
-        if (!exact)
-            writeFile(c.profileFolded,
-                      [&](std::ostream &os) { sampled->writeFolded(os); });
+        rt.sampledProfile().topTable(c.profileTop).print(std::cout);
     }
+    // Folded stacks of the exact profile if there is one, else of the
+    // sampled one.
+    writeFile(c.profileFolded, [&](std::ostream &os) {
+        if (c.profile)
+            rt.profile().writeFolded(os);
+        else
+            rt.sampledProfile().writeFolded(os);
+    });
+    writeFile(c.traceOut, [&](std::ostream &os) { rt.writeTrace(os); });
+    writeFile(c.metricsOut,
+              [&](std::ostream &os) { rt.writeMetricsJson(os); });
+    writeFile(c.openmetricsOut,
+              [&](std::ostream &os) { rt.writeOpenMetrics(os); });
+    writeFile(c.probeOut,
+              [&](std::ostream &os) { probes.writeJson(os, driver); });
+}
+
+replay::RecordLog
+writeRecording(const Common &c, const Program &program,
+               const std::vector<Word> &args, const sched::Runtime &rt)
+{
+    replay::RecordLog log;
+    log.impl = c.machine.impl;
+    log.lowering = c.plan.lowering;
+    log.shortCalls = c.plan.shortCalls;
+    log.banks = c.machine.numBanks;
+    log.timeslice = c.machine.timesliceSteps;
+    log.accel = c.machine.accel.enabled;
+    log.interval = c.metricsInterval;
+    log.workers = rt.workers();
+    log.stride = rt.stride();
+    log.imageHash = rt.recordedImageHash();
+    log.entryModule = program.entryModule;
+    log.entryProc = c.entryProc;
+    log.args = args;
+    log.source = program.source;
+    log.jobs = rt.jobRecords();
+    writeFile(c.recordOut,
+              [&](std::ostream &os) { replay::writeRecord(os, log); });
+    return log;
 }
 
 } // namespace fpc::cli

@@ -9,9 +9,11 @@
  * other driver takes, and handles its own positional arguments.
  *
  * The rest of what the drivers share lives here too: compiling a .mm
- * file and picking its entry, the fpc-record-v1 header, the
- * forced-eager warning, and the --stats, --accel-stats and profile
- * printouts.
+ * file and picking its entry, the sched::RuntimeConfig every program
+ * runs under (fpcvm and `fpcreplay record` run a one-job batch), the
+ * reports written from a finished Runtime, the fpc-record-v1
+ * recording, the forced-eager warning, and the --stats and
+ * --accel-stats printouts.
  */
 
 #pragma once
@@ -30,22 +32,18 @@
 
 #include "common/types.hh"
 #include "machine/config.hh"
+#include "obs/json.hh"
 #include "obs/telemetry.hh"
 #include "obs/trace.hh"
 #include "program/loader.hh"
 #include "replay/record.hh"
+#include "sched/runtime.hh"
 
 namespace fpc
 {
 
 struct AccelStats;
 struct MachineStats;
-
-namespace obs
-{
-struct ProfileData;
-struct SampledProfile;
-} // namespace obs
 
 namespace cli
 {
@@ -232,8 +230,9 @@ struct Common
         return !metricsOut.empty() || !openmetricsOut.empty();
     }
 
-    /** An observer or exact sampler will run the machine on the eager
-     *  loop. (Probes deopt only the probed procedures: not counted.) */
+    /** An observer, an exact sampler or preemption will run the
+     *  machine on the eager loop. (Probes deopt only the probed
+     *  procedures: not counted.) */
     bool forcesEager() const;
 };
 
@@ -261,29 +260,45 @@ Program compileFile(const std::string &path,
 void writeFile(const std::string &path,
                const std::function<void(std::ostream &)> &write);
 
-/** The fpc-record-v1 header for runs of `program` under c's machine
- *  flags. Workers, stride, image hash and jobs are the caller's. */
-replay::RecordLog recordHeader(const Common &c, Tick interval,
-                               const Program &program,
-                               const std::vector<Word> &args);
+/** The Runtime the flags in c ask for: workers, machine, and every
+ *  trace, profile, series, bundle and recording the jobs keep. The
+ *  driver name, probes, spans and stop flag are the caller's. */
+sched::RuntimeConfig runtimeConfig(const Common &c);
+
+/** Compiles c's --probe specs into registry; a bad spec is an error,
+ *  exit 2. Returns the registry, or null when no probe was given. */
+obs::ProbeRegistry *attachProbes(const char *driver, const Common &c,
+                                 obs::ProbeRegistry &registry);
 
 /** Says once, up front, that exact observation runs the eager loop,
  *  rather than letting an accelerated run silently lose its speedup. */
 void warnIfForcedEager(const char *driver, const Common &c);
 
+/** The stats document's fields both batch drivers fill: driver,
+ *  engine, and the merged machine, memory, heap and (with
+ *  --accel-stats) host counters. */
+obs::StatsExport statsExport(const char *driver, const Common &c,
+                             const sched::Runtime &rt);
+
 /** The --stats transfer table and jump-speed rate. */
 void printTransfers(std::ostream &os, const MachineStats &s);
 
-/** The --accel-stats block; callSites adds the threaded backend's
- *  call-site and return-prediction line. */
+/** The --accel-stats block. */
 void printAccelStats(std::ostream &os, const std::string &title,
-                     const AccelStats &a, bool enabled, bool callSites);
+                     const AccelStats &a, bool enabled);
 
-/** The profile tables ("PREFIXprofile ..."), and --profile-folded from
- *  the exact profile if there is one, else from the sampled one. */
-void printProfiles(const Common &c, const std::string &prefix,
-                   const obs::ProfileData *exact,
-                   const obs::SampledProfile *sampled);
+/** The reports of a finished Runtime: the profile tables
+ *  ("PREFIXprofile ...") and --profile-folded, --trace-out,
+ *  --metrics-out, --openmetrics-out and --probe-out. */
+void writeReports(const char *driver, const Common &c,
+                  const std::string &prefix, const sched::Runtime &rt,
+                  const obs::ProbeRegistry &probes);
+
+/** The fpc-record-v1 recording of rt's jobs, run from `program` with
+ *  `args` under c's flags; written to --record-out when given. */
+replay::RecordLog writeRecording(const Common &c, const Program &program,
+                                 const std::vector<Word> &args,
+                                 const sched::Runtime &rt);
 
 } // namespace cli
 } // namespace fpc

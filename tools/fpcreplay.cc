@@ -7,10 +7,10 @@
  *   fpcreplay verify run.fpcr --accel=off           # accel contract
  *   fpcreplay diverge run.fpcr --engine=I2          # cross-engine
  *
- * record executes a MiniMesa program exactly like fpcvm would and
- * streams an fpc-record-v1 log: the machine configuration, the
- * embedded source, every scheduler decision, periodic FNV-1a state
- * digests, and the final state. verify re-executes from the log,
+ * record runs a MiniMesa program as fpcvm does, a one-job batch on a
+ * one-worker sched::Runtime, and writes an fpc-record-v1 log: the
+ * machine configuration, the embedded source, every scheduler
+ * decision, periodic FNV-1a state digests, and the final state. verify re-executes from the log,
  * forcing the recorded decisions, and cross-checks every digest; on
  * mismatch it reports the first divergent interval, bisects it at
  * per-XFER granularity, and (with --postmortem-dir=) writes an
@@ -28,11 +28,9 @@
 
 #include "common/logging.hh"
 #include "machine/digest.hh"
-#include "machine/machine.hh"
-#include "program/loader.hh"
 #include "replay/record.hh"
-#include "replay/recorder.hh"
 #include "replay/replayer.hh"
+#include "sched/runtime.hh"
 
 #include "cli.hh"
 
@@ -46,8 +44,6 @@ struct Options : cli::Common
     std::string command; ///< record | verify | diverge
     std::string file;    ///< .mm for record, .fpcr otherwise
     std::vector<Word> args;
-    std::string out = "run.fpcr";
-    Tick interval = 10000;
     std::optional<Impl> engine; ///< diverge: the other engine
 };
 
@@ -55,19 +51,21 @@ Options
 parseArgs(int argc, char **argv)
 {
     Options opt;
+    opt.recordOut = "run.fpcr";
     cli::Parser p(argv[0],
                   {"record <file.mm> [int args...] [options]",
                    "verify <run.fpcr> [options]",
                    "diverge <run.fpcr> --engine=ENGINE [options]"},
-                  "record takes the machine flags, --entry, --out and\n"
-                  "--interval. verify takes --accel, to force the host "
-                  "backend (the\ndigests must not care), and "
-                  "--postmortem-dir, for a divergence bundle.\n"
-                  "diverge takes --engine.\n");
+                  "record takes the machine flags, --entry, --out, "
+                  "--interval and\n--postmortem-dir, for a bundle if "
+                  "the program fails. verify takes\n--accel, to force "
+                  "the host backend (the digests must not care), and\n"
+                  "--postmortem-dir, for a divergence bundle. diverge "
+                  "takes --engine.\n");
     p.add({"--out", "FILE", "recording path (default run.fpcr)",
-           cli::text(opt.out)});
+           cli::text(opt.recordOut)});
     p.add({"--interval", "N", "cycles between state digests (default "
-           "10000)", cli::number(opt.interval)});
+           "10000)", cli::number(opt.metricsInterval)});
     p.add({"--engine", "I1|I2|I3|I4", "the engine to compare against",
            cli::choice(opt.engine, cli::engines())});
     cli::addGroups(p, opt,
@@ -91,35 +89,23 @@ int
 doRecord(const Options &opt)
 {
     const cli::Program program = cli::compileFile(opt.file, opt.entryModule);
-
-    Memory mem(SystemLayout().memWords);
-    const LoadedImage image = program.load(mem, opt.plan);
-
-    replay::RecordLog log =
-        cli::recordHeader(opt, opt.interval, program, opt.args);
-    log.imageHash = replay::imageHash(mem, image);
-
-    Machine machine(mem, image, opt.machine);
-
-    replay::Recorder recorder;
-    recorder.beginJob(0, 0);
-    machine.setSampler(&recorder, opt.interval);
-    if (opt.machine.timesliceSteps > 0) {
-        machine.setScheduler(recorder.wrapPolicy(
-            [](Machine &m) { return m.currentFrameContext(); }));
+    sched::RuntimeConfig rc = cli::runtimeConfig(opt);
+    rc.driver = "fpcreplay";
+    sched::Runtime runtime(rc);
+    runtime.submit({program.modules, program.entryModule, opt.entryProc,
+                    opt.args});
+    const sched::JobResult result = runtime.run().front();
+    if (runtime.jobRecords().front().final.reason.empty()) {
+        // The job never ran (say, no such --entry): nothing to record.
+        error("fpcreplay: {}", result.error);
+        return 1;
     }
 
-    machine.start(program.entryModule, opt.entryProc, opt.args);
-    recorder.sample(machine);
-    const RunResult result = machine.run();
-    recorder.finish(machine, result);
-    log.jobs.push_back(recorder.takeJob());
-
-    cli::writeFile(opt.out,
-                   [&](std::ostream &os) { replay::writeRecord(os, log); });
+    const replay::RecordLog log =
+        cli::writeRecording(opt, program, opt.args, runtime);
     const replay::JobRecord &job = log.jobs.front();
-    std::cout << "recorded " << opt.file << " -> " << opt.out << " ("
-              << stopReasonName(result.reason) << ", "
+    std::cout << "recorded " << opt.file << " -> " << opt.recordOut
+              << " (" << stopReasonName(result.reason) << ", "
               << job.final.steps << " steps, " << job.samples.size()
               << " digests, " << job.decisions.size()
               << " decisions)\n";

@@ -26,9 +26,6 @@
 #include <vector>
 
 #include "common/logging.hh"
-#include "obs/json.hh"
-#include "obs/probes.hh"
-#include "replay/record.hh"
 #include "sched/runtime.hh"
 #include "serve/drain.hh"
 #include "stats/table.hh"
@@ -97,37 +94,10 @@ main(int argc, char **argv)
 try {
     const Options opt = parseArgs(argc, argv);
 
-    sched::RuntimeConfig rc;
-    rc.workers = opt.workers;
-    rc.machine = opt.machine;
-    rc.plan = opt.plan;
-    rc.trace = !opt.traceOut.empty();
-    rc.traceCapacity = opt.traceCapacity;
-    rc.profile = opt.profile;
-    rc.profileSampled = opt.profileSampled;
-    rc.sampleInterval = opt.sampleInterval;
-    rc.metrics = opt.metricsWanted();
-    rc.metricsInterval = opt.metricsInterval;
-    rc.metricsCapacity = opt.metricsCapacity;
-    rc.metricsSampled = opt.telemetrySampled;
-    rc.postmortemDir = opt.postmortemDir;
-    rc.record = !opt.recordOut.empty();
+    sched::RuntimeConfig rc = cli::runtimeConfig(opt);
     rc.driver = "fpcrun";
-
-    // Dynamic probes ride the selective-deopt path: only superblocks
-    // covering a probed procedure fall back to the eager loop, so
-    // probes are deliberately absent from Common::forcesEager.
-    obs::ProbeRegistry probeRegistry;
-    if (!opt.probeSpecs.empty()) {
-        std::string perr;
-        if (!obs::attachProbeSpecs(probeRegistry, opt.probeSpecs,
-                                   perr)) {
-            error("fpcrun: {}", perr);
-            return 2;
-        }
-        rc.probes = &probeRegistry;
-    }
-
+    obs::ProbeRegistry probes;
+    rc.probes = cli::attachProbes("fpcrun", opt, probes);
     cli::warnIfForcedEager("fpcrun", opt);
     // Batch spans: the runtime synthesizes request ⊃ queued ⊃ execute
     // trees per job (host time only — simulated numbers untouched).
@@ -202,31 +172,15 @@ try {
     if (opt.accelStats)
         cli::printAccelStats(std::cout, "host acceleration (merged)",
                              runtime.accelStats(),
-                             opt.machine.accel.enabled, true);
+                             opt.machine.accel.enabled);
 
-    cli::writeFile(opt.traceOut,
-                   [&](std::ostream &os) { runtime.writeTrace(os); });
-    cli::printProfiles(opt, "merged ",
-                       opt.profile ? &runtime.profile() : nullptr,
-                       opt.profileSampled ? &runtime.sampledProfile()
-                                          : nullptr);
+    cli::writeReports("fpcrun", opt, "merged ", runtime, probes);
     cli::writeFile(opt.statsJson, [&](std::ostream &os) {
-        obs::StatsExport exp;
-        exp.driver = "fpcrun";
-        exp.impl = implName(rc.machine.impl);
+        obs::StatsExport exp = cli::statsExport("fpcrun", opt, runtime);
         exp.workers = runtime.workers();
-        exp.machine = &runtime.machineStats();
         exp.groups.push_back(&runtime.stats());
-        // Host counters only on request: the default document must be
-        // byte-identical with acceleration on or off.
-        if (opt.accelStats)
-            exp.accel = &runtime.accelStats();
         obs::writeStatsJson(os, exp);
     });
-    cli::writeFile(opt.metricsOut,
-                   [&](std::ostream &os) { runtime.writeMetricsJson(os); });
-    cli::writeFile(opt.openmetricsOut,
-                   [&](std::ostream &os) { runtime.writeOpenMetrics(os); });
     if (spans) {
         const auto faults = obs::checkSpans(*spans);
         if (!faults.empty())
@@ -236,19 +190,9 @@ try {
             obs::writeSpansLog(os, "fpcrun", *spans);
         });
     }
-    cli::writeFile(opt.probeOut, [&](std::ostream &os) {
-        probeRegistry.writeJson(os, "fpcrun");
-    });
     if (!opt.recordOut.empty()) {
-        replay::RecordLog log = cli::recordHeader(
-            opt, opt.metricsInterval, program, opt.args);
-        log.workers = runtime.workers();
-        log.stride = runtime.stride();
-        log.imageHash = runtime.recordedImageHash();
-        log.jobs = runtime.jobRecords();
-        cli::writeFile(opt.recordOut, [&](std::ostream &os) {
-            replay::writeRecord(os, log);
-        });
+        const replay::RecordLog log =
+            cli::writeRecording(opt, program, opt.args, runtime);
         inform("fpcrun: recorded {} job(s) to {}", log.jobs.size(),
                opt.recordOut);
     }

@@ -13,27 +13,18 @@
  * Positional arguments after the file are passed to <entry>(...) as
  * 16-bit integers; the entry point is Main.main or, if there is no
  * module named Main, the first module's "main".
+ *
+ * The program runs as a one-job batch on a one-worker sched::Runtime,
+ * the same path every fpcrun and fpcserve job takes.
  */
 
 #include <iostream>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/logging.hh"
 #include "isa/disasm.hh"
-#include "machine/machine.hh"
-#include "obs/fanout.hh"
-#include "obs/json.hh"
-#include "obs/postmortem.hh"
-#include "obs/probes.hh"
-#include "obs/profile.hh"
-#include "obs/sampled_profile.hh"
-#include "obs/telemetry.hh"
-#include "obs/trace.hh"
-#include "program/loader.hh"
-#include "replay/record.hh"
-#include "replay/recorder.hh"
+#include "sched/runtime.hh"
 
 #include "cli.hh"
 
@@ -92,30 +83,30 @@ dumpDisassembly(const LoadedImage &image, Memory &mem)
 }
 
 void
-dumpStats(const Machine &machine, const Memory &mem)
+dumpStats(const sched::Runtime &runtime, const MachineConfig &config)
 {
-    const MachineStats &s = machine.stats();
+    const MachineStats &s = runtime.machineStats();
     std::cout << "\n--- statistics ---\n"
               << "instructions: " << s.steps
               << "   cycles: " << s.cycles
-              << "   storage refs: " << mem.totalRefs() << "\n";
+              << "   storage refs: " << runtime.memoryStats().totalRefs
+              << "\n";
 
     cli::printTransfers(std::cout, s);
-    if (machine.config().impl == Impl::Banked) {
+    if (config.impl == Impl::Banked) {
         std::cout << "bank overflows: " << s.bankOverflows
                   << "   underflows: " << s.bankUnderflows
                   << "   fast frame allocs: " << s.fastFrameAllocs
                   << "/" << s.fastFrameAllocs + s.slowFrameAllocs
                   << "\n";
     }
-    if (machine.config().impl == Impl::Ifu ||
-        machine.config().impl == Impl::Banked) {
+    if (config.impl == Impl::Ifu || config.impl == Impl::Banked) {
         std::cout << "return stack hits: " << s.returnStackHits
                   << "   misses: " << s.returnStackMisses
                   << "   spills: " << s.returnStackSpills << "\n";
     }
-    if (machine.config().timesliceSteps > 0) {
-        std::cout << "timeslice: " << machine.config().timesliceSteps
+    if (config.timesliceSteps > 0) {
+        std::cout << "timeslice: " << config.timesliceSteps
                   << " instructions   preemptions: " << s.preemptions
                   << "\n";
     }
@@ -129,223 +120,49 @@ try {
     const Options opt = parseArgs(argc, argv);
 
     const cli::Program program = cli::compileFile(opt.file, opt.entryModule);
-
-    Memory mem(SystemLayout().memWords);
-    const LoadedImage image = program.load(mem, opt.plan);
-    // Hash before the Machine exists: its FrameHeap constructor
-    // rewrites the AV, and replay hashes at this same point.
-    const std::uint64_t imageHash = opt.recordOut.empty()
-                                        ? 0
-                                        : replay::imageHash(mem, image);
-
-    if (opt.disasm)
-        dumpDisassembly(image, mem);
-
-    const MachineConfig &config = opt.machine;
-    Machine machine(mem, image, config);
-
-    // Observability: a tracer and/or profiler share the machine's one
-    // observer slot through a fanout. Both are free when unused.
-    obs::ProcMap procMap;
-    obs::Tracer tracer(opt.traceCapacity);
-    std::optional<obs::Profiler> profiler;
-    obs::Fanout fanout;
-    if (!opt.traceOut.empty()) {
-        procMap = obs::ProcMap(image);
-        tracer.setProcMap(&procMap);
-        fanout.add(&tracer);
-    }
-    if (opt.profile) {
-        profiler.emplace(image);
-        fanout.add(&*profiler);
-    }
-    obs::FlightRecorder recorder;
-    if (!opt.postmortemDir.empty())
-        fanout.add(&recorder);
-    if (!fanout.empty())
-        machine.setObserver(&fanout);
-
-    const bool telemetryWanted =
-        opt.metricsWanted() || !opt.postmortemDir.empty();
-    obs::Telemetry telemetry(opt.metricsCapacity);
-    // The replay recorder takes the machine's one sampler slot and
-    // chains the telemetry sampler behind it, so both fire on the
-    // same simulated-cycle boundaries.
-    replay::Recorder replayRec;
-    if (!opt.recordOut.empty()) {
-        replayRec.beginJob(0, 0);
-        if (telemetryWanted)
-            replayRec.setNext(&telemetry);
-        machine.setSampler(&replayRec, opt.metricsInterval);
-    } else if (telemetryWanted && !opt.telemetrySampled) {
-        machine.setSampler(&telemetry, opt.metricsInterval);
+    if (opt.disasm) {
+        Memory mem(SystemLayout().memWords);
+        dumpDisassembly(program.load(mem, opt.plan), mem);
     }
 
-    // Sampled (accel-safe) observability rides the boundary-sample
-    // slot: the accel fast paths keep running and sample stamps obey
-    // the bounded-slop contract (machine/machine.hh).
-    std::optional<obs::SampledProfiler> sampledProfiler;
-    obs::BoundaryFanout boundaryFan;
-    if (opt.profileSampled) {
-        sampledProfiler.emplace(image);
-        boundaryFan.add(&*sampledProfiler, opt.sampleInterval);
-    }
-    if (telemetryWanted && opt.telemetrySampled)
-        boundaryFan.add(&telemetry, opt.metricsInterval);
-    if (!boundaryFan.empty())
-        machine.setBoundarySampler(&boundaryFan,
-                                   boundaryFan.machineInterval());
-
+    sched::RuntimeConfig rc = cli::runtimeConfig(opt);
+    rc.driver = "fpcvm";
+    obs::ProbeRegistry probes;
+    rc.probes = cli::attachProbes("fpcvm", opt, probes);
     cli::warnIfForcedEager("fpcvm", opt);
+    sched::Runtime runtime(rc);
+    runtime.submit({program.modules, program.entryModule, opt.entryProc,
+                    opt.args});
+    const sched::JobResult result = runtime.run().front();
 
-    // Dynamic probes: zero simulated cost and accel-safe (only the
-    // armed procedures deoptimize), so they are deliberately absent
-    // from Common::forcesEager.
-    obs::ProbeRegistry probeRegistry;
-    std::optional<obs::ProbeEngine> probeEngine;
-    if (!opt.probeSpecs.empty()) {
-        std::string perr;
-        if (!obs::attachProbeSpecs(probeRegistry, opt.probeSpecs,
-                                   perr)) {
-            error("fpcvm: {}", perr);
-            return 2;
-        }
-        probeEngine.emplace(probeRegistry.snapshot(), image,
-                            "default", 0);
-        machine.setProbeSink(&*probeEngine,
-                             probeEngine->armedRanges());
-    }
-
-    if (config.timesliceSteps > 0) {
-        // Single program, so every expired slice switches the process
-        // to itself — still a full ProcSwitch XFER through the engine.
-        Machine::Scheduler policy =
-            [](Machine &m) { return m.currentFrameContext(); };
-        if (!opt.recordOut.empty())
-            policy = replayRec.wrapPolicy(std::move(policy));
-        machine.setScheduler(std::move(policy));
-    }
-    machine.start(program.entryModule, opt.entryProc, opt.args);
-    // Bracket the run: even programs shorter than one interval export
-    // a start and a final point.
-    if (!opt.recordOut.empty())
-        replayRec.sample(machine);
-    if (telemetryWanted)
-        telemetry.sample(machine);
-    const RunResult result = machine.run();
-    if (!opt.recordOut.empty())
-        replayRec.finish(machine, result); // before popValue below
-    if (telemetryWanted)
-        telemetry.sample(machine);
-
-    if (probeEngine) {
-        machine.setProbeSink(nullptr);
-        probeEngine->finishInto(probeRegistry);
-    }
-
-    for (const Word v : machine.output())
+    for (const Word v : result.output)
         std::cout << static_cast<SWord>(v) << "\n";
 
     int exit_code = 0;
     if (result.reason == StopReason::TopReturn) {
-        std::cout << "=> "
-                  << static_cast<SWord>(machine.popValue()) << "\n";
+        std::cout << "=> " << static_cast<SWord>(result.value) << "\n";
     } else if (result.reason != StopReason::Halted) {
         error("fpcvm: {}: {}", stopReasonName(result.reason),
-              result.message);
+              result.error);
         exit_code = 1;
-        if (!opt.postmortemDir.empty()) {
-            obs::PostmortemConfig pm;
-            pm.dir = opt.postmortemDir;
-            pm.driver = "fpcvm";
-            pm.impl = implName(config.impl);
-            if (obs::writePostmortem(pm, machine, result, image,
-                                     recorder, &telemetry)) {
-                inform("fpcvm: postmortem bundle written to {}",
-                       opt.postmortemDir);
-            }
-        }
     }
 
     if (opt.stats)
-        dumpStats(machine, mem);
+        dumpStats(runtime, opt.machine);
     if (opt.accelStats)
         cli::printAccelStats(std::cout, "host acceleration",
-                             machine.accelStats(), machine.accelEnabled(),
-                             machine.threadedActive());
+                             runtime.accelStats(),
+                             opt.machine.accel.enabled);
 
     // Artifacts are written even when the program stopped on an error:
     // a trace of a failing run is the one you want to look at.
-    cli::writeFile(opt.traceOut, [&](std::ostream &os) {
-        obs::writeChromeTrace(os, tracer);
-        if (tracer.dropped() > 0)
-            warn("fpcvm: trace ring dropped {} of {} events (raise "
-                 "--trace-capacity)",
-                 tracer.dropped(), tracer.recorded());
-    });
-    {
-        std::optional<obs::ProfileData> exact;
-        std::optional<obs::SampledProfile> sampled;
-        if (profiler)
-            exact = profiler->finish(machine.cycles());
-        if (sampledProfiler)
-            sampled = sampledProfiler->finish();
-        cli::printProfiles(opt, "", exact ? &*exact : nullptr,
-                           sampled ? &*sampled : nullptr);
-    }
-    cli::writeFile(opt.probeOut, [&](std::ostream &os) {
-        probeRegistry.writeJson(os, "fpcvm");
-    });
+    cli::writeReports("fpcvm", opt, "", runtime, probes);
     cli::writeFile(opt.statsJson, [&](std::ostream &os) {
-        obs::StatsExport exp;
-        exp.driver = "fpcvm";
-        exp.impl = implName(config.impl);
+        obs::StatsExport exp = cli::statsExport("fpcvm", opt, runtime);
         exp.stopReason = stopReasonName(result.reason);
-        exp.machine = &machine.stats();
-        exp.memory = &mem;
-        exp.heap = &machine.heap().stats();
-        exp.cache = machine.dataCache();
-        // Host counters only on request: the default document must be
-        // byte-identical with acceleration on or off.
-        AccelStats accel_counters;
-        if (opt.accelStats) {
-            accel_counters = machine.accelStats();
-            exp.accel = &accel_counters;
-        }
         obs::writeStatsJson(os, exp);
     });
-    if (opt.metricsWanted()) {
-        obs::MetricsExport meta;
-        meta.driver = "fpcvm";
-        meta.impl = implName(config.impl);
-        meta.interval = opt.metricsInterval;
-        // Host hit rates only on request, like --accel-stats: the
-        // default series must be byte-identical with
-        // --accel=off|threaded.
-        // Sampled series are not byte-identical across the switch
-        // anyway (their purpose is observing accelerated runs), so
-        // there the accel gauges flow by default.
-        meta.includeAccel = opt.accelStats || opt.telemetrySampled;
-        cli::writeFile(opt.metricsOut, [&](std::ostream &os) {
-            obs::writeMetricsJson(os, meta, telemetry);
-            if (telemetry.dropped() > 0)
-                warn("fpcvm: metrics ring dropped {} of {} samples "
-                     "(raise --metrics-capacity)",
-                     telemetry.dropped(), telemetry.recorded());
-        });
-        cli::writeFile(opt.openmetricsOut, [&](std::ostream &os) {
-            obs::writeOpenMetrics(os, meta, telemetry);
-        });
-    }
-    if (!opt.recordOut.empty()) {
-        replay::RecordLog log = cli::recordHeader(
-            opt, opt.metricsInterval, program, opt.args);
-        log.imageHash = imageHash;
-        log.jobs.push_back(replayRec.takeJob());
-        cli::writeFile(opt.recordOut, [&](std::ostream &os) {
-            replay::writeRecord(os, log);
-        });
-    }
+    cli::writeRecording(opt, program, opt.args, runtime);
     return exit_code;
 } catch (const std::exception &err) {
     error("fpcvm: {}", err.what());
