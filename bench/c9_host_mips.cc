@@ -27,6 +27,7 @@
 #include <array>
 
 #include "bench_util.hh"
+#include "obs/fanout.hh"
 #include "obs/probes.hh"
 #include "obs/sampled_profile.hh"
 #include "obs/telemetry.hh"
@@ -308,7 +309,7 @@ constexpr std::array<ObsState, 3> allObsStates = {
 /**
  * Observability overhead: wall time of the threaded backend with no
  * observer, with full sampled observability (profiler + telemetry via
- * the BoundaryFanout, default 9973-cycle budget), and with the exact
+ * an obs::Fanout, default 9973-cycle budget), and with the exact
  * telemetry sampler — which forces the eager loop and so prices what
  * `--telemetry-mode=sampled` buys back. Same interleaved min-of-N
  * discipline as the throughput tables.
@@ -349,17 +350,17 @@ printObsOverhead(unsigned repeat, JsonReport &json)
                         configFor(combo));
                 std::optional<obs::SampledProfiler> profiler;
                 std::optional<obs::Telemetry> telemetry;
-                obs::BoundaryFanout fan;
+                obs::Fanout fan;
                 switch (allObsStates[i]) {
                   case ObsState::Unobserved:
                     break;
                   case ObsState::Sampled:
                     profiler.emplace(rig.image);
-                    telemetry.emplace();
+                    telemetry.emplace(obs::Telemetry::defaultCapacity,
+                                      false);
                     fan.add(&*profiler, sampleInterval);
                     fan.add(&*telemetry, sampleInterval);
-                    rig.machine->setBoundarySampler(
-                        &fan, fan.machineInterval());
+                    fan.attach(*rig.machine);
                     break;
                   case ObsState::Exact:
                     telemetry.emplace();
@@ -411,7 +412,7 @@ printObsOverhead(unsigned repeat, JsonReport &json)
  *  threaded backend. */
 enum class ProbeState
 {
-    Unprobed, ///< no probe sink at all
+    Unprobed, ///< no probe engine at all
     Probed,   ///< one hot procedure probed (selective deopt)
     AllProbed ///< every procedure probed (upper bound on the cost)
 };
@@ -514,8 +515,8 @@ printProbeOverhead(unsigned repeat, JsonReport &json)
                 if (registry != nullptr) {
                     engine.emplace(registry->snapshot(), rig.image,
                                    "", 0);
-                    rig.machine->setProbeSink(&*engine,
-                                              engine->armedRanges());
+                    rig.machine->setObserver(&*engine,
+                                             engine->armedRanges());
                 }
                 // Warm run: frame free lists + host caches (the
                 // armed superblock set reaches steady state here).

@@ -103,7 +103,7 @@ struct AccelStats
     CountT returnPredHits = 0;
     CountT returnPredMisses = 0;
 
-    /** Dynamic probes (machine.hh ProbeSink): armed code ranges
+    /** Dynamic probes (Machine::setObserver's armed ranges): ranges
      *  registered, superblocks selectively invalidated at arm time,
      *  and steps the accelerated loops deoptimized to the exact eager
      *  path because the PC lay inside an armed range. */

@@ -86,27 +86,24 @@ class XferDigester : public XferObserver
         std::uint64_t digest = 0;
     };
 
-    XferDigester(const Machine &machine, DigestScope scope,
-                 std::uint64_t begin_step = 0,
-                 std::uint64_t end_step =
-                     std::numeric_limits<std::uint64_t>::max())
-        : machine_(machine), scope_(scope), beginStep_(begin_step),
-          endStep_(end_step)
+    explicit XferDigester(DigestScope scope,
+                          std::uint64_t begin_step = 0,
+                          std::uint64_t end_step =
+                              std::numeric_limits<std::uint64_t>::max())
+        : scope_(scope), beginStep_(begin_step), endStep_(end_step)
     {}
 
     void
-    onXfer(const XferRecord &record) override
+    onXfer(const XferRecord &record, const Machine &machine) override
     {
         if (record.step < beginStep_ || record.step > endStep_)
             return;
-        entries_.push_back(
-            {record.step, stateDigest(machine_, scope_)});
+        entries_.push_back({record.step, stateDigest(machine, scope_)});
     }
 
     const std::vector<Entry> &entries() const { return entries_; }
 
   private:
-    const Machine &machine_;
     DigestScope scope_;
     std::uint64_t beginStep_;
     std::uint64_t endStep_;

@@ -162,6 +162,7 @@ Machine::reset()
     codeBase_ = 0;
     codeBaseValid_ = false;
     curProcEntry_ = 0;
+    shadow_.clear();
     returnCtx_ = nilContext;
     sp_ = 0;
     retStack_.clear();
@@ -319,29 +320,15 @@ Machine::setScheduler(Scheduler scheduler)
 }
 
 void
-Machine::setSampler(CycleSampler *sampler, Tick interval_cycles)
+Machine::setObserver(XferObserver *observer,
+                     std::vector<ProbeRange> armed)
 {
-    sampler_ = sampler;
-    sampleInterval_ = interval_cycles > 0 ? interval_cycles : 1;
-    nextSampleAt_ = stats_.cycles + sampleInterval_;
-}
-
-void
-Machine::setBoundarySampler(BoundarySampler *sampler,
-                            Tick interval_cycles)
-{
-    bsampler_ = sampler;
-    bsampleInterval_ = interval_cycles > 0 ? interval_cycles : 1;
-    bsampleNextAt_ = stats_.cycles + bsampleInterval_;
-}
-
-void
-Machine::setProbeSink(ProbeSink *sink, std::vector<ProbeRange> armed)
-{
-    probes_ = sink;
+    observer_ = observer;
     armed_ = std::move(armed);
-    if (sink == nullptr)
+    if (observer == nullptr)
         armed_.clear();
+    else
+        shadow_.clear();
     armedMin_ = ~static_cast<CodeByteAddr>(0);
     armedMax_ = 0;
     for (const ProbeRange &r : armed_) {
@@ -351,7 +338,7 @@ Machine::setProbeSink(ProbeSink *sink, std::vector<ProbeRange> armed)
     if (accel_) {
         accel_->stats.probeSites += static_cast<CountT>(armed_.size());
         // Selective deopt: drop just the superblocks intersecting an
-        // armed range (and null chain pointers into them), so probed
+        // armed range (and null chain pointers into them), so armed
         // PCs re-enter through the outer loop's armed check while
         // everything else keeps its blocks. Also restores the
         // invariant the threaded chain-follow relies on: no live
@@ -364,9 +351,17 @@ Machine::setProbeSink(ProbeSink *sink, std::vector<ProbeRange> armed)
 }
 
 void
-Machine::fireBoundarySample()
+Machine::setSampler(CycleSampler *sampler, Tick interval_cycles)
 {
-    // The accelerated loops only reach here at boundaries where their
+    sampler_ = sampler;
+    sampleInterval_ = interval_cycles > 0 ? interval_cycles : 1;
+    nextSampleAt_ = stats_.cycles + sampleInterval_;
+}
+
+void
+Machine::fireSample()
+{
+    // The threaded loop only reaches here at boundaries where its
     // register-held deltas have been spilled; the block-granular
     // opcode/length histograms and accel counters may still be
     // deferred, so fold them now — samples must read a
@@ -374,16 +369,11 @@ Machine::fireBoundarySample()
     if (sblocks_ && accel_)
         sblocks_->flushDeferred(stats_, accel_->stats);
     foldXferSums();
-    // Same catch-up discipline as the exact sampler: advance strictly
-    // past the current cycle count so each interval fires once.
-    do {
-        bsampleNextAt_ += bsampleInterval_;
-    } while (bsampleNextAt_ <= stats_.cycles);
-    bsampler_->onBoundarySample(*this);
-    // The anchor is only meaningful inside the callback; the threaded
-    // loop sets it just before calling here, everything else leaves
-    // it 0.
-    bsampleAnchorPc_ = 0;
+    sampler_->onSample(*this);
+    nextSampleAt_ = sampler_->nextDeadline(nextSampleAt_, sampleInterval_,
+                                           stats_.cycles);
+    // The anchor is only meaningful inside the callback.
+    sampleAnchorPc_ = 0;
 }
 
 void
@@ -444,18 +434,18 @@ RunResult
 Machine::run()
 {
     // The threaded backend runs whenever it is configured and nothing
-    // needs per-step stamps. An attached observer forces the eager
-    // loop: XFER records stamp absolute cycles/steps, which block-fused
-    // accounting would skew. So does an attached sampler (sample
-    // points are defined as step boundaries crossing cycle-interval
-    // multiples) and preemption (the timeslice counts single steps).
-    const bool preemptible =
-        config_.timesliceSteps != 0 && scheduler_ != nullptr;
+    // needs per-step stamps: an exact observer (XFER records stamp
+    // absolute cycles/steps, which block-fused accounting would skew),
+    // an exact sampler (its points are step boundaries crossing its
+    // deadlines) or preemption (the timeslice counts single steps).
+    const bool exact =
+        (config_.timesliceSteps != 0 && scheduler_ != nullptr) ||
+        (observer_ != nullptr && observer_->exact()) ||
+        (sampler_ != nullptr && sampler_->exact());
 
     std::uint64_t steps = 0;
     try {
-        if (sblocks_ && !preemptible && observer_ == nullptr &&
-            sampler_ == nullptr) {
+        if (sblocks_ && !exact) {
             if (banked())
                 threadedLoopT<true>(steps);
             else
@@ -497,22 +487,12 @@ Machine::step()
     maybePreempt();
     if (sampler_ != nullptr && stats_.cycles >= nextSampleAt_)
         [[unlikely]] {
-        // Catch up past multi-cycle instructions so the next fire is
-        // strictly in the future; the sampler only reads state, so no
-        // simulated cost is charged here.
-        do {
-            nextSampleAt_ += sampleInterval_;
-        } while (nextSampleAt_ <= stats_.cycles);
-        sampler_->onSample(*this);
-    }
-    if (bsampler_ != nullptr && stats_.cycles >= bsampleNextAt_)
-        [[unlikely]] {
         // Anchor to the instruction that spent the cycles: a transfer
         // that expires the budget has already moved pc() to its
         // destination, but the exact profiler charges its cost to the
         // source.
-        bsampleAnchorPc_ = instStart_;
-        fireBoundarySample();
+        sampleAnchorPc_ = instStart_;
+        fireSample();
     }
 }
 

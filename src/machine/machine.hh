@@ -146,102 +146,98 @@ struct XferRecord
     std::uint64_t step = 0;    ///< instructions executed so far
 };
 
-/**
- * Observation hook for transfers; attach with Machine::setObserver.
- * With no observer attached the machine pays one pointer null-check
- * per transfer, and no simulated cycles are charged either way, so
- * the cost model is identical with observation on or off.
- */
-class XferObserver
+/** One activation on the machine's shadow call stack. */
+struct ShadowFrame
 {
-  public:
-    virtual ~XferObserver() = default;
-    virtual void onXfer(const XferRecord &record) = 0;
+    Addr frame = nilAddr; ///< its local frame
+    CodeByteAddr pc = 0;  ///< entry PC (pushed by a call) or resume PC
+                          ///< (the root a non-LIFO transfer left)
+    Tick entered = 0;     ///< cycle count when that transfer completed
 };
 
 class Machine;
 
 /**
- * Periodic sampling hook clocked on simulated cycles; attach with
- * Machine::setSampler. onSample fires at the first step boundary at
- * or past each interval multiple, reads whatever gauges it wants
- * through the const machine reference, and charges zero simulated
- * cycles — exactly the XferObserver contract, at interval rather
- * than transfer granularity. Because the clock is simulated cycles,
- * the sample points (and therefore any exported series) are
- * byte-identical across runs and across the acceleration switch.
+ * Observation hook for transfers, frame allocation and traps; attach
+ * with Machine::setObserver. Every callback receives the machine,
+ * charges zero simulated cycles and must only read, so all simulated
+ * numbers are byte-identical with any observer attached. With none
+ * attached the machine pays one pointer null-check per transfer.
+ *
+ * While an observer is attached the machine keeps one shadow call
+ * stack for it (Machine::shadowStack), with the one bracketing rule
+ * of the §6 return stack: a call pushes the callee; a return pops it
+ * if the stack is not empty; any other XFER (Coroutine, ProcSwitch,
+ * Trap) empties the stack and re-roots it at the destination.
+ * onXfer sees both ends of a LIFO transfer: a call's callee is
+ * already pushed, a return's callee is popped, and a non-LIFO
+ * transfer's flush applied, only after onXfer returns.
+ *
+ * exact() says whether the observer needs exact absolute stamps
+ * (XferRecord::start/end/step, machine.cycles()). An exact observer
+ * runs the eager loop. Any other runs on the threaded loop too, where
+ * the refs/cycles a transfer consumed (end - start) are still exact
+ * but absolute readings from unarmed code may lag by up to one
+ * superblock of decode cycles; PCs in the armed ranges passed to
+ * setObserver step on the exact eager path.
+ */
+class XferObserver
+{
+  public:
+    virtual ~XferObserver() = default;
+    /** After every completed transfer. */
+    virtual void onXfer(const XferRecord &record,
+                        const Machine &machine) = 0;
+    /** After every frame allocation (fast = I4 fast-frame stack). */
+    virtual void onFrameAlloc(unsigned, bool, const Machine &) {}
+    /** After every frame release. The size class is ~0u when the
+     *  slow release path cannot cheaply recover it. */
+    virtual void onFrameFree(unsigned, bool, const Machine &) {}
+    /** On every trap, including unhandled traps that stop the run
+     *  (those never reach the XFER path). */
+    virtual void onTrap(Word, const Machine &) {}
+    virtual bool exact() const { return true; }
+};
+
+/**
+ * Sampling hook clocked on simulated cycles; attach with
+ * Machine::setSampler. onSample fires at the first boundary at or
+ * past the deadline: on the eager loop every instruction is a
+ * boundary; on the threaded loop, superblock exits are, so a sample
+ * may land up to one superblock (≤ 64 instructions) of cycles late.
+ * An exact() sampler runs the eager loop; because the clock is
+ * simulated cycles, its sample points (and any exported series) are
+ * byte-identical across runs and backends. Deferred opcode/length
+ * histograms and accel counters are folded before the hook runs, so
+ * the machine it reads is self-consistent. Like an observer, it
+ * reads only and charges zero simulated cycles.
  */
 class CycleSampler
 {
   public:
     virtual ~CycleSampler() = default;
     virtual void onSample(const Machine &machine) = 0;
+    virtual bool exact() const { return true; }
+    /** The deadline after a sample taken at cycle count now: the
+     *  first interval multiple past due that lies beyond now, so each
+     *  interval fires once. A multiplexer returns its clients'
+     *  earliest deadline instead. */
+    virtual Tick
+    nextDeadline(Tick due, Tick interval, Tick now) const
+    {
+        do
+            due += interval;
+        while (due <= now);
+        return due;
+    }
 };
 
-/**
- * Boundary sampling hook clocked on simulated cycles; attach with
- * Machine::setBoundarySampler. Unlike a CycleSampler, an attached
- * boundary sampler does NOT force the eager loop: the threaded loop
- * checks the cycle budget only where its deferred accounting is
- * exact — the block-exit and chain-follow sites — so
- * onBoundarySample fires at the first such boundary at or past each
- * interval multiple. The documented slop contract: the firing cycle
- * exceeds the nominal interval multiple by at most one superblock
- * (≤ 64 instructions) worth of cycles on the threaded loop, and by at
- * most one instruction on the eager loop, which fires exactly like a
- * CycleSampler. Deferred opcode/length histograms and accel counters
- * are folded before the hook runs, so the machine the hook reads is
- * self-consistent. Reads must be unaccounted; the hook charges zero
- * simulated cycles.
- */
-class BoundarySampler
-{
-  public:
-    virtual ~BoundarySampler() = default;
-    virtual void onBoundarySample(const Machine &machine) = 0;
-};
-
-/** A half-open range of code byte addresses a probe sink has armed
+/** A half-open range of code byte addresses an observer has armed
  *  (typically one procedure's prologue + body). */
 struct ProbeRange
 {
     CodeByteAddr begin = 0;
     CodeByteAddr end = 0; ///< exclusive
-};
-
-/**
- * Dynamic-probe hook; attach with Machine::setProbeSink. Unlike an
- * XferObserver, an attached probe sink does NOT force the eager loop:
- * the callbacks fire from inside the member transfer/frame/trap code
- * both backends share, where the threaded loop's deferred counters
- * are constant, so the refs/cycles deltas delivered here are exact
- * under either backend. Absolute readings (machine.cycles(),
- * stats().steps) obey a bounded-slop contract instead: events fired
- * from unprobed threaded code may lag the eager loop's stamps by at
- * most one superblock of decode cycles, while events inside an armed
- * range are exact — arming deoptimizes just the superblocks
- * containing those PCs to the eager path (selective deopt; see
- * setProbeSink). The hooks charge zero simulated cycles, so all
- * simulated numbers are byte-identical with any probe set attached.
- */
-class ProbeSink
-{
-  public:
-    virtual ~ProbeSink() = default;
-    /** After every completed transfer: the discipline, the storage
-     *  references and simulated cycles the transfer consumed. */
-    virtual void onProbeXfer(XferKind kind, CountT refs, Tick cycles,
-                             const Machine &machine) = 0;
-    /** After every frame allocation (fast = I4 fast-frame stack). */
-    virtual void onProbeFrameAlloc(unsigned fsi, bool fast,
-                                   const Machine &machine) = 0;
-    /** After every frame release. fsi is ~0u when the slow release
-     *  path cannot cheaply recover the size class. */
-    virtual void onProbeFrameFree(unsigned fsi, bool fast,
-                                  const Machine &machine) = 0;
-    /** On every trap, including unhandled traps that stop the run
-     *  (those never reach the XFER path). */
-    virtual void onProbeTrap(Word code, const Machine &machine) = 0;
 };
 
 struct Superblock;
@@ -307,27 +303,27 @@ class Machine
 
     /** @name Observation hooks (tracing/profiling, see src/obs/). @{ */
 
-    /** Attach a transfer observer; null detaches. The observer must
-     *  outlive the machine or be detached before it dies. */
-    void setObserver(XferObserver *observer) { observer_ = observer; }
-    XferObserver *observer() const { return observer_; }
+    /** Attach a transfer observer; null detaches. armed lists code
+     *  ranges whose events need exact absolute stamps (probed
+     *  procedures): superblocks intersecting an armed range are
+     *  invalidated and those PCs execute on the exact eager path,
+     *  while the rest keeps full threaded speed. Attaching empties
+     *  the shadow stack. The observer must outlive the machine or be
+     *  detached before it dies. */
+    void setObserver(XferObserver *observer,
+                     std::vector<ProbeRange> armed = {});
 
-    /** Attach a periodic sampler fired every interval_cycles simulated
-     *  cycles (next fire is re-anchored at the current cycle count);
-     *  null detaches. Like an observer, an attached sampler routes
-     *  run() through the eager per-step loop so sample points stay
-     *  byte-identical with acceleration on or off. */
+    /** The shadow call stack, outermost first, kept while an observer
+     *  is attached (see XferObserver for the bracketing rule). */
+    const std::vector<ShadowFrame> &shadowStack() const
+    {
+        return shadow_;
+    }
+
+    /** Attach a sampler fired at the first boundary at or past each
+     *  deadline, the first interval_cycles past the current cycle
+     *  count; null detaches. */
     void setSampler(CycleSampler *sampler, Tick interval_cycles);
-    CycleSampler *sampler() const { return sampler_; }
-
-    /** Attach a boundary sampler fired at the first accel-boundary at
-     *  or past each interval_cycles multiple (next fire re-anchored at
-     *  the current cycle count); null detaches. Unlike setSampler this
-     *  keeps the accelerated loops running — see the BoundarySampler
-     *  slop contract. */
-    void setBoundarySampler(BoundarySampler *sampler,
-                            Tick interval_cycles);
-    BoundarySampler *boundarySampler() const { return bsampler_; }
 
     /** Entry PC of the procedure the machine is currently executing,
      *  maintained as a shadow-of-shadow top-frame register: set on
@@ -337,28 +333,17 @@ class Machine
      *  and fall back to pc() when it reads 0. */
     CodeByteAddr currentProcEntry() const { return curProcEntry_; }
 
-    /** Entry PC of the superblock whose execution expired the sampling
-     *  budget, valid only inside a BoundarySampler callback and only
-     *  when the threaded loop fired it (0 otherwise). Superblocks end
-     *  at XFERs, so at a threaded boundary pc()/currentProcEntry()
-     *  already point at the *destination* of the block's terminal
-     *  transfer; attributing through the anchor instead charges the
-     *  sample to the procedure that actually spent the cycles. */
-    CodeByteAddr boundaryAnchorPc() const { return bsampleAnchorPc_; }
+    /** Entry of the code that expired the sampling budget, valid only
+     *  inside a CycleSampler callback: the superblock's entry when the
+     *  threaded loop fired it, the last instruction's start on the
+     *  eager loop. Superblocks end at XFERs, so at a threaded boundary
+     *  pc()/currentProcEntry() already point at the *destination* of
+     *  the block's terminal transfer; attributing through the anchor
+     *  instead charges the sample to the procedure that actually spent
+     *  the cycles. */
+    CodeByteAddr boundaryAnchorPc() const { return sampleAnchorPc_; }
 
-    /** Attach a dynamic-probe sink; null detaches. armed lists the
-     *  code ranges whose events need exact absolute stamps (probed
-     *  procedures): superblocks intersecting an armed range are
-     *  invalidated and those PCs execute on the exact eager path,
-     *  while unprobed code keeps full threaded speed. An
-     *  attached sink does not force the eager loop — the detached
-     *  cost is one pointer null-check per transfer/frame/trap and the
-     *  armed check costs nothing until a sink is attached. */
-    void setProbeSink(ProbeSink *sink,
-                      std::vector<ProbeRange> armed = {});
-    ProbeSink *probeSink() const { return probes_; }
-
-    /** True when pc lies in a probe-armed range (exact-path code). */
+    /** True when pc lies in an armed range (exact-path code). */
     bool
     pcArmed(CodeByteAddr pc) const
     {
@@ -416,8 +401,8 @@ class Machine
     bool accelEnabled() const { return accel_ != nullptr; }
 
     /** True when the threaded backend is configured on this machine
-     *  (run() still falls back to the eager loop for observers,
-     *  samplers and preemption). */
+     *  (run() still falls back to the eager loop for exact observers
+     *  and samplers, and for preemption). */
     bool threadedActive() const { return sblocks_ != nullptr; }
 
     /** @name Microarchitectural state, for experiments/diagnostics. @{ */
@@ -520,6 +505,9 @@ class Machine
     void trap(Word code, const std::string &message);
 
     struct XferProbe;
+    /** Deliver a completed transfer to the observer, bracketing the
+     *  shadow stack around it (see XferObserver). */
+    void observeXfer(const XferRecord &record);
     /** Fold the threaded loop's deferred per-kind XFER samples into
      *  MachineStats::xferRefs/xferCycles (see XferSums). */
     void foldXferSums();
@@ -547,11 +535,11 @@ class Machine
     /** Replay the accounting of a memoized link walk: n Table-kind
      *  word reads (each costing memCycles) plus n code-byte fetches. */
     void chargeLinkWalk(CountT table_reads, CountT code_bytes);
-    /** Fire the boundary sampler: fold any deferred accounting so the
-     *  machine is self-consistent, deliver the sample, and advance the
-     *  budget past the current cycle count (catch-up, like the
-     *  CycleSampler). Out of line — runs at most once per interval. */
-    void fireBoundarySample();
+    /** Fire the sampler: fold any deferred accounting so the machine
+     *  is self-consistent, deliver the sample, and move the deadline
+     *  past the current cycle count. Out of line — runs at most once
+     *  per interval. */
+    void fireSample();
     void maybePreempt();
     /** ALU and compare ops (OpClass::Arith and Compare). */
     void execArith(isa::Op op);
@@ -661,24 +649,20 @@ class Machine
 
     Scheduler scheduler_;
     Word trapCtx_ = nilContext;
-    /** Dynamic-probe sink and its armed code ranges. armedMin_/Max_
-     *  bound the ranges so pcArmed rejects in one compare when no
-     *  range (or no sink) is set. */
-    ProbeSink *probes_ = nullptr;
+    /** The observer, its armed code ranges and its shadow stack.
+     *  armedMin_/Max_ bound the ranges so pcArmed rejects in one
+     *  compare when no range (or no observer) is set. */
+    XferObserver *observer_ = nullptr;
     std::vector<ProbeRange> armed_;
     CodeByteAddr armedMin_ = ~static_cast<CodeByteAddr>(0);
     CodeByteAddr armedMax_ = 0;
-    XferObserver *observer_ = nullptr;
+    std::vector<ShadowFrame> shadow_;
     CycleSampler *sampler_ = nullptr;
     Tick sampleInterval_ = 0;
     Tick nextSampleAt_ = 0;
-    BoundarySampler *bsampler_ = nullptr;
-    Tick bsampleInterval_ = 0;
-    Tick bsampleNextAt_ = 0;
-    /** Block-entry anchor for threaded boundary samples (see
-     *  boundaryAnchorPc()); set by the threaded loop around
-     *  fireBoundarySample, 0 everywhere else. */
-    CodeByteAddr bsampleAnchorPc_ = 0;
+    /** See boundaryAnchorPc(); set by both loops just before
+     *  fireSample, 0 everywhere else. */
+    CodeByteAddr sampleAnchorPc_ = 0;
     /** Shadow-of-shadow top-frame register: entry PC of the procedure
      *  currently executing (0 when unknown, e.g. after a return). */
     CodeByteAddr curProcEntry_ = 0;
@@ -689,7 +673,7 @@ class Machine
     bool preempting_ = false;
 
     /** Per-kind XFER samples as integer sums, kept while the threaded
-     *  loop runs without a probe sink (xferDeferred_) and folded into
+     *  loop runs without an observer (xferDeferred_) and folded into
      *  the xferRefs/xferCycles distributions at every loop exit and
      *  boundary sample. A run of identical samples — the common case:
      *  one call site's transfers cost the same every time — costs one

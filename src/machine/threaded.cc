@@ -618,15 +618,15 @@ Machine::threadedLoopT(std::uint64_t &steps)
     const unsigned bankWords = banks_.bankWords();
     const Addr globalEnd = layout_.globalEnd;
     const std::uint64_t maxSteps = config_.maxSteps;
-    // Boundary sampler, hoisted: the sampling-off cost is one
-    // register compare per outer-loop iteration and per chain follow
-    // — never per instruction.
-    BoundarySampler *const bsmp = bsampler_;
-    // Probe arming, hoisted the same way: the no-probe cost is one
+    // Sampler, hoisted: the sampling-off cost is one register compare
+    // per outer-loop iteration and per chain follow — never per
+    // instruction.
+    CycleSampler *const smp = sampler_;
+    // Arming, hoisted the same way: the no-observer cost is one
     // register compare per outer-loop iteration. The armed set is
-    // fixed while run() executes (setProbeSink is an outside-the-run
+    // fixed while run() executes (setObserver is an outside-the-run
     // API), so hoisting is sound.
-    const bool armedChk = probes_ != nullptr && !armed_.empty();
+    const bool armedChk = !armed_.empty();
     (void)regCyc;
     (void)bankWords;
 
@@ -644,9 +644,9 @@ Machine::threadedLoopT(std::uint64_t &steps)
         }
     } flusher{*this};
     // Per-XFER refs/cycles samples defer as integer sums (XferSums);
-    // a probe sink reads those distributions' inputs per event, so it
+    // an observer reads those distributions' inputs per event, so it
     // keeps the exact per-sample path.
-    xferDeferred_ = probes_ == nullptr;
+    xferDeferred_ = observer_ == nullptr;
 
     // Register-cached run-step counter: `steps` is a reference into
     // the caller's frame, which the compiler must assume any member
@@ -714,7 +714,8 @@ Machine::threadedLoopT(std::uint64_t &steps)
     // pending across whole blocks instead — every mid-run reader is
     // either delta-based around member code (XferProbe, the heap and
     // link-cache trackers), where a constant pending delta cancels,
-    // or absolute (spans, samplers, preemption), which forces eager.
+    // or absolute (exact observers and samplers, preemption), which
+    // forces eager.
     const auto foldDirty = [&]() __attribute__((always_inline)) {
         if constexpr (Banked) {
             *banks_.dirtyPtr(stackBank_) |= sbAcc;
@@ -854,7 +855,7 @@ Machine::threadedLoopT(std::uint64_t &steps)
         // Boundary sampling: every path into this loop head has
         // spilled the register-held deltas (block_done, the eager
         // tail, the chain break below), so the sample point is exact
-        // up to the deferred histograms fireBoundarySample folds.
+        // up to the deferred histograms fireSample folds.
         // Slop is bounded by one superblock: an expired budget breaks
         // the chain-follow fast path at the block exit.
         // Superblocks end at XFERs, so at this boundary pcAbs_ points
@@ -862,13 +863,13 @@ Machine::threadedLoopT(std::uint64_t &steps)
         // anchor the sample to the entry of the block that actually
         // spent the budget (prev, when it reached its full exit) so
         // attribution does not systematically shift one call deep.
-        if (bsmp != nullptr && stats_.cycles >= bsampleNextAt_)
+        if (smp != nullptr && stats_.cycles >= nextSampleAt_)
             [[unlikely]] {
             // The eager-tail and early-exit paths clear prev; there
             // instStart_ (the last executed instruction) is exact.
-            bsampleAnchorPc_ =
+            sampleAnchorPc_ =
                 prev != nullptr ? prev->entry : instStart_;
-            fireBoundarySample();
+            fireSample();
         }
         // Per-iteration epoch poll: the machine never pokes code while
         // running, so the epoch cannot move inside a block.
@@ -885,7 +886,7 @@ Machine::threadedLoopT(std::uint64_t &steps)
         // armed ranges read exact absolute stamps. Because this check
         // guards every find/build below, no superblock is ever built
         // (or chained to) with its entry inside an armed range —
-        // setProbeSink invalidated any pre-existing ones — which is
+        // setObserver invalidated any pre-existing ones — which is
         // what keeps the chain-follow fast re-entry at full_exit
         // sound without its own armed check.
         if (armedChk && pcArmed(pcAbs_)) [[unlikely]] {
@@ -1286,7 +1287,7 @@ Machine::threadedLoopT(std::uint64_t &steps)
             // would have. An expired sampling budget breaks both so the
             // outer loop can fire the sample at this block boundary.
             if (stop_ == StopReason::Running &&
-                (bsmp == nullptr || stats_.cycles < bsampleNextAt_))
+                (smp == nullptr || stats_.cycles < nextSampleAt_))
                 [[likely]] {
                 const bool chained = cur->chainPc == pcAbs_;
                 Superblock *nb = chained ? cur->chain

@@ -36,8 +36,11 @@
  *
  * The contract is the acceleration contract (machine/accel.hh): all
  * simulated numbers are bit-identical with the backend off or
- * threaded. Observers, samplers, preemption and step-budget tails
- * fall back to the eager loop. Host counters (AccelStats) may differ across backends by design.
+ * threaded. Exact observers and samplers (machine.hh), preemption and
+ * step-budget tails fall back to the eager loop; other observers and
+ * samplers ride the threaded loop, sampling at block exits and
+ * stepping armed PCs eagerly. Host counters (AccelStats) may differ
+ * across backends by design.
  */
 
 #ifndef FPC_MACHINE_THREADED_HH
@@ -101,10 +104,11 @@ struct Superblock
      *  across blocks too, because every mid-run reader is delta-based
      *  — XFER probes and heap/link trackers sample differences of the
      *  counters entirely within member code, where the pending deltas
-     *  are constant and cancel — while the absolute readers (span
-     *  observers, the telemetry sampler, preemption) all force the
-     *  eager loop. Only the bank dirty bits fold at every slow-path
-     *  entry: transfers read dirty masks directly. */
+     *  are constant and cancel — while the absolute readers (exact
+     *  observers and samplers, preemption) all force the eager loop,
+     *  and other samplers fire only at block exits, after the fold.
+     *  Only the bank dirty bits fold at every slow-path entry:
+     *  transfers read dirty masks directly. */
     std::uint64_t execPending = 0;
     /** Early exits not yet folded, by length: exitPending[k - 1]
      *  counts side exits (taken forward branches, traps, stops) after

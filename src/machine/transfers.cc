@@ -56,16 +56,19 @@ struct Machine::XferProbe
         ++m.stats_.xferCount[k];
         if (refs == 0 && !m.xferRedirected_)
             ++m.stats_.xferFast[k];
-        // Deferred sums only ever run with no probe sink or observer
-        // attached (the threaded loop's entry condition).
+        // Deferred sums only ever run with no observer attached (the
+        // threaded loop's entry condition).
         if (m.xferDeferred_) [[likely]]
             m.xferSums_[k].add(refs, cycles);
         else
             exact(refs, cycles);
     }
 
-    /** The per-sample path (the eager loop, and any run with a probe
-     *  sink): both distributions, then the probe and observer hooks. */
+    /** The per-sample path (the eager loop, and any run with an
+     *  observer): both distributions, then the observer hook. The
+     *  threaded loop's deferred counters are constant across the
+     *  member transfer code bracketed here, so refs and end - start
+     *  are exact under either backend (machine.hh XferObserver). */
     void
     exact(CountT refs, Tick cycles)
     {
@@ -73,12 +76,6 @@ struct Machine::XferProbe
         const unsigned k = kindIndex(kind);
         s.xferRefs[k].sample(static_cast<double>(refs));
         s.xferCycles[k].sample(static_cast<double>(cycles));
-        // Dynamic probes sample the same deltas; the threaded loop's
-        // deferred counters are constant across the member transfer
-        // code bracketed here, so refs/cycles are exact under either
-        // backend (machine.hh ProbeSink contract).
-        if (m.probes_ != nullptr)
-            m.probes_->onProbeXfer(kind, refs, cycles, m);
         if (m.observer_ != nullptr) {
             XferRecord rec;
             rec.kind = kind;
@@ -90,10 +87,32 @@ struct Machine::XferProbe
             rec.end = m.stats_.cycles;
             rec.refs = refs;
             rec.step = m.stats_.steps;
-            m.observer_->onXfer(rec);
+            m.observeXfer(rec);
         }
     }
 };
+
+void
+Machine::observeXfer(const XferRecord &record)
+{
+    // The one bracketing rule, the §6 return-stack discipline: a call
+    // pushes the callee, a return pops it, and any other XFER flushes
+    // the stack and re-roots it at the destination.
+    if (callLike(record.kind)) {
+        shadow_.push_back({lf_, pcAbs_, record.end});
+        observer_->onXfer(record, *this);
+        return;
+    }
+    observer_->onXfer(record, *this);
+    if (record.kind == XferKind::Return) {
+        if (!shadow_.empty())
+            shadow_.pop_back();
+        return;
+    }
+    shadow_.clear();
+    if (lf_ != nilAddr)
+        shadow_.push_back({lf_, pcAbs_, record.end});
+}
 
 void
 Machine::foldXferSums()
@@ -264,8 +283,8 @@ Machine::allocFrame(unsigned fsi)
             const Addr lf = fastFrames_.back();
             fastFrames_.pop_back();
             ++stats_.fastFrameAllocs;
-            if (probes_ != nullptr)
-                probes_->onProbeFrameAlloc(fastFsi_, true, *this);
+            if (observer_ != nullptr)
+                observer_->onFrameAlloc(fastFsi_, true, *this);
             return {lf, fastFsi_, true};
         }
         // Underflow: fall back to the AV heap, still standard-sized.
@@ -274,8 +293,8 @@ Machine::allocFrame(unsigned fsi)
         const Addr lf = heap_.alloc(fastFsi_);
         stats_.cycles +=
             config_.latency.memCycles * (mem_.totalRefs() - refs0);
-        if (probes_ != nullptr)
-            probes_->onProbeFrameAlloc(fastFsi_, false, *this);
+        if (observer_ != nullptr)
+            observer_->onFrameAlloc(fastFsi_, false, *this);
         return {lf, fastFsi_, false};
     }
     ++stats_.slowFrameAllocs;
@@ -283,8 +302,8 @@ Machine::allocFrame(unsigned fsi)
     const Addr lf = heap_.alloc(fsi);
     stats_.cycles +=
         config_.latency.memCycles * (mem_.totalRefs() - refs0);
-    if (probes_ != nullptr)
-        probes_->onProbeFrameAlloc(fsi, false, *this);
+    if (observer_ != nullptr)
+        observer_->onFrameAlloc(fsi, false, *this);
     return {lf, fsi, false};
 }
 
@@ -303,8 +322,8 @@ Machine::releaseFrame(Addr frame_ptr, int bank)
         ++stats_.fastFrameFrees;
         if (bank >= 0)
             banks_.free(bank); // contents die with the frame
-        if (probes_ != nullptr)
-            probes_->onProbeFrameFree(fastFsi_, true, *this);
+        if (observer_ != nullptr)
+            observer_->onFrameFree(fastFsi_, true, *this);
         return;
     }
 
@@ -318,13 +337,13 @@ Machine::releaseFrame(Addr frame_ptr, int bank)
             flushBank(bank); // retained frame lives on in storage
         banks_.free(bank);
     }
-    if (probes_ != nullptr) {
+    if (observer_ != nullptr) {
         // The slow path releases arbitrary frames; the size class is
         // only known when the register hint covers this frame.
         const unsigned fsi = curFrameFsiValid_ && frame_ptr == lf_
                                  ? curFrameFsi_
                                  : ~0u;
-        probes_->onProbeFrameFree(fsi, false, *this);
+        observer_->onFrameFree(fsi, false, *this);
     }
 }
 
@@ -577,11 +596,8 @@ Machine::finishCall(const ProcTarget &target, XferKind kind,
         return;
     }
 
-    const bool call_like =
-        kind == XferKind::ExtCall || kind == XferKind::LocalCall ||
-        kind == XferKind::DirectCall || kind == XferKind::FatCall;
     const bool use_ret_stack =
-        ifuEnabled() && call_like && lf_ != nilAddr;
+        ifuEnabled() && callLike(kind) && lf_ != nilAddr;
 
     if (use_ret_stack) {
         // §6: the caller's PC and the callee's return link live in the
@@ -792,11 +808,11 @@ Machine::resumeProcess(Word ctx)
 void
 Machine::trap(Word code, const std::string &message)
 {
-    // The trap probe site hooks here rather than the XFER path:
-    // an unhandled trap stops the run without ever constructing an
-    // XferProbe, and probes should see it regardless.
-    if (probes_ != nullptr)
-        probes_->onProbeTrap(code, *this);
+    // The trap hook fires here rather than on the XFER path: an
+    // unhandled trap stops the run without ever constructing an
+    // XferProbe, and observers should see it regardless.
+    if (observer_ != nullptr)
+        observer_->onTrap(code, *this);
     if (trapCtx_ == nilContext) {
         stopWith(StopReason::Error, message);
         return;

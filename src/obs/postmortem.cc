@@ -21,7 +21,7 @@ FlightRecorder::FlightRecorder(std::size_t capacity)
 }
 
 void
-FlightRecorder::onXfer(const XferRecord &record)
+FlightRecorder::onXfer(const XferRecord &record, const Machine &)
 {
     if (ring_.size() < capacity_) {
         ring_.push_back(record);
@@ -30,29 +30,6 @@ FlightRecorder::onXfer(const XferRecord &record)
         head_ = (head_ + 1) % capacity_;
     }
     ++recorded_;
-
-    switch (record.kind) {
-      case XferKind::ExtCall:
-      case XferKind::LocalCall:
-      case XferKind::DirectCall:
-      case XferKind::FatCall:
-        stack_.push_back({record.pc, record.frame});
-        break;
-      case XferKind::Return:
-        if (!stack_.empty())
-            stack_.pop_back();
-        // A return past the shadow root re-roots at the destination,
-        // so the stack never misrepresents where execution is.
-        if (stack_.empty())
-            stack_.push_back({record.pc, record.frame});
-        break;
-      default:
-        // Coroutine / ProcSwitch / Trap break LIFO order: re-root at
-        // the destination (the I3 flush discipline, as in Profiler).
-        stack_.clear();
-        stack_.push_back({record.pc, record.frame});
-        break;
-    }
 }
 
 std::vector<XferRecord>
@@ -72,7 +49,6 @@ FlightRecorder::clear()
     ring_.clear();
     head_ = 0;
     recorded_ = 0;
-    stack_.clear();
 }
 
 namespace
@@ -210,9 +186,9 @@ writePostmortem(const PostmortemConfig &config, const Machine &machine,
     // Innermost first: the faulting activation, then the shadow stack
     // (whose top duplicates the faulting activation's entry) outward.
     w.key("backtrace").beginArray();
-    const auto &shadow = recorder.shadowStack();
+    const std::vector<ShadowFrame> &shadow = machine.shadowStack();
     for (std::size_t i = shadow.size(); i-- > 0;) {
-        const FlightRecorder::ShadowFrame &f = shadow[i];
+        const ShadowFrame &f = shadow[i];
         w.beginObject();
         w.kv("pc", static_cast<std::uint64_t>(f.pc));
         w.kv("frame", static_cast<std::uint64_t>(f.frame));
@@ -258,14 +234,17 @@ writePostmortem(const PostmortemConfig &config, const Machine &machine,
     w.endObject();
 
     // The last telemetry snapshot, when a sampler was attached: the
-    // gauges as they stood at the final interval before the stop.
+    // gauges as they stood at the final interval before the stop. The
+    // stamps are the job's own: a worker's series lays its jobs end
+    // to end, so drop the bases the earlier jobs left.
     w.key("finalSample");
     if (telemetry != nullptr && telemetry->recorded() > 0) {
         const std::vector<MetricsSample> samples = telemetry->samples();
         const MetricsSample &s = samples.back();
         w.beginObject();
-        w.kv("cycles", static_cast<std::uint64_t>(s.cycles));
-        w.kv("steps", s.steps);
+        w.kv("cycles", static_cast<std::uint64_t>(s.cycles -
+                                                  telemetry->base()));
+        w.kv("steps", s.steps - telemetry->stepBase());
         w.kv("liveFrames", s.liveFrames);
         w.kv("fragmentation", s.fragmentation);
         w.kv("returnStackDepth", s.returnStackDepth);

@@ -1,18 +1,17 @@
 /**
  * @file
  * The flight recorder: a small always-on ring of the last N
- * XferRecords plus a shadow call stack, and the postmortem bundle
- * writer the drivers invoke when a run stops on a trap, panic, or
- * any other nonzero outcome.
+ * XferRecords, and the postmortem bundle writer the drivers invoke
+ * when a run stops on a trap, panic, or any other nonzero outcome.
  *
  * Call/return structure is exactly the context worth capturing at
  * failure time: the bundle contains the recent transfer history, the
- * shadow stack symbolized through a ProcMap as a backtrace, the
- * frame-heap and AV state, a disassembly window around the faulting
- * PC, and the final telemetry snapshot when a sampler was attached.
- * Recording honors the zero-simulated-cost contract (the recorder is
- * an ordinary XferObserver), and — like any observer — forces the
- * eager run loop, never the threaded one.
+ * machine's shadow stack symbolized through a ProcMap as a
+ * backtrace, the frame-heap and AV state, a disassembly window around
+ * the faulting PC, and the final telemetry snapshot when a sampler
+ * was attached. Recording honors the zero-simulated-cost contract
+ * (the recorder is an ordinary XferObserver), and its records stamp
+ * absolute cycles, so it is exact: it runs the eager loop.
  */
 
 #ifndef FPC_OBS_POSTMORTEM_HH
@@ -29,11 +28,7 @@ namespace fpc::obs
 
 class Telemetry;
 
-/**
- * The observer: records the last N transfers and maintains a shadow
- * call stack (call-like transfers push, Return pops, non-LIFO
- * transfers re-root — the profiler's flush discipline).
- */
+/** The observer: records the last N transfers. */
 class FlightRecorder : public XferObserver
 {
   public:
@@ -41,22 +36,10 @@ class FlightRecorder : public XferObserver
 
     explicit FlightRecorder(std::size_t capacity = defaultCapacity);
 
-    void onXfer(const XferRecord &record) override;
-
-    /** One shadow activation: the callee's entry PC and frame. */
-    struct ShadowFrame
-    {
-        CodeByteAddr pc = 0;
-        Addr frame = nilAddr;
-    };
+    void onXfer(const XferRecord &record, const Machine &machine) override;
 
     /** Oldest-first snapshot of the retained records. */
     std::vector<XferRecord> records() const;
-    /** Outermost-first shadow stack at the moment of stop. */
-    const std::vector<ShadowFrame> &shadowStack() const
-    {
-        return stack_;
-    }
     std::size_t capacity() const { return capacity_; }
     CountT recorded() const { return recorded_; }
 
@@ -67,7 +50,6 @@ class FlightRecorder : public XferObserver
     std::vector<XferRecord> ring_;
     std::size_t head_ = 0; ///< next write slot once the ring is full
     CountT recorded_ = 0;
-    std::vector<ShadowFrame> stack_;
 };
 
 /** Where and under what identity to write the bundle. */
@@ -82,8 +64,8 @@ struct PostmortemConfig
 
 /**
  * Write the bundle: `<prefix>postmortem.json` (stop reason, faulting
- * PC, symbolized backtrace, transfer ring, machine/heap/AV state,
- * final metrics sample) and `<prefix>disasm.txt` (the faulting
+ * PC, the machine's shadow stack as a symbolized backtrace, transfer
+ * ring, machine/heap/AV state, final metrics sample of this job) and `<prefix>disasm.txt` (the faulting
  * procedure's code around the fault, faulting instruction marked).
  * telemetry may be null. Returns false (after a warning on stderr)
  * if the directory or files cannot be written; simulation state is

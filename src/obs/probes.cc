@@ -12,13 +12,6 @@ namespace
 {
 
 bool
-callLike(XferKind kind)
-{
-    return kind == XferKind::ExtCall || kind == XferKind::LocalCall ||
-           kind == XferKind::DirectCall || kind == XferKind::FatCall;
-}
-
-bool
 cmpU(std::uint64_t a, ProbeCmp cmp, std::uint64_t b)
 {
     switch (cmp) {
@@ -64,8 +57,6 @@ trimRing(std::vector<ProbeCaptureEntry> &ring, std::size_t depth)
         ring.erase(ring.begin(),
                    ring.end() - static_cast<std::ptrdiff_t>(depth));
 }
-
-constexpr std::size_t npos = ~static_cast<std::size_t>(0);
 
 } // namespace
 
@@ -297,7 +288,7 @@ ProbeEngine::ProbeEngine(ProbeRegistry::Snapshot snapshot,
       worker_(worker)
 {
     // The ProcMap construction idiom: one row per placed procedure,
-    // keyed by the post-prologue entry PC transfers actually land on.
+    // sorted by code range so procAt can bisect.
     for (const PlacedModule &pm : image.modules()) {
         for (unsigned p = 0; p < pm.procs.size(); ++p) {
             const PlacedProc &pp = pm.procs[p];
@@ -308,11 +299,13 @@ ProbeEngine::ProbeEngine(ProbeRegistry::Snapshot snapshot,
                 pp.prologueAddr + pp.prologueBytes + pp.bodyBytes;
             proc.fsi = pp.fsi;
             proc.name = pm.src->name + "." + pm.src->procs[p].name;
-            procByEntry_[proc.entry] =
-                static_cast<std::uint32_t>(procs_.size());
             procs_.push_back(std::move(proc));
         }
     }
+    std::sort(procs_.begin(), procs_.end(),
+              [](const Proc &a, const Proc &b) {
+                  return a.begin < b.begin;
+              });
 
     if (snap_ == nullptr)
         snap_ = std::make_shared<const std::vector<
@@ -325,7 +318,6 @@ ProbeEngine::ProbeEngine(ProbeRegistry::Snapshot snapshot,
         c.spec = &s;
         if (s.site == ProbeSite::Entry ||
             s.site == ProbeSite::Exit) {
-            anyNameSite_ = true;
             for (const Proc &proc : procs_)
                 if (probeGlobMatch(s.pattern, proc.name))
                     c.entryPcs.push_back(proc.entry);
@@ -346,13 +338,9 @@ ProbeEngine::armedRanges() const
         if (c.spec->site != ProbeSite::Entry &&
             c.spec->site != ProbeSite::Exit)
             continue;
-        for (CodeByteAddr entry : c.entryPcs) {
-            auto it = procByEntry_.find(entry);
-            if (it == procByEntry_.end())
-                continue;
-            const Proc &proc = procs_[it->second];
-            out.push_back(ProbeRange{proc.begin, proc.end});
-        }
+        for (CodeByteAddr entry : c.entryPcs)
+            if (const Proc *proc = procAt(entry))
+                out.push_back(ProbeRange{proc->begin, proc->end});
     }
     std::sort(out.begin(), out.end(),
               [](const ProbeRange &a, const ProbeRange &b) {
@@ -377,6 +365,17 @@ ProbeEngine::finishInto(ProbeRegistry &registry)
     buffers_.aggs.resize(snap_->size());
 }
 
+const ProbeEngine::Proc *
+ProbeEngine::procAt(CodeByteAddr pc) const
+{
+    auto it = std::upper_bound(
+        procs_.begin(), procs_.end(), pc,
+        [](CodeByteAddr at, const Proc &p) { return at < p.begin; });
+    if (it == procs_.begin() || pc >= (--it)->end)
+        return nullptr;
+    return &*it;
+}
+
 bool
 ProbeEngine::specMatchesPc(const Compiled &c, CodeByteAddr pc) const
 {
@@ -385,11 +384,11 @@ ProbeEngine::specMatchesPc(const Compiled &c, CodeByteAddr pc) const
 }
 
 std::string
-ProbeEngine::frameName(const Frame &frame) const
+ProbeEngine::frameName(const ShadowFrame &frame) const
 {
-    if (frame.proc != ~0u)
-        return procs_[frame.proc].name;
-    return "pc_" + std::to_string(frame.entry);
+    if (const Proc *proc = procAt(frame.pc))
+        return proc->name;
+    return "pc_" + std::to_string(frame.pc);
 }
 
 bool
@@ -400,7 +399,7 @@ ProbeEngine::predicatesPass(const Compiled &c, const Event &ev) const
     for (const ProbePredicate &pred : c.spec->predicates) {
         switch (pred.kind) {
         case ProbePredicate::Kind::Depth:
-            if (!cmpU(ev.depth, pred.cmp, pred.number))
+            if (!cmpU(ev.stack.size(), pred.cmp, pred.number))
                 return false;
             break;
         case ProbePredicate::Kind::Fsi:
@@ -411,10 +410,9 @@ ProbeEngine::predicatesPass(const Compiled &c, const Event &ev) const
         case ProbePredicate::Kind::Tenant:
             break; // pre-evaluated into tenantPass
         case ProbePredicate::Kind::Caller: {
-            if (ev.topIndex == npos || ev.topIndex == 0)
-                return false;
-            if (!probeGlobMatch(pred.text,
-                                frameName(stack_[ev.topIndex - 1])))
+            const std::size_t n = ev.stack.size();
+            if (n < 2 ||
+                !probeGlobMatch(pred.text, frameName(ev.stack[n - 2])))
                 return false;
             break;
         }
@@ -422,13 +420,13 @@ ProbeEngine::predicatesPass(const Compiled &c, const Event &ev) const
             // Suffix match: the last pattern binds the innermost
             // (topmost) shadow-stack frame.
             const std::size_t k = pred.path.size();
-            if (ev.topIndex == npos || ev.topIndex + 1 < k)
+            if (ev.stack.size() < k)
                 return false;
+            const auto suffix = ev.stack.last(k);
             bool ok = true;
             for (std::size_t j = 0; j < k; ++j) {
-                const Frame &f =
-                    stack_[ev.topIndex + 1 - k + j];
-                if (!probeGlobMatch(pred.path[j], frameName(f))) {
+                if (!probeGlobMatch(pred.path[j],
+                                    frameName(suffix[j]))) {
                     ok = false;
                     break;
                 }
@@ -451,7 +449,7 @@ ProbeEngine::exprValue(const ProbeSpec &spec, const Event &ev) const
     case ProbeExpr::Cycles:
         return static_cast<std::uint64_t>(ev.cycles);
     case ProbeExpr::Depth:
-        return ev.depth;
+        return ev.stack.size();
     case ProbeExpr::Fsi:
         return ev.fsiValid ? ev.fsi : 0;
     }
@@ -494,153 +492,81 @@ ProbeEngine::fire(std::size_t index, const Event &ev,
 }
 
 void
-ProbeEngine::pushFrame(CodeByteAddr entry)
+ProbeEngine::fireSite(ProbeSite site, const Event &ev,
+                      const Machine &machine)
 {
-    Frame f;
-    f.entry = entry;
-    auto it = procByEntry_.find(entry);
-    if (it != procByEntry_.end())
-        f.proc = it->second;
-    stack_.push_back(f);
+    for (std::size_t i = 0; i < compiled_.size(); ++i) {
+        const Compiled &c = compiled_[i];
+        if (c.spec->site == site && predicatesPass(c, ev))
+            fire(i, ev, machine);
+    }
 }
 
 void
-ProbeEngine::flushStack(const Machine &machine)
+ProbeEngine::onXfer(const XferRecord &record, const Machine &machine)
 {
-    // LIFO order broke (coroutine / process switch / trap): flush
-    // like the profiler does and re-root at the destination
-    // procedure when the machine knows it.
-    stack_.clear();
-    if (machine.currentProcEntry() != 0)
-        pushFrame(machine.currentProcEntry());
-}
-
-void
-ProbeEngine::onProbeXfer(XferKind kind, CountT refs, Tick cycles,
-                         const Machine &machine)
-{
+    // A call's callee and a returning frame are on top of the stack;
+    // before a non-LIFO transfer flushes it, the stack is still the
+    // source's.
+    const XferKind kind = record.kind;
     Event ev;
-    ev.refs = refs;
-    ev.cycles = cycles;
-
-    if (kind == XferKind::Return) {
-        // Exit events see the returning frame: depth counts it and
-        // caller/callstr bind with it still on top.
-        ev.depth = stack_.size();
-        ev.topIndex = stack_.empty() ? npos : stack_.size() - 1;
-        Frame popped;
-        if (!stack_.empty())
-            popped = stack_.back();
-        if (popped.proc != ~0u) {
-            ev.fsi = procs_[popped.proc].fsi;
+    ev.refs = record.refs;
+    ev.cycles = record.end - record.start;
+    ev.stack = machine.shadowStack();
+    const ShadowFrame *top =
+        ev.stack.empty() ? nullptr : &ev.stack.back();
+    const bool lifo = callLike(kind) || kind == XferKind::Return;
+    if (lifo && top != nullptr) {
+        if (const Proc *proc = procAt(top->pc)) {
+            ev.fsi = proc->fsi;
             ev.fsiValid = true;
         }
-        for (std::size_t i = 0; i < compiled_.size(); ++i) {
-            const Compiled &c = compiled_[i];
-            const ProbeSpec &s = *c.spec;
-            const bool match =
-                (s.site == ProbeSite::Exit && !stack_.empty() &&
-                 specMatchesPc(c, popped.entry)) ||
-                (s.site == ProbeSite::Xfer &&
-                 s.kind == XferKind::Return);
-            if (match && predicatesPass(c, ev))
-                fire(i, ev, machine);
-        }
-        if (!stack_.empty())
-            stack_.pop_back();
-        return;
     }
-
-    if (callLike(kind)) {
-        pushFrame(machine.currentProcEntry());
-        ev.depth = stack_.size();
-        ev.topIndex = stack_.size() - 1;
-        const Frame &top = stack_.back();
-        if (top.proc != ~0u) {
-            ev.fsi = procs_[top.proc].fsi;
-            ev.fsiValid = true;
-        }
-        for (std::size_t i = 0; i < compiled_.size(); ++i) {
-            const Compiled &c = compiled_[i];
-            const ProbeSpec &s = *c.spec;
-            const bool match =
-                (s.site == ProbeSite::Entry &&
-                 specMatchesPc(c, top.entry)) ||
-                (s.site == ProbeSite::Xfer && s.kind == kind);
-            if (match && predicatesPass(c, ev))
-                fire(i, ev, machine);
-        }
-        return;
-    }
-
-    // Coroutine / ProcSwitch / (handled) Trap transfer.
-    ev.depth = stack_.size();
-    ev.topIndex = stack_.empty() ? npos : stack_.size() - 1;
+    const ProbeSite nameSite =
+        kind == XferKind::Return ? ProbeSite::Exit : ProbeSite::Entry;
     for (std::size_t i = 0; i < compiled_.size(); ++i) {
         const Compiled &c = compiled_[i];
         const ProbeSpec &s = *c.spec;
         const bool match =
+            (lifo && s.site == nameSite && top != nullptr &&
+             specMatchesPc(c, top->pc)) ||
             (s.site == ProbeSite::ProcSwitch &&
              kind == XferKind::ProcSwitch) ||
             (s.site == ProbeSite::Xfer && s.kind == kind);
         if (match && predicatesPass(c, ev))
             fire(i, ev, machine);
     }
-    flushStack(machine);
 }
 
 void
-ProbeEngine::onProbeFrameAlloc(unsigned fsi, bool fast,
-                               const Machine &machine)
+ProbeEngine::onFrameAlloc(unsigned fsi, bool, const Machine &machine)
 {
-    (void)fast;
     Event ev;
-    ev.depth = stack_.size();
-    ev.topIndex = stack_.empty() ? npos : stack_.size() - 1;
+    ev.stack = machine.shadowStack();
     ev.fsi = fsi;
     ev.fsiValid = fsi != ~0u;
-    for (std::size_t i = 0; i < compiled_.size(); ++i) {
-        const Compiled &c = compiled_[i];
-        if (c.spec->site == ProbeSite::FrameAlloc &&
-            predicatesPass(c, ev))
-            fire(i, ev, machine);
-    }
+    fireSite(ProbeSite::FrameAlloc, ev, machine);
 }
 
 void
-ProbeEngine::onProbeFrameFree(unsigned fsi, bool fast,
-                              const Machine &machine)
+ProbeEngine::onFrameFree(unsigned fsi, bool, const Machine &machine)
 {
-    (void)fast;
     Event ev;
-    ev.depth = stack_.size();
-    ev.topIndex = stack_.empty() ? npos : stack_.size() - 1;
+    ev.stack = machine.shadowStack();
     ev.fsi = fsi;
     ev.fsiValid = fsi != ~0u;
-    for (std::size_t i = 0; i < compiled_.size(); ++i) {
-        const Compiled &c = compiled_[i];
-        if (c.spec->site == ProbeSite::FrameFree &&
-            predicatesPass(c, ev))
-            fire(i, ev, machine);
-    }
+    fireSite(ProbeSite::FrameFree, ev, machine);
 }
 
 void
-ProbeEngine::onProbeTrap(Word code, const Machine &machine)
+ProbeEngine::onTrap(Word, const Machine &machine)
 {
-    (void)code;
     // Fires once per trap, handled or not — a handled trap's
     // dispatch also produces an xfer:trap event afterwards, which is
     // the distinct "trap transfers" site.
     Event ev;
-    ev.depth = stack_.size();
-    ev.topIndex = stack_.empty() ? npos : stack_.size() - 1;
-    for (std::size_t i = 0; i < compiled_.size(); ++i) {
-        const Compiled &c = compiled_[i];
-        if (c.spec->site == ProbeSite::Trap &&
-            predicatesPass(c, ev))
-            fire(i, ev, machine);
-    }
+    ev.stack = machine.shadowStack();
+    fireSite(ProbeSite::Trap, ev, machine);
 }
 
 // ---------------------------------------------------------------------

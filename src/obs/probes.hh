@@ -7,7 +7,7 @@
  * Layering: a ProbeSpec (probe_lang.hh) is image-independent; a
  * ProbeEngine compiles a snapshot of specs against one LoadedImage
  * (name globs bind to entry PCs and code ranges), attaches to one
- * Machine as its ProbeSink, and aggregates matching events into
+ * Machine as an XferObserver, and aggregates matching events into
  * per-spec buffers. A ProbeRegistry owns the attached spec set and
  * the merged totals: drivers attach parsed specs up front, the
  * serving layer attaches/detaches live (PROBE op), and every engine
@@ -42,8 +42,8 @@
 #include <memory>
 #include <mutex>
 #include <ostream>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -166,13 +166,13 @@ class ProbeRegistry
 
 /**
  * One machine's probe engine: compiles a registry snapshot against a
- * LoadedImage, implements ProbeSink, and aggregates into per-spec
- * buffers. Maintains its own POD shadow call stack with the
- * profiler's flush discipline (call-like pushes, RETURN pops,
- * Coroutine/ProcSwitch/Trap flush and re-root), which the depth /
- * caller / callstr predicates evaluate against.
+ * LoadedImage, observes the machine's transfers, frames and traps,
+ * and aggregates into per-spec buffers. The depth / caller / callstr
+ * predicates evaluate against the machine's shadow call stack. It
+ * needs no exact stamps, so it rides the threaded loop; the code
+ * ranges its Entry/Exit specs arm step on the exact eager path.
  */
-class ProbeEngine final : public ProbeSink
+class ProbeEngine final : public XferObserver
 {
   public:
     ProbeEngine(ProbeRegistry::Snapshot snapshot,
@@ -180,7 +180,7 @@ class ProbeEngine final : public ProbeSink
                 std::uint32_t worker);
 
     /** Code ranges the Entry/Exit specs armed (for
-     *  Machine::setProbeSink); empty when only kind-wide sites are
+     *  Machine::setObserver); empty when only kind-wide sites are
      *  attached. */
     std::vector<ProbeRange> armedRanges() const;
 
@@ -191,14 +191,15 @@ class ProbeEngine final : public ProbeSink
      *  (call after detaching from the machine). */
     void finishInto(ProbeRegistry &registry);
 
-    /** @name ProbeSink. @{ */
-    void onProbeXfer(XferKind kind, CountT refs, Tick cycles,
+    /** @name XferObserver. @{ */
+    void onXfer(const XferRecord &record,
+                const Machine &machine) override;
+    void onFrameAlloc(unsigned fsi, bool fast,
+                      const Machine &machine) override;
+    void onFrameFree(unsigned fsi, bool fast,
                      const Machine &machine) override;
-    void onProbeFrameAlloc(unsigned fsi, bool fast,
-                           const Machine &machine) override;
-    void onProbeFrameFree(unsigned fsi, bool fast,
-                          const Machine &machine) override;
-    void onProbeTrap(Word code, const Machine &machine) override;
+    void onTrap(Word code, const Machine &machine) override;
+    bool exact() const override { return false; }
     /** @} */
 
   private:
@@ -212,44 +213,20 @@ class ProbeEngine final : public ProbeSink
         bool tenantPass = true;
     };
 
-    struct Frame
-    {
-        CodeByteAddr entry = 0;
-        std::uint32_t proc = ~0u; ///< index into procs_, ~0u unknown
-    };
-
     /** One event, normalized across the four hook flavors. */
     struct Event
     {
         CountT refs = 0;
         Tick cycles = 0;
-        std::uint64_t depth = 0;
         std::uint64_t fsi = 0;
         bool fsiValid = false;
-        /** caller/callstr evaluate against the shadow stack up to
-         *  (and including) this index; ~0u disables them. */
-        std::size_t topIndex = 0;
+        /** The shadow stack the predicates see, innermost last; its
+         *  size is the event's depth. */
+        std::span<const ShadowFrame> stack;
     };
 
-    bool specMatchesPc(const Compiled &c, CodeByteAddr pc) const;
-    bool predicatesPass(const Compiled &c, const Event &ev) const;
-    std::uint64_t exprValue(const ProbeSpec &spec,
-                            const Event &ev) const;
-    void fire(std::size_t index, const Event &ev,
-              const Machine &machine);
-    void pushFrame(CodeByteAddr entry);
-    void flushStack(const Machine &machine);
-    std::string frameName(const Frame &frame) const;
-
-    ProbeRegistry::Snapshot snap_;
-    std::vector<Compiled> compiled_;
-    ProbeBuffers buffers_;
-    std::string tenant_;
-    std::uint32_t worker_ = 0;
-    std::uint64_t seq_ = 0; ///< capture sequence, all specs
-
-    /** Procedure table from the image: entry PC -> index, plus name
-     *  and static frame-size class for predicates/exprs. */
+    /** Procedure table from the image, sorted by code range: name and
+     *  static frame-size class for predicates/exprs. */
     struct Proc
     {
         CodeByteAddr entry = 0; ///< post-prologue landing PC
@@ -258,14 +235,27 @@ class ProbeEngine final : public ProbeSink
         unsigned fsi = 0;
         std::string name;
     };
-    std::vector<Proc> procs_;
-    std::unordered_map<CodeByteAddr, std::uint32_t> procByEntry_;
-    std::vector<Frame> stack_;
 
-    /** Any Entry/Exit spec attached (stack bookkeeping is only
-     *  needed when name sites or context predicates exist — kept
-     *  unconditional for simplicity; it is POD-cheap). */
-    bool anyNameSite_ = false;
+    /** The procedure whose code contains pc, or null. */
+    const Proc *procAt(CodeByteAddr pc) const;
+    bool specMatchesPc(const Compiled &c, CodeByteAddr pc) const;
+    bool predicatesPass(const Compiled &c, const Event &ev) const;
+    std::uint64_t exprValue(const ProbeSpec &spec,
+                            const Event &ev) const;
+    void fire(std::size_t index, const Event &ev,
+              const Machine &machine);
+    /** Fire every spec at `site` whose predicates pass. */
+    void fireSite(ProbeSite site, const Event &ev,
+                  const Machine &machine);
+    std::string frameName(const ShadowFrame &frame) const;
+
+    ProbeRegistry::Snapshot snap_;
+    std::vector<Compiled> compiled_;
+    ProbeBuffers buffers_;
+    std::string tenant_;
+    std::uint32_t worker_ = 0;
+    std::uint64_t seq_ = 0; ///< capture sequence, all specs
+    std::vector<Proc> procs_;
 };
 
 /** Parse a list of --probe= strings into registry attachments;

@@ -7,18 +7,6 @@ namespace fpc::obs
 
 const std::string idleProcName = "(idle)";
 
-namespace
-{
-
-bool
-callLike(XferKind kind)
-{
-    return kind == XferKind::ExtCall || kind == XferKind::LocalCall ||
-           kind == XferKind::DirectCall || kind == XferKind::FatCall;
-}
-
-} // namespace
-
 ProcMap::ProcMap(const LoadedImage &image)
 {
     for (const PlacedModule &pm : image.modules()) {
@@ -118,84 +106,72 @@ Profiler::nameAt(CodeByteAddr pc) const
     return "pc_" + std::to_string(pc);
 }
 
-std::string
-Profiler::foldedKey() const
-{
-    if (stack_.empty())
-        return idleProcName;
-    std::string key;
-    for (const Open &open : stack_) {
-        if (!key.empty())
-            key += ";";
-        key += open.name;
-    }
-    return key;
-}
-
 void
-Profiler::attribute(Tick now)
+Profiler::attribute(Tick now, const Stack &stack, std::size_t depth)
 {
     if (now <= lastTick_)
         return;
     const Tick delta = now - lastTick_;
-    const std::string &top =
-        stack_.empty() ? idleProcName : stack_.back().name;
+    std::string top = idleProcName;
+    std::string key = idleProcName;
+    for (std::size_t i = 0; i < depth; ++i) {
+        top = nameAt(stack[i].pc);
+        if (i == 0)
+            key = top;
+        else
+            key.append(";").append(top);
+    }
     data_.procs[top].exclusive += delta;
-    data_.folded[foldedKey()] += delta;
+    data_.folded[key] += delta;
     lastTick_ = now;
 }
 
 void
-Profiler::closeAll(Tick now)
+Profiler::close(const ShadowFrame &frame, Tick now)
 {
-    while (!stack_.empty()) {
-        const Open open = stack_.back();
-        stack_.pop_back();
-        data_.procs[open.name].inclusive += now - open.entered;
-    }
+    data_.procs[nameAt(frame.pc)].inclusive += now - frame.entered;
 }
 
 void
-Profiler::onXfer(const XferRecord &record)
+Profiler::onXfer(const XferRecord &record, const Machine &machine)
 {
     // The transfer's own cost [start, end) is charged to the source
-    // procedure: attribute everything up to the completed transfer
-    // before touching the shadow stack.
-    attribute(record.end);
+    // procedure: attribute everything up to the completed transfer to
+    // the stack as it stood before it (a call's callee is already
+    // pushed).
+    const Stack &stack = machine.shadowStack();
+    const bool call = callLike(record.kind);
+    attribute(record.end, stack, stack.size() - (call ? 1 : 0));
 
-    if (callLike(record.kind)) {
-        stack_.push_back({nameAt(record.pc), record.end});
-        ++data_.procs[stack_.back().name].calls;
+    if (call) {
+        ++data_.procs[nameAt(record.pc)].calls;
         return;
     }
     if (record.kind == XferKind::Return) {
-        if (!stack_.empty()) {
-            const Open open = stack_.back();
-            stack_.pop_back();
-            data_.procs[open.name].inclusive +=
-                record.end - open.entered;
-        }
+        if (!stack.empty())
+            close(stack.back(), record.end);
         return;
     }
 
-    // Switch / ProcSwitch / Trap: LIFO order is broken. Flush
-    // attribution the way I3 flushes its return stack: close every
-    // open activation, then re-root at the destination.
-    closeAll(record.end);
-    if (record.dstCtx != nilContext || record.frame != nilAddr) {
-        stack_.push_back({nameAt(record.pc), record.end});
-        ++data_.procs[stack_.back().name].resumes;
-    }
+    // Switch / ProcSwitch / Trap: the machine flushes the stack and
+    // re-roots it at the destination once this returns. Close every
+    // flushed activation; the new root counts as a resume.
+    for (const ShadowFrame &frame : stack)
+        close(frame, record.end);
+    if (record.frame != nilAddr)
+        ++data_.procs[nameAt(record.pc)].resumes;
 }
 
 ProfileData
-Profiler::finish(Tick end_cycles)
+Profiler::finish(const Machine &machine)
 {
-    attribute(end_cycles);
+    const Stack &stack = machine.shadowStack();
+    attribute(machine.cycles(), stack, stack.size());
     // lastTick_ is now the last attributed cycle: exactly the total
-    // charged, even if the caller's end_cycles ran behind an observed
-    // transfer — keeps the exclusive-sum invariant exact.
-    closeAll(lastTick_);
+    // charged, even if the machine's cycle count ran behind an
+    // observed transfer — keeps the exclusive-sum invariant exact.
+    for (const ShadowFrame &frame : stack)
+        close(frame, lastTick_);
     data_.total += lastTick_;
     ProfileData out = std::move(data_);
     data_ = ProfileData();

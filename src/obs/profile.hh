@@ -2,18 +2,16 @@
  * @file
  * Per-procedure profiling over the Machine's XFER observer hook.
  *
- * The profiler maintains a shadow call stack from the matched
- * call/return bracketing the transfer disciplines provide: call-like
- * transfers push the callee (identified by its entry PC through a
- * ProcMap built from the LoadedImage), RETURN pops. Exclusive cycles
- * are attributed to the procedure on top of the shadow stack as
- * simulated time advances; inclusive cycles are closed when an
- * activation leaves the stack.
+ * The profiler reads the machine's shadow call stack (see
+ * XferObserver), naming each activation through a ProcMap built from
+ * the LoadedImage. Exclusive cycles are attributed to the procedure
+ * on top of the stack as simulated time advances; inclusive cycles
+ * are closed when an activation leaves the stack.
  *
  * Coroutine Switch, ProcSwitch and Trap transfers break LIFO order,
  * so — exactly the way I3 flushes its return stack on an unusual
- * XFER — the profiler flushes attribution: it closes every open
- * activation and re-roots the stack at the transfer's destination.
+ * XFER — the machine flushes the stack and re-roots it at the
+ * destination, and the profiler closes every activation it flushed.
  * Cycles therefore never dangle, and the invariant
  *
  *     sum over procedures of exclusive cycles  ==  total cycles
@@ -97,28 +95,24 @@ class Profiler : public XferObserver
   public:
     explicit Profiler(const LoadedImage &image) : map_(image) {}
 
-    void onXfer(const XferRecord &record) override;
+    void onXfer(const XferRecord &record, const Machine &machine) override;
 
-    /** Attribute the tail up to end_cycles (the machine's final cycle
-     *  count), close every open activation, and return the data. The
-     *  profiler is reset and may observe another run afterwards. */
-    ProfileData finish(Tick end_cycles);
+    /** Attribute the tail up to the machine's final cycle count, close
+     *  every activation still on its shadow stack, and return the
+     *  data. The profiler is reset and may observe another run
+     *  afterwards. */
+    ProfileData finish(const Machine &machine);
 
   private:
-    struct Open
-    {
-        std::string name;
-        Tick entered = 0;
-    };
+    using Stack = std::vector<ShadowFrame>;
 
-    /** Charge [lastTick_, now) to the stack top and the folded key. */
-    void attribute(Tick now);
-    void closeAll(Tick now);
+    /** Charge [lastTick_, now) to the top of the stack's first depth
+     *  entries and to their folded key. */
+    void attribute(Tick now, const Stack &stack, std::size_t depth);
+    void close(const ShadowFrame &frame, Tick now);
     std::string nameAt(CodeByteAddr pc) const;
-    std::string foldedKey() const;
 
     ProcMap map_;
-    std::vector<Open> stack_;
     Tick lastTick_ = 0;
     ProfileData data_;
 };

@@ -67,7 +67,7 @@ SampledProfiler::SampledProfiler(const LoadedImage &image,
 }
 
 void
-SampledProfiler::onBoundarySample(const Machine &machine)
+SampledProfiler::onSample(const Machine &machine)
 {
     Sample s;
     s.cycles = machine.stats().cycles;

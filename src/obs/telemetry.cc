@@ -10,7 +10,8 @@
 namespace fpc::obs
 {
 
-Telemetry::Telemetry(std::size_t capacity) : capacity_(capacity)
+Telemetry::Telemetry(std::size_t capacity, bool exact)
+    : capacity_(capacity), exact_(exact)
 {
     if (capacity_ == 0)
         panic("Telemetry: capacity must be nonzero");
@@ -25,12 +26,6 @@ Telemetry::setProvider(GaugeProvider provider)
 
 void
 Telemetry::onSample(const Machine &machine)
-{
-    sample(machine);
-}
-
-void
-Telemetry::onBoundarySample(const Machine &machine)
 {
     sample(machine);
 }

@@ -79,14 +79,20 @@ struct MetricsSample
  * Samples land in a drop-oldest ring; drivers additionally bracket a
  * run with explicit sample() calls so even programs shorter than one
  * interval export a start and a final point.
+ *
+ * An exact telemetry (the default) runs the eager loop, so its series
+ * is byte-identical across backends. A sampled one (exact = false)
+ * keeps the threaded loop running, and its stamps obey the
+ * CycleSampler slop contract instead.
  */
-class Telemetry : public CycleSampler, public BoundarySampler
+class Telemetry : public CycleSampler
 {
   public:
     static constexpr std::size_t defaultCapacity = 4096;
     static constexpr Tick defaultInterval = 10000;
 
-    explicit Telemetry(std::size_t capacity = defaultCapacity);
+    explicit Telemetry(std::size_t capacity = defaultCapacity,
+                       bool exact = true);
 
     /** Appends (name, value) gauges to every subsequent sample. The
      *  scheduler/runtime layers sit above fpc_obs, so their gauges
@@ -108,13 +114,7 @@ class Telemetry : public CycleSampler, public BoundarySampler
     std::uint64_t stepBase() const { return stepBase_; }
 
     void onSample(const Machine &machine) override;
-
-    /** Sampled (accel-safe) mode: attach with
-     *  machine.setBoundarySampler(&telemetry, interval). Same
-     *  snapshot, but the stamps obey the BoundarySampler slop
-     *  contract instead of the exact-interval contract, and the accel
-     *  fast paths keep running. */
-    void onBoundarySample(const Machine &machine) override;
+    bool exact() const override { return exact_; }
 
     /** Take a snapshot right now (run bracketing). */
     void sample(const Machine &machine);
@@ -131,6 +131,7 @@ class Telemetry : public CycleSampler, public BoundarySampler
 
   private:
     std::size_t capacity_;
+    bool exact_;
     std::vector<MetricsSample> ring_;
     std::size_t head_ = 0; ///< next write slot once the ring is full
     CountT recorded_ = 0;

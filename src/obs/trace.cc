@@ -10,18 +10,6 @@
 namespace fpc::obs
 {
 
-namespace
-{
-
-bool
-callLike(XferKind kind)
-{
-    return kind == XferKind::ExtCall || kind == XferKind::LocalCall ||
-           kind == XferKind::DirectCall || kind == XferKind::FatCall;
-}
-
-} // namespace
-
 Tracer::Tracer(std::size_t capacity) : capacity_(capacity)
 {
     if (capacity_ == 0)
@@ -30,7 +18,7 @@ Tracer::Tracer(std::size_t capacity) : capacity_(capacity)
 }
 
 void
-Tracer::onXfer(const XferRecord &record)
+Tracer::onXfer(const XferRecord &record, const Machine &machine)
 {
     TraceEvent ev;
     ev.kind = record.kind;
@@ -43,21 +31,16 @@ Tracer::onXfer(const XferRecord &record)
     ev.refs = record.refs;
     ev.step = record.step;
 
-    // Shadow depth: calls deepen, returns shallow, anything that breaks
-    // LIFO order (Switch / ProcSwitch / Trap) resets to the root.
-    if (callLike(record.kind)) {
-        ev.depth = ++depth_;
-        if (procMap_ != nullptr) {
-            if (const std::string *name = procMap_->find(record.pc))
-                ev.nameIdx = intern(*name);
-        }
-    } else if (record.kind == XferKind::Return) {
-        ev.depth = depth_;
-        if (depth_ > 0)
-            --depth_;
-    } else {
-        depth_ = 0;
-        ev.depth = 0;
+    // A call's or a return's callee is on top of the shadow stack; a
+    // transfer that breaks LIFO order (Switch / ProcSwitch / Trap)
+    // re-roots the stack at its destination.
+    const bool lifo =
+        callLike(record.kind) || record.kind == XferKind::Return;
+    ev.depth = lifo ? static_cast<unsigned>(machine.shadowStack().size())
+                    : (record.frame != nilAddr ? 1u : 0u);
+    if (callLike(record.kind) && procMap_ != nullptr) {
+        if (const std::string *name = procMap_->find(record.pc))
+            ev.nameIdx = intern(*name);
     }
 
     if (ring_.size() < capacity_) {
@@ -95,7 +78,6 @@ Tracer::clear()
     ring_.clear();
     head_ = 0;
     recorded_ = 0;
-    depth_ = 0;
     // Keep the interned names: indices in already-snapshotted events
     // stay valid and re-recording reuses them. dropped_ also survives:
     // it reports lifetime losses across every epoch.

@@ -38,7 +38,8 @@ struct TraceEvent
     Word dstCtx = nilContext;
     Addr frame = nilAddr;      ///< destination local frame
     CodeByteAddr pc = 0;       ///< destination PC
-    unsigned depth = 0;        ///< shadow call depth after the event
+    unsigned depth = 0;        ///< shadow depth of the activation the
+                               ///< event enters, leaves or re-roots
     Tick start = 0;            ///< base-offset cycles at begin
     Tick end = 0;              ///< base-offset cycles at completion
     CountT refs = 0;
@@ -59,7 +60,7 @@ class Tracer : public XferObserver
 
     explicit Tracer(std::size_t capacity = defaultCapacity);
 
-    void onXfer(const XferRecord &record) override;
+    void onXfer(const XferRecord &record, const Machine &machine) override;
 
     /** Tick offset added to subsequent events — a Runtime worker
      *  advances this between jobs so consecutive jobs lay out
@@ -96,7 +97,6 @@ class Tracer : public XferObserver
     CountT recorded_ = 0;
     CountT dropped_ = 0;   ///< lifetime drops, across all epochs
     Tick base_ = 0;
-    unsigned depth_ = 0;
     const ProcMap *procMap_ = nullptr;
     std::vector<std::string> names_;
     std::map<std::string, unsigned> nameIndex_;

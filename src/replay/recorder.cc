@@ -8,14 +8,6 @@ namespace fpc::replay
 {
 
 void
-Recorder::onSample(const Machine &machine)
-{
-    sample(machine);
-    if (next_ != nullptr)
-        next_->onSample(machine);
-}
-
-void
 Recorder::sample(const Machine &machine)
 {
     Sample s;

@@ -4,12 +4,12 @@
  * digests on the machine's CycleSampler interval, every scheduler
  * decision, and the final state — into a replay::JobRecord.
  *
- * The recorder *is* a CycleSampler, so attaching it costs zero
- * simulated cycles and (like any sampler) routes run() through the
- * eager per-step loop; the digests it takes are therefore identical
- * with host acceleration on or off. When a Telemetry also wants the
- * machine's one sampler slot, chain it behind the recorder with
- * setNext() — both fire on the same simulated-cycle boundaries.
+ * The recorder *is* an exact CycleSampler, so attaching it costs zero
+ * simulated cycles and routes run() through the eager per-step loop;
+ * the digests it takes are therefore identical with host acceleration
+ * on or off. When a Telemetry also wants the machine's one sampler
+ * slot, an obs::Fanout shares it; on the same interval, both fire on
+ * the same simulated-cycle boundaries.
  *
  * Scheduler decisions enter through wrapPolicy(): it decorates any
  * Machine::Scheduler hook so every context the policy hands back is
@@ -31,10 +31,7 @@ class Recorder : public CycleSampler
   public:
     Recorder() = default;
 
-    /** Chain another sampler (e.g. a Telemetry) behind this one. */
-    void setNext(CycleSampler *next) { next_ = next; }
-
-    void onSample(const Machine &machine) override;
+    void onSample(const Machine &machine) override { sample(machine); }
 
     /** Take a digest right now (run bracketing, like
      *  Telemetry::sample). */
@@ -58,7 +55,6 @@ class Recorder : public CycleSampler
 
   private:
     JobRecord job_;
-    CycleSampler *next_ = nullptr;
 };
 
 } // namespace fpc::replay

@@ -75,24 +75,21 @@ Replayer::executeJob(const JobRecord &job, const ExecSpec &spec)
     Machine machine(mem, image, config);
 
     obs::Fanout fanout;
-    std::optional<XferDigester> digester;
-    if (spec.perXfer) {
-        digester.emplace(machine, spec.xferScope, spec.windowBegin,
-                         spec.windowEnd);
-        fanout.add(&*digester);
-    }
+    XferDigester digester(spec.xferScope, spec.windowBegin,
+                          spec.windowEnd);
+    if (spec.perXfer)
+        fanout.add(&digester);
     obs::FlightRecorder flight;
     if (spec.keepRing)
         fanout.add(&flight);
-    if (!fanout.empty())
-        machine.setObserver(&fanout);
 
     // The replayed stream follows the recording protocol exactly:
     // sampler attached before start, one bracket sample after start,
     // interval samples during run, final captured before any pop.
     Recorder collector;
     collector.beginJob(job.id, job.worker);
-    machine.setSampler(&collector, log_.interval);
+    fanout.add(&collector, log_.interval);
+    fanout.attach(machine);
 
     // Forced decisions: the recorded contexts, in order, with their
     // step stamps cross-checked. A live-policy fallback past the end
@@ -120,7 +117,7 @@ Replayer::executeJob(const JobRecord &job, const ExecSpec &spec)
 
     out.replayed = collector.takeJob();
     if (spec.perXfer)
-        out.xferDigests = digester->entries();
+        out.xferDigests = digester.entries();
     if (spec.keepRing)
         out.ring = flight.records();
     return out;

@@ -200,9 +200,10 @@ Runtime::executeJob(const Job &job, unsigned id, Worker &w)
     Machine &machine = *w.ctx.machine;
     obs::Telemetry *telemetry = w.telemetry;
 
-    // Observers are per-job: the ProcMap indexes this job's image, and
-    // the tracer interns names at record time, so nothing here has to
-    // outlive the job.
+    // Observers and samplers are per-job: the ProcMap indexes this
+    // job's image, and the tracer interns names at record time, so
+    // nothing here has to outlive the job. One fanout takes both of
+    // the machine's slots; each sampler keeps its own interval.
     obs::ProcMap procMap;
     obs::Fanout fanout;
     std::optional<obs::Profiler> profiler;
@@ -221,54 +222,35 @@ Runtime::executeJob(const Job &job, unsigned id, Worker &w)
         recorder.emplace();
         fanout.add(&*recorder);
     }
-    if (!fanout.empty())
-        machine.setObserver(&fanout);
 
-    // Record/replay capture: the replay recorder takes the machine's
-    // one sampler slot and chains a telemetry sampler behind it, so
-    // both fire on the same simulated-cycle boundaries.
     replay::Recorder replayRec;
-    const bool sampledMetrics =
-        config_.metricsSampled && !config_.record;
     if (config_.record) {
         replayRec.beginJob(id, w.id);
-        replayRec.setNext(telemetry);
-        machine.setSampler(&replayRec, config_.metricsInterval);
-    } else if (telemetry != nullptr && !sampledMetrics) {
-        machine.setSampler(telemetry, config_.metricsInterval);
+        fanout.add(&replayRec, config_.metricsInterval);
     }
-
-    // Sampled (accel-safe) observability rides the boundary-sample
-    // slot instead: the fast paths keep running and the stamps obey
-    // the bounded-slop contract. The fanout lets the sampled profiler
-    // and sampled telemetry share the one slot on distinct budgets.
+    fanout.add(telemetry, config_.metricsInterval);
     std::optional<obs::SampledProfiler> sampledProfiler;
-    obs::BoundaryFanout boundaryFan;
     if (config_.profileSampled) {
         sampledProfiler.emplace(image);
-        boundaryFan.add(&*sampledProfiler, config_.sampleInterval);
+        fanout.add(&*sampledProfiler, config_.sampleInterval);
     }
-    if (sampledMetrics && telemetry != nullptr)
-        boundaryFan.add(telemetry, config_.metricsInterval);
-    if (!boundaryFan.empty())
-        machine.setBoundarySampler(&boundaryFan,
-                                   boundaryFan.machineInterval());
 
     // Dynamic probes: compile the registry's current snapshot against
-    // this job's image and attach as the machine's probe sink.
-    // Entry/exit sites arm their procedures' code ranges, so the
-    // threaded backend deoptimizes only the superblocks containing
-    // probed PCs; everything else keeps full speed.
+    // this job's image. Entry/exit sites arm their procedures' code
+    // ranges, so the threaded backend deoptimizes only the superblocks
+    // containing probed PCs; everything else keeps full speed.
     std::optional<obs::ProbeEngine> probeEngine;
+    std::vector<ProbeRange> armed;
     if (config_.probes != nullptr) {
         obs::ProbeRegistry::Snapshot snap = config_.probes->snapshot();
         if (!snap->empty()) {
             probeEngine.emplace(std::move(snap), image, job.tenant,
                                 w.id);
-            machine.setProbeSink(&*probeEngine,
-                                 probeEngine->armedRanges());
+            armed = probeEngine->armedRanges();
+            fanout.add(&*probeEngine);
         }
     }
+    fanout.attach(machine, std::move(armed));
 
     if (config_.machine.timesliceSteps > 0) {
         // A single-process workload still takes the full ProcSwitch
@@ -359,22 +341,18 @@ Runtime::executeJob(const Job &job, unsigned id, Worker &w)
         w.tracer->setProcMap(nullptr);
     }
     if (profiler)
-        w.profile.merge(profiler->finish(machine.stats().cycles));
+        w.profile.merge(profiler->finish(machine));
     if (sampledProfiler)
         w.sampled.merge(sampledProfiler->finish());
-
-    if (probeEngine) {
-        machine.setProbeSink(nullptr);
-        probeEngine->finishInto(*config_.probes);
-    }
 
     // The machine outlives this call inside the worker's context, but
     // every observer above is a stack local: detach them so nothing
     // dangles between jobs.
     machine.setObserver(nullptr);
     machine.setSampler(nullptr, 0);
-    machine.setBoundarySampler(nullptr, 0);
     machine.setScheduler(nullptr);
+    if (probeEngine)
+        probeEngine->finishInto(*config_.probes);
 
     return out;
 }
@@ -503,6 +481,22 @@ Runtime::startPoolWorkers(unsigned n)
 }
 
 void
+Runtime::buildTracks(unsigned n)
+{
+    poolSize_ = n;
+    for (std::size_t w = tracers_.size(); config_.trace && w < n; ++w)
+        tracers_.push_back(
+            std::make_unique<obs::Tracer>(config_.traceCapacity));
+    // Sampled telemetry keeps the threaded loop; a recording needs
+    // exact digests anyway, so its telemetry is exact too.
+    const bool exact = !config_.metricsSampled || config_.record;
+    for (std::size_t w = telemetry_.size(); config_.metrics && w < n;
+         ++w)
+        telemetry_.push_back(std::make_unique<obs::Telemetry>(
+            config_.metricsCapacity, exact));
+}
+
+void
 Runtime::startPool()
 {
     if (ran_)
@@ -515,21 +509,7 @@ Runtime::startPool()
               "a recording's job→worker header needs");
     }
     const unsigned n = config_.workers;
-    poolSize_ = n;
-    if (config_.trace && tracers_.empty()) {
-        tracers_.reserve(n);
-        for (unsigned w = 0; w < n; ++w) {
-            tracers_.push_back(
-                std::make_unique<obs::Tracer>(config_.traceCapacity));
-        }
-    }
-    if (config_.metrics && telemetry_.empty()) {
-        telemetry_.reserve(n);
-        for (unsigned w = 0; w < n; ++w) {
-            telemetry_.push_back(std::make_unique<obs::Telemetry>(
-                config_.metricsCapacity));
-        }
-    }
+    buildTracks(n);
     startPoolWorkers(n);
 }
 
@@ -620,21 +600,7 @@ Runtime::run()
     const unsigned n =
         std::min<unsigned>(config_.workers,
                            std::max<std::size_t>(1, jobs_.size()));
-    poolSize_ = n;
-    if (config_.trace) {
-        tracers_.reserve(n);
-        for (unsigned w = 0; w < n; ++w) {
-            tracers_.push_back(
-                std::make_unique<obs::Tracer>(config_.traceCapacity));
-        }
-    }
-    if (config_.metrics) {
-        telemetry_.reserve(n);
-        for (unsigned w = 0; w < n; ++w) {
-            telemetry_.push_back(std::make_unique<obs::Telemetry>(
-                config_.metricsCapacity));
-        }
-    }
+    buildTracks(n);
     if (staticAssignment()) {
         if (config_.spans != nullptr) {
             // Batch request ⊃ queued spans all begin at submission

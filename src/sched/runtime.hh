@@ -188,8 +188,8 @@ struct RuntimeConfig
 
     /** Dynamic probes (see obs/probes.hh). When non-null and active,
      *  every job compiles the registry's current snapshot against its
-     *  image, attaches a ProbeEngine as the machine's ProbeSink (which
-     *  selectively deoptimizes only the armed code ranges under the
+     *  image, attaches a ProbeEngine as one of the machine's observers
+     *  (which selectively deoptimizes only the armed code ranges under the
      *  accelerated backends), and folds its aggregation buffers back
      *  at completion. Probes are host-time only — simulated stats /
      *  metrics / traces stay byte-identical with any probe set
@@ -268,7 +268,9 @@ class Runtime
     }
     /** @} */
 
-    unsigned workers() const { return config_.workers; }
+    /** The worker threads the batch ran: min(workers, jobs) after
+     *  run(), the pool size after startPool() (same as stride()). */
+    unsigned workers() const { return stride(); }
 
     /** Per-worker machine counters summed at join (valid after
      *  run()). */
@@ -405,6 +407,9 @@ class Runtime
     void poolWorkerMain(unsigned worker_id);
     bool takeTask(unsigned worker_id, PoolTask &out, bool &stolen);
     void startPoolWorkers(unsigned n);
+    /** Set the stride to n and give each of n workers its trace track
+     *  and metrics series (when configured). */
+    void buildTracks(unsigned n);
     void prepareContext(ExecContext &ctx, const Job &job);
     JobResult runJob(Worker &w, const Job &job, unsigned id);
     JobResult executeJob(const Job &job, unsigned id, Worker &w);

@@ -152,6 +152,15 @@ enum class XferKind : unsigned
 
 const char *xferKindName(XferKind kind);
 
+/** The four call disciplines: the transfers that push an activation
+ *  (every other kind but Return breaks LIFO order). */
+constexpr bool
+callLike(XferKind kind)
+{
+    return kind == XferKind::ExtCall || kind == XferKind::LocalCall ||
+           kind == XferKind::DirectCall || kind == XferKind::FatCall;
+}
+
 } // namespace fpc
 
 #endif // FPC_XFER_CONTEXT_HH

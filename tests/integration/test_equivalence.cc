@@ -95,16 +95,24 @@ runWith(const std::vector<Module> &modules, const std::string &mod,
 class RandomPrograms : public testing::TestWithParam<std::uint64_t>
 {};
 
-TEST_P(RandomPrograms, AllEnginesAgree)
+/** The generated program's shape for one seed. */
+ProgramConfig
+shapeFor(std::uint64_t seed)
 {
     ProgramConfig pc;
-    pc.seed = GetParam();
+    pc.seed = seed;
     pc.modules = 2 + pc.seed % 4;
     pc.procsPerModule = 4 + pc.seed % 7;
     pc.callSitesPerProc = 2 + pc.seed % 3;
     pc.liveCallsPerProc = 1 + pc.seed % 2;
     pc.maxDepth = 6 + pc.seed % 4;
     pc.localCallFraction = 0.3 + 0.1 * (pc.seed % 5);
+    return pc;
+}
+
+TEST_P(RandomPrograms, AllEnginesAgree)
+{
+    const ProgramConfig pc = shapeFor(GetParam());
     const auto modules = generateProgram(pc);
     const std::vector<Word> args = {
         static_cast<Word>(pc.maxDepth)};
@@ -164,6 +172,91 @@ TEST_P(RandomPrograms, AllEnginesAgree)
     // long enough to be meaningful.
     if (outcomes[0].output.size() + i4.cycles > 20000) {
         EXPECT_GT(i4.fastRate, 0.3);
+    }
+}
+
+/**
+ * The shadow-stack oracle: a test observer that needs no exact stamps
+ * (so the threaded loop runs) checks the machine's one bracketing
+ * rule against the program's own transfers. Generated programs only
+ * call and return, so every return must land in the frame under the
+ * entry it pops.
+ */
+struct BracketOracle : XferObserver
+{
+    unsigned calls = 0;
+    unsigned returns = 0;
+    std::vector<std::string> faults;
+
+    void
+    onXfer(const XferRecord &record, const Machine &machine) override
+    {
+        const std::vector<ShadowFrame> &stack = machine.shadowStack();
+        if (callLike(record.kind)) {
+            ++calls;
+            if (stack.empty() || stack.back().frame != record.frame)
+                faults.push_back("call did not push its callee");
+            return;
+        }
+        if (record.kind != XferKind::Return) {
+            faults.push_back("non-LIFO transfer");
+            return;
+        }
+        ++returns;
+        const Addr under =
+            stack.size() >= 2 ? stack[stack.size() - 2].frame : nilAddr;
+        if (stack.empty() || record.frame != under)
+            faults.push_back("return " + std::to_string(returns) +
+                             " landed in frame " +
+                             std::to_string(record.frame) +
+                             ", not the frame under the popped entry");
+    }
+    bool exact() const override { return false; }
+};
+
+TEST_P(RandomPrograms, ShadowStackIsWellBracketed)
+{
+    const auto modules = generateProgram(shapeFor(GetParam()));
+    const std::vector<Word> args = {
+        static_cast<Word>(shapeFor(GetParam()).maxDepth)};
+    const struct
+    {
+        Impl impl;
+        CallLowering lowering;
+    } combos[] = {{Impl::Simple, CallLowering::Fat},
+                  {Impl::Mesa, CallLowering::Mesa},
+                  {Impl::Ifu, CallLowering::Direct},
+                  {Impl::Banked, CallLowering::Direct}};
+    for (const auto &combo : combos) {
+        for (const bool accel : {false, true}) {
+            SCOPED_TRACE(std::string(implName(combo.impl)) +
+                         (accel ? " threaded" : " off"));
+            const SystemLayout layout;
+            Memory mem(layout.memWords);
+            Loader loader{layout, SizeClasses::standard()};
+            for (const auto &m : modules)
+                loader.add(m);
+            LinkPlan plan;
+            plan.lowering = combo.lowering;
+            const LoadedImage image = loader.load(mem, plan);
+            MachineConfig config;
+            config.impl = combo.impl;
+            config.accel.enabled = accel;
+            Machine machine(mem, image, config);
+
+            BracketOracle oracle;
+            machine.setObserver(&oracle);
+            machine.start(generatedEntryModule(), generatedEntryProc(),
+                          args);
+            ASSERT_EQ(machine.run().reason, StopReason::TopReturn);
+            EXPECT_TRUE(machine.shadowStack().empty());
+            EXPECT_GT(oracle.calls, 1u);
+            EXPECT_EQ(oracle.returns, oracle.calls);
+            EXPECT_TRUE(oracle.faults.empty()) << oracle.faults.front();
+            if (accel) {
+                EXPECT_GT(machine.accelStats().sblockExecs, 0u);
+            }
+        }
     }
 }
 

@@ -344,53 +344,54 @@ struct CallCase
     std::vector<Module> modules;
     Word arg = 0;
     std::function<void(MachineConfig &)> configure;
-    /** Attach a logging probe sink armed on M.fib. */
+    /** Attach a logging observer armed on M.fib. */
     bool probeFib = false;
-    /** Rewrite one code byte with its own value from a boundary
-     *  sampler, moving the code epoch mid-run. */
+    /** Rewrite one code byte with its own value from a sampler,
+     *  moving the code epoch mid-run. */
     bool pokeMidRun = false;
     /** Install M.handler as the trap context. */
     bool trapHandler = false;
 };
 
-/** Logs every probe event's exact fields (the deltas, not absolute
- *  stamps, which may lag on the fast backends by contract). */
-struct LoggingProbes : ProbeSink
+/** Logs every event's exact fields (the deltas, not absolute stamps,
+ *  which may lag on the fast backends by contract). */
+struct LoggingProbes : XferObserver
 {
     std::ostringstream log;
     void
-    onProbeXfer(XferKind kind, CountT refs, Tick cycles,
-                const Machine &) override
+    onXfer(const XferRecord &record, const Machine &) override
     {
-        log << "x" << static_cast<unsigned>(kind) << ":" << refs << ":"
-            << cycles << " ";
+        log << "x" << static_cast<unsigned>(record.kind) << ":"
+            << record.refs << ":" << record.end - record.start << " ";
     }
     void
-    onProbeFrameAlloc(unsigned fsi, bool fast, const Machine &) override
+    onFrameAlloc(unsigned fsi, bool fast, const Machine &) override
     {
         log << "a" << fsi << fast << " ";
     }
     void
-    onProbeFrameFree(unsigned fsi, bool fast, const Machine &) override
+    onFrameFree(unsigned fsi, bool fast, const Machine &) override
     {
         log << "f" << fsi << fast << " ";
     }
     void
-    onProbeTrap(Word code, const Machine &) override
+    onTrap(Word code, const Machine &) override
     {
         log << "t" << code << " ";
     }
+    bool exact() const override { return false; }
 };
 
-/** Moves the code epoch at every boundary sample without changing a
- *  byte of code. */
-struct EpochPoker : BoundarySampler
+/** Moves the code epoch at every sample without changing a byte of
+ *  code. */
+struct EpochPoker : CycleSampler
 {
     Memory *mem = nullptr;
     CodeByteAddr at = 0;
     unsigned pokes = 0;
+    bool exact() const override { return false; }
     void
-    onBoundarySample(const Machine &) override
+    onSample(const Machine &) override
     {
         mem->pokeByte(at, mem->peekByte(at));
         ++pokes;
@@ -432,13 +433,13 @@ runCase(const CallCase &c, const EngineCombo &combo, Mode mode)
             pm.procs[static_cast<unsigned>(pm.src->procIndex("fib"))];
         const CodeByteAddr end =
             fib.prologueAddr + fib.prologueBytes + fib.bodyBytes;
-        machine.setProbeSink(&probes, {{fib.prologueAddr, end}});
+        machine.setObserver(&probes, {{fib.prologueAddr, end}});
     }
     EpochPoker poker;
     if (c.pokeMidRun) {
         poker.mem = &mem;
         poker.at = pm.procs.front().prologueAddr;
-        machine.setBoundarySampler(&poker, 5000);
+        machine.setSampler(&poker, 5000);
     }
     if (c.trapHandler)
         machine.setTrapContext(image.procDescriptor("M", "handler"));

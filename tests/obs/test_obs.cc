@@ -235,7 +235,7 @@ TEST(Profiler, ExclusiveCyclesSumToTotal)
     runMain(rig, "Fib", 10);
 
     const obs::ProfileData data =
-        profiler.finish(rig.machine->cycles());
+        profiler.finish(*rig.machine);
     EXPECT_EQ(data.total, rig.machine->cycles());
     EXPECT_EQ(data.exclusiveTotal(), data.total);
 
@@ -261,7 +261,7 @@ TEST(Profiler, ExclusiveSumSurvivesProcSwitchFlush)
 
     EXPECT_GT(rig.machine->stats().preemptions, 0u);
     const obs::ProfileData data =
-        profiler.finish(rig.machine->cycles());
+        profiler.finish(*rig.machine);
     EXPECT_EQ(data.total, rig.machine->cycles());
     EXPECT_EQ(data.exclusiveTotal(), data.total);
 
@@ -280,7 +280,7 @@ TEST(Profiler, CountsCallsPerProcedure)
     runMain(rig, "Main", 20);
 
     const obs::ProfileData data =
-        profiler.finish(rig.machine->cycles());
+        profiler.finish(*rig.machine);
     ASSERT_TRUE(data.procs.count("Main.isPrime"));
     ASSERT_TRUE(data.procs.count("Main.main"));
     // main(20) probes every i in [2, 20).
@@ -301,7 +301,7 @@ TEST(Profiler, FoldedStacksNestProperly)
     runMain(rig, "Main", 20);
 
     const obs::ProfileData data =
-        profiler.finish(rig.machine->cycles());
+        profiler.finish(*rig.machine);
     EXPECT_TRUE(data.folded.count("Main.main"));
     EXPECT_TRUE(data.folded.count("Main.main;Main.isPrime"));
 
@@ -319,7 +319,7 @@ TEST(Profiler, MergeAccumulates)
         obs::Profiler profiler(rig.image);
         rig.machine->setObserver(&profiler);
         runMain(rig, "Main", 20);
-        total.merge(profiler.finish(rig.machine->cycles()));
+        total.merge(profiler.finish(*rig.machine));
     }
     EXPECT_EQ(total.procs.at("Main.isPrime").calls, 36u);
     EXPECT_EQ(total.exclusiveTotal(), total.total);

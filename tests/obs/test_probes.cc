@@ -14,7 +14,6 @@
  *  - the ProbeRegistry: idempotent attach, detach, folding engines
  *    compiled against stale snapshots, deterministic fpc-probes-v1
  *    output;
- *  - the BoundaryFanout detach path (satellite);
  *  - SampledProfile::merge edge cases (satellite).
  */
 
@@ -137,9 +136,9 @@ runProbed(const std::vector<std::string> &specs, Word limit,
     Rig rig(kPrimes, configFor(impl, mode));
     obs::ProbeEngine engine(registry.snapshot(), rig.image, tenant,
                             /*worker=*/0);
-    rig.machine->setProbeSink(&engine, engine.armedRanges());
+    rig.machine->setObserver(&engine, engine.armedRanges());
     runMain(rig, limit);
-    rig.machine->setProbeSink(nullptr);
+    rig.machine->setObserver(nullptr);
     engine.finishInto(registry);
     return registry.read();
 }
@@ -390,8 +389,8 @@ TEST(ProbeEngine, DoesNotPerturbSimulatedStats)
             Rig probed(kPrimes, configFor(impl, mode));
             obs::ProbeEngine engine(registry.snapshot(), probed.image,
                                     "", 0);
-            probed.machine->setProbeSink(&engine,
-                                         engine.armedRanges());
+            probed.machine->setObserver(&engine,
+                                        engine.armedRanges());
             EXPECT_EQ(runMain(probed, 200), bareValue) << tag;
             EXPECT_EQ(statsJson(probed), bareJson) << tag;
         }
@@ -464,9 +463,9 @@ TEST(ProbeRegistry, WriteJsonIsDeterministic)
         Rig rig(kPrimes, configFor(Impl::Banked, Mode::Threaded));
         obs::ProbeEngine engine(registry.snapshot(), rig.image, "",
                                 0);
-        rig.machine->setProbeSink(&engine, engine.armedRanges());
+        rig.machine->setObserver(&engine, engine.armedRanges());
         runMain(rig, 80);
-        rig.machine->setProbeSink(nullptr);
+        rig.machine->setObserver(nullptr);
         engine.finishInto(registry);
         std::ostringstream os;
         registry.writeJson(os, "test_probes");
@@ -490,9 +489,9 @@ TEST(ProbeRegistry, GaugesMirrorHitsAndDistributions)
         << err;
     Rig rig(kPrimes);
     obs::ProbeEngine engine(registry.snapshot(), rig.image, "", 0);
-    rig.machine->setProbeSink(&engine, engine.armedRanges());
+    rig.machine->setObserver(&engine, engine.armedRanges());
     runMain(rig, 50);
-    rig.machine->setProbeSink(nullptr);
+    rig.machine->setObserver(nullptr);
     engine.finishInto(registry);
 
     std::vector<std::pair<std::string, double>> gauges;
@@ -510,54 +509,6 @@ TEST(ProbeRegistry, GaugesMirrorHitsAndDistributions)
     }
     EXPECT_TRUE(sawHits);
     EXPECT_TRUE(sawSum);
-}
-
-// ---------------------------------------------------------------------
-// BoundaryFanout detach (satellite)
-// ---------------------------------------------------------------------
-
-namespace
-{
-
-struct CountingBsampler : BoundarySampler
-{
-    std::size_t fires = 0;
-    void
-    onBoundarySample(const Machine &) override
-    {
-        ++fires;
-    }
-};
-
-} // namespace
-
-TEST(BoundaryFanout, RemoveDetachesOneTargetAndKeepsTheRest)
-{
-    obs::BoundaryFanout fan;
-    CountingBsampler fine;
-    CountingBsampler coarse;
-    fan.add(&fine, 500);
-    fan.add(&coarse, 5000);
-    ASSERT_EQ(fan.size(), 2u);
-
-    fan.remove(&coarse);
-    EXPECT_EQ(fan.size(), 1u);
-    EXPECT_FALSE(fan.empty());
-    EXPECT_EQ(fan.machineInterval(), 500);
-
-    // Removing an unknown target is a no-op.
-    fan.remove(&coarse);
-    EXPECT_EQ(fan.size(), 1u);
-
-    Rig rig(kPrimes, configFor(Impl::Banked, Mode::Threaded));
-    rig.machine->setBoundarySampler(&fan, fan.machineInterval());
-    runMain(rig, 300);
-    EXPECT_GT(fine.fires, 20u);
-    EXPECT_EQ(coarse.fires, 0u); // detached targets never fire
-
-    fan.remove(&fine);
-    EXPECT_TRUE(fan.empty());
-    EXPECT_EQ(fan.machineInterval(), 0);
 }
 
 // ---------------------------------------------------------------------

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the boundary-sampling profiler (obs/sampled_profile.hh)
- * and the BoundarySampler machinery it rides:
+ * and the non-exact CycleSampler machinery it rides:
  *
  *  - the slop contract — every sample lands at or after its nominal
  *    interval boundary, within one instruction (eager) or one
@@ -9,9 +9,10 @@
  *  - the validation harness the tentpole promises: sampled cycle
  *    shares on a deterministic call-heavy workload agree with the
  *    exact eager profiler's exclusive shares within tolerance;
- *  - attaching a boundary sampler does not perturb a single simulated
+ *  - attaching a non-exact sampler does not perturb a single simulated
  *    number (the accel invariance contract extends to observation);
- *  - the SampledProfile container and BoundaryFanout mechanics.
+ *  - the SampledProfile container, and the Fanout's per-client
+ *    deadlines.
  */
 
 #include <gtest/gtest.h>
@@ -24,10 +25,13 @@
 
 #include "lang/codegen.hh"
 #include "machine/machine.hh"
+#include "obs/fanout.hh"
 #include "obs/json.hh"
 #include "obs/profile.hh"
 #include "obs/sampled_profile.hh"
+#include "obs/telemetry.hh"
 #include "program/loader.hh"
+#include "replay/recorder.hh"
 
 using namespace fpc;
 
@@ -111,16 +115,17 @@ runMain(Rig &rig, Word arg)
     return rig.machine->popValue();
 }
 
-/** Records the cycle count of every boundary fire. */
-struct RecordingBsampler : BoundarySampler
+/** Records the cycle count of every fire; needs no exact stamps. */
+struct RecordingSampler : CycleSampler
 {
     std::vector<Tick> fires;
 
     void
-    onBoundarySample(const Machine &machine) override
+    onSample(const Machine &machine) override
     {
         fires.push_back(machine.stats().cycles);
     }
+    bool exact() const override { return false; }
 };
 
 } // namespace
@@ -168,8 +173,8 @@ TEST(BoundarySampling, SlopBoundedOnEveryEngineAndBackend)
             LinkPlan plan;
             plan.lowering = combo.lowering;
             Rig rig(kPrimes, configFor(combo.impl, mode), plan);
-            RecordingBsampler rec;
-            rig.machine->setBoundarySampler(&rec, interval);
+            RecordingSampler rec;
+            rig.machine->setSampler(&rec, interval);
             runMain(rig, 300);
 
             ASSERT_GT(rec.fires.size(), 10u) << tag;
@@ -210,13 +215,13 @@ TEST(SampledProfiler, AgreesWithExactProfilerOnThreaded)
     exactRig.machine->setObserver(&exact);
     const Word exactValue = runMain(exactRig, limit);
     const obs::ProfileData exactData =
-        exact.finish(exactRig.machine->stats().cycles);
+        exact.finish(*exactRig.machine);
     ASSERT_GT(exactData.total, 0);
 
     for (Mode mode : {Mode::Threaded, Mode::Off}) {
         Rig rig(kPrimes, configFor(Impl::Banked, mode));
         obs::SampledProfiler sampler(rig.image);
-        rig.machine->setBoundarySampler(&sampler, interval);
+        rig.machine->setSampler(&sampler, interval);
         EXPECT_EQ(runMain(rig, limit), exactValue) << modeName(mode);
         const obs::SampledProfile profile = sampler.finish();
         ASSERT_GT(profile.total, 100) << modeName(mode);
@@ -264,7 +269,7 @@ TEST(BoundarySampling, DoesNotPerturbSimulatedStats)
 
         Rig observed(kPrimes, configFor(Impl::Banked, mode));
         obs::SampledProfiler sampler(observed.image);
-        observed.machine->setBoundarySampler(&sampler, 997);
+        observed.machine->setSampler(&sampler, 997);
         EXPECT_EQ(runMain(observed, 200), bareValue) << modeName(mode);
         EXPECT_GT(sampler.recorded(), 0u) << modeName(mode);
         EXPECT_EQ(statsJson(observed), bareJson) << modeName(mode);
@@ -307,7 +312,7 @@ TEST(SampledProfiler, RingDropsOldestBeyondCapacity)
 {
     Rig rig(kPrimes, configFor(Impl::Banked, Mode::Threaded));
     obs::SampledProfiler sampler(rig.image, /*capacity=*/8);
-    rig.machine->setBoundarySampler(&sampler, 500);
+    rig.machine->setSampler(&sampler, 500);
     runMain(rig, 300);
 
     ASSERT_GT(sampler.recorded(), 8u);
@@ -323,52 +328,40 @@ TEST(SampledProfiler, RingDropsOldestBeyondCapacity)
 }
 
 // ---------------------------------------------------------------------
-// BoundaryFanout
+// Fanout: one deadline per sampler client
 // ---------------------------------------------------------------------
 
-namespace
+TEST(Fanout, EachSamplerFiresAtItsOwnDeadline)
 {
+    // The replay recorder's digests and an exact telemetry series must
+    // not move when a sampled client on a finer, coprime interval
+    // shares the slot, and the sampled client's fire points must not
+    // move when they join it.
+    const auto run = [](bool exact_clients, bool sampled_client) {
+        Rig rig(kPrimes, configFor(Impl::Banked, Mode::Off));
+        replay::Recorder recorder;
+        obs::Telemetry telemetry;
+        RecordingSampler fine;
+        obs::Fanout fan;
+        if (exact_clients) {
+            fan.add(&recorder, 1000);
+            fan.add(&telemetry, 1000);
+        }
+        if (sampled_client)
+            fan.add(&fine, 97);
+        fan.attach(*rig.machine);
+        runMain(rig, 300);
+        std::ostringstream exact;
+        for (const replay::Sample &s : recorder.current().samples)
+            exact << s.steps << " " << s.cycles << " " << s.digest
+                  << "\n";
+        obs::writeMetricsJson(exact, obs::MetricsExport{}, {&telemetry});
+        return std::make_pair(exact.str(), fine.fires);
+    };
 
-struct CountingBsampler : BoundarySampler
-{
-    std::vector<Tick> at;
-    void
-    onBoundarySample(const Machine &machine) override
-    {
-        at.push_back(machine.stats().cycles);
-    }
-};
-
-} // namespace
-
-TEST(BoundaryFanout, FinestIntervalDrivesCoarserTargets)
-{
-    obs::BoundaryFanout fan;
-    EXPECT_TRUE(fan.empty());
-    EXPECT_EQ(fan.machineInterval(), 0);
-
-    CountingBsampler fine;
-    CountingBsampler coarse;
-    fan.add(&fine, 500);
-    fan.add(&coarse, 5000);
-    EXPECT_FALSE(fan.empty());
-    EXPECT_EQ(fan.machineInterval(), 500);
-
-    Rig rig(kPrimes, configFor(Impl::Banked, Mode::Threaded));
-    rig.machine->setBoundarySampler(&fan, fan.machineInterval());
-    runMain(rig, 300);
-
-    ASSERT_GT(fine.at.size(), 20u);
-    ASSERT_GE(coarse.at.size(), 2u);
-    EXPECT_LT(coarse.at.size(), fine.at.size());
-    // Each coarse fire obeys the same catch-up contract as the
-    // machine's own budget: at or after its nominal boundary, which
-    // then advances strictly past the fire point.
-    Tick nextAt = 5000;
-    for (const Tick at : coarse.at) {
-        EXPECT_GE(at, nextAt);
-        do
-            nextAt += 5000;
-        while (nextAt <= at);
-    }
+    const auto shared = run(true, true);
+    EXPECT_EQ(run(true, false).first, shared.first);
+    EXPECT_EQ(run(false, true).second, shared.second);
+    EXPECT_GT(shared.second.size(), 100u);
+    EXPECT_NE(shared.first.find("\"cycles\""), std::string::npos);
 }

@@ -350,7 +350,7 @@ TEST(FlightRecorder, ShadowStackTracksNesting)
     ASSERT_EQ(result.reason, StopReason::Error);
 
     // main -> inner -> div, innermost on top.
-    const auto &stack = recorder.shadowStack();
+    const auto &stack = rig.machine->shadowStack();
     ASSERT_EQ(stack.size(), 3u);
     const obs::ProcMap map(rig.image);
     EXPECT_EQ(*map.find(stack[0].pc), "Main.main");

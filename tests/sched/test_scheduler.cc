@@ -12,6 +12,8 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -401,6 +403,67 @@ TEST(Runtime, FailingJobIsIsolated)
     EXPECT_EQ(runtime.stats().findCounter("jobs_completed").value(),
               2u);
     EXPECT_EQ(runtime.stats().findCounter("jobs_failed").value(), 1u);
+}
+
+TEST(Runtime, PostmortemFinalSampleIsTheJobsOwn)
+{
+    // A worker's metrics series lays its jobs end to end; a bundle's
+    // finalSample must still give the failing job's own cycles and
+    // steps, not the worker's running totals.
+    const auto trap = shared(lang::compile(R"(
+        module Main;
+        proc div(a, b) { return a / b; }
+        proc main(n) { return div(100, n); }
+    )"));
+    const std::filesystem::path dir =
+        std::filesystem::path(testing::TempDir()) / "fpc_runtime_pm";
+    std::filesystem::remove_all(dir);
+    sched::RuntimeConfig rc;
+    rc.workers = 2;
+    rc.metrics = true;
+    rc.postmortemDir = dir.string();
+    sched::Runtime runtime(rc);
+    for (unsigned j = 0; j < 4; ++j)
+        runtime.submit({trap, "Main", "main", {0}});
+    const auto results = runtime.run();
+    ASSERT_EQ(results.size(), 4u);
+    for (const sched::JobResult &r : results) {
+        ASSERT_FALSE(r.ok);
+        std::ifstream js(dir / ("job-" + std::to_string(r.id) +
+                                "-postmortem.json"));
+        ASSERT_TRUE(js.good()) << "job " << r.id;
+        std::stringstream buf;
+        buf << js.rdbuf();
+        const std::string json = buf.str();
+        const std::string sample =
+            json.substr(json.find("\"finalSample\""));
+        EXPECT_NE(sample.find("\"cycles\": " + std::to_string(r.cycles) +
+                              ","),
+                  std::string::npos)
+            << "job " << r.id << ": " << sample;
+        EXPECT_NE(sample.find("\"steps\": " + std::to_string(r.steps) +
+                              ","),
+                  std::string::npos)
+            << "job " << r.id << ": " << sample;
+    }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Runtime, WorkersCountsTheThreadsTheBatchRan)
+{
+    // Four configured workers run a one-job batch on one thread and a
+    // three-job batch on three; that is what workers() reports.
+    const auto prog = shared(fibTracer());
+    for (const unsigned jobs : {1u, 3u, 6u}) {
+        sched::RuntimeConfig rc;
+        rc.workers = 4;
+        sched::Runtime runtime(rc);
+        for (unsigned j = 0; j < jobs; ++j)
+            runtime.submit({prog, "Fib", "main", {5}});
+        runtime.run();
+        EXPECT_EQ(runtime.workers(), std::min(jobs, 4u));
+        EXPECT_EQ(runtime.workers(), runtime.stride());
+    }
 }
 
 /** The stats document's machine, memory and heap sections. */
