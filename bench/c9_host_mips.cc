@@ -405,7 +405,7 @@ printObsOverhead(unsigned repeat, JsonReport &json)
     std::cout << "\nAcceptance shape: full sampled observability "
                  "(--profile-sampled --telemetry-mode=sampled) "
                  "retains >= 90% of unobserved threaded throughput; "
-                 "exact observation pays the eager loop.\n";
+                 "exact sampling pays the eager loop.\n";
 }
 
 /** The probe states the probe_overhead table compares on the
@@ -413,7 +413,7 @@ printObsOverhead(unsigned repeat, JsonReport &json)
 enum class ProbeState
 {
     Unprobed, ///< no probe engine at all
-    Probed,   ///< one hot procedure probed (selective deopt)
+    Probed,   ///< one hot procedure probed
     AllProbed ///< every procedure probed (upper bound on the cost)
 };
 
@@ -423,9 +423,8 @@ constexpr std::array<ProbeState, 3> allProbeStates = {
 /** A workload where instruction volume and call frequency separate:
  *  kernel() holds ~95% of the instructions, tick() is called every
  *  outer iteration (a hot probe target) but is three instructions
- *  long. Probing tick() deopts only tick's superblocks, so the
- *  retention column prices exactly what selective deopt promises:
- *  unprobed code keeps threaded speed. */
+ *  long. The probed run stays on the threaded loop, so the retention
+ *  column prices the probe engine's per-event work. */
 inline std::vector<Module>
 probeWorkload()
 {
@@ -458,11 +457,12 @@ probeWorkload()
 /**
  * Probe overhead: wall time of the threaded backend with no probes,
  * with one hot procedure probed ('entry:Work.tick ->
- * quantize(cycles)' — only tick's superblocks deopt to the eager
- * path), and with every procedure probed (the upper bound selective
- * deopt avoids). Probes charge zero simulated cycles; this table is
- * the host-side price. Same rebuilt-rig, interleaved min-of-N
- * discipline as the obs_overhead table.
+ * quantize(cycles)'), and with every procedure probed. A probe engine
+ * is an ordinary observer, exact on the threaded loop, so every state
+ * runs superblocks; the all-probed column prices exact observation
+ * of every procedure's transfers. Probes charge zero simulated
+ * cycles; this table is the host-side price. Same rebuilt-rig,
+ * interleaved min-of-N discipline as the obs_overhead table.
  */
 void
 printProbeOverhead(unsigned repeat, JsonReport &json)
@@ -515,11 +515,9 @@ printProbeOverhead(unsigned repeat, JsonReport &json)
                 if (registry != nullptr) {
                     engine.emplace(registry->snapshot(), rig.image,
                                    "", 0);
-                    rig.machine->setObserver(&*engine,
-                                             engine->armedRanges());
+                    rig.machine->setObserver(&*engine);
                 }
-                // Warm run: frame free lists + host caches (the
-                // armed superblock set reaches steady state here).
+                // Warm run: frame free lists + host caches.
                 runToResult(*rig.machine, "Work", "main", {workReps});
                 const auto t0 = clock::now();
                 for (unsigned k = 0; k < innerReps; ++k)
@@ -553,9 +551,10 @@ printProbeOverhead(unsigned repeat, JsonReport &json)
     json.metric("min_probe_retention", min_retention);
 
     std::cout << "\nAcceptance shape: with one hot procedure probed, "
-                 "unprobed code retains >= 90% of unprobed threaded "
-                 "throughput (selective deopt); probing every "
-                 "procedure prices what that selectivity avoids.\n";
+                 "the run retains >= 90% of unprobed threaded "
+                 "throughput; probing every procedure prices exact "
+                 "observation of all of them, still on the threaded "
+                 "loop.\n";
 }
 
 void

@@ -59,9 +59,6 @@ AccelStats::merge(const AccelStats &other)
     callSiteMisses += other.callSiteMisses;
     returnPredHits += other.returnPredHits;
     returnPredMisses += other.returnPredMisses;
-    probeSites += other.probeSites;
-    probeDeoptBlocks += other.probeDeoptBlocks;
-    probeEagerSteps += other.probeEagerSteps;
 }
 
 Accel::Accel(const AccelConfig &config, const LoadedImage &image,

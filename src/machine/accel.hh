@@ -103,14 +103,6 @@ struct AccelStats
     CountT returnPredHits = 0;
     CountT returnPredMisses = 0;
 
-    /** Dynamic probes (Machine::setObserver's armed ranges): ranges
-     *  registered, superblocks selectively invalidated at arm time,
-     *  and steps the accelerated loops deoptimized to the exact eager
-     *  path because the PC lay inside an armed range. */
-    CountT probeSites = 0;
-    CountT probeDeoptBlocks = 0;
-    CountT probeEagerSteps = 0;
-
     CountT linkHits() const
     {
         return extHits + localHits + directHits + fatHits;

@@ -320,34 +320,11 @@ Machine::setScheduler(Scheduler scheduler)
 }
 
 void
-Machine::setObserver(XferObserver *observer,
-                     std::vector<ProbeRange> armed)
+Machine::setObserver(XferObserver *observer)
 {
     observer_ = observer;
-    armed_ = std::move(armed);
-    if (observer == nullptr)
-        armed_.clear();
-    else
+    if (observer != nullptr)
         shadow_.clear();
-    armedMin_ = ~static_cast<CodeByteAddr>(0);
-    armedMax_ = 0;
-    for (const ProbeRange &r : armed_) {
-        armedMin_ = std::min(armedMin_, r.begin);
-        armedMax_ = std::max(armedMax_, r.end);
-    }
-    if (accel_) {
-        accel_->stats.probeSites += static_cast<CountT>(armed_.size());
-        // Selective deopt: drop just the superblocks intersecting an
-        // armed range (and null chain pointers into them), so armed
-        // PCs re-enter through the outer loop's armed check while
-        // everything else keeps its blocks. Also restores the
-        // invariant the threaded chain-follow relies on: no live
-        // block or chain targets an armed entry.
-        if (sblocks_)
-            for (const ProbeRange &r : armed_)
-                sblocks_->invalidateRange(r.begin, r.end, stats_,
-                                          accel_->stats);
-    }
 }
 
 void
@@ -434,13 +411,12 @@ RunResult
 Machine::run()
 {
     // The threaded backend runs whenever it is configured and nothing
-    // needs per-step stamps: an exact observer (XFER records stamp
-    // absolute cycles/steps, which block-fused accounting would skew),
-    // an exact sampler (its points are step boundaries crossing its
-    // deadlines) or preemption (the timeslice counts single steps).
+    // needs per-step boundaries: an exact sampler (its points are step
+    // boundaries crossing its deadlines) or preemption (the timeslice
+    // counts single steps). Observers ride it: their events are all
+    // raised by member code, which sees exact stamps (threaded.cc).
     const bool exact =
         (config_.timesliceSteps != 0 && scheduler_ != nullptr) ||
-        (observer_ != nullptr && observer_->exact()) ||
         (sampler_ != nullptr && sampler_->exact());
 
     std::uint64_t steps = 0;

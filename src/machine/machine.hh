@@ -173,13 +173,14 @@ class Machine;
  * already pushed, a return's callee is popped, and a non-LIFO
  * transfer's flush applied, only after onXfer returns.
  *
- * exact() says whether the observer needs exact absolute stamps
- * (XferRecord::start/end/step, machine.cycles()). An exact observer
- * runs the eager loop. Any other runs on the threaded loop too, where
- * the refs/cycles a transfer consumed (end - start) are still exact
- * but absolute readings from unarmed code may lag by up to one
- * superblock of decode cycles; PCs in the armed ranges passed to
- * setObserver step on the exact eager path.
+ * Every observer is exact on both backends: each event is an XFER,
+ * a frame allocation or release inside one, or a trap, and the
+ * threaded loop runs all of them in member code after charging the
+ * block through the instruction and spilling its register-held
+ * deltas. So the absolute stamps (XferRecord::start/end/step,
+ * cycles(), stats().steps, the memory counters, pc()) read exactly
+ * what the eager loop reads; only the opcode/length histograms and
+ * the host counters fold later, at the run's exit.
  */
 class XferObserver
 {
@@ -196,7 +197,6 @@ class XferObserver
     /** On every trap, including unhandled traps that stop the run
      *  (those never reach the XFER path). */
     virtual void onTrap(Word, const Machine &) {}
-    virtual bool exact() const { return true; }
 };
 
 /**
@@ -230,14 +230,6 @@ class CycleSampler
         while (due <= now);
         return due;
     }
-};
-
-/** A half-open range of code byte addresses an observer has armed
- *  (typically one procedure's prologue + body). */
-struct ProbeRange
-{
-    CodeByteAddr begin = 0;
-    CodeByteAddr end = 0; ///< exclusive
 };
 
 struct Superblock;
@@ -303,15 +295,10 @@ class Machine
 
     /** @name Observation hooks (tracing/profiling, see src/obs/). @{ */
 
-    /** Attach a transfer observer; null detaches. armed lists code
-     *  ranges whose events need exact absolute stamps (probed
-     *  procedures): superblocks intersecting an armed range are
-     *  invalidated and those PCs execute on the exact eager path,
-     *  while the rest keeps full threaded speed. Attaching empties
+    /** Attach a transfer observer; null detaches. Attaching empties
      *  the shadow stack. The observer must outlive the machine or be
      *  detached before it dies. */
-    void setObserver(XferObserver *observer,
-                     std::vector<ProbeRange> armed = {});
+    void setObserver(XferObserver *observer);
 
     /** The shadow call stack, outermost first, kept while an observer
      *  is attached (see XferObserver for the bracketing rule). */
@@ -342,18 +329,6 @@ class Machine
      *  instead charges the sample to the procedure that actually spent
      *  the cycles. */
     CodeByteAddr boundaryAnchorPc() const { return sampleAnchorPc_; }
-
-    /** True when pc lies in an armed range (exact-path code). */
-    bool
-    pcArmed(CodeByteAddr pc) const
-    {
-        if (pc < armedMin_ || pc >= armedMax_)
-            return false;
-        for (const ProbeRange &r : armed_)
-            if (pc >= r.begin && pc < r.end)
-                return true;
-        return false;
-    }
     /** @} */
 
     /** @name Transfer primitives (also for trace-driven use).
@@ -401,8 +376,8 @@ class Machine
     bool accelEnabled() const { return accel_ != nullptr; }
 
     /** True when the threaded backend is configured on this machine
-     *  (run() still falls back to the eager loop for exact observers
-     *  and samplers, and for preemption). */
+     *  (run() still falls back to the eager loop for exact samplers
+     *  and for preemption). */
     bool threadedActive() const { return sblocks_ != nullptr; }
 
     /** @name Microarchitectural state, for experiments/diagnostics. @{ */
@@ -649,13 +624,8 @@ class Machine
 
     Scheduler scheduler_;
     Word trapCtx_ = nilContext;
-    /** The observer, its armed code ranges and its shadow stack.
-     *  armedMin_/Max_ bound the ranges so pcArmed rejects in one
-     *  compare when no range (or no observer) is set. */
+    /** The observer and its shadow stack. */
     XferObserver *observer_ = nullptr;
-    std::vector<ProbeRange> armed_;
-    CodeByteAddr armedMin_ = ~static_cast<CodeByteAddr>(0);
-    CodeByteAddr armedMax_ = 0;
     std::vector<ShadowFrame> shadow_;
     CycleSampler *sampler_ = nullptr;
     Tick sampleInterval_ = 0;

@@ -58,38 +58,6 @@ SuperblockCache::flushAll(MachineStats &stats, AccelStats &astats)
 }
 
 void
-SuperblockCache::invalidateRange(CodeByteAddr begin, CodeByteAddr end,
-                                 MachineStats &stats,
-                                 AccelStats &astats)
-{
-    // Fold first: dropped blocks may carry deferred executions.
-    flushDeferred(stats, astats);
-    const auto intersects = [&](const Superblock &b) {
-        return b.entry < end && b.entry + b.codeBytes > begin;
-    };
-    for (Superblock *&slot_entry : table_) {
-        if (slot_entry != nullptr && intersects(*slot_entry)) {
-            slot_entry = nullptr;
-            ++astats.probeDeoptBlocks;
-        }
-    }
-    // Chains and return predictions bypass the outer loop's lookup
-    // (and its armed check), so no surviving link may lead into the
-    // range.
-    for (auto &owned : arena_) {
-        Superblock &b = *owned;
-        if (b.chain != nullptr &&
-            (intersects(*b.chain) ||
-             (b.chainPc >= begin && b.chainPc < end))) {
-            b.chain = nullptr;
-            b.chainPc = ~0u;
-        }
-        if (b.retSucc != nullptr && intersects(*b.retSucc))
-            b.retSucc = nullptr;
-    }
-}
-
-void
 SuperblockCache::flushDeferred(MachineStats &stats, AccelStats &astats)
 {
     ++astats.deferredFlushes;
@@ -422,7 +390,6 @@ buildBlock(Memory &mem, CodeByteAddr entry, const void *const *labels)
     }
 
     block->n = static_cast<std::uint32_t>(block->insts.size());
-    block->codeBytes = bytes;
     for (unsigned op = 0; op < opCounts.size(); ++op)
         if (opCounts[op] != 0)
             block->opDeltas.emplace_back(
@@ -432,8 +399,11 @@ buildBlock(Memory &mem, CodeByteAddr entry, const void *const *labels)
             block->lenDeltas.emplace_back(
                 static_cast<std::uint8_t>(len), lenCounts[len]);
 
+    // The sentinel's cumBytes closes the prefix sums: the bytes before
+    // any TInst t, sentinel included, are t.cumBytes - t.length.
     TInst sentinel;
     sentinel.handler = labels[H_BlockEnd];
+    sentinel.cumBytes = bytes;
     block->insts.push_back(sentinel);
     return block;
 }
@@ -446,23 +416,31 @@ buildBlock(Memory &mem, CodeByteAddr entry, const void *const *labels)
 
 /** Begin a slow-path or terminal instruction: what stepCoreT does
  *  before execute(), plus the spill of the register-cached stack
- *  pointer and the stack bank's dirty bits. Fast paths skip this
- *  entirely — nothing they call reads instStart_/pcAbs_/sp_, traps
- *  only happen behind the guards, and the store-port traffic of three
- *  spills per instruction is a large share of a short handler's cost.
- *  The members are re-established at every place control can leave
- *  the fast path: h_slow and the terminals run this macro, a taken
- *  side exit and the BlockEnd sentinel restore them by hand, and the
- *  catch block's accounting works from `ti` alone. (After a thrown
- *  storage panic the members can be stale — the machine is dead at
- *  that point and the simulated stats, which the catch charges
- *  exactly, are the only thing still observable.) */
+ *  pointer and the stack bank's dirty bits. With an observer attached
+ *  it also charges the instruction's step, decode cycles and code
+ *  bytes, with every not-yet-charged instruction of the block before
+ *  it, and spills the register-held storage deltas, so every stamp
+ *  member code hands an observer (XferRecord, cycles(), steps, memory
+ *  counters) reads what the eager loop reads at the same instruction.
+ *  Without one, nothing reads absolute stamps mid-block, and the
+ *  exits charge the block instead. Fast paths skip all of this — nothing they
+ *  call reads instStart_/pcAbs_/sp_, traps only happen behind the
+ *  guards, and the store-port traffic of three spills per instruction
+ *  is a large share of a short handler's cost. The members are
+ *  re-established at every place control can leave the fast path:
+ *  h_slow and the terminals run this macro, and a taken side exit and
+ *  the BlockEnd sentinel restore them by hand. */
 #define FPC_T_PRE()                                                    \
     do {                                                               \
         instStart_ = ti->start;                                        \
         pcAbs_ = ti->next;                                             \
         sp_ = sp;                                                      \
-        foldDirty();                                                   \
+        if (observed) {                                                \
+            chargeTo(ti + 1);                                          \
+            spillStats();                                              \
+        } else {                                                       \
+            foldDirty();                                               \
+        }                                                              \
     } while (0)
 
 /** End a straight-line instruction whose body may have diverged:
@@ -622,11 +600,10 @@ Machine::threadedLoopT(std::uint64_t &steps)
     // per outer-loop iteration and per chain follow — never per
     // instruction.
     CycleSampler *const smp = sampler_;
-    // Arming, hoisted the same way: the no-observer cost is one
-    // register compare per outer-loop iteration. The armed set is
-    // fixed while run() executes (setObserver is an outside-the-run
-    // API), so hoisting is sound.
-    const bool armedChk = !armed_.empty();
+    // The observer is fixed while run() executes (setObserver is an
+    // outside-the-run API), so whether member code must spill the
+    // register-held deltas is a constant of the run.
+    const bool observed = observer_ != nullptr;
     (void)regCyc;
     (void)bankWords;
 
@@ -676,12 +653,13 @@ Machine::threadedLoopT(std::uint64_t &steps)
     // cycles, so the cycle charge is derived from the counts at spill
     // time instead of spending a third register (with a dcache the
     // charge is data-dependent and goes straight to stats_.cycles).
-    // They, and dLocalBank, spill only at block_done and in the catch
+    // They, and dLocalBank, spill at block_done and in the catch
     // block, so no path leaves run() with a pending delta. Member
-    // code in between (h_slow, the terminals) sees them pending; its
-    // mid-run readers are delta-based (the transfer walks' reference
-    // probes snapshot differences across a member call, where the
-    // pending deltas are constant), so nothing it reports moves.
+    // code in between (h_slow, the terminals) sees them pending unless
+    // an observer is attached (FPC_T_PRE spills them then); without
+    // one, its mid-run readers are delta-based (the transfer walks'
+    // reference probes snapshot differences across a member call,
+    // where the pending deltas are constant), so nothing moves.
     Word *const memBase = mem_.raw();
     const std::size_t memSize = mem_.size();
     Word *const stackBase = stack_.data();
@@ -714,8 +692,7 @@ Machine::threadedLoopT(std::uint64_t &steps)
     // pending across whole blocks instead — every mid-run reader is
     // either delta-based around member code (XferProbe, the heap and
     // link-cache trackers), where a constant pending delta cancels,
-    // or absolute (exact observers and samplers, preemption), which
-    // forces eager.
+    // or an observer, for which FPC_T_PRE spills them first.
     const auto foldDirty = [&]() __attribute__((always_inline)) {
         if constexpr (Banked) {
             *banks_.dirtyPtr(stackBank_) |= sbAcc;
@@ -738,6 +715,23 @@ Machine::threadedLoopT(std::uint64_t &steps)
             dLocalBank = 0;
         }
         foldDirty();
+    };
+    // The first instruction of the current block whose step, cycles
+    // and code bytes are not charged yet (see chargeTo).
+    const TInst *charged = nullptr;
+    // Charge the block's instructions from `charged` up to (not
+    // including) `end`: steps, decode cycles and the code bytes, from
+    // the prefix sums (the sentinel closes them, so a charge of no
+    // instructions adds nothing). Observed member code runs only after
+    // its own instruction is charged, as on the eager loop; the exits
+    // charge the rest.
+    const auto chargeTo = [&](const TInst *end) __attribute__((always_inline)) {
+        const auto k = static_cast<std::uint64_t>(end - charged);
+        stats_.steps += k;
+        stats_.cycles += k * decodeCyc;
+        mem_.chargeCodeBytes(end[-1].cumBytes -
+                             (charged->cumBytes - charged->length));
+        charged = end;
     };
     // Re-derive the block-cached mirrors from their members: run at
     // block (re)entry and after h_slow, the only places transfer code
@@ -881,23 +875,6 @@ Machine::threadedLoopT(std::uint64_t &steps)
         Superblock *retCaller = retFrom;
         retFrom = nullptr;
 
-        // Selective deopt: an armed PC takes one exact eager step
-        // instead of entering the block world, so probe events inside
-        // armed ranges read exact absolute stamps. Because this check
-        // guards every find/build below, no superblock is ever built
-        // (or chained to) with its entry inside an armed range —
-        // setObserver invalidated any pre-existing ones — which is
-        // what keeps the chain-follow fast re-entry at full_exit
-        // sound without its own armed check.
-        if (armedChk && pcArmed(pcAbs_)) [[unlikely]] {
-            prev = nullptr;
-            ++acc->stats.probeEagerSteps;
-            stepCoreT<true>();
-            ++st;
-            steps = st;
-            continue;
-        }
-
         Superblock *sb;
         if (prev != nullptr && prev->chainPc == pcAbs_) {
             // The IFU-follows-DIRECTCALL idiom at block granularity:
@@ -945,6 +922,7 @@ Machine::threadedLoopT(std::uint64_t &steps)
         cur = sb;
         base = cur->insts.data();
         ti = base;
+        charged = base;
         sp = sp_;
         treload();
         try {
@@ -1233,7 +1211,8 @@ Machine::threadedLoopT(std::uint64_t &steps)
 
           h_slow:
             // The general scheme: execute() is the one definition of
-            // every instruction, traps included.
+            // every instruction, traps included; an observer's
+            // onTrap/onXfer reads exact stamps (FPC_T_PRE).
             FPC_T_PRE();
             execute(instOf(*ti));
             sp = sp_;
@@ -1268,11 +1247,10 @@ Machine::threadedLoopT(std::uint64_t &steps)
             goto full_exit;
 
           full_exit:
-            // Whole block ran: one fused charge, deferring only the
-            // histogram updates (nothing reads those mid-run).
-            stats_.steps += cur->n;
-            stats_.cycles += static_cast<Tick>(cur->n) * decodeCyc;
-            mem_.chargeCodeBytes(cur->codeBytes);
+            // Whole block ran: charge what observed member code has not
+            // charged yet, deferring only the histogram updates
+            // (nothing reads those mid-run).
+            chargeTo(base + cur->n);
             ++cur->execPending;
             st += cur->n;
             prev = cur;
@@ -1306,6 +1284,7 @@ Machine::threadedLoopT(std::uint64_t &steps)
                     cur = nb;
                     base = cur->insts.data();
                     ti = base;
+                    charged = base;
                     sp = sp_;
                     treload();
                     prev = cur;
@@ -1317,12 +1296,11 @@ Machine::threadedLoopT(std::uint64_t &steps)
           early_exit : {
             // Divergence (trap transfer, stop, or taken side exit)
             // after instruction k-1 of the block: charge exactly the
-            // k-instruction prefix the eager loop would have charged.
+            // k-instruction prefix the eager loop would have charged
+            // (an observed h_slow that diverged charged it already).
             const std::uint64_t k =
                 static_cast<std::uint64_t>(ti - base) + 1;
-            stats_.steps += k;
-            stats_.cycles += k * decodeCyc;
-            mem_.chargeCodeBytes(base[k - 1].cumBytes);
+            chargeTo(ti + 1);
             // Sized on the block's first exit: most blocks never take
             // one, and a cold block build stays one allocation.
             if (cur->exitPending.empty()) [[unlikely]]
@@ -1340,14 +1318,16 @@ Machine::threadedLoopT(std::uint64_t &steps)
         } catch (...) {
             // A handler threw (storage panic): the prefix through the
             // throwing instruction is charged exactly like the eager
-            // loop, whose counters include the instruction that threw;
-            // the run-steps total, like the eager loop's, counts only
-            // completed instructions.
+            // loop, whose counters include the instruction that threw
+            // (observed member code charged its own before running); the
+            // run-steps total, like the eager loop's, counts only
+            // completed instructions. (A fast path never ran
+            // FPC_T_PRE, so after its panic the members are stale; it
+            // can only panic on a memory smaller than the 64K-word
+            // data space, where the machine is dead anyway.)
             const std::uint64_t k =
                 static_cast<std::uint64_t>(ti - base) + 1;
-            stats_.steps += k;
-            stats_.cycles += k * decodeCyc;
-            mem_.chargeCodeBytes(base[k - 1].cumBytes);
+            chargeTo(ti + 1);
             for (std::uint64_t i = 0; i < k; ++i) {
                 ++stats_.opCount[base[i].op];
                 if (base[i].length < stats_.instLenCount.size())

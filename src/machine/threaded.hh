@@ -31,16 +31,18 @@
  *    RET the chain pointer misses pops it and enters the block last
  *    seen at that caller's return PC (Superblock::retSucc), if that
  *    block starts exactly where the return landed. Unusual XFERs and
- *    every cache flush empty the stack; selective deopt nulls its
- *    links into armed ranges.
+ *    every cache flush empty the stack.
  *
  * The contract is the acceleration contract (machine/accel.hh): all
  * simulated numbers are bit-identical with the backend off or
- * threaded. Exact observers and samplers (machine.hh), preemption and
- * step-budget tails fall back to the eager loop; other observers and
- * samplers ride the threaded loop, sampling at block exits and
- * stepping armed PCs eagerly. Host counters (AccelStats) may differ
- * across backends by design.
+ * threaded. Observers ride the threaded loop with exact stamps: every
+ * event they see is raised by member code (a block terminal or
+ * h_slow), which runs only after the block is charged through its
+ * instruction and the register-held deltas are spilled. Exact
+ * samplers (machine.hh), preemption and step-budget tails fall back
+ * to the eager loop; other samplers ride the threaded loop, sampling
+ * at block exits. Host counters (AccelStats) may differ across
+ * backends by design.
  */
 
 #ifndef FPC_MACHINE_THREADED_HH
@@ -88,7 +90,6 @@ struct Superblock
 {
     CodeByteAddr entry = 0;
     std::uint32_t n = 0;          ///< executable instructions
-    std::uint32_t codeBytes = 0;  ///< total encoded bytes of the n
     std::vector<TInst> insts;     ///< n + 1 (BlockEnd sentinel last)
     /** Sparse accounting deltas for one full execution. */
     std::vector<std::pair<std::uint8_t, std::uint32_t>> opDeltas;
@@ -104,9 +105,10 @@ struct Superblock
      *  across blocks too, because every mid-run reader is delta-based
      *  — XFER probes and heap/link trackers sample differences of the
      *  counters entirely within member code, where the pending deltas
-     *  are constant and cancel — while the absolute readers (exact
-     *  observers and samplers, preemption) all force the eager loop,
-     *  and other samplers fire only at block exits, after the fold.
+     *  are constant and cancel — while the absolute readers are
+     *  observers, for which member code spills the deltas first, exact
+     *  samplers and preemption, which force the eager loop, and other
+     *  samplers, which fire only at block exits, after the fold.
      *  Only the bank dirty bits fold at every slow-path entry:
      *  transfers read dirty masks directly. */
     std::uint64_t execPending = 0;
@@ -210,16 +212,6 @@ class SuperblockCache
     }
     void flushReturns() { retCount_ = 0; }
     /** @} */
-
-    /** Selective deopt for dynamic probes: forget the table entries of
-     *  blocks intersecting [begin, end) and null every chain and
-     *  return-prediction link into them, folding deferred accounting
-     *  first. Arena blocks stay
-     *  alive (nothing dangles); the outer loop's armed check keeps the
-     *  range on the exact eager path afterwards. Counts the dropped
-     *  blocks into AccelStats::probeDeoptBlocks. */
-    void invalidateRange(CodeByteAddr begin, CodeByteAddr end,
-                         MachineStats &stats, AccelStats &astats);
 
     /** Fold every block's deferred execution accounting into the
      *  simulated opcode/length histograms and the host counters.

@@ -10,8 +10,9 @@
  * machine fires at the earliest pending deadline, and a client fires
  * only once its own has passed, with the machine's catch-up rule. So
  * a client fires at exactly the points it would fire alone, whatever
- * else shares the slot. The fanout is exact when any client is, so
- * one exact client puts the whole run on the eager loop.
+ * else shares the slot. The fanout is exact when any sampler client
+ * is, so one exact sampler puts the whole run on the eager loop;
+ * observers are exact on either loop and never demote it.
  */
 
 #ifndef FPC_OBS_FANOUT_HH
@@ -51,14 +52,14 @@ class Fanout final : public XferObserver, public CycleSampler
         return observers_.empty() && samplers_.empty();
     }
 
-    /** Take whichever of the machine's slots have clients (armed:
-     *  the observers' exact-path code ranges); each sampler's first
-     *  deadline is its interval past the machine's cycle count. */
+    /** Take whichever of the machine's slots have clients; each
+     *  sampler's first deadline is its interval past the machine's
+     *  cycle count. */
     void
-    attach(Machine &machine, std::vector<ProbeRange> armed = {})
+    attach(Machine &machine)
     {
         if (!observers_.empty())
-            machine.setObserver(this, std::move(armed));
+            machine.setObserver(this);
         if (samplers_.empty())
             return;
         Tick finest = samplers_.front().interval;
@@ -120,11 +121,7 @@ class Fanout final : public XferObserver, public CycleSampler
     bool
     exact() const override
     {
-        return std::any_of(observers_.begin(), observers_.end(),
-                           [](const XferObserver *o) {
-                               return o->exact();
-                           }) ||
-               std::any_of(samplers_.begin(), samplers_.end(),
+        return std::any_of(samplers_.begin(), samplers_.end(),
                            [](const Client &c) {
                                return c.sampler->exact();
                            });

@@ -302,11 +302,6 @@ accelStatsJson(JsonWriter &w, const AccelStats &s)
     w.kv("returnPredHits", s.returnPredHits);
     w.kv("returnPredMisses", s.returnPredMisses);
     w.endObject();
-    w.key("probes").beginObject();
-    w.kv("sites", s.probeSites);
-    w.kv("deoptBlocks", s.probeDeoptBlocks);
-    w.kv("eagerSteps", s.probeEagerSteps);
-    w.endObject();
     w.endObject();
 }
 

@@ -11,7 +11,7 @@
  * the faulting PC, and the final telemetry snapshot when a sampler
  * was attached. Recording honors the zero-simulated-cost contract
  * (the recorder is an ordinary XferObserver), and its records stamp
- * absolute cycles, so it is exact: it runs the eager loop.
+ * absolute cycles, exact on both backends.
  */
 
 #ifndef FPC_OBS_POSTMORTEM_HH

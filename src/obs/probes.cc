@@ -330,33 +330,6 @@ ProbeEngine::ProbeEngine(ProbeRegistry::Snapshot snapshot,
     }
 }
 
-std::vector<ProbeRange>
-ProbeEngine::armedRanges() const
-{
-    std::vector<ProbeRange> out;
-    for (const Compiled &c : compiled_) {
-        if (c.spec->site != ProbeSite::Entry &&
-            c.spec->site != ProbeSite::Exit)
-            continue;
-        for (CodeByteAddr entry : c.entryPcs)
-            if (const Proc *proc = procAt(entry))
-                out.push_back(ProbeRange{proc->begin, proc->end});
-    }
-    std::sort(out.begin(), out.end(),
-              [](const ProbeRange &a, const ProbeRange &b) {
-                  return a.begin != b.begin ? a.begin < b.begin
-                                            : a.end < b.end;
-              });
-    out.erase(std::unique(out.begin(), out.end(),
-                          [](const ProbeRange &a,
-                             const ProbeRange &b) {
-                              return a.begin == b.begin &&
-                                     a.end == b.end;
-                          }),
-              out.end());
-    return out;
-}
-
 void
 ProbeEngine::finishInto(ProbeRegistry &registry)
 {

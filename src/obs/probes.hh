@@ -17,13 +17,10 @@
  *
  * Cost model: probes charge zero simulated cycles, so all simulated
  * numbers are byte-identical with any probe set attached. Host-side,
- * entry/exit probes arm their procedures' code ranges: the machine
- * selectively deoptimizes just the superblocks containing those
- * PCs to the exact eager path (events there read exact absolute
- * cycle/step stamps) while unprobed code keeps full threaded speed.
- * Events fired from unprobed threaded code carry exact refs/cycles
- * *deltas* but absolute stamps with bounded slop (one superblock of
- * decode cycles), deterministically per backend.
+ * the engine is an ordinary observer: the run stays on the threaded
+ * loop, and every event — on any site kind — reads the same exact
+ * absolute cycle/step stamps as on the eager loop, so fpc-probes-v1
+ * documents are byte-identical across backends.
  *
  * Determinism: fpc-probes-v1 output is ordered by probe id (attach
  * order), quantize buckets ascending, capture rings sorted by
@@ -168,9 +165,7 @@ class ProbeRegistry
  * One machine's probe engine: compiles a registry snapshot against a
  * LoadedImage, observes the machine's transfers, frames and traps,
  * and aggregates into per-spec buffers. The depth / caller / callstr
- * predicates evaluate against the machine's shadow call stack. It
- * needs no exact stamps, so it rides the threaded loop; the code
- * ranges its Entry/Exit specs arm step on the exact eager path.
+ * predicates evaluate against the machine's shadow call stack.
  */
 class ProbeEngine final : public XferObserver
 {
@@ -178,11 +173,6 @@ class ProbeEngine final : public XferObserver
     ProbeEngine(ProbeRegistry::Snapshot snapshot,
                 const LoadedImage &image, std::string tenant,
                 std::uint32_t worker);
-
-    /** Code ranges the Entry/Exit specs armed (for
-     *  Machine::setObserver); empty when only kind-wide sites are
-     *  attached. */
-    std::vector<ProbeRange> armedRanges() const;
 
     const ProbeBuffers &buffers() const { return buffers_; }
     const ProbeRegistry::Snapshot &snapshot() const { return snap_; }
@@ -199,7 +189,6 @@ class ProbeEngine final : public XferObserver
     void onFrameFree(unsigned fsi, bool fast,
                      const Machine &machine) override;
     void onTrap(Word code, const Machine &machine) override;
-    bool exact() const override { return false; }
     /** @} */
 
   private:

@@ -2,11 +2,10 @@
  * @file
  * Low-overhead sampling profiler for the threaded host backend.
  *
- * The exact Profiler (obs/profile.hh) is an exact XFER observer,
- * which forces the eager loop: attaching it to an `--accel=threaded`
- * run silently throws away the speedup it is supposed to measure.
- * This profiler is a CycleSampler that does not need exact stamps
- * instead — the threaded loop keeps running, and a sample is taken
+ * The exact Profiler (obs/profile.hh) observes every XFER, which
+ * costs a hook call and a shadow-stack update per transfer. This
+ * profiler is a CycleSampler that does not need exact stamps
+ * instead — the threaded loop runs unobserved, and a sample is taken
  * the next time the machine reaches a superblock exit (threaded) or
  * an instruction boundary (eager) after the simulated cycle budget
  * expires.

@@ -236,21 +236,17 @@ Runtime::executeJob(const Job &job, unsigned id, Worker &w)
     }
 
     // Dynamic probes: compile the registry's current snapshot against
-    // this job's image. Entry/exit sites arm their procedures' code
-    // ranges, so the threaded backend deoptimizes only the superblocks
-    // containing probed PCs; everything else keeps full speed.
+    // this job's image.
     std::optional<obs::ProbeEngine> probeEngine;
-    std::vector<ProbeRange> armed;
     if (config_.probes != nullptr) {
         obs::ProbeRegistry::Snapshot snap = config_.probes->snapshot();
         if (!snap->empty()) {
             probeEngine.emplace(std::move(snap), image, job.tenant,
                                 w.id);
-            armed = probeEngine->armedRanges();
             fanout.add(&*probeEngine);
         }
     }
-    fanout.attach(machine, std::move(armed));
+    fanout.attach(machine);
 
     if (config_.machine.timesliceSteps > 0) {
         // A single-process workload still takes the full ProcSwitch

@@ -146,9 +146,9 @@ struct RuntimeConfig
     /** Attribute cycles to procedures (merged across all jobs). */
     bool profile = false;
 
-    /** Sampled (accel-safe) profiling: attribute cycle shares from
-     *  boundary samples (see obs::SampledProfiler) instead of exact
-     *  XFER observation, so the accel fast paths keep running.
+    /** Sampled profiling: attribute cycle shares from boundary
+     *  samples (see obs::SampledProfiler) instead of observing every
+     *  XFER, so no per-transfer hook runs.
      *  Merged across all jobs; statistical, so it does not force the
      *  static assignment. */
     bool profileSampled = false;
@@ -189,8 +189,8 @@ struct RuntimeConfig
     /** Dynamic probes (see obs/probes.hh). When non-null and active,
      *  every job compiles the registry's current snapshot against its
      *  image, attaches a ProbeEngine as one of the machine's observers
-     *  (which selectively deoptimizes only the armed code ranges under the
-     *  accelerated backends), and folds its aggregation buffers back
+     *  (exact on the threaded loop, like every observer), and folds
+     *  its aggregation buffers back
      *  at completion. Probes are host-time only — simulated stats /
      *  metrics / traces stay byte-identical with any probe set
      *  attached — but batch run() forces the static job-to-worker

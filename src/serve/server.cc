@@ -1001,16 +1001,6 @@ Server::scrapeText() const
                 "Returns neither the chain pointer nor the host return "
                 "stack served (threaded backend).",
                 a.returnPredMisses);
-        counter("fpc_serve_accel_probe_sites",
-                "Probe code ranges armed at sink attach.",
-                a.probeSites);
-        counter("fpc_serve_accel_probe_deopt_blocks",
-                "Superblocks invalidated by probe arming.",
-                a.probeDeoptBlocks);
-        counter("fpc_serve_accel_probe_eager_steps",
-                "Instructions taken on the exact eager path inside "
-                "armed probe ranges.",
-                a.probeEagerSteps);
     }
 
     if (spans_) {

@@ -18,8 +18,14 @@
 
 #include "asm/builder.hh"
 #include "lang/codegen.hh"
+#include "machine/digest.hh"
 #include "machine/machine.hh"
+#include "obs/fanout.hh"
 #include "obs/json.hh"
+#include "obs/postmortem.hh"
+#include "obs/probes.hh"
+#include "obs/profile.hh"
+#include "obs/trace.hh"
 #include "program/loader.hh"
 #include "workload/synthetic.hh"
 
@@ -176,11 +182,10 @@ TEST_P(RandomPrograms, AllEnginesAgree)
 }
 
 /**
- * The shadow-stack oracle: a test observer that needs no exact stamps
- * (so the threaded loop runs) checks the machine's one bracketing
- * rule against the program's own transfers. Generated programs only
- * call and return, so every return must land in the frame under the
- * entry it pops.
+ * The shadow-stack oracle: a test observer checks the machine's one
+ * bracketing rule against the program's own transfers, on both
+ * loops. Generated programs only call and return, so every return
+ * must land in the frame under the entry it pops.
  */
 struct BracketOracle : XferObserver
 {
@@ -211,7 +216,6 @@ struct BracketOracle : XferObserver
                              std::to_string(record.frame) +
                              ", not the frame under the popped entry");
     }
-    bool exact() const override { return false; }
 };
 
 TEST_P(RandomPrograms, ShadowStackIsWellBracketed)
@@ -257,6 +261,102 @@ TEST_P(RandomPrograms, ShadowStackIsWellBracketed)
                 EXPECT_GT(machine.accelStats().sblockExecs, 0u);
             }
         }
+    }
+}
+
+/** What the tracer, the exact profiler, the flight recorder, the
+ *  per-XFER state digester and a probe engine on every XFER kind, trap
+ *  and frame site produce from one observed run. */
+std::string
+observedDocuments(const std::vector<Module> &modules, Word arg,
+                  Impl impl, CallLowering lowering, bool accel,
+                  AccelStats &accel_stats)
+{
+    const SystemLayout layout;
+    Memory mem(layout.memWords);
+    Loader loader{layout, SizeClasses::standard()};
+    for (const auto &m : modules)
+        loader.add(m);
+    LinkPlan plan;
+    plan.lowering = lowering;
+    const LoadedImage image = loader.load(mem, plan);
+    MachineConfig config;
+    config.impl = impl;
+    config.accel.enabled = accel;
+    Machine machine(mem, image, config);
+
+    obs::ProbeRegistry registry;
+    std::string err;
+    EXPECT_TRUE(obs::attachProbeSpecs(
+        registry,
+        {"xfer:extcall -> capture(5)", "xfer:localcall -> sum(cycles)",
+         "xfer:directcall -> quantize(refs)",
+         "xfer:fatcall -> capture(5)", "xfer:return -> max(depth)",
+         "xfer:coroutine", "xfer:procswitch", "xfer:trap",
+         "trap -> capture(2)", "alloc -> capture(5)",
+         "free -> quantize(fsi)"},
+        err))
+        << err;
+    obs::Tracer tracer;
+    obs::Profiler profiler(image);
+    obs::ProbeEngine probes(registry.snapshot(), image, "", 0);
+    obs::FlightRecorder recorder(32);
+    XferDigester digester(DigestScope::Full);
+    obs::Fanout fanout;
+    fanout.add(&tracer);
+    fanout.add(&profiler);
+    fanout.add(&probes);
+    fanout.add(&recorder);
+    fanout.add(&digester);
+    fanout.attach(machine);
+    machine.start(generatedEntryModule(), generatedEntryProc(),
+                  std::array<Word, 1>{arg});
+    EXPECT_EQ(machine.run().reason, StopReason::TopReturn);
+    machine.setObserver(nullptr);
+
+    std::ostringstream os;
+    obs::writeChromeTrace(os, {&tracer});
+    const obs::ProfileData profile = profiler.finish(machine);
+    profile.writeFolded(os);
+    profile.topTable().print(os);
+    probes.finishInto(registry);
+    registry.writeJson(os, "test_equivalence");
+    for (const XferRecord &r : recorder.records())
+        os << r.start << " " << r.end << " " << r.step << " " << r.refs
+           << " " << r.pc << "\n";
+    for (const XferDigester::Entry &e : digester.entries())
+        os << e.step << ":" << e.digest << "\n";
+    accel_stats = machine.accelStats();
+    return os.str();
+}
+
+TEST_P(RandomPrograms, ObservedDocumentsMatchAcrossBackends)
+{
+    // Observers are exact on the threaded loop: every observer's
+    // output comes out byte-identical to the eager loop's, while the
+    // threaded run stays on superblocks.
+    const ProgramConfig pc = shapeFor(GetParam());
+    const auto modules = generateProgram(pc);
+    const Word arg = static_cast<Word>(pc.maxDepth);
+    const struct
+    {
+        Impl impl;
+        CallLowering lowering;
+    } combos[] = {{Impl::Simple, CallLowering::Fat},
+                  {Impl::Mesa, CallLowering::Mesa},
+                  {Impl::Ifu, CallLowering::Direct},
+                  {Impl::Banked, CallLowering::Direct}};
+    for (const auto &combo : combos) {
+        SCOPED_TRACE(implName(combo.impl));
+        AccelStats eagerStats, threadedStats;
+        const std::string eager =
+            observedDocuments(modules, arg, combo.impl, combo.lowering,
+                              false, eagerStats);
+        const std::string threaded =
+            observedDocuments(modules, arg, combo.impl, combo.lowering,
+                              true, threadedStats);
+        EXPECT_GT(threadedStats.sblockExecs, 0u);
+        EXPECT_EQ(eager, threaded);
     }
 }
 

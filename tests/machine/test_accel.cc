@@ -18,7 +18,12 @@
 #include "common/logging.hh"
 #include "lang/codegen.hh"
 #include "machine/machine.hh"
+#include "machine/digest.hh"
+#include "obs/fanout.hh"
 #include "obs/json.hh"
+#include "obs/postmortem.hh"
+#include "obs/probes.hh"
+#include "obs/profile.hh"
 #include "obs/trace.hh"
 #include "program/loader.hh"
 #include "program/relocate.hh"
@@ -119,11 +124,11 @@ struct RunOut
     std::string statsJson;
     std::string traceJson;
     StopReason reason = StopReason::Running;
+    AccelStats accel;
 };
 
 /** One complete run on a fresh memory/image; exports the full
- *  simulated-stats document (and optionally an XFER trace, which
- *  forces the eager per-step loop even with acceleration on). */
+ *  simulated-stats document (and optionally an XFER trace). */
 RunOut
 runOnce(const EngineCombo &combo, Mode mode, Word n, bool with_trace,
         Module (*module)() = callLoopModule)
@@ -162,6 +167,7 @@ runOnce(const EngineCombo &combo, Mode mode, Word n, bool with_trace,
     exp.cache = machine.dataCache();
     obs::writeStatsJson(stats, exp);
     out.statsJson = stats.str();
+    out.accel = machine.accelStats();
 
     if (with_trace) {
         std::ostringstream trace;
@@ -210,9 +216,8 @@ TEST(AccelDeterminism, CompareBranchStatsIdenticalOnEveryEngine)
 
 TEST(AccelDeterminism, TraceByteIdenticalWithObserverAttached)
 {
-    // An attached observer routes the accelerated machine through the
-    // eager per-step loop; the XFER records' absolute cycle/step
-    // stamps must come out identical.
+    // The XFER records' absolute cycle/step stamps must come out
+    // identical on the threaded loop and the eager one.
     for (const EngineCombo &combo : combos) {
         const RunOut off = runOnce(combo, Mode::Off, 100, true);
         const RunOut out = runOnce(combo, Mode::Threaded, 100, true);
@@ -221,26 +226,94 @@ TEST(AccelDeterminism, TraceByteIdenticalWithObserverAttached)
     }
 }
 
-TEST(AccelDeterminism, ObserverForcesEagerUnderThreaded)
+/** Everything each observer of src/obs (and the replay layer's
+ *  per-XFER digester) produces from one run of the call loop, with
+ *  the observers attached alone or all at once through a Fanout. */
+struct ObservedOut
 {
-    // With an observer attached the threaded machine must not run a
-    // single superblock: the eager loop is the only path that can
-    // deliver per-XFER records with exact absolute stamps.
+    std::string documents;
+    AccelStats accel;
+};
+
+ObservedOut
+runObserved(const EngineCombo &combo, Mode mode, int which)
+{
     const SystemLayout layout;
     Memory mem(layout.memWords);
     Loader loader{layout, SizeClasses::standard()};
     loader.add(callLoopModule());
-    const LoadedImage image = loader.load(mem, LinkPlan{});
+    LinkPlan plan;
+    plan.lowering = combo.lowering;
+    const LoadedImage image = loader.load(mem, plan);
 
     MachineConfig config;
-    applyMode(config, Mode::Threaded);
+    config.impl = combo.impl;
+    applyMode(config, mode);
     Machine machine(mem, image, config);
+
+    obs::ProbeRegistry registry;
+    std::string err;
+    EXPECT_TRUE(obs::attachProbeSpecs(
+        registry,
+        {"entry:M.bump -> capture(4)", "exit:M.* -> sum(cycles)",
+         "xfer:localcall -> quantize(refs)",
+         "xfer:fatcall -> sum(refs)", "xfer:return -> capture(3)", "alloc -> capture(2)",
+         "free -> count"},
+        err))
+        << err;
     obs::Tracer tracer;
-    machine.setObserver(&tracer);
+    obs::Profiler profiler(image);
+    obs::FlightRecorder recorder(16);
+    obs::ProbeEngine probes(registry.snapshot(), image, "", 0);
+    XferDigester digester(DigestScope::Full);
+    XferObserver *const all[] = {&tracer, &profiler, &recorder, &probes,
+                                 &digester};
+    obs::Fanout fanout;
+    for (int i = 0; i < 5; ++i)
+        if (which < 0 || which == i)
+            fanout.add(all[i]);
+    fanout.attach(machine);
+
     machine.start("M", "main", std::array<Word, 1>{Word{100}});
-    ASSERT_EQ(machine.run().reason, StopReason::TopReturn);
-    EXPECT_EQ(machine.accelStats().sblockExecs, 0u);
-    EXPECT_EQ(machine.accelStats().sblockBuilds, 0u);
+    EXPECT_EQ(machine.run().reason, StopReason::TopReturn);
+    machine.setObserver(nullptr);
+
+    std::ostringstream os;
+    obs::writeChromeTrace(os, {&tracer});
+    const obs::ProfileData profile = profiler.finish(machine);
+    profile.writeFolded(os);
+    profile.topTable().print(os);
+    for (const XferRecord &r : recorder.records())
+        os << r.start << " " << r.end << " " << r.step << " " << r.refs
+           << "\n";
+    probes.finishInto(registry);
+    registry.writeJson(os, "test_accel");
+    for (const XferDigester::Entry &e : digester.entries())
+        os << e.step << ":" << e.digest << "\n";
+    return {os.str(), machine.accelStats()};
+}
+
+TEST(AccelDeterminism, ObserverRunsThreaded)
+{
+    // Observers are exact on the threaded loop: every observer, alone
+    // and all through one Fanout, leaves the run on superblocks and
+    // produces what it produces on the eager loop, byte for byte.
+    for (const EngineCombo &combo : combos) {
+        for (int which = -1; which < 5; ++which) {
+            SCOPED_TRACE(std::string(implName(combo.impl)) +
+                         " observer " + std::to_string(which));
+            const ObservedOut off = runObserved(combo, Mode::Off, which);
+            const ObservedOut thr =
+                runObserved(combo, Mode::Threaded, which);
+            EXPECT_GT(thr.accel.sblockExecs, 0u);
+            EXPECT_EQ(off.documents, thr.documents);
+        }
+        const RunOut off = runOnce(combo, Mode::Off, 100, true);
+        const RunOut out = runOnce(combo, Mode::Threaded, 100, true);
+        EXPECT_GT(out.accel.sblockExecs, 0u) << implName(combo.impl);
+        EXPECT_EQ(off.traceJson, out.traceJson) << implName(combo.impl);
+        EXPECT_EQ(off.statsJson, out.statsJson) << implName(combo.impl);
+    }
 }
 
 /** A sampler that counts its sample points. */
@@ -294,7 +367,7 @@ TEST(AccelDeterminism, SamplerForcesEagerUnderThreaded)
 
 TEST(AccelDeterminism, ThreadedFastPathActuallyEngages)
 {
-    // Sanity check on the force-eager tests above: with no observer
+    // Sanity check on the force-eager test above: with no sampler
     // attached the same workload does run through superblocks, so a
     // zero sblockExecs there means "fell back", not "never built".
     const SystemLayout layout;
@@ -344,8 +417,8 @@ struct CallCase
     std::vector<Module> modules;
     Word arg = 0;
     std::function<void(MachineConfig &)> configure;
-    /** Attach a logging observer armed on M.fib. */
-    bool probeFib = false;
+    /** Attach a logging observer and a tracer. */
+    bool observe = false;
     /** Rewrite one code byte with its own value from a sampler,
      *  moving the code epoch mid-run. */
     bool pokeMidRun = false;
@@ -353,33 +426,45 @@ struct CallCase
     bool trapHandler = false;
 };
 
-/** Logs every event's exact fields (the deltas, not absolute stamps,
- *  which may lag on the fast backends by contract). */
+/** Logs every event with the absolute stamps the machine shows it,
+ *  which both backends must show identically. */
 struct LoggingProbes : XferObserver
 {
     std::ostringstream log;
     void
-    onXfer(const XferRecord &record, const Machine &) override
+    onXfer(const XferRecord &record, const Machine &m) override
     {
         log << "x" << static_cast<unsigned>(record.kind) << ":"
-            << record.refs << ":" << record.end - record.start << " ";
+            << record.refs << ":" << record.start << "-" << record.end
+            << ":" << record.step;
+        stamp(m);
     }
     void
-    onFrameAlloc(unsigned fsi, bool fast, const Machine &) override
+    onFrameAlloc(unsigned fsi, bool fast, const Machine &m) override
     {
-        log << "a" << fsi << fast << " ";
+        log << "a" << fsi << fast;
+        stamp(m);
     }
     void
-    onFrameFree(unsigned fsi, bool fast, const Machine &) override
+    onFrameFree(unsigned fsi, bool fast, const Machine &m) override
     {
-        log << "f" << fsi << fast << " ";
+        log << "f" << fsi << fast;
+        stamp(m);
     }
     void
-    onTrap(Word code, const Machine &) override
+    onTrap(Word code, const Machine &m) override
     {
-        log << "t" << code << " ";
+        log << "t" << code;
+        stamp(m);
     }
-    bool exact() const override { return false; }
+    void
+    stamp(const Machine &m)
+    {
+        log << "@" << m.cycles() << "/" << m.stats().steps << "/"
+            << m.memory().totalRefs() << "/"
+            << m.memory().codeByteFetches() << "/" << m.pc() << "/"
+            << m.lastInstStart() << "/" << m.stackDepth() << " ";
+    }
 };
 
 /** Moves the code epoch at every sample without changing a byte of
@@ -404,6 +489,7 @@ struct CaseOut
     StopReason reason = StopReason::Running;
     std::string statsJson;
     std::string probeLog;
+    std::string traceJson;
     AccelStats accel;
 };
 
@@ -428,12 +514,12 @@ runCase(const CallCase &c, const EngineCombo &combo, Mode mode)
 
     const PlacedModule &pm = image.module("M");
     LoggingProbes probes;
-    if (c.probeFib) {
-        const PlacedProc &fib =
-            pm.procs[static_cast<unsigned>(pm.src->procIndex("fib"))];
-        const CodeByteAddr end =
-            fib.prologueAddr + fib.prologueBytes + fib.bodyBytes;
-        machine.setObserver(&probes, {{fib.prologueAddr, end}});
+    obs::Tracer tracer;
+    obs::Fanout fanout;
+    if (c.observe) {
+        fanout.add(&probes);
+        fanout.add(&tracer);
+        fanout.attach(machine);
     }
     EpochPoker poker;
     if (c.pokeMidRun) {
@@ -465,13 +551,16 @@ runCase(const CallCase &c, const EngineCombo &combo, Mode mode)
     obs::writeStatsJson(stats, exp);
     out.statsJson = stats.str();
     out.probeLog = probes.log.str();
+    std::ostringstream trace;
+    obs::writeChromeTrace(trace, {&tracer});
+    out.traceJson = trace.str();
     out.accel = machine.accelStats();
     return out;
 }
 
 /** Every engine: the threaded backend matches the eager loop's
- *  value, stop reason, stats document and probe log. Returns the
- *  threaded runs (one per engine) for case-specific checks. */
+ *  value, stop reason, stats document, probe log and trace. Returns
+ *  the threaded runs (one per engine) for case-specific checks. */
 std::vector<CaseOut>
 expectMatchesEager(const CallCase &c)
 {
@@ -483,6 +572,7 @@ expectMatchesEager(const CallCase &c)
         EXPECT_EQ(out.value, off.value) << implName(combo.impl);
         EXPECT_EQ(out.statsJson, off.statsJson) << implName(combo.impl);
         EXPECT_EQ(out.probeLog, off.probeLog) << implName(combo.impl);
+        EXPECT_EQ(out.traceJson, off.traceJson) << implName(combo.impl);
         threaded.push_back(std::move(out));
     }
     return threaded;
@@ -634,18 +724,39 @@ TEST(AccelDeterminism, CodePokeMidRunFlushesHostReturnStack)
     }
 }
 
-TEST(AccelDeterminism, ProbeArmedOnCalleeStaysExact)
+TEST(AccelDeterminism, ObservedRecursionStaysExact)
 {
-    // Probes on fib keep its blocks on the eager path while main's
-    // block still calls through its site cache and pushes the host
-    // return stack; every probe event must match the eager run.
+    // An observed fib runs on superblocks, calling through its site
+    // caches and the host return stack; every event's absolute stamps
+    // must match the eager run.
     CallCase c{fibModules(), 12};
-    c.probeFib = true;
+    c.observe = true;
     const std::vector<CaseOut> thr = expectMatchesEager(c);
     for (const CaseOut &out : thr) {
         EXPECT_EQ(out.value, 144);
         EXPECT_FALSE(out.probeLog.empty());
-        EXPECT_GT(out.accel.probeEagerSteps, 0u);
+        EXPECT_GT(out.accel.sblockExecs, 0u);
+        EXPECT_GT(out.accel.callSiteHits, 0u);
+    }
+}
+
+TEST(AccelDeterminism, StoragePanicAtObservedTerminalChargedOnce)
+{
+    // An XF through an unbound GFT entry panics inside the block
+    // terminal's member code, after the terminal charged the block,
+    // so the catch must charge nothing twice; the observer still sees
+    // the aborted transfer, stamped as on the eager loop.
+    ModuleBuilder b("M");
+    auto &main = b.proc("main", 1, 2);
+    main.loadLocal(0).loadImm(1).op(isa::Op::ADD).storeLocal(1);
+    main.loadImm(packProcDesc(1000, 0))
+        .op(isa::Op::XF);
+    main.loadLocal(1).ret();
+    CallCase c{{b.build()}, 5};
+    c.observe = true;
+    for (const CaseOut &out : expectMatchesEager(c)) {
+        EXPECT_EQ(out.reason, StopReason::Error);
+        EXPECT_GT(out.accel.sblockBuilds, 0u);
     }
 }
 
@@ -763,6 +874,36 @@ TEST(AccelDeterminism, SlowPathsMatchEager)
                 EXPECT_EQ(out.reason, sc.traps && !handler
                                           ? StopReason::Error
                                           : StopReason::TopReturn);
+            }
+        }
+    }
+}
+
+TEST(AccelDeterminism, TracedMidBlockTrapsMatchEager)
+{
+    // A trap raised mid-block from h_slow (a stack underflow, a
+    // division by zero) under a tracer: onTrap and the trap XFER's
+    // record read the block charged through the trapping instruction,
+    // with the register-held deltas spilled, exactly as on the eager
+    // loop; the early exit then charges nothing twice.
+    using isa::Op;
+    using P = ProcBuilder;
+    const SlowCase cases[] = {
+        {"DROP", [](P &p) { p.loadLocal(0).op(Op::DROP).op(Op::DROP); }},
+        {"DIV", [](P &p) { p.loadImm(7).loadImm(0).op(Op::DIV); }},
+    };
+    for (const SlowCase &sc : cases) {
+        for (const bool handler : {false, true}) {
+            SCOPED_TRACE(std::string(sc.name) +
+                         (handler ? " with handler" : ""));
+            CallCase c{slowPathModules(sc), 5};
+            c.trapHandler = handler;
+            c.observe = true;
+            for (const CaseOut &out : expectMatchesEager(c)) {
+                EXPECT_GT(out.accel.sblockBuilds, 0u);
+                EXPECT_NE(out.probeLog.find("t"), std::string::npos);
+                EXPECT_EQ(out.reason, handler ? StopReason::TopReturn
+                                              : StopReason::Error);
             }
         }
     }

@@ -8,7 +8,7 @@
  *  - a live ProbeEngine on a real Machine: entry/exit counts,
  *    aggregating actions, the depth/caller/callstr/tenant predicates,
  *    capture rings, and identical aggregations across every host
- *    backend (probed procedures deopt to the exact eager path);
+ *    backend (a probed run stays on the threaded loop);
  *  - attaching probes must not perturb a single simulated number on
  *    any engine x backend combination (the invariance contract);
  *  - the ProbeRegistry: idempotent attach, detach, folding engines
@@ -136,7 +136,7 @@ runProbed(const std::vector<std::string> &specs, Word limit,
     Rig rig(kPrimes, configFor(impl, mode));
     obs::ProbeEngine engine(registry.snapshot(), rig.image, tenant,
                             /*worker=*/0);
-    rig.machine->setObserver(&engine, engine.armedRanges());
+    rig.machine->setObserver(&engine);
     runMain(rig, limit);
     rig.machine->setObserver(nullptr);
     engine.finishInto(registry);
@@ -389,8 +389,7 @@ TEST(ProbeEngine, DoesNotPerturbSimulatedStats)
             Rig probed(kPrimes, configFor(impl, mode));
             obs::ProbeEngine engine(registry.snapshot(), probed.image,
                                     "", 0);
-            probed.machine->setObserver(&engine,
-                                        engine.armedRanges());
+            probed.machine->setObserver(&engine);
             EXPECT_EQ(runMain(probed, 200), bareValue) << tag;
             EXPECT_EQ(statsJson(probed), bareJson) << tag;
         }
@@ -463,7 +462,7 @@ TEST(ProbeRegistry, WriteJsonIsDeterministic)
         Rig rig(kPrimes, configFor(Impl::Banked, Mode::Threaded));
         obs::ProbeEngine engine(registry.snapshot(), rig.image, "",
                                 0);
-        rig.machine->setObserver(&engine, engine.armedRanges());
+        rig.machine->setObserver(&engine);
         runMain(rig, 80);
         rig.machine->setObserver(nullptr);
         engine.finishInto(registry);
@@ -489,7 +488,7 @@ TEST(ProbeRegistry, GaugesMirrorHitsAndDistributions)
         << err;
     Rig rig(kPrimes);
     obs::ProbeEngine engine(registry.snapshot(), rig.image, "", 0);
-    rig.machine->setObserver(&engine, engine.armedRanges());
+    rig.machine->setObserver(&engine);
     runMain(rig, 50);
     rig.machine->setObserver(nullptr);
     engine.finishInto(registry);

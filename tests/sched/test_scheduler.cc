@@ -12,6 +12,8 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -793,51 +795,56 @@ TEST(RuntimeSpans, PoolStolenJobsLandOnStealingWorkersTrack)
 {
     // Pool-mode tracing determinism: a job's spans land on the track
     // of the worker that executed it — JobResult::worker — so a
-    // stolen job re-homes to the thief's track. The track invariant
-    // is asserted on every attempt; stealing itself is
-    // timing-dependent, so a skewed load is retried a few times until
-    // at least one steal is observed.
+    // stolen job re-homes to the thief's track. Completions run on
+    // the executing worker's thread, so the first completion holds
+    // its worker until the other 12 jobs have completed (bounded
+    // wait). That worker has run one job by then, and round-robin
+    // enqueue gives its deque every other job, so the rest of its
+    // deque can only run on the other worker: a steal is certain.
     const auto prog = shared(fibTracer());
-    bool sawSteal = false;
-    for (int attempt = 0; attempt < 5 && !sawSteal; ++attempt) {
-        obs::SpanCollector sc;
-        sched::RuntimeConfig rc;
-        rc.workers = 2;
-        rc.spans = &sc;
-        sched::Runtime runtime(rc);
-        runtime.startPool();
-        std::mutex mu;
-        std::map<unsigned, unsigned> workerOf; // job id -> worker
-        auto done = [&](sched::JobResult r) {
-            std::lock_guard<std::mutex> lock(mu);
-            workerOf[r.id] = r.worker;
-        };
-        // Round-robin puts the long job on deque 0 and half the
-        // short ones behind it; worker 1 drains its own deque first
-        // and then steals from deque 0.
-        runtime.enqueue({prog, "Fib", "main", {22}}, done);
-        for (unsigned j = 0; j < 12; ++j)
-            runtime.enqueue({prog, "Fib", "main", {3}}, done);
-        runtime.drainPool();
-        runtime.stopPool();
-        sawSteal =
-            runtime.stats().findCounter("jobs_stolen").value() > 0;
+    constexpr unsigned jobs = 13;
+    obs::SpanCollector sc;
+    sched::RuntimeConfig rc;
+    rc.workers = 2;
+    rc.spans = &sc;
+    sched::Runtime runtime(rc);
+    runtime.startPool();
+    std::mutex mu;
+    std::condition_variable cv;
+    std::map<unsigned, unsigned> workerOf; // job id -> worker
+    bool holding = false;
+    auto done = [&](sched::JobResult r) {
+        std::unique_lock<std::mutex> lock(mu);
+        workerOf[r.id] = r.worker;
+        cv.notify_all();
+        if (holding)
+            return;
+        holding = true;
+        cv.wait_for(lock, std::chrono::seconds(30),
+                    [&] { return workerOf.size() == jobs; });
+    };
+    runtime.enqueue({prog, "Fib", "main", {22}}, done);
+    for (unsigned j = 1; j < jobs; ++j)
+        runtime.enqueue({prog, "Fib", "main", {3}}, done);
+    runtime.drainPool();
+    runtime.stopPool();
+    const bool sawSteal =
+        runtime.stats().findCounter("jobs_stolen").value() > 0;
 
-        ASSERT_EQ(workerOf.size(), 13u);
-        const auto faults = obs::checkSpans(sc);
-        EXPECT_TRUE(faults.empty())
-            << (faults.empty() ? "" : faults.front().what);
-        EXPECT_EQ(sc.recorded(), 39u); // 13 jobs x 3 spans
-        for (const obs::Span &s : sc.spans()) {
-            ASSERT_GE(s.id, 1u);
-            const auto id = static_cast<unsigned>(s.id - 1);
-            ASSERT_EQ(workerOf.count(id), 1u);
-            EXPECT_EQ(s.trackKind, obs::SpanTrack::Worker);
-            EXPECT_EQ(s.track, workerOf[id])
-                << obs::spanKindName(s.kind) << " of job " << id;
-        }
+    ASSERT_EQ(workerOf.size(), jobs);
+    const auto faults = obs::checkSpans(sc);
+    EXPECT_TRUE(faults.empty())
+        << (faults.empty() ? "" : faults.front().what);
+    EXPECT_EQ(sc.recorded(), 3u * jobs); // 3 spans per job
+    for (const obs::Span &s : sc.spans()) {
+        ASSERT_GE(s.id, 1u);
+        const auto id = static_cast<unsigned>(s.id - 1);
+        ASSERT_EQ(workerOf.count(id), 1u);
+        EXPECT_EQ(s.trackKind, obs::SpanTrack::Worker);
+        EXPECT_EQ(s.track, workerOf[id])
+            << obs::spanKindName(s.kind) << " of job " << id;
     }
-    EXPECT_TRUE(sawSteal) << "no steal observed in 5 skewed runs";
+    EXPECT_TRUE(sawSteal);
 }
 
 TEST(RuntimeSpans, SpanCollectionLeavesStatsJsonByteIdentical)

@@ -194,10 +194,26 @@ TEST(CliParser, ChecksRunAfterEveryFlag)
               Status::Bad);
     EXPECT_NE(r.why.find("--record-out"), std::string::npos);
 
+    // The exact profiler is an observer: it runs on the threaded loop.
     Rig folded;
     ASSERT_EQ(folded.parse({"--profile-folded=f.txt"}), Status::Ok);
     EXPECT_TRUE(folded.c.profile);
-    EXPECT_TRUE(folded.c.forcesEager());
+    EXPECT_FALSE(folded.c.forcesEager());
+
+    Rig traced;
+    ASSERT_EQ(traced.parse({"--trace-out=t.json"}), Status::Ok);
+    EXPECT_FALSE(traced.c.forcesEager());
+
+    // A postmortem bundle's telemetry is an exact sampler unless
+    // sampled.
+    Rig bundle;
+    ASSERT_EQ(bundle.parse({"--postmortem-dir=pm"}), Status::Ok);
+    EXPECT_TRUE(bundle.c.forcesEager());
+    Rig sampledBundle;
+    ASSERT_EQ(sampledBundle.parse({"--postmortem-dir=pm",
+                                   "--telemetry-mode=sampled"}),
+              Status::Ok);
+    EXPECT_FALSE(sampledBundle.c.forcesEager());
 
     Rig sampled;
     ASSERT_EQ(sampled.parse({"--profile-folded=f.txt", "--profile-sampled"}),

@@ -246,9 +246,11 @@ Parser::usage(const std::string &why) const
 bool
 Common::forcesEager() const
 {
-    return !traceOut.empty() || profile || !postmortemDir.empty() ||
-           !recordOut.empty() || (metricsWanted() && !telemetrySampled) ||
-           machine.timesliceSteps > 0;
+    // A postmortem bundle carries the final telemetry sample, so
+    // --postmortem-dir attaches telemetry too (see runtimeConfig).
+    return !recordOut.empty() || machine.timesliceSteps > 0 ||
+           ((metricsWanted() || !postmortemDir.empty()) &&
+            !telemetrySampled);
 }
 
 void
@@ -323,9 +325,10 @@ addGroups(Parser &p, Common &c, unsigned groups)
         {Observe, {"--metrics-interval", "N", "cycles between samples" +
                    dflt(c.metricsInterval), number(c.metricsInterval)}},
         {Observe, {"--telemetry-mode", "exact|sampled", "exact: "
-                   "cycle-precise sampler (forces the eager loop; "
+                   "cycle-precise sampler, also for the telemetry "
+                   "--postmortem-dir adds (forces the eager loop; "
                    "default). sampled: bounded-slop boundary samples, "
-                   "accel fast paths kept",
+                   "threaded loop kept",
                    choice(c.telemetrySampled,
                           Choices<bool>{{"exact", false},
                                         {"sampled", true}})}},
@@ -457,12 +460,12 @@ void
 warnIfForcedEager(const char *driver, const Common &c)
 {
     if (c.machine.accel.enabled && c.forcesEager())
-        warn("{}: exact observation (a trace, exact profile, recording, "
-             "postmortem bundle or exact metrics) or preemption "
-             "(--timeslice) forces the eager loop; --accel=threaded "
-             "keeps only its predecoded instruction cache and XFER link "
-             "caches. Sampled profiles and --telemetry-mode=sampled keep "
-             "the fast path",
+        warn("{}: exact metrics (--metrics-out, --openmetrics-out, or the "
+             "telemetry --postmortem-dir adds), recording (--record-out) "
+             "or preemption (--timeslice) forces the eager loop; "
+             "--accel=threaded keeps only its predecoded instruction "
+             "cache and XFER link caches. --telemetry-mode=sampled keeps "
+             "the threaded loop, as traces, profiles and probes do",
              driver);
 }
 
@@ -519,10 +522,6 @@ printAccelStats(std::ostream &os, const std::string &title,
        << a.callSiteMisses << " misses   return predictions: "
        << a.returnPredHits << " taken, " << a.returnPredMisses
        << " missed\n";
-    if (a.probeSites != 0 || a.probeEagerSteps != 0)
-        os << "probes: " << a.probeSites << " armed sites, "
-           << a.probeDeoptBlocks << " deopt blocks, "
-           << a.probeEagerSteps << " eager steps\n";
 }
 
 void

@@ -230,9 +230,10 @@ struct Common
         return !metricsOut.empty() || !openmetricsOut.empty();
     }
 
-    /** An observer, an exact sampler or preemption will run the
-     *  machine on the eager loop. (Probes deopt only the probed
-     *  procedures: not counted.) */
+    /** An exact sampler (exact metrics, including the telemetry a
+     *  postmortem bundle needs, or a recording) or preemption will run
+     *  the machine on the eager loop. Observers (traces, profiles,
+     *  probes, postmortem flight recorders) do not. */
     bool forcesEager() const;
 };
 
@@ -270,8 +271,9 @@ sched::RuntimeConfig runtimeConfig(const Common &c);
 obs::ProbeRegistry *attachProbes(const char *driver, const Common &c,
                                  obs::ProbeRegistry &registry);
 
-/** Says once, up front, that exact observation runs the eager loop,
- *  rather than letting an accelerated run silently lose its speedup. */
+/** Says once, up front, that exact sampling or preemption runs the
+ *  eager loop, rather than letting an accelerated run silently lose
+ *  its speedup. */
 void warnIfForcedEager(const char *driver, const Common &c);
 
 /** The stats document's fields both batch drivers fill: driver,
