@@ -65,13 +65,9 @@ Accel::Accel(const AccelConfig &config, const LoadedImage &image,
              std::uint64_t code_epoch)
     : seenEpoch_(code_epoch)
 {
-    const std::size_t isize =
-        std::bit_ceil(std::max(1u, config.icacheEntries));
     const std::size_t lsize =
         std::bit_ceil(std::max(1u, config.linkEntries));
-    icacheMask_ = isize - 1;
     linkMask_ = lsize - 1;
-    icache_.resize(isize);
     ext_.resize(lsize);
     local_.resize(lsize);
     direct_.resize(lsize);
@@ -94,18 +90,13 @@ Accel::Accel(const AccelConfig &config, const LoadedImage &image,
 void
 Accel::flushLinks()
 {
-    for (auto *cache : {&ext_, &local_, &direct_, &fat_})
-        for (LinkEntry &e : *cache)
-            e.key = invalidKey;
-    ++linkGen_;
+    flushAll();
     ++stats.tableFlushes;
 }
 
 void
 Accel::flushAll()
 {
-    for (IEntry &e : icache_)
-        e.tag = invalidTag;
     for (auto *cache : {&ext_, &local_, &direct_, &fat_})
         for (LinkEntry &e : *cache)
             e.key = invalidKey;

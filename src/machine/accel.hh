@@ -5,18 +5,15 @@
  * The paper's arc I1→I4 removes per-call work by resolving it once
  * per code site: §6's DIRECTCALL conversion moves the LV→GFT→GF→EV
  * walk from call time to load time. The interpreter pays analogous
- * *host* costs on every step — re-decoding the instruction at each PC
- * and re-walking the Figure-1 indirection chain on every external
- * call. This layer shifts that host work to once-per-code-site:
- *
- *  - a predecoded instruction cache: the first execution of a PC
- *    caches the isa::decode result so steady-state dispatch is an
- *    array index plus a switch;
- *  - an XFER link cache: small direct-mapped caches memoizing the
- *    resolved (global frame, entry PC, frame-size index) for each
- *    resolution discipline (EFC descriptor walk, LFC entry-vector
- *    lookup, DFC header read, FCALL fsi byte) — the dynamic analogue
- *    of I3's load-time DIRECTCALL conversion.
+ * *host* costs — re-decoding the instruction at each PC and
+ * re-walking the Figure-1 indirection chain on every external call.
+ * The threaded backend (machine/threaded.hh) decodes each code site
+ * once into a superblock; this layer memoizes the link walks in XFER
+ * link caches: small direct-mapped caches of the resolved (global
+ * frame, entry PC, frame-size index) for each resolution discipline
+ * (EFC descriptor walk, LFC entry-vector lookup, DFC header read,
+ * FCALL fsi byte) — the dynamic analogue of I3's load-time DIRECTCALL
+ * conversion.
  *
  * The contract: every *simulated* number (cycles, storage references,
  * MachineStats, traces, profiles) is bit-identical with acceleration
@@ -36,7 +33,6 @@
 #include <vector>
 
 #include "common/types.hh"
-#include "isa/decode.hh"
 
 namespace fpc
 {
@@ -46,15 +42,15 @@ class LoadedImage;
 /** Host-acceleration knobs (all host-side; no simulated effect). */
 struct AccelConfig
 {
-    /** Master switch; off runs the original interpret-everything path. */
+    /** Master switch: on runs the threaded backend over the link
+     *  caches (machine/threaded.hh); off runs the eager loop, which
+     *  decodes every step and walks every link. */
     bool enabled = true;
-    /** Predecoded icache entries (power of two). */
-    unsigned icacheEntries = 1u << 14;
     /** Entries per link-cache flavor (power of two). */
     unsigned linkEntries = 1u << 8;
-    /** Threaded-code backend: computed-goto dispatch over superblocks
-     *  (see machine/threaded.hh). Requires enabled; with it off an
-     *  enabled machine runs the eager loop over the caches above. */
+    /** Read by nothing: `enabled` alone selects the backend. Kept
+     *  because the repository benchmark (perfbench/fpcbench.cc), whose
+     *  sources stay fixed across the changes it compares, assigns it. */
     bool threaded = true;
     /** Superblock cache entries (power of two). */
     unsigned sblockEntries = 1u << 12;
@@ -64,6 +60,10 @@ struct AccelConfig
  *  simulated statistics are invariant under acceleration). */
 struct AccelStats
 {
+    /** Instructions run out of predecoded superblocks (hits), and
+     *  instructions decoded from code bytes: by superblock builds and
+     *  by the threaded loop's plain steps (misses). The names predate
+     *  superblocks and stay for the reports that read them. */
     CountT icacheHits = 0;
     CountT icacheMisses = 0;
 
@@ -160,7 +160,7 @@ class Accel
 
     AccelStats stats;
 
-    /** Flush everything if the memory's code epoch moved. */
+    /** Flush the link caches if the memory's code epoch moved. */
     void
     sync(std::uint64_t code_epoch)
     {
@@ -170,30 +170,6 @@ class Accel
             ++stats.codeFlushes;
         }
     }
-
-    /** @name Predecoded instruction cache. @{ */
-    const isa::Inst *
-    findInst(CodeByteAddr pc)
-    {
-        const IEntry &e = icache_[pc & icacheMask_];
-        if (e.tag == pc) {
-            ++stats.icacheHits;
-            return &e.inst;
-        }
-        ++stats.icacheMisses;
-        return nullptr;
-    }
-
-    /** Store a freshly decoded instruction (only after a successful
-     *  decode, so a panicking fetch never leaves a live entry). */
-    void
-    storeInst(CodeByteAddr pc, const isa::Inst &inst)
-    {
-        IEntry &e = icache_[pc & icacheMask_];
-        e.tag = pc;
-        e.inst = inst;
-    }
-    /** @} */
 
     /** @name XFER link caches, one per resolution discipline.
      *
@@ -231,22 +207,16 @@ class Accel
 
     /** Drop the link caches (a sensitive data write happened). */
     void flushLinks();
-    /** Drop everything (the code epoch moved). */
+    /** Drop every link cache (the code epoch moved). */
     void flushAll();
 
   private:
-    struct IEntry
-    {
-        CodeByteAddr tag = invalidTag;
-        isa::Inst inst;
-    };
     struct LinkEntry
     {
         std::uint64_t key = invalidKey;
         ProcTarget target;
     };
 
-    static constexpr CodeByteAddr invalidTag = 0xFFFFFFFFu;
     static constexpr std::uint64_t invalidKey = ~0ull;
 
     static std::size_t
@@ -275,9 +245,7 @@ class Accel
     /** Link-cache generation, bumped by every flush: the validity
      *  stamp of link-scoped call sites. Never 0. */
     std::uint64_t linkGen_ = 1;
-    std::size_t icacheMask_ = 0;
     std::size_t linkMask_ = 0;
-    std::vector<IEntry> icache_;
     std::vector<LinkEntry> ext_;
     std::vector<LinkEntry> local_;
     std::vector<LinkEntry> direct_;

@@ -71,8 +71,8 @@ struct MachineConfig
     /** Interpreter step budget for run(). */
     std::uint64_t maxSteps = 200'000'000;
 
-    /** Host-side acceleration (predecoded icache + XFER link cache +
-     *  dispatch fast path). Pure wall-clock optimization: every
+    /** Host-side acceleration (the threaded superblock backend + XFER
+     *  link caches). Pure wall-clock optimization: every
      *  simulated number is bit-identical with it on or off (see
      *  docs/PERFORMANCE.md), so it defaults to on. */
     AccelConfig accel;

@@ -132,12 +132,12 @@ Machine::Machine(Memory &memory, const LoadedImage &image,
     if (config_.useDataCache)
         cache_ = std::make_unique<Cache>(config_.cacheConfig,
                                          config_.latency);
-    if (config_.accel.enabled)
+    if (config_.accel.enabled) {
         accel_ = std::make_unique<Accel>(config_.accel, image,
                                          memory.codeEpoch());
-    if (config_.accel.enabled && config_.accel.threaded)
         sblocks_ = std::make_unique<SuperblockCache>(
             config_.accel.sblockEntries, memory.codeEpoch());
+    }
     if (banked()) {
         const unsigned payload =
             std::min(config_.fastFramePayloadWords,
@@ -343,7 +343,7 @@ Machine::fireSample()
     // opcode/length histograms and accel counters may still be
     // deferred, so fold them now — samples must read a
     // self-consistent machine.
-    if (sblocks_ && accel_)
+    if (sblocks_)
         sblocks_->flushDeferred(stats_, accel_->stats);
     foldXferSums();
     sampler_->onSample(*this);
@@ -410,18 +410,13 @@ Machine::startContext(Word descriptor, std::span<const Word> args)
 RunResult
 Machine::run()
 {
-    // The threaded backend runs whenever it is configured and nothing
-    // needs per-step boundaries: an exact sampler (its points are step
-    // boundaries crossing its deadlines) or preemption (the timeslice
-    // counts single steps). Observers ride it: their events are all
-    // raised by member code, which sees exact stamps (threaded.cc).
-    const bool exact =
-        (config_.timesliceSteps != 0 && scheduler_ != nullptr) ||
-        (sampler_ != nullptr && sampler_->exact());
-
+    // The threaded backend runs whenever it is configured. Observers,
+    // exact samplers, preemption and the step budget all ride it: it
+    // takes plain eager steps only where a boundary event could fall
+    // inside a block (threaded.cc).
     std::uint64_t steps = 0;
     try {
-        if (sblocks_ && !exact) {
+        if (sblocks_) {
             if (banked())
                 threadedLoopT<true>(steps);
             else
@@ -475,54 +470,19 @@ Machine::step()
 void
 Machine::stepCore()
 {
-    if (accel_)
-        stepCoreT<true>();
-    else
-        stepCoreT<false>();
-}
-
-template <bool WithAccel>
-void
-Machine::stepCoreT()
-{
     instStart_ = pcAbs_;
-    isa::Inst decoded;
-    const isa::Inst *inst;
-    if constexpr (WithAccel) {
-        // The real decode fetches exactly inst.length code bytes (no
-        // cycles: the IFU prefetches); a hit replays that. Executing
-        // through the cached entry is safe: the icache is only
-        // written here, never during execute().
-        const isa::Inst *cached = accel_->findInst(pcAbs_);
-        if (cached) {
-            mem_.chargeCodeBytes(cached->length);
-            inst = cached;
-        } else {
-            decoded = isa::decode(
-                [this](unsigned i) { return fetchCodeByte(i); });
-            accel_->storeInst(pcAbs_, decoded);
-            inst = &decoded;
-        }
-    } else {
-        decoded = isa::decode(
-            [this](unsigned i) { return fetchCodeByte(i); });
-        inst = &decoded;
-    }
-    pcAbs_ += inst->length;
+    const isa::Inst inst =
+        isa::decode([this](unsigned i) { return fetchCodeByte(i); });
+    pcAbs_ += inst.length;
 
     ++stats_.steps;
     stats_.cycles += config_.latency.decodeCycles;
-    ++stats_.opCount[static_cast<std::uint8_t>(inst->op)];
-    if (inst->length < stats_.instLenCount.size())
-        ++stats_.instLenCount[inst->length];
+    ++stats_.opCount[static_cast<std::uint8_t>(inst.op)];
+    if (inst.length < stats_.instLenCount.size())
+        ++stats_.instLenCount[inst.length];
 
-    execute(*inst);
+    execute(inst);
 }
-
-// The threaded loop (threaded.cc) takes its exact eager steps through
-// this variant; instantiate it so the link never depends on what the
-// optimizer happened to emit here.
-template void Machine::stepCoreT<true>();
 
 void
 Machine::maybePreempt()

@@ -202,15 +202,18 @@ class XferObserver
 /**
  * Sampling hook clocked on simulated cycles; attach with
  * Machine::setSampler. onSample fires at the first boundary at or
- * past the deadline: on the eager loop every instruction is a
- * boundary; on the threaded loop, superblock exits are, so a sample
- * may land up to one superblock (≤ 64 instructions) of cycles late.
- * An exact() sampler runs the eager loop; because the clock is
- * simulated cycles, its sample points (and any exported series) are
- * byte-identical across runs and backends. Deferred opcode/length
- * histograms and accel counters are folded before the hook runs, so
- * the machine it reads is self-consistent. Like an observer, it
- * reads only and charges zero simulated cycles.
+ * past the deadline. An exact() sampler's boundaries are instruction
+ * boundaries on both backends: the threaded loop enters a superblock
+ * only when the deadline cannot fall inside it and takes plain steps
+ * until the deadline has passed otherwise, so the sample points, the
+ * machine each one reads and boundaryAnchorPc() are the eager loop's,
+ * and any exported series is byte-identical across runs and backends.
+ * A sampler that is not exact() fires at superblock exits on the
+ * threaded loop, up to one superblock (≤ 64 instructions) of cycles
+ * late, and costs no steps. Deferred opcode/length histograms and
+ * accel counters are folded before the hook runs, so the machine it
+ * reads is self-consistent. Like an observer, it reads only and
+ * charges zero simulated cycles.
  */
 class CycleSampler
 {
@@ -321,13 +324,14 @@ class Machine
     CodeByteAddr currentProcEntry() const { return curProcEntry_; }
 
     /** Entry of the code that expired the sampling budget, valid only
-     *  inside a CycleSampler callback: the superblock's entry when the
-     *  threaded loop fired it, the last instruction's start on the
-     *  eager loop. Superblocks end at XFERs, so at a threaded boundary
-     *  pc()/currentProcEntry() already point at the *destination* of
-     *  the block's terminal transfer; attributing through the anchor
-     *  instead charges the sample to the procedure that actually spent
-     *  the cycles. */
+     *  inside a CycleSampler callback: the start of the instruction
+     *  that crossed the deadline for an exact() sampler (on either
+     *  backend) and on the eager loop, the superblock's entry when the
+     *  threaded loop fired another sampler at a block exit. A
+     *  transfer that crosses the deadline has already moved
+     *  pc()/currentProcEntry() to its *destination*; attributing
+     *  through the anchor instead charges the sample to the procedure
+     *  that actually spent the cycles. */
     CodeByteAddr boundaryAnchorPc() const { return sampleAnchorPc_; }
     /** @} */
 
@@ -375,9 +379,9 @@ class Machine
     }
     bool accelEnabled() const { return accel_ != nullptr; }
 
-    /** True when the threaded backend is configured on this machine
-     *  (run() still falls back to the eager loop for exact samplers
-     *  and for preemption). */
+    /** True when the threaded backend is configured on this machine,
+     *  which is whenever acceleration is: run() then always runs the
+     *  threaded loop. */
     bool threadedActive() const { return sblocks_ != nullptr; }
 
     /** @name Microarchitectural state, for experiments/diagnostics. @{ */
@@ -493,14 +497,14 @@ class Machine
      *  call reaches its target through `site` when one is given
      *  (the threaded loop passes its block's call-site cache). */
     void execute(const isa::Inst &inst, CallSite *site = nullptr);
-    /** One instruction, without the stop check / epoch sync /
-     *  preemption poll that step() wraps around it. WithAccel folds
-     *  the icache null-check out of the per-step path. */
-    template <bool WithAccel>
-    void stepCoreT();
+    /** Decode and execute one instruction, without the stop check /
+     *  epoch sync / preemption poll / sampler check that step() wraps
+     *  around it. */
     void stepCore();
     /** The threaded-code superblock loop (threaded.cc): computed-goto
-     *  dispatch with block-fused accounting. Runs until stop or the
+     *  dispatch with block-fused accounting, and step() wherever a
+     *  boundary event (an exact sampler's deadline, the timeslice, the
+     *  step budget) could fall inside a block. Runs until stop or the
      *  step budget expires; steps counts completed instructions and
      *  stays correct when a handler throws (run()'s catch reads it).
      *  The Banked parameter folds the I4 bank checks out of the

@@ -192,9 +192,10 @@ enum HIdx : unsigned
     H_Slow,
 
     // Terminals: every handler from here on ends its block.
-    /** HALT, XF, BRK, YIELD, illegal opcodes, and the backward
-     *  conditionals (BTFN: predicted taken, so a taken latch pays the
-     *  O(1) full-block exit and re-enters through the chain pointer). */
+    /** HALT, XF, BRK, YIELD, illegal opcodes, LLA on the banked
+     *  engine, and the backward conditionals (BTFN: predicted taken,
+     *  so a taken latch pays the O(1) full-block exit and re-enters
+     *  through the chain pointer). */
     H_Exit,
     /** The five call classes: push the host return stack, then call
      *  through the block's call-site cache. */
@@ -211,7 +212,7 @@ isTerminalIdx(unsigned h)
 }
 
 unsigned
-handlerIndexFor(const isa::Inst &inst)
+handlerIndexFor(const isa::Inst &inst, bool banked)
 {
     using isa::Op;
     using isa::OpClass;
@@ -262,6 +263,9 @@ handlerIndexFor(const isa::Inst &inst)
       case OpClass::JumpNotZero:
         return inst.operand > 0 ? H_JumpNotZeroFall : H_Exit;
       case OpClass::LoadLocalAddr:
+        // On I4 it can drop a bank (§7.4): ending the block keeps
+        // every instruction inside one under the cycle ceiling.
+        return banked ? H_Exit : H_Slow;
       case OpClass::LoadDesc:
         return H_Slow;
       case OpClass::Halt:
@@ -312,7 +316,8 @@ constexpr unsigned maxBlockInsts = 64;
  * accounting.
  */
 std::unique_ptr<Superblock>
-buildBlock(Memory &mem, CodeByteAddr entry, const void *const *labels)
+buildBlock(Memory &mem, CodeByteAddr entry, const void *const *labels,
+           bool banked)
 {
     auto block = std::make_unique<Superblock>();
     block->entry = entry;
@@ -333,7 +338,7 @@ buildBlock(Memory &mem, CodeByteAddr entry, const void *const *labels)
         } catch (...) {
             break; // undecodable tail: left for the eager loop
         }
-        const unsigned h = handlerIndexFor(inst);
+        const unsigned h = handlerIndexFor(inst, banked);
         hidx[block->insts.size()] = static_cast<std::uint8_t>(h);
         TInst t;
         t.handler = labels[h];
@@ -414,16 +419,17 @@ buildBlock(Memory &mem, CodeByteAddr entry, const void *const *labels)
 // The threaded loop
 // ---------------------------------------------------------------------
 
-/** Begin a slow-path or terminal instruction: what stepCoreT does
+/** Begin a slow-path or terminal instruction: what stepCore does
  *  before execute(), plus the spill of the register-cached stack
- *  pointer and the stack bank's dirty bits. With an observer attached
- *  it also charges the instruction's step, decode cycles and code
- *  bytes, with every not-yet-charged instruction of the block before
- *  it, and spills the register-held storage deltas, so every stamp
- *  member code hands an observer (XferRecord, cycles(), steps, memory
- *  counters) reads what the eager loop reads at the same instruction.
- *  Without one, nothing reads absolute stamps mid-block, and the
- *  exits charge the block instead. Fast paths skip all of this — nothing they
+ *  pointer and the stack bank's dirty bits. With an observer or a
+ *  scheduler attached it also charges the instruction's step, decode
+ *  cycles and code bytes, with every not-yet-charged instruction of
+ *  the block before it, and spills the register-held storage deltas,
+ *  so every stamp member code hands an observer (XferRecord, cycles(),
+ *  steps, memory counters) or a YIELD's scheduler hook reads what the
+ *  eager loop reads at the same instruction. Without either, nothing
+ *  reads absolute stamps mid-block, and the exits charge the block
+ *  instead. Fast paths skip all of this — nothing they
  *  call reads instStart_/pcAbs_/sp_, traps only happen behind the
  *  guards, and the store-port traffic of three spills per instruction
  *  is a large share of a short handler's cost. The members are
@@ -600,11 +606,25 @@ Machine::threadedLoopT(std::uint64_t &steps)
     // per outer-loop iteration and per chain follow — never per
     // instruction.
     CycleSampler *const smp = sampler_;
-    // The observer is fixed while run() executes (setObserver is an
-    // outside-the-run API), so whether member code must spill the
-    // register-held deltas is a constant of the run.
-    const bool observed = observer_ != nullptr;
-    (void)regCyc;
+    // The hooks are fixed while run() executes, so these are constants
+    // of the run. Member code spills the register-held deltas whenever
+    // an observer or a YIELD's scheduler hook could read stamps.
+    const bool observed = observer_ != nullptr || scheduler_ != nullptr;
+    const bool exactSmp = smp != nullptr && smp->exact();
+    const bool slicing = config_.timesliceSteps != 0 && scheduler_;
+    // A sampler or a timeslice: only then do block exits check more
+    // than the step budget.
+    const bool hooked = smp != nullptr || slicing;
+    // Most cycles an instruction inside a block can take (one that
+    // transfers or traps ends the block's run): its decode and one
+    // data reference, at worst a cache miss that writes back a dirty
+    // victim (Cache::access).
+    const Tick instCeiling =
+        decodeCyc +
+        std::max({Tick{memCyc}, Tick{regCyc},
+                  dcache != nullptr
+                      ? Tick{config_.latency.cacheHitCycles} + 2 * memCyc
+                      : Tick{0}});
     (void)bankWords;
 
     // Deferred per-block accounting folds into the real counters on
@@ -630,7 +650,7 @@ Machine::threadedLoopT(std::uint64_t &steps)
     // call could alias. No RAII mirror here — holding a reference to
     // the local would pin it to the stack and defeat the register
     // promotion this exists for; instead every path that leaves the
-    // block world (block_done, the catch block, the eager tail, the
+    // block world (block_done, the catch block, the eager window, the
     // loop exit) writes it back explicitly.
     std::uint64_t st = steps;
 
@@ -699,20 +719,25 @@ Machine::threadedLoopT(std::uint64_t &steps)
             sbAcc = 0;
         }
     };
+    // The cycles the register-held deltas will charge at their spill.
+    const auto pendingCycles = [&]() __attribute__((always_inline)) -> Tick {
+        if constexpr (Banked)
+            return static_cast<Tick>(regCyc) * dLocalBank;
+        else
+            return dcache == nullptr
+                       ? static_cast<Tick>(memCyc) * (dReads + dWrites)
+                       : 0;
+    };
     const auto spillStats = [&]() __attribute__((always_inline)) {
-        if constexpr (!Banked) {
-            if (dcache == nullptr)
-                stats_.cycles +=
-                    static_cast<Tick>(memCyc) * (dReads + dWrites);
+        stats_.cycles += pendingCycles();
+        if constexpr (Banked) {
+            stats_.localBankAccesses += dLocalBank;
+            dLocalBank = 0;
+        } else {
             mem_.chargeReads(AccessKind::Data, dReads);
             mem_.chargeWrites(AccessKind::Data, dWrites);
             dReads = 0;
             dWrites = 0;
-        }
-        if constexpr (Banked) {
-            stats_.cycles += static_cast<Tick>(regCyc) * dLocalBank;
-            stats_.localBankAccesses += dLocalBank;
-            dLocalBank = 0;
         }
         foldDirty();
     };
@@ -743,6 +768,27 @@ Machine::threadedLoopT(std::uint64_t &steps)
             lbData = curLbank_ >= 0 ? banks_.dataPtr(curLbank_)
                                     : nullptr;
         }
+    };
+
+    // The eager-window rule: a block of n instructions runs only when
+    // no boundary event can fall strictly inside it — the step budget
+    // lasts through it, an exact sampler's deadline lies beyond n
+    // ceilings of cycles, the timeslice outlasts it with no switch
+    // pending. An event its last instruction raises is taken after
+    // the block, where the eager loop takes it. Otherwise the loop
+    // takes plain steps (step()) until the event has passed.
+    const auto room = [&](std::uint64_t n) __attribute__((always_inline)) {
+        return n <= maxSteps - st &&
+               (!exactSmp || stats_.cycles + pendingCycles() +
+                                     n * instCeiling <
+                                 nextSampleAt_) &&
+               (!slicing || (!switchPending_ && n < sliceLeft_));
+    };
+    // The timeslice counts the instructions a block ran, less one
+    // that stopped the machine (maybePreempt skips a stopping step).
+    const auto tickSlice = [&](std::uint64_t ran) __attribute__((always_inline)) {
+        if (slicing)
+            sliceLeft_ -= ran - (stop_ != StopReason::Running ? 1 : 0);
     };
 
     // Inlined accessor bodies for the fast paths, identical to the
@@ -846,25 +892,6 @@ Machine::threadedLoopT(std::uint64_t &steps)
             stopWith(StopReason::StepLimit, "step budget exhausted");
             break;
         }
-        // Boundary sampling: every path into this loop head has
-        // spilled the register-held deltas (block_done, the eager
-        // tail, the chain break below), so the sample point is exact
-        // up to the deferred histograms fireSample folds.
-        // Slop is bounded by one superblock: an expired budget breaks
-        // the chain-follow fast path at the block exit.
-        // Superblocks end at XFERs, so at this boundary pcAbs_ points
-        // at the *destination* of the block's terminal transfer;
-        // anchor the sample to the entry of the block that actually
-        // spent the budget (prev, when it reached its full exit) so
-        // attribution does not systematically shift one call deep.
-        if (smp != nullptr && stats_.cycles >= nextSampleAt_)
-            [[unlikely]] {
-            // The eager-tail and early-exit paths clear prev; there
-            // instStart_ (the last executed instruction) is exact.
-            sampleAnchorPc_ =
-                prev != nullptr ? prev->entry : instStart_;
-            fireSample();
-        }
         // Per-iteration epoch poll: the machine never pokes code while
         // running, so the epoch cannot move inside a block.
         acc->sync(mem_.codeEpoch());
@@ -890,7 +917,7 @@ Machine::threadedLoopT(std::uint64_t &steps)
                     retCaller = nullptr;
                 }
                 std::unique_ptr<Superblock> built =
-                    buildBlock(mem_, pcAbs_, labels);
+                    buildBlock(mem_, pcAbs_, labels, Banked);
                 if (built != nullptr) {
                     sb = cache.insert(std::move(built));
                     ++acc->stats.sblockBuilds;
@@ -909,11 +936,12 @@ Machine::threadedLoopT(std::uint64_t &steps)
             }
         }
 
-        if (sb == nullptr || sb->n > maxSteps - st) {
-            // Undecodable PC or a step-budget tail shorter than the
-            // block: take one exact eager step instead.
+        if (sb == nullptr || !room(sb->n)) {
+            // The eager window, or an undecodable PC, whose plain step
+            // reproduces the fault. step() fires a due sample itself.
             prev = nullptr;
-            stepCoreT<true>();
+            ++acc->stats.icacheMisses;
+            step();
             ++st;
             steps = st; // the next iteration's member calls can throw
             continue;
@@ -1254,6 +1282,11 @@ Machine::threadedLoopT(std::uint64_t &steps)
             ++cur->execPending;
             st += cur->n;
             prev = cur;
+            if (hooked) [[unlikely]] {
+                tickSlice(cur->n);
+                if (smp != nullptr && stats_.cycles >= nextSampleAt_)
+                    goto block_done;
+            }
             // Fast re-entry through the chain pointer or, for a return
             // the chain missed, the host return prediction: the code
             // epoch only moves on external pokes (loader, relocator,
@@ -1262,17 +1295,17 @@ Machine::threadedLoopT(std::uint64_t &steps)
             // probe entirely. A prediction is followed only when its
             // block starts at the PC the return produced, and it
             // updates the chain exactly as the outer loop's lookup
-            // would have. An expired sampling budget breaks both so the
-            // outer loop can fire the sample at this block boundary.
-            if (stop_ == StopReason::Running &&
-                (smp == nullptr || stats_.cycles < nextSampleAt_))
-                [[likely]] {
+            // would have. An expired sampling budget breaks both (above)
+            // so the loop can fire the sample at this block boundary, and
+            // so does a successor the eager-window rule keeps out.
+            if (stop_ == StopReason::Running) [[likely]] {
                 const bool chained = cur->chainPc == pcAbs_;
                 Superblock *nb = chained ? cur->chain
                                  : retFrom != nullptr ? retFrom->retSucc
                                                       : nullptr;
                 if (nb != nullptr && nb->entry == pcAbs_ &&
-                    nb->n <= maxSteps - st) [[likely]] {
+                    nb->n <= maxSteps - st && (!hooked || room(nb->n)))
+                    [[likely]] {
                     if (chained) {
                         ++acc->stats.sblockChainHits;
                     } else {
@@ -1308,6 +1341,7 @@ Machine::threadedLoopT(std::uint64_t &steps)
             ++cur->exitPending[k - 1];
             cur->exitsPending = true;
             st += k;
+            tickSlice(k);
             prev = nullptr;
             goto block_done;
           }
@@ -1335,9 +1369,24 @@ Machine::threadedLoopT(std::uint64_t &steps)
             }
             acc->stats.icacheHits += k;
             st += k - 1;
+            tickSlice(k - 1); // the throwing step never ticks
             spillStats();
             steps = st;
             throw;
+        }
+
+        // Boundary sampling, with the deltas spilled (block_done), also
+        // after a stop, as on the eager loop. An exact sampler's
+        // deadline was crossed by the last instruction, its anchor.
+        // Another fires up to one block late, where pcAbs_ is already
+        // the terminal transfer's *destination*: it anchors to the
+        // block that spent the cycles (prev, after a full exit), so
+        // attribution does not shift one call deep.
+        if (smp != nullptr && stats_.cycles >= nextSampleAt_)
+            [[unlikely]] {
+            sampleAnchorPc_ = !exactSmp && prev != nullptr ? prev->entry
+                                                           : instStart_;
+            fireSample();
         }
     }
     steps = st;

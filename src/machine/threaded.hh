@@ -3,10 +3,9 @@
  * Threaded-code host backend: superblocks over the decoded stream.
  *
  * The paper's arc removes per-call work (I3's IFU follows DIRECTCALL
- * like a jump); PR 3's icache removed per-step *decode* work. What is
- * left on the host hot path is dispatch itself — the central switch
- * and the per-instruction accounting. This backend compiles both
- * away:
+ * like a jump). On the host, the eager loop pays per-step decode,
+ * dispatch through a central switch and per-instruction accounting.
+ * This backend compiles all three away:
  *
  *  - each decoded instruction carries a direct handler address
  *    (a GNU computed-goto label), so dispatch is one indirect jump
@@ -35,14 +34,17 @@
  *
  * The contract is the acceleration contract (machine/accel.hh): all
  * simulated numbers are bit-identical with the backend off or
- * threaded. Observers ride the threaded loop with exact stamps: every
- * event they see is raised by member code (a block terminal or
- * h_slow), which runs only after the block is charged through its
- * instruction and the register-held deltas are spilled. Exact
- * samplers (machine.hh), preemption and step-budget tails fall back
- * to the eager loop; other samplers ride the threaded loop, sampling
- * at block exits. Host counters (AccelStats) may differ across
- * backends by design.
+ * threaded. Every run takes this loop. Observers and scheduler hooks
+ * see exact stamps: every event they see is raised by member code (a
+ * block terminal or h_slow), which runs only after the block is
+ * charged through its instruction and the register-held deltas are
+ * spilled. Boundary events the eager loop raises between two
+ * instructions — an exact sampler's deadline (machine.hh), the
+ * timeslice, the step budget — are kept out of blocks: the loop
+ * enters a block only when none can fall inside it, and takes plain
+ * eager steps (Machine::step) until the event has passed otherwise.
+ * Other samplers fire at block exits. Host counters (AccelStats) may
+ * differ across backends by design.
  */
 
 #ifndef FPC_MACHINE_THREADED_HH
@@ -106,16 +108,15 @@ struct Superblock
      *  — XFER probes and heap/link trackers sample differences of the
      *  counters entirely within member code, where the pending deltas
      *  are constant and cancel — while the absolute readers are
-     *  observers, for which member code spills the deltas first, exact
-     *  samplers and preemption, which force the eager loop, and other
-     *  samplers, which fire only at block exits, after the fold.
-     *  Only the bank dirty bits fold at every slow-path entry:
-     *  transfers read dirty masks directly. */
+     *  observers and scheduler hooks, for which member code spills the
+     *  deltas first, and samplers, which fire only between blocks,
+     *  after the fold. Only the bank dirty bits fold at every
+     *  slow-path entry: transfers read dirty masks directly. */
     std::uint64_t execPending = 0;
     /** Early exits not yet folded, by length: exitPending[k - 1]
      *  counts side exits (taken forward branches, traps, stops) after
      *  the block's first k instructions (empty until the first one).
-     *  Their opcode/length histograms and icache hits defer with
+     *  Their opcode/length histograms and predecode hits defer with
      *  execPending, so an exit costs one count instead of a walk over
      *  its prefix. */
     std::vector<std::uint64_t> exitPending;

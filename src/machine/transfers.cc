@@ -80,7 +80,7 @@ struct Machine::XferProbe
             XferRecord rec;
             rec.kind = kind;
             rec.srcCtx = srcCtx;
-            rec.dstCtx = m.currentFrameContext();
+            rec.dstCtx = dstContext();
             rec.frame = m.lf_;
             rec.pc = m.pcAbs_;
             rec.start = cycles0;
@@ -88,6 +88,23 @@ struct Machine::XferProbe
             rec.refs = refs;
             rec.step = m.stats_.steps;
             m.observeXfer(rec);
+        }
+    }
+
+    /** The destination context, or NIL when the transfer left lf_
+     *  where no frame context can name it. A transfer whose storage
+     *  panic unwinds through this destructor can have moved lf_ out of
+     *  the frame region already; packing it would throw a second time,
+     *  from a destructor, and end the process instead of the run. A
+     *  transfer that completed that way runs on as it does unobserved:
+     *  an observer must not change how a run ends. */
+    Word
+    dstContext() const
+    {
+        try {
+            return m.currentFrameContext();
+        } catch (const PanicError &) {
+            return nilContext;
         }
     }
 };

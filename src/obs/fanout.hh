@@ -11,8 +11,8 @@
  * only once its own has passed, with the machine's catch-up rule. So
  * a client fires at exactly the points it would fire alone, whatever
  * else shares the slot. The fanout is exact when any sampler client
- * is, so one exact sampler puts the whole run on the eager loop;
- * observers are exact on either loop and never demote it.
+ * is, so with one exact client every client fires at instruction
+ * boundaries; observers are exact on either loop.
  */
 
 #ifndef FPC_OBS_FANOUT_HH

@@ -80,10 +80,10 @@ struct MetricsSample
  * run with explicit sample() calls so even programs shorter than one
  * interval export a start and a final point.
  *
- * An exact telemetry (the default) runs the eager loop, so its series
- * is byte-identical across backends. A sampled one (exact = false)
- * keeps the threaded loop running, and its stamps obey the
- * CycleSampler slop contract instead.
+ * An exact telemetry (the default) samples at instruction boundaries,
+ * so its series is byte-identical across backends. A sampled one
+ * (exact = false) samples at superblock exits, costs less, and its
+ * stamps obey the CycleSampler slop contract instead.
  */
 class Telemetry : public CycleSampler
 {

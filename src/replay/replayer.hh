@@ -44,10 +44,9 @@ struct VerifyOptions
     /** Replay with the host backend forced regardless of the
      *  recording: true configures the threaded backend, false the
      *  eager loop. Digests must be invariant, so this *tests* the
-     *  acceleration contract rather than weakening verification. The
-     *  verifier's sampler routes execution through the eager loop
-     *  either way, so this checks that a threaded-configured machine
-     *  honors the record/replay gating contract bit-for-bit. */
+     *  acceleration contract rather than weakening verification: the
+     *  verifier's exact sampler rides the threaded loop, which must
+     *  reach every digest point with the eager loop's state. */
     std::optional<bool> accelOverride;
     /** When nonempty, a divergence writes
      *  "<dir>/job-<id>-divergence.json". */

@@ -26,7 +26,10 @@
 #include "obs/probes.hh"
 #include "obs/profile.hh"
 #include "obs/trace.hh"
+#include "obs/telemetry.hh"
 #include "program/loader.hh"
+#include "replay/record.hh"
+#include "replay/recorder.hh"
 #include "workload/synthetic.hh"
 
 namespace fpc
@@ -355,6 +358,100 @@ TEST_P(RandomPrograms, ObservedDocumentsMatchAcrossBackends)
         const std::string threaded =
             observedDocuments(modules, arg, combo.impl, combo.lowering,
                               true, threadedStats);
+        EXPECT_GT(threadedStats.sblockExecs, 0u);
+        EXPECT_EQ(eager, threaded);
+    }
+}
+
+/** What the exact samplers and the timeslice produce from one
+ *  generated run, preempted every 37 steps with the switches recorded
+ *  as fpcvm --record-out does: the exact telemetry series, the
+ *  recording (digests and scheduler decisions) and the stats
+ *  document. */
+std::string
+sampledDocuments(const std::vector<Module> &modules, Word arg, Impl impl,
+                 CallLowering lowering, bool accel, AccelStats &accel_stats)
+{
+    const SystemLayout layout;
+    Memory mem(layout.memWords);
+    Loader loader{layout, SizeClasses::standard()};
+    for (const auto &m : modules)
+        loader.add(m);
+    LinkPlan plan;
+    plan.lowering = lowering;
+    const LoadedImage image = loader.load(mem, plan);
+    MachineConfig config;
+    config.impl = impl;
+    config.timesliceSteps = 37;
+    config.accel.enabled = accel;
+    Machine machine(mem, image, config);
+
+    obs::Telemetry telemetry;
+    replay::Recorder recorder;
+    recorder.beginJob(0, 0);
+    obs::Fanout fanout;
+    fanout.add(&telemetry, 997);
+    fanout.add(&recorder, 1000);
+    fanout.attach(machine);
+    machine.setScheduler(recorder.wrapPolicy(
+        [](Machine &m) { return m.currentFrameContext(); }));
+    machine.start(generatedEntryModule(), generatedEntryProc(),
+                  std::array<Word, 1>{arg});
+    const RunResult result = machine.run();
+    EXPECT_EQ(result.reason, StopReason::TopReturn);
+    EXPECT_GT(machine.stats().preemptions, 0u);
+    recorder.finish(machine, result);
+
+    std::ostringstream os;
+    obs::MetricsExport meta;
+    meta.driver = "test_equivalence";
+    meta.impl = implName(impl);
+    meta.interval = 997;
+    obs::writeMetricsJson(os, meta, {&telemetry});
+    replay::RecordLog log;
+    log.impl = impl;
+    log.lowering = lowering;
+    log.timeslice = config.timesliceSteps;
+    log.jobs.push_back(recorder.takeJob());
+    replay::writeRecord(os, log);
+    obs::StatsExport exp;
+    exp.driver = "test_equivalence";
+    exp.impl = implName(impl);
+    exp.stopReason = stopReasonName(result.reason);
+    exp.machine = &machine.stats();
+    exp.memory = &mem.stats();
+    exp.heap = &machine.heap().stats();
+    obs::writeStatsJson(os, exp);
+    accel_stats = machine.accelStats();
+    return os.str();
+}
+
+TEST_P(RandomPrograms, SampledAndSlicedDocumentsMatchAcrossBackends)
+{
+    // Exact samplers and preemption run on the threaded loop, taking
+    // plain steps only around their boundary events: the series, the
+    // recording and the stats come out byte-identical to the eager
+    // loop's, while the threaded run stays on superblocks.
+    const ProgramConfig pc = shapeFor(GetParam());
+    const auto modules = generateProgram(pc);
+    const Word arg = static_cast<Word>(pc.maxDepth);
+    const struct
+    {
+        Impl impl;
+        CallLowering lowering;
+    } combos[] = {{Impl::Simple, CallLowering::Fat},
+                  {Impl::Mesa, CallLowering::Mesa},
+                  {Impl::Ifu, CallLowering::Direct},
+                  {Impl::Banked, CallLowering::Direct}};
+    for (const auto &combo : combos) {
+        SCOPED_TRACE(implName(combo.impl));
+        AccelStats eagerStats, threadedStats;
+        const std::string eager =
+            sampledDocuments(modules, arg, combo.impl, combo.lowering,
+                             false, eagerStats);
+        const std::string threaded =
+            sampledDocuments(modules, arg, combo.impl, combo.lowering,
+                             true, threadedStats);
         EXPECT_GT(threadedStats.sblockExecs, 0u);
         EXPECT_EQ(eager, threaded);
     }

@@ -316,60 +316,10 @@ TEST(AccelDeterminism, ObserverRunsThreaded)
     }
 }
 
-/** A sampler that counts its sample points. */
-struct CountingSampler : CycleSampler
-{
-    unsigned samples = 0;
-    void onSample(const Machine &) override { ++samples; }
-};
-
-TEST(AccelDeterminism, SamplerForcesEagerUnderThreaded)
-{
-    // Same for a cycle sampler: sample points are defined at step
-    // granularity, so the threaded machine falls back to the eager
-    // loop and the sample count matches the unaccelerated run.
-    unsigned counts[2] = {0, 0};
-    std::string json[2];
-    const Mode modes[2] = {Mode::Off, Mode::Threaded};
-    for (int i = 0; i < 2; ++i) {
-        const SystemLayout layout;
-        Memory mem(layout.memWords);
-        Loader loader{layout, SizeClasses::standard()};
-        loader.add(callLoopModule());
-        const LoadedImage image = loader.load(mem, LinkPlan{});
-
-        MachineConfig config;
-        applyMode(config, modes[i]);
-        Machine machine(mem, image, config);
-        CountingSampler sampler;
-        machine.setSampler(&sampler, 1000);
-        machine.start("M", "main", std::array<Word, 1>{Word{100}});
-        ASSERT_EQ(machine.run().reason, StopReason::TopReturn);
-        counts[i] = sampler.samples;
-        if (modes[i] == Mode::Threaded) {
-            EXPECT_EQ(machine.accelStats().sblockExecs, 0u);
-        }
-        std::ostringstream os;
-        obs::StatsExport exp;
-        exp.driver = "test_accel";
-        exp.impl = implName(config.impl);
-        exp.stopReason = stopReasonName(StopReason::TopReturn);
-        exp.machine = &machine.stats();
-        exp.memory = &mem.stats();
-        exp.heap = &machine.heap().stats();
-        obs::writeStatsJson(os, exp);
-        json[i] = os.str();
-    }
-    EXPECT_GT(counts[0], 0u);
-    EXPECT_EQ(counts[0], counts[1]);
-    EXPECT_EQ(json[0], json[1]);
-}
-
 TEST(AccelDeterminism, ThreadedFastPathActuallyEngages)
 {
-    // Sanity check on the force-eager test above: with no sampler
-    // attached the same workload does run through superblocks, so a
-    // zero sblockExecs there means "fell back", not "never built".
+    // With no hook attached the workload runs through superblocks:
+    // the baseline for the sblockExecs assertions of the hooked runs.
     const SystemLayout layout;
     Memory mem(layout.memWords);
     Loader loader{layout, SizeClasses::standard()};
@@ -424,6 +374,9 @@ struct CallCase
     bool pokeMidRun = false;
     /** Install M.handler as the trap context. */
     bool trapHandler = false;
+    /** Attach an exact BoundaryLog every this many cycles (0: none);
+     *  through the observers' Fanout when observe is set. */
+    Tick sampleEvery = 0;
 };
 
 /** Logs every event with the absolute stamps the machine shows it,
@@ -467,6 +420,20 @@ struct LoggingProbes : XferObserver
     }
 };
 
+/** An exact sampler that logs where each sample fires and what the
+ *  machine reads there, which both backends must show identically. */
+struct BoundaryLog : CycleSampler
+{
+    std::ostringstream log;
+    void
+    onSample(const Machine &m) override
+    {
+        log << m.cycles() << "/" << m.stats().steps << "/" << m.pc()
+            << "/" << m.boundaryAnchorPc() << "/"
+            << m.memory().totalRefs() << " ";
+    }
+};
+
 /** Moves the code epoch at every sample without changing a byte of
  *  code. */
 struct EpochPoker : CycleSampler
@@ -490,6 +457,7 @@ struct CaseOut
     std::string statsJson;
     std::string probeLog;
     std::string traceJson;
+    std::string sampleLog;
     AccelStats accel;
 };
 
@@ -516,9 +484,14 @@ runCase(const CallCase &c, const EngineCombo &combo, Mode mode)
     LoggingProbes probes;
     obs::Tracer tracer;
     obs::Fanout fanout;
+    BoundaryLog boundaries;
+    if (c.sampleEvery != 0 && !c.observe)
+        machine.setSampler(&boundaries, c.sampleEvery);
     if (c.observe) {
         fanout.add(&probes);
         fanout.add(&tracer);
+        if (c.sampleEvery != 0)
+            fanout.add(&boundaries, c.sampleEvery);
         fanout.attach(machine);
     }
     EpochPoker poker;
@@ -554,6 +527,7 @@ runCase(const CallCase &c, const EngineCombo &combo, Mode mode)
     std::ostringstream trace;
     obs::writeChromeTrace(trace, {&tracer});
     out.traceJson = trace.str();
+    out.sampleLog = boundaries.log.str();
     out.accel = machine.accelStats();
     return out;
 }
@@ -573,6 +547,7 @@ expectMatchesEager(const CallCase &c)
         EXPECT_EQ(out.statsJson, off.statsJson) << implName(combo.impl);
         EXPECT_EQ(out.probeLog, off.probeLog) << implName(combo.impl);
         EXPECT_EQ(out.traceJson, off.traceJson) << implName(combo.impl);
+        EXPECT_EQ(out.sampleLog, off.sampleLog) << implName(combo.impl);
         threaded.push_back(std::move(out));
     }
     return threaded;
@@ -740,6 +715,65 @@ TEST(AccelDeterminism, ObservedRecursionStaysExact)
     }
 }
 
+/** An address-taken local in a callee: on I4 every call's LLA drops
+ *  the callee's bank (§7.4), eleven dirty words and more, in the short
+ *  block after a call — the costliest non-transfer there is. */
+std::vector<Module>
+addressTakenModules()
+{
+    return lang::compile(R"(
+        module M;
+        proc id(x) { return x; }
+        proc fill(x) {
+            var a, b, c, d, e, f, g, h, i, j, k;
+            a = x; b = x; c = x; d = x; e = x; f = x;
+            g = x; h = x; i = x; j = x; k = x;
+            x = id(x);
+            return *(@a + 10);
+        }
+        proc main(n) {
+            var i, s;
+            i = 0; s = 0;
+            while (i < n) { s = s + fill(i); i = i + 1; }
+            return s;
+        }
+    )");
+}
+
+TEST(AccelDeterminism, ExactSamplerRunsThreaded)
+{
+    // An exact sampler fires at instruction boundaries on the threaded
+    // loop too: a block runs only when the deadline cannot fall inside
+    // it, plain steps cover the rest, so every fire point, the machine
+    // each one reads, its anchor and the stats document match the
+    // eager loop — alone, through a Fanout beside observers, with a
+    // data cache (the costliest data reference) and across I4 bank
+    // drops. Below about a block's worth of cycles (intervals 1 and 7)
+    // every block straddles a deadline and the run takes plain steps.
+    for (const Tick every : {1, 7, 97, 1000, 9973}) {
+        for (int variant = 0; variant < 4; ++variant) {
+            SCOPED_TRACE("every " + std::to_string(every) + " variant " +
+                         std::to_string(variant));
+            CallCase c = variant == 3 ? CallCase{addressTakenModules(), 200}
+                                      : CallCase{fibModules(), 12};
+            c.sampleEvery = every;
+            c.observe = variant == 1;
+            if (variant == 2) {
+                c.configure = [](MachineConfig &config) {
+                    config.useDataCache = true;
+                };
+            }
+            for (const CaseOut &out : expectMatchesEager(c)) {
+                EXPECT_EQ(out.reason, StopReason::TopReturn);
+                EXPECT_FALSE(out.sampleLog.empty());
+                if (every >= 97) {
+                    EXPECT_GT(out.accel.sblockExecs, 0u);
+                }
+            }
+        }
+    }
+}
+
 TEST(AccelDeterminism, StoragePanicAtObservedTerminalChargedOnce)
 {
     // An XF through an unbound GFT entry panics inside the block
@@ -757,6 +791,51 @@ TEST(AccelDeterminism, StoragePanicAtObservedTerminalChargedOnce)
     for (const CaseOut &out : expectMatchesEager(c)) {
         EXPECT_EQ(out.reason, StopReason::Error);
         EXPECT_GT(out.accel.sblockBuilds, 0u);
+    }
+}
+
+TEST(AccelDeterminism, StoragePanicAfterAFrameMoveEndsTheRun)
+{
+    // An observed XF to frame context 0x7FFF names a frame past the
+    // frame region; on I1-I3 the transfer points lf_ there before its
+    // first frame read runs off the end of a small memory. The storage
+    // panic unwinds through the transfer's probe, whose record cannot
+    // pack lf_: it must name NIL rather than throw a second time, so
+    // the run ends in an Error stop with the first panic's message,
+    // the same on both backends.
+    ModuleBuilder b("M");
+    auto &main = b.proc("main", 0, 1);
+    main.loadImm(0x7FFF).op(isa::Op::XF);
+    main.loadImm(1).ret();
+    const Module module = b.build();
+    for (const EngineCombo &combo : combos) {
+        std::string logs[2];
+        for (const Mode mode : {Mode::Off, Mode::Threaded}) {
+            SCOPED_TRACE(std::string(implName(combo.impl)) +
+                         (mode == Mode::Off ? " off" : " threaded"));
+            const SystemLayout layout;
+            Memory mem(layout.codeRegionBase + 0x1000);
+            Loader loader{layout, SizeClasses::standard()};
+            loader.add(module);
+            LinkPlan plan;
+            plan.lowering = combo.lowering;
+            const LoadedImage image = loader.load(mem, plan);
+            MachineConfig config;
+            config.impl = combo.impl;
+            applyMode(config, mode);
+            Machine machine(mem, image, config);
+            LoggingProbes probes;
+            machine.setObserver(&probes);
+            machine.start("M", "main");
+            const RunResult result = machine.run();
+            EXPECT_EQ(result.reason, StopReason::Error);
+            EXPECT_NE(result.message.find("memory reference out of range"),
+                      std::string::npos)
+                << result.message;
+            logs[mode == Mode::Threaded] =
+                probes.log.str() + result.message;
+        }
+        EXPECT_EQ(logs[0], logs[1]) << implName(combo.impl);
     }
 }
 
@@ -913,10 +992,31 @@ TEST(AccelDeterminism, TracedMidBlockTrapsMatchEager)
 // Invalidation
 // ---------------------------------------------------------------------
 
-/** Drive a machine mid-run, patch bump's immediate (77 -> 5) through
- *  pokeByte, and finish. Returns the final value. */
+/** An exact sampler that patches bump's immediate (77 -> 5) through
+ *  pokeByte at its first sample, mid-run, and notes how many
+ *  superblocks had run by then. */
+struct ImmediatePatcher : CycleSampler
+{
+    Memory *mem = nullptr;
+    CodeByteAddr at = 0;
+    bool patched = false;
+    CountT execsBefore = 0;
+    void
+    onSample(const Machine &m) override
+    {
+        if (patched)
+            return;
+        mem->pokeByte(at, 5);
+        patched = true;
+        execsBefore = m.accelStats().sblockExecs;
+    }
+};
+
+/** Run the call loop with the patch landing mid-run. Returns the
+ *  final value. */
 Word
-patchMidRun(Mode mode, std::string *stats_json)
+patchMidRun(Mode mode, std::string *stats_json,
+            CountT *execs_before = nullptr)
 {
     const SystemLayout layout;
     Memory mem(layout.memWords);
@@ -927,11 +1027,6 @@ patchMidRun(Mode mode, std::string *stats_json)
     MachineConfig config;
     applyMode(config, mode);
     Machine machine(mem, image, config);
-    machine.start("M", "main", std::array<Word, 1>{Word{100}});
-
-    // Far enough that bump's decode is cached, mid-loop.
-    for (int i = 0; i < 120; ++i)
-        machine.step();
 
     // The immediate 77 appears exactly once in bump's body bytes.
     const PlacedModule &pm = image.modules().front();
@@ -943,10 +1038,18 @@ patchMidRun(Mode mode, std::string *stats_json)
             sites.push_back(a);
     }
     EXPECT_EQ(sites.size(), 1u);
-    mem.pokeByte(sites.front(), 5);
+    ImmediatePatcher patcher;
+    patcher.mem = &mem;
+    patcher.at = sites.front();
+    // Far enough into the loop that bump's superblock is warm.
+    machine.setSampler(&patcher, 1500);
+    machine.start("M", "main", std::array<Word, 1>{Word{100}});
 
     const RunResult result = machine.run();
     EXPECT_EQ(result.reason, StopReason::TopReturn);
+    EXPECT_TRUE(patcher.patched);
+    if (execs_before != nullptr)
+        *execs_before = patcher.execsBefore;
     const Word value = machine.popValue();
     if (stats_json != nullptr) {
         std::ostringstream os;
@@ -971,10 +1074,12 @@ TEST(AccelInvalidation, PokeByteMidRunDropsStaleDecode)
     // the patch landed mid-run, not before or after.
     EXPECT_NE(off, static_cast<Word>(100 * 77));
     EXPECT_NE(off, static_cast<Word>(100 * 5));
-    // The patch must take effect under acceleration (a stale cached
-    // decode of the old immediate would keep adding 77).
+    // The patch lands while bump's superblock is live, and must take
+    // effect at once (a stale block would keep adding 77).
     std::string json;
-    const Word value = patchMidRun(Mode::Threaded, &json);
+    CountT execsBefore = 0;
+    const Word value = patchMidRun(Mode::Threaded, &json, &execsBefore);
+    EXPECT_GT(execsBefore, 0u);
     EXPECT_EQ(value, off);
     EXPECT_EQ(json, off_json);
 }

@@ -92,7 +92,7 @@ runMain(Rig &rig, Word arg)
 /** Driver-shaped metrics run: attach, bracket, run, export. */
 std::string
 metricsOnce(MachineConfig config, LinkPlan plan, Word limit,
-            Tick interval)
+            Tick interval, AccelStats *accel_stats = nullptr)
 {
     Rig rig(kPrimes, config, plan);
     obs::Telemetry telemetry;
@@ -102,6 +102,8 @@ metricsOnce(MachineConfig config, LinkPlan plan, Word limit,
     telemetry.sample(*rig.machine);
     rig.machine->run();
     telemetry.sample(*rig.machine);
+    if (accel_stats != nullptr)
+        *accel_stats = rig.machine->accelStats();
 
     obs::MetricsExport meta;
     meta.driver = "test";
@@ -199,12 +201,15 @@ TEST(Telemetry, MetricsJsonByteIdenticalAcrossRunsAndAccel)
         MachineConfig off = on;
         off.accel.enabled = false;
 
-        const std::string a = metricsOnce(on, plan, 40, 2000);
+        AccelStats onStats;
+        const std::string a = metricsOnce(on, plan, 40, 2000, &onStats);
         const std::string b = metricsOnce(on, plan, 40, 2000);
         const std::string c = metricsOnce(off, plan, 40, 2000);
         EXPECT_EQ(a, b) << implName(combo.impl) << ": two runs differ";
         EXPECT_EQ(a, c) << implName(combo.impl)
                         << ": accel on/off differ";
+        // The exact sampler alone rides the superblocks.
+        EXPECT_GT(onStats.sblockExecs, 0u) << implName(combo.impl);
         EXPECT_NE(a.find("\"fpc-metrics-v1\""), std::string::npos);
         // The default document never leaks host-side counters.
         EXPECT_NE(a.find("\"accel\": null"), std::string::npos);

@@ -76,7 +76,8 @@ allCombos()
 replay::RecordLog
 recordProgram(const std::string &source, const Combo &combo,
               std::vector<Word> args, std::uint64_t timeslice = 0,
-              Tick interval = 1000, bool accel = true)
+              Tick interval = 1000, bool accel = true,
+              AccelStats *accel_stats = nullptr)
 {
     const auto modules = lang::compile(source);
 
@@ -121,6 +122,8 @@ recordProgram(const std::string &source, const Combo &combo,
     const RunResult result = machine.run();
     recorder.finish(machine, result);
     log.jobs.push_back(recorder.takeJob());
+    if (accel_stats != nullptr)
+        *accel_stats = machine.accelStats();
     return log;
 }
 
@@ -225,9 +228,12 @@ TEST(Verify, AccelOverrideIsInvisible)
     // The determinism contract: simulated numbers are byte-identical
     // with host acceleration on or off, so a recording taken with
     // accel on must verify with accel forced off — and vice versa.
+    AccelStats onStats;
     const replay::RecordLog onLog = recordProgram(
         kFibSource, {Impl::Banked, CallLowering::Direct, true}, {7},
-        0, 1000, /*accel=*/true);
+        0, 1000, /*accel=*/true, &onStats);
+    // The recorder, an exact sampler, rides the superblocks.
+    EXPECT_GT(onStats.sblockExecs, 0u);
     replay::Replayer onReplayer(parse(serialize(onLog)));
     replay::VerifyOptions forceOff;
     forceOff.accelOverride = false;
@@ -240,6 +246,12 @@ TEST(Verify, AccelOverrideIsInvisible)
     replay::VerifyOptions forceOn;
     forceOn.accelOverride = true;
     EXPECT_TRUE(offReplayer.verify(forceOn).ok);
+
+    // Both recordings hold the same digests, bar the backend they
+    // name.
+    replay::RecordLog offAsOn = offLog;
+    offAsOn.accel = true;
+    EXPECT_EQ(serialize(offAsOn), serialize(onLog));
 }
 
 TEST(Verify, CorruptDigestPinpointsIntervalAndWritesBundle)

@@ -63,10 +63,10 @@ struct Rig
     Machine machine;
 
     Rig(const std::vector<Module> &modules, const Combo &combo,
-        std::uint64_t timeslice = 0)
+        std::uint64_t timeslice = 0, bool accel = true)
         : mem(layout.memWords),
           image(load(modules, combo)),
-          machine(mem, image, config(combo, timeslice))
+          machine(mem, image, config(combo, timeslice, accel))
     {
     }
 
@@ -84,11 +84,12 @@ struct Rig
     }
 
     static MachineConfig config(const Combo &combo,
-                                std::uint64_t timeslice)
+                                std::uint64_t timeslice, bool accel)
     {
         MachineConfig c;
         c.impl = combo.impl;
         c.timesliceSteps = timeslice;
+        c.accel.enabled = accel;
         return c;
     }
 };
@@ -317,6 +318,59 @@ TEST(Preemption, DeterministicAcrossIdenticalRuns)
     run(out2, steps2);
     EXPECT_EQ(out1, out2);
     EXPECT_EQ(steps1, steps2);
+}
+
+/** Every pick a scheduler makes, stamped with the machine's steps,
+ *  then each process's steps, preemptions and yields, and the
+ *  output: all of it must read the same on both backends. */
+std::string
+scheduleLog(const std::vector<Module> &modules, const Combo &combo,
+            std::uint64_t timeslice, bool accel, AccelStats &accel_stats)
+{
+    Rig rig(modules, combo, timeslice, accel);
+    sched::Scheduler sched(rig.machine);
+    std::ostringstream log;
+    sched.setPickHook([&log](std::uint64_t step, unsigned pid) {
+        log << step << ":" << pid << " ";
+    });
+    const bool fib = timeslice != 0;
+    for (const Word arg : {Word{1}, Word{2}})
+        sched.spawn(fib ? "Fib" : "Procs", fib ? "main" : "worker",
+                    std::array<Word, 1>{fib ? Word(arg + 7) : arg});
+    EXPECT_EQ(sched.runAll().reason, StopReason::TopReturn);
+    log << "| ";
+    for (unsigned pid = 0; pid < 2; ++pid) {
+        const sched::Process &p = sched.process(pid);
+        log << p.stepsRun << "/" << p.preemptions << "/" << p.yields
+            << " ";
+    }
+    for (const Word w : rig.machine.output())
+        log << w << ",";
+    accel_stats = rig.machine.accelStats();
+    return log.str();
+}
+
+TEST(Preemption, PickStampsMatchEagerOnTheThreadedLoop)
+{
+    // A scheduler hook stamps its decisions with the machine's step
+    // count (recordings do the same), so a YIELD's hook and a
+    // timeslice switch must read eager steps while the threaded loop
+    // runs superblocks around them.
+    for (const Combo &combo : allCombos()) {
+        for (const std::uint64_t timeslice : {0u, 37u}) {
+            SCOPED_TRACE(std::string(implName(combo.impl)) +
+                         " timeslice " + std::to_string(timeslice));
+            const auto &modules =
+                timeslice != 0 ? fibTracer() : yieldingWorkers();
+            AccelStats eagerStats, threadedStats;
+            const std::string eager = scheduleLog(
+                modules, combo, timeslice, false, eagerStats);
+            const std::string threaded = scheduleLog(
+                modules, combo, timeslice, true, threadedStats);
+            EXPECT_EQ(eager, threaded);
+            EXPECT_GT(threadedStats.sblockExecs, 0u);
+        }
+    }
 }
 
 TEST(RetainedRoots, SchedulerReclaimsRootFramesExplicitly)

@@ -2,8 +2,7 @@
  * @file
  * The drivers' option table (tools/cli.hh): checked values, the
  * shared engine and linkage tables, duplicate registration, the
- * generated help, and the RuntimeConfig and forced-eager rule the
- * flags imply.
+ * generated help, and the RuntimeConfig the flags imply.
  *
  * Values that would ask a driver for billions of threads, jobs or
  * banks (--workers=-1 and friends) are tested here, through the
@@ -194,32 +193,26 @@ TEST(CliParser, ChecksRunAfterEveryFlag)
               Status::Bad);
     EXPECT_NE(r.why.find("--record-out"), std::string::npos);
 
-    // The exact profiler is an observer: it runs on the threaded loop.
+    // The exact profiler is an observer; the sampled one replaces it.
     Rig folded;
     ASSERT_EQ(folded.parse({"--profile-folded=f.txt"}), Status::Ok);
     EXPECT_TRUE(folded.c.profile);
-    EXPECT_FALSE(folded.c.forcesEager());
-
-    Rig traced;
-    ASSERT_EQ(traced.parse({"--trace-out=t.json"}), Status::Ok);
-    EXPECT_FALSE(traced.c.forcesEager());
 
     // A postmortem bundle's telemetry is an exact sampler unless
     // sampled.
     Rig bundle;
     ASSERT_EQ(bundle.parse({"--postmortem-dir=pm"}), Status::Ok);
-    EXPECT_TRUE(bundle.c.forcesEager());
+    EXPECT_FALSE(bundle.c.telemetrySampled);
     Rig sampledBundle;
     ASSERT_EQ(sampledBundle.parse({"--postmortem-dir=pm",
                                    "--telemetry-mode=sampled"}),
               Status::Ok);
-    EXPECT_FALSE(sampledBundle.c.forcesEager());
+    EXPECT_TRUE(sampledBundle.c.telemetrySampled);
 
     Rig sampled;
     ASSERT_EQ(sampled.parse({"--profile-folded=f.txt", "--profile-sampled"}),
               Status::Ok);
     EXPECT_FALSE(sampled.c.profile);
-    EXPECT_FALSE(sampled.c.forcesEager());
 }
 
 TEST(CliParser, DuplicateNamePanics)
@@ -261,27 +254,28 @@ TEST(CliParser, HelpListsEveryFlagOnce)
 TEST(CliReports, ProfileTopSetsOnlyTheRowCount)
 {
     // The row count must not attach the exact profiler: that would
-    // print a second table and drop a sampled run to the eager loop.
+    // print a second table.
     Rig r;
     ASSERT_EQ(r.parse({"--profile-sampled", "--profile-top=3"}),
               Status::Ok);
     EXPECT_EQ(r.c.profileTop, 3u);
     EXPECT_TRUE(r.c.profileSampled);
     EXPECT_FALSE(r.c.profile);
-    EXPECT_FALSE(r.c.forcesEager());
     EXPECT_FALSE(cli::runtimeConfig(r.c).profile);
 }
 
-TEST(CliReports, PreemptionForcesTheEagerLoop)
+TEST(CliReports, TimesliceReachesTheRuntimeConfig)
 {
-    // Machine::run() steps every preemptible job eagerly, so the
-    // forced-eager warning must cover --timeslice.
+    // --timeslice arms preemption on every job's machine, which runs
+    // it on the threaded loop like any other run.
     Rig r;
     ASSERT_EQ(r.parse({"--timeslice=1000"}), Status::Ok);
-    EXPECT_TRUE(r.c.forcesEager());
+    EXPECT_EQ(r.c.machine.timesliceSteps, 1000u);
+    EXPECT_EQ(cli::runtimeConfig(r.c).machine.timesliceSteps, 1000u);
+    EXPECT_TRUE(cli::runtimeConfig(r.c).machine.accel.enabled);
     Rig plain;
     ASSERT_EQ(plain.parse({}), Status::Ok);
-    EXPECT_FALSE(plain.c.forcesEager());
+    EXPECT_EQ(cli::runtimeConfig(plain.c).machine.timesliceSteps, 0u);
 }
 
 TEST(CliReports, RuntimeConfigFollowsTheFlags)

@@ -243,16 +243,6 @@ Parser::usage(const std::string &why) const
     std::exit(2);
 }
 
-bool
-Common::forcesEager() const
-{
-    // A postmortem bundle carries the final telemetry sample, so
-    // --postmortem-dir attaches telemetry too (see runtimeConfig).
-    return !recordOut.empty() || machine.timesliceSteps > 0 ||
-           ((metricsWanted() || !postmortemDir.empty()) &&
-            !telemetrySampled);
-}
-
 void
 addGroups(Parser &p, Common &c, unsigned groups)
 {
@@ -324,11 +314,12 @@ addGroups(Parser &p, Common &c, unsigned groups)
                    "series per worker", text(c.metricsOut)}},
         {Observe, {"--metrics-interval", "N", "cycles between samples" +
                    dflt(c.metricsInterval), number(c.metricsInterval)}},
-        {Observe, {"--telemetry-mode", "exact|sampled", "exact: "
-                   "cycle-precise sampler, also for the telemetry "
-                   "--postmortem-dir adds (forces the eager loop; "
-                   "default). sampled: bounded-slop boundary samples, "
-                   "threaded loop kept",
+        {Observe, {"--telemetry-mode", "exact|sampled", "exact "
+                   "(default; also for the telemetry --postmortem-dir "
+                   "adds): samples land at instruction boundaries, "
+                   "identical on both backends. sampled: samples land "
+                   "at superblock exits, up to one block late, and "
+                   "cost less",
                    choice(c.telemetrySampled,
                           Choices<bool>{{"exact", false},
                                         {"sampled", true}})}},
@@ -454,19 +445,6 @@ attachProbes(const char *driver, const Common &c,
         std::exit(2);
     }
     return &registry;
-}
-
-void
-warnIfForcedEager(const char *driver, const Common &c)
-{
-    if (c.machine.accel.enabled && c.forcesEager())
-        warn("{}: exact metrics (--metrics-out, --openmetrics-out, or the "
-             "telemetry --postmortem-dir adds), recording (--record-out) "
-             "or preemption (--timeslice) forces the eager loop; "
-             "--accel=threaded keeps only its predecoded instruction "
-             "cache and XFER link caches. --telemetry-mode=sampled keeps "
-             "the threaded loop, as traces, profiles and probes do",
-             driver);
 }
 
 obs::StatsExport

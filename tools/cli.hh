@@ -12,8 +12,7 @@
  * file and picking its entry, the sched::RuntimeConfig every program
  * runs under (fpcvm and `fpcreplay record` run a one-job batch), the
  * reports written from a finished Runtime, the fpc-record-v1
- * recording, the forced-eager warning, and the --stats and
- * --accel-stats printouts.
+ * recording, and the --stats and --accel-stats printouts.
  */
 
 #pragma once
@@ -229,12 +228,6 @@ struct Common
     {
         return !metricsOut.empty() || !openmetricsOut.empty();
     }
-
-    /** An exact sampler (exact metrics, including the telemetry a
-     *  postmortem bundle needs, or a recording) or preemption will run
-     *  the machine on the eager loop. Observers (traces, profiles,
-     *  probes, postmortem flight recorders) do not. */
-    bool forcesEager() const;
 };
 
 /** Adds the flags of every group in `groups`, writing into c. */
@@ -270,11 +263,6 @@ sched::RuntimeConfig runtimeConfig(const Common &c);
  *  exit 2. Returns the registry, or null when no probe was given. */
 obs::ProbeRegistry *attachProbes(const char *driver, const Common &c,
                                  obs::ProbeRegistry &registry);
-
-/** Says once, up front, that exact sampling or preemption runs the
- *  eager loop, rather than letting an accelerated run silently lose
- *  its speedup. */
-void warnIfForcedEager(const char *driver, const Common &c);
 
 /** The stats document's fields both batch drivers fill: driver,
  *  engine, and the merged machine, memory, heap and (with

@@ -98,7 +98,6 @@ try {
     rc.driver = "fpcrun";
     obs::ProbeRegistry probes;
     rc.probes = cli::attachProbes("fpcrun", opt, probes);
-    cli::warnIfForcedEager("fpcrun", opt);
     // Batch spans: the runtime synthesizes request ⊃ queued ⊃ execute
     // trees per job (host time only — simulated numbers untouched).
     std::unique_ptr<obs::SpanCollector> spans;

@@ -146,8 +146,6 @@ parseArgs(int argc, char **argv)
     }
     sc.spans = !opt.spansOut.empty() || !opt.traceOut.empty();
     sc.trace = !opt.traceOut.empty();
-    // Spans are host-time only and force nothing.
-    cli::warnIfForcedEager("fpcserve", opt);
     return opt;
 }
 

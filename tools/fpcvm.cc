@@ -129,7 +129,6 @@ try {
     rc.driver = "fpcvm";
     obs::ProbeRegistry probes;
     rc.probes = cli::attachProbes("fpcvm", opt, probes);
-    cli::warnIfForcedEager("fpcvm", opt);
     sched::Runtime runtime(rc);
     runtime.submit({program.modules, program.entryModule, opt.entryProc,
                     opt.args});
