@@ -682,6 +682,7 @@ Machine::threadedLoopT(std::uint64_t &steps)
     // where the pending deltas are constant), so nothing moves.
     Word *const memBase = mem_.raw();
     const std::size_t memSize = mem_.size();
+    const std::size_t storeEnd = mem_.storeEnd();
     Word *const stackBase = stack_.data();
     const unsigned stackCap = stackCap_;
     Addr lf = 0;
@@ -824,7 +825,7 @@ Machine::threadedLoopT(std::uint64_t &steps)
             acc->flushLinks();
         if (dcache != nullptr)
             stats_.cycles += dcache->access(addr, true);
-        if (addr >= memSize) [[unlikely]] {
+        if (addr >= storeEnd) [[unlikely]] {
             if (dcache == nullptr)
                 stats_.cycles += memCyc;
             mem_.writeUncounted(addr, value); // the accounted panic

@@ -589,6 +589,10 @@ Machine::dispatchContext(Word ctx_word, XferKind kind, bool followable,
         trap(6, "XFER to NIL context");
         return;
     }
+    if (!layout_.isFrameAddr(ctx.framePtr)) [[unlikely]] {
+        trap(11, "XFER to a context outside the frame region");
+        return;
+    }
     const Word ret_ctx = currentFrameContext();
     unusualXfer();
     saveCurrentPc();
@@ -747,6 +751,12 @@ Machine::doReturn()
     const Context ctx = unpackContext(ret_link, layout_);
     if (ctx.tag == Context::Tag::Proc) {
         trap(9, "return link holds a procedure descriptor");
+        return;
+    }
+    // The region check in one compare: a frame context unpacks to a
+    // frame pointer above frameBase, and NIL to 0.
+    if (ctx.framePtr >= layout_.frameEnd) [[unlikely]] {
+        trap(11, "XFER to a context outside the frame region");
         return;
     }
 

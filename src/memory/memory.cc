@@ -1,7 +1,11 @@
 #include "memory/memory.hh"
 
 #include <algorithm>
+#include <cstring>
+#include <new>
 #include <ostream>
+
+#include <sys/mman.h>
 
 #include "common/logging.hh"
 
@@ -33,18 +37,56 @@ MemoryStats::merge(const MemoryStats &other)
     codeBytes += other.codeBytes;
 }
 
-Memory::Memory(std::size_t words) : store_(words, 0), words_(words)
+Memory::Memory(std::size_t words)
+    : words_(words), storeEnd_(std::min(words, dataSpaceWords))
 {
     if (words == 0)
         panic("Memory: zero size");
+    // Not calloc: once glibc has freed one store this size it serves
+    // the next from its heap, and calloc then clears every page of it.
+    // A mapping of its own starts as zero pages that cost nothing
+    // until written, and its pages go back to the system with it.
+    const std::size_t bytes = words * sizeof(Word);
+    void *p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED)
+        throw std::bad_alloc();
+    store_ = {static_cast<Word *>(p), UnmapStore{bytes}};
     stats_.words = words;
 }
 
 void
-Memory::addrPanic(Addr addr) const
+UnmapStore::operator()(Word *p) const
 {
-    fatal("memory reference out of range: {} >= {}", addr,
-          store_.size());
+    ::munmap(p, bytes);
+}
+
+Memory::Memory(const Memory &other) : Memory(other.words_)
+{
+    *this = other;
+}
+
+Memory &
+Memory::operator=(const Memory &other)
+{
+    if (this == &other)
+        return *this;
+    if (words_ != other.words_)
+        *this = Memory(other.words_);
+    // Both stores are zero from dirtyEnd() up.
+    const std::size_t n = std::max(dirtyEnd(), other.dirtyEnd());
+    std::memcpy(store_.get(), other.store_.get(), n * sizeof(Word));
+    storeEnd_ = other.storeEnd_;
+    pokeEnd_ = other.pokeEnd_;
+    stats_ = other.stats_;
+    codeEpoch_ = other.codeEpoch_;
+    return *this;
+}
+
+void
+Memory::addrPanic(Addr addr, std::size_t bound)
+{
+    fatal("memory reference out of range: {} >= {}", addr, bound);
 }
 
 std::uint8_t
@@ -64,7 +106,15 @@ Memory::peek(Addr addr) const
 void
 Memory::clear()
 {
-    std::fill(store_.begin(), store_.end(), 0);
+    // Only two kinds of write exist: simulated stores, which cannot
+    // reach storeEnd_ (checkStore and the threaded loop's store
+    // compare), and pokes, which pokeEnd_ bounds. Every word at or
+    // above max(storeEnd_, pokeEnd_) is therefore still the zero the
+    // mapping started with, so zeroing below that bound leaves the
+    // store word-for-word a fresh Memory: 128 KB plus the last image's
+    // code span, not the whole store.
+    std::memset(store_.get(), 0, dirtyEnd() * sizeof(Word));
+    pokeEnd_ = 0;
     ++codeEpoch_;
 }
 
@@ -72,7 +122,7 @@ void
 Memory::poke(Addr addr, Word value)
 {
     checkAddr(addr);
-    ++codeEpoch_;
+    notePoke(addr);
     store_[addr] = value;
 }
 
@@ -94,7 +144,7 @@ Memory::pokeByte(CodeByteAddr byte_addr, std::uint8_t value)
 {
     const Addr word_addr = byte_addr / wordBytes;
     checkAddr(word_addr);
-    ++codeEpoch_;
+    notePoke(word_addr);
     Word w = store_[word_addr];
     if (byte_addr % wordBytes == 0)
         w = static_cast<Word>((w & 0x00FF) | (value << 8));

@@ -12,10 +12,11 @@
 #ifndef FPC_MEMORY_MEMORY_HH
 #define FPC_MEMORY_MEMORY_HH
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
+#include <memory>
 #include <string>
-#include <vector>
 
 #include "common/types.hh"
 #include "stats/stats.hh"
@@ -58,14 +59,46 @@ struct MemoryStats
     void merge(const MemoryStats &other);
 };
 
-/** Flat simulated main storage. */
+/** Releases a Memory's store: an anonymous mapping of `bytes`. */
+struct UnmapStore
+{
+    std::size_t bytes = 0;
+    void operator()(Word *p) const;
+};
+
+/**
+ * Flat simulated main storage.
+ *
+ * Two bounds. Reads (and the unaccounted poke/peek) reach the whole
+ * store, [0, size()). Simulated stores — write(), writeUncounted() and
+ * the threaded loop's hoisted store compare — land below storeEnd(),
+ * the data-space end min(size(), 2^16): a data pointer is a 16-bit
+ * word, so a store at or past 2^16 (a WRITEF offset carried past
+ * 0xFFFF) would reach the code region without moving the code epoch.
+ * It is the usual storage panic instead. Only poke/pokeByte (loader,
+ * relocator, test patching) write above storeEnd(); they record the
+ * highest word they wrote, and clear() zeroes only the words below
+ * the higher of that mark and storeEnd(): no other word can be
+ * nonzero.
+ */
 class Memory
 {
   public:
-    /** Construct a memory of the given size in 16-bit words. */
+    /** Words a data pointer can address: one machine word's worth. */
+    static constexpr std::size_t dataSpaceWords = std::size_t{1} << 16;
+
+    /** Construct a zeroed memory of the given size in 16-bit words.
+     *  The store is its own anonymous mapping: fresh zero pages, of
+     *  which only those written ever become resident. */
     explicit Memory(std::size_t words);
+    Memory(const Memory &other);
+    Memory &operator=(const Memory &other);
+    Memory(Memory &&) noexcept = default;
+    Memory &operator=(Memory &&) noexcept = default;
 
     std::size_t size() const { return words_; }
+    /** First word a simulated store cannot reach. */
+    std::size_t storeEnd() const { return storeEnd_; }
 
     /** Accounted word read. Inline: every interpreted instruction
      *  makes one or more of these. */
@@ -78,11 +111,11 @@ class Memory
         return store_[addr];
     }
 
-    /** Accounted word write. */
+    /** Accounted word write, below storeEnd(). */
     [[gnu::always_inline]] void
     write(Addr addr, Word value, AccessKind kind)
     {
-        checkAddr(addr);
+        checkStore(addr);
         ++stats_.writes[static_cast<std::size_t>(kind)];
         ++stats_.totalRefs;
         store_[addr] = value;
@@ -102,9 +135,9 @@ class Memory
      * Any unaccounted write (poke/pokeByte — the loader, relocator,
      * and test patching all go through these) advances the epoch, and
      * the machine's acceleration caches flush when they see it move.
-     * Accounted writes are the simulated program's own stores and are
-     * handled separately (they can never reach the code region: data
-     * pointers are 16-bit words, the code region starts at word 2^16).
+     * Accounted writes are the simulated program's own stores and
+     * cannot reach the code region: they panic at storeEnd(), and the
+     * code region starts at word 2^16.
      * @{ */
     std::uint64_t codeEpoch() const { return codeEpoch_; }
     void invalidateCode() { ++codeEpoch_; }
@@ -143,16 +176,17 @@ class Memory
         return store_[addr];
     }
 
-    /** The raw store, for hosts that also hoist the bounds check:
+    /** The raw store, for hosts that also hoist the bounds checks:
      *  the store never moves or resizes after construction, so a
-     *  cached pointer + size() check is exactly read()/write()'s
-     *  checked access. Out-of-range addresses must go through
+     *  cached pointer + size() check for reads and + storeEnd() check
+     *  for stores is exactly read()/write()'s checked access.
+     *  Out-of-range addresses must go through
      *  readUncounted/writeUncounted for the accounted panic. */
-    Word *raw() { return store_.data(); }
+    Word *raw() { return store_.get(); }
     void
     writeUncounted(Addr addr, Word value)
     {
-        checkAddr(addr);
+        checkStore(addr);
         store_[addr] = value;
     }
     /** @} */
@@ -164,10 +198,10 @@ class Memory
     CountT totalRefs() const { return stats_.totalRefs; }
     CountT codeByteFetches() const { return stats_.codeBytes; }
 
-    /** Zero the whole store and advance the code epoch, returning the
-     *  memory to its just-constructed contents. Lets a long-lived
-     *  worker reuse one allocation across jobs with simulated state
-     *  indistinguishable from a fresh Memory. */
+    /** Return the store to its just-constructed contents and advance
+     *  the code epoch. Lets a long-lived worker reuse one allocation
+     *  across jobs with simulated state indistinguishable from a
+     *  fresh Memory, at the cost of the words that can be nonzero. */
     void clear();
 
     void resetStats();
@@ -178,14 +212,35 @@ class Memory
     checkAddr(Addr addr) const
     {
         if (addr >= words_) [[unlikely]]
-            addrPanic(addr);
+            addrPanic(addr, words_);
+    }
+    void
+    checkStore(Addr addr) const
+    {
+        if (addr >= storeEnd_) [[unlikely]]
+            addrPanic(addr, storeEnd_);
+    }
+    /** Words that can be nonzero: [0, dirtyEnd()). */
+    std::size_t dirtyEnd() const { return std::max(storeEnd_, pokeEnd_); }
+    /** Record an unaccounted write for clear(). */
+    void
+    notePoke(Addr addr)
+    {
+        ++codeEpoch_;
+        if (addr >= pokeEnd_)
+            pokeEnd_ = addr + 1;
     }
 
-    [[noreturn]] void addrPanic(Addr addr) const;
+    [[noreturn]] static void addrPanic(Addr addr, std::size_t bound);
 
-    std::vector<Word> store_;
-    /** store_.size(), held apart: every accounted access checks it. */
+    std::unique_ptr<Word[], UnmapStore> store_;
+    /** Store size; every accounted read checks it. */
     std::size_t words_;
+    /** min(words_, dataSpaceWords); every accounted store checks it. */
+    std::size_t storeEnd_;
+    /** One past the highest word poke/pokeByte wrote since the last
+     *  clear(). */
+    std::size_t pokeEnd_ = 0;
     MemoryStats stats_;
     std::uint64_t codeEpoch_ = 0;
 };

@@ -29,6 +29,10 @@ spanKindName(SpanKind kind)
         return "execute";
     case SpanKind::Reply:
         return "reply";
+    case SpanKind::Prepare:
+        return "prepare";
+    case SpanKind::Run:
+        return "run";
     }
     return "?";
 }
@@ -83,6 +87,22 @@ SpanCollector::tenantNames() const
     return tenants_;
 }
 
+Span &
+SpanCollector::slot(OpenState &st, SpanKind kind)
+{
+    if (kind == SpanKind::Request)
+        return st.request;
+    return isExecuteStep(kind) ? st.step : st.phase;
+}
+
+bool &
+SpanCollector::flag(OpenState &st, SpanKind kind)
+{
+    if (kind == SpanKind::Request)
+        return st.haveRequest;
+    return isExecuteStep(kind) ? st.haveStep : st.havePhase;
+}
+
 void
 SpanCollector::begin(SpanKind kind, std::uint64_t id,
                      SpanTrack trackKind, std::uint32_t track,
@@ -101,20 +121,18 @@ SpanCollector::begin(SpanKind kind, std::uint64_t id,
 
     std::lock_guard<std::mutex> lock(mutex_);
     OpenState &st = open_[id];
-    if (kind == SpanKind::Request) {
-        if (st.haveRequest)
-            faultLocked(id, kind, "double begin of request span");
-        st.haveRequest = true;
-        st.request = span;
-    } else {
-        if (st.havePhase)
-            faultLocked(id, kind,
-                        strfmt("begin of {} while {} is still open",
-                               spanKindName(kind),
-                               spanKindName(st.phase.kind)));
-        st.havePhase = true;
-        st.phase = span;
-    }
+    if (flag(st, kind))
+        faultLocked(id, kind,
+                    strfmt("begin of {} while {} is still open",
+                           spanKindName(kind),
+                           spanKindName(slot(st, kind).kind)));
+    if (isExecuteStep(kind) &&
+        !(st.havePhase && st.phase.kind == SpanKind::Execute))
+        faultLocked(id, kind,
+                    strfmt("begin of {} outside execute",
+                           spanKindName(kind)));
+    flag(st, kind) = true;
+    slot(st, kind) = span;
 }
 
 void
@@ -123,28 +141,34 @@ SpanCollector::end(SpanKind kind, std::uint64_t id, std::int64_t endNs,
 {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = open_.find(id);
-    const bool match = it != open_.end() &&
-                       (kind == SpanKind::Request
-                            ? it->second.haveRequest
-                            : it->second.havePhase &&
-                                  it->second.phase.kind == kind);
-    if (!match) {
+    if (it == open_.end() || !flag(it->second, kind) ||
+        slot(it->second, kind).kind != kind) {
         faultLocked(id, kind,
                     strfmt("end of {} without matching begin",
                            spanKindName(kind)));
         return;
     }
-    Span &span = kind == SpanKind::Request ? it->second.request
-                                           : it->second.phase;
+    OpenState &st = it->second;
+    if (kind == SpanKind::Execute && st.haveStep) {
+        faultLocked(id, kind,
+                    strfmt("end of execute while {} is still open",
+                           spanKindName(st.step.kind)));
+        closeLocked(st, st.step.kind, endNs, false);
+    }
+    closeLocked(st, kind, endNs, ok);
+    if (!st.haveRequest && !st.havePhase && !st.haveStep)
+        open_.erase(it);
+}
+
+void
+SpanCollector::closeLocked(OpenState &st, SpanKind kind,
+                           std::int64_t endNs, bool ok)
+{
+    Span &span = slot(st, kind);
     span.endNs = endNs;
     span.ok = ok;
     recordLocked(span);
-    if (kind == SpanKind::Request)
-        it->second.haveRequest = false;
-    else
-        it->second.havePhase = false;
-    if (!it->second.haveRequest && !it->second.havePhase)
-        open_.erase(it);
+    flag(st, kind) = false;
 }
 
 void
@@ -155,8 +179,7 @@ SpanCollector::end(SpanKind kind, std::uint64_t id, std::int64_t endNs,
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = open_.find(id);
         if (it != open_.end()) {
-            Span &span = kind == SpanKind::Request ? it->second.request
-                                                   : it->second.phase;
+            Span &span = slot(it->second, kind);
             span.trackKind = trackKind;
             span.track = track;
         }
@@ -171,12 +194,11 @@ SpanCollector::endPhase(std::uint64_t id, std::int64_t endNs, bool ok)
     auto it = open_.find(id);
     if (it == open_.end() || !it->second.havePhase)
         return false;
-    Span &span = it->second.phase;
-    span.endNs = endNs;
-    span.ok = ok;
-    recordLocked(span);
-    it->second.havePhase = false;
-    if (!it->second.haveRequest)
+    OpenState &st = it->second;
+    if (st.haveStep)
+        closeLocked(st, st.step.kind, endNs, ok);
+    closeLocked(st, st.phase.kind, endNs, ok);
+    if (!st.haveRequest)
         open_.erase(it);
     return true;
 }
@@ -192,6 +214,8 @@ SpanCollector::endPhase(std::uint64_t id, std::int64_t endNs, bool ok,
             return false;
         it->second.phase.trackKind = trackKind;
         it->second.phase.track = track;
+        it->second.step.trackKind = trackKind;
+        it->second.step.track = track;
     }
     return endPhase(id, endNs, ok);
 }
@@ -318,6 +342,7 @@ checkSpans(const SpanCollector &spans, std::int64_t slackNs)
         bool haveRequest = false;
         Span request;
         std::vector<Span> phases;
+        std::vector<Span> steps;
     };
     std::map<std::uint64_t, Tree> trees;
     for (const Span &s : spans.spans()) {
@@ -328,22 +353,25 @@ checkSpans(const SpanCollector &spans, std::int64_t slackNs)
                     s.id, s.kind, "duplicate completed request span"});
             t.haveRequest = true;
             t.request = s;
+        } else if (isExecuteStep(s.kind)) {
+            t.steps.push_back(s);
         } else {
             t.phases.push_back(s);
         }
     }
 
-    for (auto &[id, t] : trees) {
-        std::sort(t.phases.begin(), t.phases.end(),
+    // Siblings must not overlap and must come in canonical order.
+    const auto checkOrder = [&out](std::uint64_t id,
+                                   std::vector<Span> &sibs) {
+        std::sort(sibs.begin(), sibs.end(),
                   [](const Span &a, const Span &b) {
                       return a.startNs != b.startNs
                                  ? a.startNs < b.startNs
                                  : a.kind < b.kind;
                   });
-        // Phases must not overlap and must come in canonical order.
-        for (std::size_t i = 1; i < t.phases.size(); ++i) {
-            const Span &prev = t.phases[i - 1];
-            const Span &cur = t.phases[i];
+        for (std::size_t i = 1; i < sibs.size(); ++i) {
+            const Span &prev = sibs[i - 1];
+            const Span &cur = sibs[i];
             if (cur.startNs < prev.endNs)
                 out.push_back(SpanFault{
                     id, cur.kind,
@@ -355,6 +383,46 @@ checkSpans(const SpanCollector &spans, std::int64_t slackNs)
                     strfmt("{} out of canonical order after {}",
                            spanKindName(cur.kind),
                            spanKindName(prev.kind))});
+        }
+    };
+    // Whether the sorted spans tile [start, end] with no gap.
+    const auto partitions = [slackNs](const std::vector<Span> &parts,
+                                      std::int64_t start,
+                                      std::int64_t end) {
+        std::int64_t cursor = start;
+        for (const Span &p : parts) {
+            if (std::llabs(p.startNs - cursor) > slackNs)
+                return false;
+            cursor = p.endNs;
+        }
+        return std::llabs(cursor - end) <= slackNs;
+    };
+
+    for (auto &[id, t] : trees) {
+        checkOrder(id, t.phases);
+        checkOrder(id, t.steps);
+        const auto exec = std::find_if(
+            t.phases.begin(), t.phases.end(), [](const Span &p) {
+                return p.kind == SpanKind::Execute;
+            });
+        if (exec == t.phases.end()) {
+            if (!truncated && !t.steps.empty())
+                out.push_back(SpanFault{id, t.steps.front().kind,
+                                        "step without execute span"});
+        } else {
+            for (const Span &p : t.steps)
+                if (p.startNs < exec->startNs || p.endNs > exec->endNs)
+                    out.push_back(SpanFault{
+                        id, p.kind,
+                        strfmt("{} outside execute bounds",
+                               spanKindName(p.kind))});
+            if (!truncated && exec->ok && !t.steps.empty() &&
+                (t.steps.size() != 2 ||
+                 t.steps[0].kind != SpanKind::Prepare ||
+                 !partitions(t.steps, exec->startNs, exec->endNs)))
+                out.push_back(SpanFault{
+                    id, SpanKind::Execute,
+                    "prepare and run do not partition execute"});
         }
         if (!t.haveRequest) {
             // Without truncation every phase belongs to a completed
@@ -387,20 +455,12 @@ checkSpans(const SpanCollector &spans, std::int64_t slackNs)
                        t.phases.size())});
             continue;
         }
-        std::int64_t cursor = t.request.startNs;
         std::int64_t sum = 0;
-        bool contiguous = true;
-        for (const Span &p : t.phases) {
-            if (std::llabs(p.startNs - cursor) > slackNs)
-                contiguous = false;
-            cursor = p.endNs;
+        for (const Span &p : t.phases)
             sum += p.endNs - p.startNs;
-        }
-        if (std::llabs(cursor - t.request.endNs) > slackNs)
-            contiguous = false;
         const std::int64_t requestDur =
             t.request.endNs - t.request.startNs;
-        if (!contiguous)
+        if (!partitions(t.phases, t.request.startNs, t.request.endNs))
             out.push_back(SpanFault{
                 id, SpanKind::Request,
                 strfmt("phases do not partition the request span "
@@ -563,7 +623,16 @@ void
 writeSpansPerfetto(std::ostream &os, const SpanCollector &spans,
                    const std::vector<const Tracer *> &xferTracks)
 {
-    const std::vector<Span> all = spans.spans();
+    // Spans are retained in completion order, children before their
+    // parents; a viewer nests "X" slices on one tid by start, so write
+    // them in start order, the longer (the parent) first on a tie.
+    std::vector<Span> all = spans.spans();
+    std::stable_sort(all.begin(), all.end(),
+                     [](const Span &a, const Span &b) {
+                         return a.startNs != b.startNs
+                                    ? a.startNs < b.startNs
+                                    : a.endNs > b.endNs;
+                     });
     const std::vector<std::string> tenants = spans.tenantNames();
     const std::int64_t epoch = spans.epochNs();
 

@@ -4,19 +4,22 @@
  *
  * A span is one bracketed interval of host (wall-clock) time in the
  * life of a request: the enclosing `request` span plus the phases
- * `admission`, `queued`, `dispatch`, `execute` and `reply`. The server
- * brackets the serve-side phases, sched::Runtime brackets `execute`
- * (and closes `dispatch`/`queued` at execution start, re-homing the
- * span to the worker that actually runs the job — under work stealing
- * that is the *stealing* worker's track, deterministically: a span
- * always lands on the track of JobResult::worker).
+ * `admission`, `queued`, `dispatch`, `execute` and `reply`, and
+ * inside `execute` its two steps `prepare` (store reset, image load,
+ * Machine build) and `run`. The server brackets the serve-side
+ * phases, sched::Runtime brackets `execute` and its steps (and closes
+ * `dispatch`/`queued` at execution start, re-homing the span to the
+ * worker that actually runs the job — under work stealing that is the
+ * *stealing* worker's track, deterministically: a span always lands
+ * on the track of JobResult::worker).
  *
  * Spans follow StkTokens-style well-bracketing discipline: every
  * begin() must be matched by exactly one end(); for every request at
- * most one phase is open at a time; a completed request's phases
- * partition [request.start, request.end] exactly — adjacent phases
- * share a boundary timestamp, so the phase durations sum to the
- * request duration with zero slack. checkSpans() verifies this and
+ * most one phase, and inside `execute` at most one step, is open at a
+ * time; a completed request's phases partition [request.start,
+ * request.end] exactly, and a completed ok `execute`'s steps partition
+ * it — adjacent spans share a boundary timestamp, so durations sum to
+ * the parent's with zero slack. checkSpans() verifies this and
  * writeSpanPostmortem() turns violations into a PR 4 style
  * fpc-postmortem-v1 bundle (kind "span-bracketing").
  *
@@ -49,7 +52,8 @@
 namespace fpc::obs
 {
 
-/** Span kinds, in canonical phase order (Request is the parent). */
+/** Span kinds, in canonical order: Request is the parent, Admission
+ *  through Reply its phases, Prepare and Run the steps of Execute. */
 enum class SpanKind : std::uint8_t
 {
     Request,
@@ -58,9 +62,18 @@ enum class SpanKind : std::uint8_t
     Dispatch,
     Execute,
     Reply,
+    Prepare,
+    Run,
 };
 
 const char *spanKindName(SpanKind kind);
+
+/** True for the steps that partition an Execute phase. */
+inline bool
+isExecuteStep(SpanKind kind)
+{
+    return kind == SpanKind::Prepare || kind == SpanKind::Run;
+}
 
 /** Which kind of Perfetto track a span is drawn on. */
 enum class SpanTrack : std::uint8_t
@@ -141,7 +154,8 @@ class SpanCollector
     std::vector<std::string> tenantNames() const;
 
     /** Open a span. For phases the protocol is: at most one phase of
-     *  a request open at any time (checked; violations fault). */
+     *  a request open at any time, and a step only inside an open
+     *  Execute, one at a time (checked; violations fault). */
     void begin(SpanKind kind, std::uint64_t id, SpanTrack trackKind,
                std::uint32_t track, std::uint32_t tenant,
                std::int64_t startNs, std::uint64_t traceId = 0,
@@ -159,8 +173,9 @@ class SpanCollector
              bool ok, SpanTrack trackKind, std::uint32_t track);
 
     /** Close whichever phase (non-Request) span is open for id, if
-     *  any; returns false (silently — callers use this on paths where
-     *  the open phase's kind is unknowable) when none is open. */
+     *  any, and first the step open inside it; returns false
+     *  (silently — callers use this on paths where the open phase's
+     *  kind is unknowable) when none is open. */
     bool endPhase(std::uint64_t id, std::int64_t endNs, bool ok = true);
     bool endPhase(std::uint64_t id, std::int64_t endNs, bool ok,
                   SpanTrack trackKind, std::uint32_t track);
@@ -191,10 +206,19 @@ class SpanCollector
     {
         bool haveRequest = false;
         bool havePhase = false;
+        bool haveStep = false;
         Span request;
         Span phase;
+        Span step;
     };
 
+    /** The open span a kind names. */
+    static Span &slot(OpenState &st, SpanKind kind);
+    static bool &flag(OpenState &st, SpanKind kind);
+
+    /** Record the open span of kind and mark it closed. */
+    void closeLocked(OpenState &st, SpanKind kind, std::int64_t endNs,
+                     bool ok);
     void recordLocked(const Span &span);
     void faultLocked(std::uint64_t id, SpanKind kind, std::string what);
 
@@ -222,7 +246,11 @@ class SpanCollector
  *    they partition [start, end] exactly: adjacent phases share their
  *    boundary timestamp, so durations sum to the request duration
  *    with slackNs tolerance (0 by default — the bracketing uses
- *    shared timestamps, not re-read clocks).
+ *    shared timestamps, not re-read clocks);
+ *  - steps lie within their Execute phase, in order, and an ok
+ *    Execute that has steps has exactly Prepare then Run,
+ *    partitioning it the same way (sched::Runtime always writes
+ *    both; a hand-built tree may have none).
  * Completeness checks are skipped when dropped() > 0 (truncation is
  * legal, torn trees from it are not faults). Returns the combined
  * fault list: collector-recorded discipline faults first, then
@@ -265,7 +293,9 @@ void writeSpansLog(std::ostream &os, const std::string &driver,
 
 /**
  * Chrome trace-event / Perfetto JSON. Serve spans are "X" slices on
- * pid 1 ("serve, wall time"): worker tracks at tid = track, tenant
+ * pid 1 ("serve, wall time"), written in start order with a parent
+ * before the children that share its start, so `prepare` and `run`
+ * nest under `execute`: worker tracks at tid = track, tenant
  * tracks at tid = 1000 + index, connection tracks at tid = 2000 +
  * index (wall ns exported as microseconds). When xferTracks is
  * nonempty the per-worker XFER tracks are embedded as pid 0

@@ -38,7 +38,8 @@ Runtime::submit(Job job)
 }
 
 void
-Runtime::prepareContext(ExecContext &ctx, const Job &job)
+Runtime::prepareContext(ExecContext &ctx, const Job &job,
+                        const LinkPlan &plan)
 {
     // Tear down the previous job's machine before touching the
     // memory and image it references.
@@ -47,11 +48,10 @@ Runtime::prepareContext(ExecContext &ctx, const Job &job)
         ctx.mem = std::make_unique<Memory>(ctx.layout.memWords);
         ++ctx.builds;
     } else {
-        // Reuse keeps the allocation (and its first-touch cost) but
-        // nothing else: zeroing the store and reloading the image
-        // below leaves simulated state byte-identical to a fresh
-        // Memory, so results, stats and replay digests don't depend
-        // on which jobs shared a context.
+        // Reuse keeps the allocation but nothing else: clearing the
+        // store and reloading the image below leaves simulated state
+        // byte-identical to a fresh Memory, so results, stats and
+        // replay digests don't depend on which jobs shared a context.
         ctx.mem->clear();
         ctx.mem->resetStats();
         ++ctx.reuses;
@@ -59,14 +59,14 @@ Runtime::prepareContext(ExecContext &ctx, const Job &job)
     Loader loader{ctx.layout, SizeClasses::standard()};
     for (const Module &m : *job.modules)
         loader.add(m);
-    ctx.image.emplace(loader.load(*ctx.mem, config_.plan));
+    ctx.image.emplace(loader.load(*ctx.mem, plan));
 }
 
 /**
  * A job that will never execute (canceled) or died mid-execution (an
  * exception out of executeJob) must not leave spans open: close
- * whatever phase is open as failed, and for batch jobs (which have no
- * serving layer to do it) the request span too.
+ * whatever phase (and step) is open as failed, and for batch jobs
+ * (which have no serving layer to do it) the request span too.
  */
 void
 Runtime::closeSpansOnAbort(const Job &job, unsigned id,
@@ -166,9 +166,10 @@ Runtime::executeJob(const Job &job, unsigned id, Worker &w)
     // reads per job) so the serving layer can attribute queue-wait vs
     // execute without span collection on. When a collector is wired,
     // this closes the open phase (serve: dispatch; batch: queued) and
-    // opens execute — re-homed to *this* worker's track, which under
-    // work stealing is the stealing worker, deterministically
-    // (span tracks always match JobResult::worker).
+    // opens execute and its prepare step — re-homed to *this*
+    // worker's track, which under work stealing is the stealing
+    // worker, deterministically (span tracks always match
+    // JobResult::worker).
     obs::SpanCollector *spans = config_.spans;
     const std::uint64_t sid =
         job.span.requestId != 0 ? job.span.requestId
@@ -177,16 +178,18 @@ Runtime::executeJob(const Job &job, unsigned id, Worker &w)
     if (spans != nullptr) {
         spans->endPhase(sid, out.execStartNs, true,
                         obs::SpanTrack::Worker, w.id);
-        spans->begin(obs::SpanKind::Execute, sid,
-                     obs::SpanTrack::Worker, w.id, job.span.tenant,
-                     out.execStartNs, job.span.traceId);
+        for (const auto kind :
+             {obs::SpanKind::Execute, obs::SpanKind::Prepare})
+            spans->begin(kind, sid, obs::SpanTrack::Worker, w.id,
+                         job.span.tenant, out.execStartNs,
+                         job.span.traceId);
     }
 
     // Each job sees a pristine simulated machine — its own memory,
     // image and processor — but the worker's context (the Memory
     // allocation) persists across jobs. Workers share nothing but
     // the job queue, and scale with host cores.
-    prepareContext(w.ctx, job);
+    prepareContext(w.ctx, job, config_.plan);
     Memory &mem = *w.ctx.mem;
     const LoadedImage &image = *w.ctx.image;
     if (config_.record) {
@@ -198,6 +201,14 @@ Runtime::executeJob(const Job &job, unsigned id, Worker &w)
 
     w.ctx.machine.emplace(mem, image, config_.machine);
     Machine &machine = *w.ctx.machine;
+    if (spans != nullptr) {
+        // Prepare is the store reset, the image load and the Machine
+        // build; run is everything after, observers included.
+        const std::int64_t t = obs::SpanCollector::nowNs();
+        spans->end(obs::SpanKind::Prepare, sid, t, true);
+        spans->begin(obs::SpanKind::Run, sid, obs::SpanTrack::Worker,
+                     w.id, job.span.tenant, t, job.span.traceId);
+    }
     obs::Telemetry *telemetry = w.telemetry;
 
     // Observers and samplers are per-job: the ProcMap indexes this
@@ -299,11 +310,12 @@ Runtime::executeJob(const Job &job, unsigned id, Worker &w)
 
     out.execEndNs = obs::SpanCollector::nowNs();
     if (spans != nullptr) {
+        spans->end(obs::SpanKind::Run, sid, out.execEndNs, out.ok);
         spans->end(obs::SpanKind::Execute, sid, out.execEndNs, out.ok);
         if (job.span.requestId == 0) {
             // Batch jobs have no serving layer to close the request:
-            // the tree is request ⊃ queued ⊃ execute, all ending here,
-            // re-homed to the executing worker.
+            // the tree is request ⊃ queued ⊃ execute ⊃ prepare, run,
+            // all ending here, re-homed to the executing worker.
             spans->end(obs::SpanKind::Request, sid, out.execEndNs,
                        out.ok, obs::SpanTrack::Worker, w.id);
         }

@@ -341,12 +341,11 @@ class Runtime
         return recordedImageHash_.load(std::memory_order_relaxed);
     }
 
-  private:
     /** A worker's reusable simulated machine. The Memory allocation
-     *  (and its first-touch cost) persists across jobs; prepare()
-     *  zeroes the store and reloads the image, so each job still sees
-     *  a pristine machine and the simulated numbers are identical to
-     *  building everything fresh. */
+     *  persists across jobs; prepareContext() resets the store and
+     *  reloads the image, so each job still sees a pristine machine
+     *  and the simulated numbers are identical to building everything
+     *  fresh. */
     struct ExecContext
     {
         SystemLayout layout;
@@ -356,6 +355,15 @@ class Runtime
         std::uint64_t builds = 0; ///< fresh Memory allocations
         std::uint64_t reuses = 0; ///< jobs that recycled the Memory
     };
+
+    /** Make ctx ready for job: drop the previous job's Machine, then
+     *  allocate the store or reset it (Memory::clear, resetStats),
+     *  then load the job's image under plan. Afterwards the store is
+     *  word-for-word a fresh Memory with the image loaded. */
+    static void prepareContext(ExecContext &ctx, const Job &job,
+                               const LinkPlan &plan);
+
+  private:
 
     /** One worker thread's state: its reusable context, the
      *  observers it records into, and the counters it folds into the
@@ -410,7 +418,6 @@ class Runtime
     /** Set the stride to n and give each of n workers its trace track
      *  and metrics series (when configured). */
     void buildTracks(unsigned n);
-    void prepareContext(ExecContext &ctx, const Job &job);
     JobResult runJob(Worker &w, const Job &job, unsigned id);
     JobResult executeJob(const Job &job, unsigned id, Worker &w);
     void fold(Worker &w);

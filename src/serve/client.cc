@@ -5,7 +5,6 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -37,9 +36,7 @@ Client::connect(const std::string &host, std::uint16_t port,
         close();
         return false;
     }
-    // Request/reply frames are tiny; don't let Nagle batch them.
-    const int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    setNoDelay(fd_);
     return true;
 }
 

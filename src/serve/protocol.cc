@@ -3,6 +3,8 @@
 #include <cerrno>
 #include <cstring>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -378,6 +380,22 @@ readFrame(int fd, std::string &payload)
         return false;
     payload.resize(len);
     return len == 0 || readAll(fd, payload.data(), len);
+}
+
+void
+setNoDelay(int fd)
+{
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
+bool
+noDelay(int fd)
+{
+    int on = 0;
+    socklen_t len = sizeof(on);
+    return ::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &on, &len) == 0 &&
+           on != 0;
 }
 
 } // namespace fpc::serve

@@ -151,6 +151,13 @@ bool decodeReply(std::string_view payload, Reply &out,
  * @{ */
 bool writeFrame(int fd, std::string_view payload);
 bool readFrame(int fd, std::string &payload);
+
+/** Turn Nagle's algorithm off on a connected TCP socket, both ends:
+ *  every frame is one small write, so Nagle would only hold it back
+ *  until the peer's delayed ACK. */
+void setNoDelay(int fd);
+/** Whether TCP_NODELAY is set on fd. */
+bool noDelay(int fd);
 /** @} */
 
 } // namespace fpc::serve

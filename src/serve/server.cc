@@ -183,6 +183,7 @@ Server::acceptLoop()
                 continue;
             break;
         }
+        setNoDelay(fd);
         auto conn = std::make_shared<Conn>();
         conn->fd = fd;
         conn->track = nextConnTrack_.fetch_add(1);

@@ -794,48 +794,128 @@ TEST(AccelDeterminism, StoragePanicAtObservedTerminalChargedOnce)
     }
 }
 
-TEST(AccelDeterminism, StoragePanicAfterAFrameMoveEndsTheRun)
+TEST(AccelDeterminism, XfOutsideTheFrameRegionTraps)
 {
-    // An observed XF to frame context 0x7FFF names a frame past the
-    // frame region; on I1-I3 the transfer points lf_ there before its
-    // first frame read runs off the end of a small memory. The storage
-    // panic unwinds through the transfer's probe, whose record cannot
-    // pack lf_: it must name NIL rather than throw a second time, so
-    // the run ends in an Error stop with the first panic's message,
-    // the same on both backends.
+    // A frame context of 0x2000 or more names a frame past the frame
+    // region. An observed XF to 0x7FFF must trap before the transfer
+    // moves lf_ there, rather than read GF and PC out of code words
+    // and run on: the same Error stop, trap and event log on every
+    // engine, on both backends, on the default memory and on one that
+    // ends just past the code.
     ModuleBuilder b("M");
     auto &main = b.proc("main", 0, 1);
     main.loadImm(0x7FFF).op(isa::Op::XF);
     main.loadImm(1).ret();
     const Module module = b.build();
-    for (const EngineCombo &combo : combos) {
-        std::string logs[2];
-        for (const Mode mode : {Mode::Off, Mode::Threaded}) {
-            SCOPED_TRACE(std::string(implName(combo.impl)) +
-                         (mode == Mode::Off ? " off" : " threaded"));
-            const SystemLayout layout;
-            Memory mem(layout.codeRegionBase + 0x1000);
-            Loader loader{layout, SizeClasses::standard()};
-            loader.add(module);
-            LinkPlan plan;
-            plan.lowering = combo.lowering;
-            const LoadedImage image = loader.load(mem, plan);
-            MachineConfig config;
-            config.impl = combo.impl;
-            applyMode(config, mode);
-            Machine machine(mem, image, config);
-            LoggingProbes probes;
-            machine.setObserver(&probes);
-            machine.start("M", "main");
-            const RunResult result = machine.run();
-            EXPECT_EQ(result.reason, StopReason::Error);
-            EXPECT_NE(result.message.find("memory reference out of range"),
-                      std::string::npos)
-                << result.message;
-            logs[mode == Mode::Threaded] =
-                probes.log.str() + result.message;
+    const SystemLayout layout;
+    for (const std::size_t words :
+         {layout.memWords, std::size_t{layout.codeRegionBase + 0x1000}}) {
+        std::string message;
+        for (const EngineCombo &combo : combos) {
+            std::string logs[2];
+            for (const Mode mode : {Mode::Off, Mode::Threaded}) {
+                SCOPED_TRACE(std::string(implName(combo.impl)) +
+                             (mode == Mode::Off ? " off" : " threaded") +
+                             " words " + std::to_string(words));
+                Memory mem(words);
+                Loader loader{layout, SizeClasses::standard()};
+                loader.add(module);
+                LinkPlan plan;
+                plan.lowering = combo.lowering;
+                const LoadedImage image = loader.load(mem, plan);
+                MachineConfig config;
+                config.impl = combo.impl;
+                applyMode(config, mode);
+                Machine machine(mem, image, config);
+                LoggingProbes probes;
+                machine.setObserver(&probes);
+                machine.start("M", "main");
+                const RunResult result = machine.run();
+                EXPECT_EQ(result.reason, StopReason::Error);
+                EXPECT_NE(probes.log.str().find("t11@"),
+                          std::string::npos)
+                    << probes.log.str();
+                if (message.empty())
+                    message = result.message;
+                EXPECT_EQ(result.message, message);
+                logs[mode == Mode::Threaded] =
+                    probes.log.str() + result.message;
+            }
+            EXPECT_EQ(logs[0], logs[1]) << implName(combo.impl);
         }
-        EXPECT_EQ(logs[0], logs[1]) << implName(combo.impl);
+        EXPECT_NE(message.find("outside the frame region"),
+                  std::string::npos)
+            << message;
+    }
+}
+
+TEST(AccelDeterminism, ReturnLinkOutsideTheFrameRegionTraps)
+{
+    // f rewrites its own return link to frame context 0x7FFF and
+    // returns. An engine whose return reads the link (no IFU return
+    // stack) must trap rather than resume there; every engine must
+    // agree across backends.
+    ModuleBuilder b("M");
+    auto &f = b.proc("f", 0, 1);
+    f.loadImm(0x7FFF)
+        .loadLocalAddr(0)
+        .loadImm(frame::varsOffset - frame::returnLinkOffset)
+        .op(isa::Op::SUB)
+        .op(isa::Op::WR);
+    f.loadImm(5).ret();
+    auto &main = b.proc("main", 1, 1);
+    main.callLocal("f").ret();
+    CallCase c{{b.build()}, 0};
+    c.observe = true;
+    const std::vector<CaseOut> thr = expectMatchesEager(c);
+    for (const std::size_t i : {0, 1}) {
+        EXPECT_EQ(thr[i].reason, StopReason::Error);
+        EXPECT_NE(thr[i].probeLog.find("t11@"), std::string::npos);
+    }
+}
+
+TEST(AccelDeterminism, WritefIntoCodeEndsTheRun)
+{
+    // A pointer near 0xFFFF plus a WRITEF offset reaches past the data
+    // space, into the code of a callee that has already run. Stored,
+    // it would not move the code epoch, so the eager loop would run
+    // the new bytes and the threaded loop its stale superblock. It is
+    // a storage panic instead: the same Error stop, value and stats
+    // document on both backends.
+    const auto build = [](unsigned offset) {
+        ModuleBuilder b("M");
+        auto &f = b.proc("f", 0, 1);
+        f.loadImm(7).ret();
+        auto &main = b.proc("main", 1, 2);
+        main.callLocal("f").storeLocal(1);
+        main.loadImm(0).loadImm(0xFFFF).op(isa::Op::WRITEF,
+                                             static_cast<int>(offset));
+        main.callLocal("f").loadLocal(1).op(isa::Op::ADD).ret();
+        return b.build();
+    };
+    for (const EngineCombo &combo : combos) {
+        SCOPED_TRACE(implName(combo.impl));
+        // Where f's body starts under this engine's lowering.
+        const SystemLayout layout;
+        Memory probe(layout.memWords);
+        Loader loader{layout, SizeClasses::standard()};
+        const Module first = build(0);
+        loader.add(first);
+        LinkPlan plan;
+        plan.lowering = combo.lowering;
+        const LoadedImage image = loader.load(probe, plan);
+        const PlacedProc &f = image.module("M").procs.front();
+        const Addr body = (f.prologueAddr + f.prologueBytes) / wordBytes;
+        ASSERT_GT(body, 0xFFFFu);
+        ASSERT_LE(body - 0xFFFF, 255u);
+        const CallCase c{{build(body - 0xFFFF)}, 0};
+        const CaseOut off = runCase(c, combo, Mode::Off);
+        const CaseOut thr = runCase(c, combo, Mode::Threaded);
+        EXPECT_EQ(off.reason, StopReason::Error);
+        EXPECT_EQ(thr.reason, off.reason);
+        EXPECT_EQ(thr.value, off.value);
+        EXPECT_EQ(thr.statsJson, off.statsJson);
+        EXPECT_GT(thr.accel.sblockBuilds, 0u);
     }
 }
 

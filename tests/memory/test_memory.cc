@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "memory/cache.hh"
 #include "memory/memory.hh"
@@ -73,6 +75,72 @@ TEST(Memory, OutOfRangeIsFatal)
     EXPECT_THROW(mem.write(100, 0, AccessKind::Data), FatalError);
     EXPECT_THROW(Memory(0), PanicError);
     setQuiet(false);
+}
+
+TEST(Memory, ClearZeroesPokesNearTheTop)
+{
+    // Pokes above the data space (a loaded image's code) are the only
+    // writes that reach there; clear() must zero them, wherever they
+    // are, and leave the store equal to a fresh Memory.
+    const std::size_t words = std::size_t{1} << 21;
+    Memory mem(words);
+    mem.poke(words - 1, 0x1111);
+    mem.pokeByte(static_cast<CodeByteAddr>((words - 2) * 2), 0x22);
+    mem.poke(0x10000, 0x3333);
+    mem.write(0xFFFF, 0x4444, AccessKind::Data);
+    const std::uint64_t epoch = mem.codeEpoch();
+    mem.clear();
+    EXPECT_GT(mem.codeEpoch(), epoch);
+    Memory fresh(words);
+    EXPECT_TRUE(std::equal(mem.raw(), mem.raw() + words, fresh.raw()));
+    EXPECT_EQ(mem.peek(words - 1), 0);
+    EXPECT_EQ(mem.peek(words - 2), 0);
+
+    // And again once the high-water mark has been reset.
+    mem.poke(words - 3, 0x5555);
+    mem.clear();
+    EXPECT_EQ(mem.peek(words - 3), 0);
+}
+
+TEST(Memory, StoreAtTheDataSpaceEndPanics)
+{
+    // A simulated store lands below min(size, 2^16); reads reach the
+    // whole store.
+    setQuiet(true);
+    Memory mem(std::size_t{1} << 17);
+    EXPECT_EQ(mem.storeEnd(), Memory::dataSpaceWords);
+    mem.poke(0x10000, 0xABCD);
+    EXPECT_THROW(mem.write(0x10000, 1, AccessKind::Data), FatalError);
+    EXPECT_THROW(mem.writeUncounted(0x10000, 1), FatalError);
+    EXPECT_EQ(mem.peek(0x10000), 0xABCD); // nothing was stored
+    EXPECT_EQ(mem.read(0x10000, AccessKind::Data), 0xABCD);
+    EXPECT_EQ(mem.readUncounted(0x1FFFF), 0);
+    mem.write(0xFFFF, 2, AccessKind::Data);
+    EXPECT_EQ(mem.peek(0xFFFF), 2);
+    // A store below the data-space end still panics past size().
+    Memory small(16);
+    EXPECT_EQ(small.storeEnd(), 16u);
+    EXPECT_THROW(small.write(16, 0, AccessKind::Data), FatalError);
+    setQuiet(false);
+}
+
+TEST(Memory, CopiesAndMovesKeepContents)
+{
+    Memory a(std::size_t{1} << 17);
+    a.poke(0x1F000, 7);
+    a.write(3, 9, AccessKind::Data);
+    Memory b(a);
+    EXPECT_EQ(b.peek(0x1F000), 7);
+    EXPECT_EQ(b.peek(3), 9);
+    Memory c(64);
+    c = b;
+    EXPECT_EQ(c.size(), a.size());
+    EXPECT_EQ(c.peek(0x1F000), 7);
+    b.poke(0x1F000, 0);
+    b.clear();
+    c = std::move(b);
+    EXPECT_EQ(c.peek(0x1F000), 0);
+    EXPECT_EQ(c.peek(3), 0);
 }
 
 TEST(Cache, HitsAndMisses)

@@ -231,6 +231,59 @@ TEST(Spans, CheckerFlagsOpenSpansAndBrokenPartition)
     }
 }
 
+TEST(Spans, ExecuteStepsPartitionExecute)
+{
+    // The runtime's shape: prepare then run, sharing the boundary,
+    // inside execute; the checker accepts it.
+    const auto execute = [](obs::SpanCollector &sc, std::int64_t prepEnd,
+                            std::int64_t runStart) {
+        sc.begin(SpanKind::Request, 1, SpanTrack::Worker, 0,
+                 obs::noTenant, 0);
+        sc.begin(SpanKind::Execute, 1, SpanTrack::Worker, 0,
+                 obs::noTenant, 0);
+        sc.begin(SpanKind::Prepare, 1, SpanTrack::Worker, 0,
+                 obs::noTenant, 0);
+        sc.end(SpanKind::Prepare, 1, prepEnd, true);
+        sc.begin(SpanKind::Run, 1, SpanTrack::Worker, 0, obs::noTenant,
+                 runStart);
+        sc.end(SpanKind::Run, 1, 50, true);
+        sc.end(SpanKind::Execute, 1, 50, true);
+        sc.end(SpanKind::Request, 1, 50, true);
+    };
+    {
+        obs::SpanCollector sc;
+        execute(sc, 20, 20);
+        EXPECT_EQ(sc.recorded(), 4u);
+        EXPECT_EQ(sc.faultCount(), 0u);
+        const auto faults = obs::checkSpans(sc);
+        EXPECT_TRUE(faults.empty())
+            << (faults.empty() ? "" : faults.front().what);
+    }
+    {
+        // A gap between the steps breaks the partition of execute.
+        obs::SpanCollector sc;
+        execute(sc, 20, 30);
+        EXPECT_EQ(sc.faultCount(), 0u);
+        EXPECT_FALSE(obs::checkSpans(sc).empty());
+        EXPECT_TRUE(obs::checkSpans(sc, /*slackNs=*/10).empty());
+    }
+    {
+        // A step outside execute, and execute ended over an open step,
+        // are discipline faults; the open step is closed, not leaked.
+        obs::SpanCollector sc;
+        sc.begin(SpanKind::Prepare, 2, SpanTrack::Worker, 0,
+                 obs::noTenant, 0);
+        sc.end(SpanKind::Prepare, 2, 5, true);
+        sc.begin(SpanKind::Execute, 3, SpanTrack::Worker, 0,
+                 obs::noTenant, 0);
+        sc.begin(SpanKind::Run, 3, SpanTrack::Worker, 0, obs::noTenant,
+                 0);
+        sc.end(SpanKind::Execute, 3, 9, true);
+        EXPECT_EQ(sc.faultCount(), 2u);
+        EXPECT_EQ(sc.openCount(), 0u);
+    }
+}
+
 TEST(Spans, SeededFaultTripsPostmortemBundle)
 {
     obs::SpanCollector sc;

@@ -16,6 +16,7 @@
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -717,6 +718,165 @@ TEST(Runtime, StopFlagCancelsRemainingJobs)
     }
 }
 
+/** Jobs for the context-reuse test: a small image, one with a much
+ *  larger code span, a store at the last data word, a trap. */
+struct ReuseJob
+{
+    const char *name;
+    std::shared_ptr<const std::vector<Module>> modules;
+    const char *module;
+    Word arg;
+};
+
+std::vector<ReuseJob>
+reuseJobs()
+{
+    std::string big = "module Big;\n";
+    for (int i = 0; i < 60; ++i)
+        big += "proc p" + std::to_string(i) +
+               "(x) { var a; a = x * 3 + " + std::to_string(i) +
+               "; if (a > 100) { a = a - 7; } return a + x; }\n";
+    big += "proc main(n) { return p0(n) + p59(n); }\n";
+    const auto small = shared(fibTracer());
+    return {
+        {"A", small, "Fib", 7},
+        {"B", shared(lang::compile(big)), "Big", 5},
+        {"A again", small, "Fib", 7},
+        {"store at 0xFFFF", shared(lang::compile(R"(
+            module Top;
+            proc main(n) { var p; p = 65535; *p = n; return *p; }
+        )")), "Top", 41},
+        {"trap", shared(lang::compile(R"(
+            module Oops;
+            proc f(n) { var a, b, c; a = n; b = n; c = n; return 1 / n; }
+            proc main(n) { out n; return f(n); }
+        )")), "Oops", 0},
+    };
+}
+
+TEST(Runtime, ReusedContextMatchesFreshMemory)
+{
+    // One context over jobs from different images, back to back:
+    // after each prepareContext the store must be word-for-word a
+    // fresh Memory with the job's image loaded — including the words
+    // a larger earlier image or an earlier job's stores left behind —
+    // and each job's stats document a fresh run's.
+    const std::vector<ReuseJob> jobs = reuseJobs();
+    for (const Combo &combo : allCombos()) {
+        for (const bool accel : {false, true}) {
+            SCOPED_TRACE(std::string(implName(combo.impl)) +
+                         (accel ? " threaded" : " off"));
+            LinkPlan plan;
+            plan.lowering = combo.lowering;
+            plan.shortCalls = combo.shortCalls;
+            MachineConfig config;
+            config.impl = combo.impl;
+            config.accel.enabled = accel;
+            sched::Runtime::ExecContext ctx;
+            for (const ReuseJob &j : jobs) {
+                SCOPED_TRACE(j.name);
+                const std::vector<Word> args{j.arg};
+                const sched::Job job{j.modules, j.module, "main", args};
+                sched::Runtime::prepareContext(ctx, job, plan);
+
+                Memory fresh(ctx.layout.memWords);
+                Loader loader{ctx.layout, SizeClasses::standard()};
+                for (const Module &m : *j.modules)
+                    loader.add(m);
+                const LoadedImage image = loader.load(fresh, plan);
+                ASSERT_EQ(ctx.mem->size(), fresh.size());
+                const Word *got = ctx.mem->raw();
+                const Word *want = fresh.raw();
+                const auto diff =
+                    std::mismatch(got, got + fresh.size(), want);
+                EXPECT_EQ(diff.first, got + fresh.size())
+                    << "first differing word "
+                    << (diff.first - got) << ": " << *diff.first
+                    << " vs " << *diff.second;
+
+                Machine reused(*ctx.mem, *ctx.image, config);
+                reused.start(j.module, "main", args);
+                const RunResult r = reused.run();
+                Machine direct(fresh, image, config);
+                direct.start(j.module, "main", args);
+                const RunResult d = direct.run();
+                EXPECT_EQ(r.reason, d.reason);
+                EXPECT_EQ(r.message, d.message);
+                EXPECT_EQ(reused.output(), direct.output());
+                EXPECT_EQ(statsDoc(reused.stats(), ctx.mem->stats(),
+                                   reused.heap().stats()),
+                          statsDoc(direct.stats(), fresh.stats(),
+                                   direct.heap().stats()));
+            }
+        }
+    }
+}
+
+TEST(Runtime, ReusedWorkerMatchesFreshRunsAcrossCancel)
+{
+    // The same jobs through one pool worker, with one job canceled
+    // between them: every result is the one a fresh one-job batch
+    // gives.
+    std::vector<ReuseJob> jobs = reuseJobs();
+    jobs.push_back(jobs[0]); // canceled
+    jobs.push_back(jobs[0]);
+    const std::size_t canceled = jobs.size() - 2;
+    for (const Combo &combo : allCombos()) {
+        for (const bool accel : {false, true}) {
+            SCOPED_TRACE(std::string(implName(combo.impl)) +
+                         (accel ? " threaded" : " off"));
+            std::atomic<bool> stop{false};
+            sched::RuntimeConfig rc;
+            rc.workers = 1;
+            rc.machine.impl = combo.impl;
+            rc.machine.accel.enabled = accel;
+            rc.plan.lowering = combo.lowering;
+            rc.plan.shortCalls = combo.shortCalls;
+            rc.stopFlag = &stop;
+            sched::Runtime runtime(rc);
+            runtime.startPool();
+            // Each completion enqueues the next job, so the one
+            // worker runs them in order, and raises the drain flag
+            // for exactly one of them.
+            std::vector<sched::JobResult> results(jobs.size());
+            std::function<void(std::size_t)> next = [&](std::size_t i) {
+                stop = i == canceled;
+                runtime.enqueue({jobs[i].modules, jobs[i].module, "main",
+                                 {jobs[i].arg}},
+                                [&, i](sched::JobResult r) {
+                                    results[i] = std::move(r);
+                                    if (i + 1 < jobs.size())
+                                        next(i + 1);
+                                });
+            };
+            next(0);
+            runtime.drainPool();
+            runtime.stopPool();
+            for (std::size_t i = 0; i < jobs.size(); ++i) {
+                SCOPED_TRACE(jobs[i].name);
+                if (i == canceled) {
+                    EXPECT_NE(results[i].error.find("canceled"),
+                              std::string::npos);
+                    continue;
+                }
+                rc.stopFlag = nullptr;
+                rc.workers = 1;
+                sched::Runtime alone(rc);
+                alone.submit({jobs[i].modules, jobs[i].module, "main",
+                              {jobs[i].arg}});
+                const sched::JobResult want = alone.run().front();
+                const sched::JobResult &got = results[i];
+                EXPECT_EQ(got.reason, want.reason);
+                EXPECT_EQ(got.value, want.value);
+                EXPECT_EQ(got.error, want.error);
+                EXPECT_EQ(got.output, want.output);
+                EXPECT_EQ(got.steps, want.steps);
+                EXPECT_EQ(got.cycles, want.cycles);
+            }
+        }
+    }
+}
+
 TEST(Runtime, TimeslicedJobsPreemptAndStillAgree)
 {
     const auto prog = shared(fibTracer());
@@ -816,8 +976,9 @@ TEST(RuntimeSpans, BatchRunSynthesizesSpanTreesPerJob)
     const auto faults = obs::checkSpans(sc);
     EXPECT_TRUE(faults.empty())
         << (faults.empty() ? "" : faults.front().what);
-    // request + queued + execute per job, no serve-side phases.
-    EXPECT_EQ(sc.recorded(), 12u);
+    // request + queued + execute ⊃ prepare, run per job, no
+    // serve-side phases.
+    EXPECT_EQ(sc.recorded(), 20u);
     std::map<std::uint64_t, std::vector<obs::Span>> trees;
     for (const obs::Span &s : sc.spans())
         trees[s.id].push_back(s);
@@ -826,10 +987,10 @@ TEST(RuntimeSpans, BatchRunSynthesizesSpanTreesPerJob)
         const std::uint64_t sid = i + 1; // batch span id = job idx + 1
         ASSERT_EQ(trees.count(sid), 1u);
         const std::vector<obs::Span> &tree = trees[sid];
-        ASSERT_EQ(tree.size(), 3u);
-        std::set<obs::SpanKind> kinds;
+        ASSERT_EQ(tree.size(), 5u);
+        std::map<obs::SpanKind, obs::Span> kinds;
         for (const obs::Span &s : tree) {
-            kinds.insert(s.kind);
+            kinds[s.kind] = s;
             EXPECT_EQ(s.trackKind, obs::SpanTrack::Worker);
             EXPECT_EQ(s.track, results[i].worker)
                 << obs::spanKindName(s.kind) << " of job " << i;
@@ -841,7 +1002,15 @@ TEST(RuntimeSpans, BatchRunSynthesizesSpanTreesPerJob)
         }
         EXPECT_EQ(kinds.count(obs::SpanKind::Request), 1u);
         EXPECT_EQ(kinds.count(obs::SpanKind::Queued), 1u);
-        EXPECT_EQ(kinds.count(obs::SpanKind::Execute), 1u);
+        ASSERT_EQ(kinds.count(obs::SpanKind::Execute), 1u);
+        ASSERT_EQ(kinds.count(obs::SpanKind::Prepare), 1u);
+        ASSERT_EQ(kinds.count(obs::SpanKind::Run), 1u);
+        // Prepare then run tile the execute window.
+        EXPECT_EQ(kinds[obs::SpanKind::Prepare].startNs,
+                  results[i].execStartNs);
+        EXPECT_EQ(kinds[obs::SpanKind::Prepare].endNs,
+                  kinds[obs::SpanKind::Run].startNs);
+        EXPECT_EQ(kinds[obs::SpanKind::Run].endNs, results[i].execEndNs);
     }
 }
 
@@ -889,7 +1058,7 @@ TEST(RuntimeSpans, PoolStolenJobsLandOnStealingWorkersTrack)
     const auto faults = obs::checkSpans(sc);
     EXPECT_TRUE(faults.empty())
         << (faults.empty() ? "" : faults.front().what);
-    EXPECT_EQ(sc.recorded(), 3u * jobs); // 3 spans per job
+    EXPECT_EQ(sc.recorded(), 5u * jobs); // 5 spans per job
     for (const obs::Span &s : sc.spans()) {
         ASSERT_GE(s.id, 1u);
         const auto id = static_cast<unsigned>(s.id - 1);

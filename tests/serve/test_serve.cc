@@ -17,7 +17,10 @@
 #include <string>
 #include <vector>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <poll.h>
+#include <sys/socket.h>
 
 #include "common/logging.hh"
 #include "lang/codegen.hh"
@@ -275,6 +278,52 @@ connectTo(const serve::Server &server)
     return client;
 }
 
+/** The socket the server accepted for client: the fd in this
+ *  process whose local end is the server's port and whose peer is
+ *  the client's end. -1 when none is. */
+int
+acceptedFd(const serve::Server &server, const serve::Client &client)
+{
+    sockaddr_in mine = {};
+    socklen_t len = sizeof(mine);
+    if (::getsockname(client.fd(), reinterpret_cast<sockaddr *>(&mine),
+                      &len) != 0)
+        return -1;
+    for (int fd = 0; fd < 1024; ++fd) {
+        sockaddr_in local = {}, peer = {};
+        socklen_t a = sizeof(local), b = sizeof(peer);
+        if (fd == client.fd() ||
+            ::getsockname(fd, reinterpret_cast<sockaddr *>(&local),
+                          &a) != 0 ||
+            ::getpeername(fd, reinterpret_cast<sockaddr *>(&peer),
+                          &b) != 0 ||
+            local.sin_family != AF_INET)
+            continue;
+        if (ntohs(local.sin_port) == server.port() &&
+            peer.sin_port == mine.sin_port)
+            return fd;
+    }
+    return -1;
+}
+
+TEST(Server, AcceptedSocketsSetNoDelay)
+{
+    // Replies are one small write each: Nagle would hold every reply
+    // for the client's delayed ACK. Both ends turn it off.
+    serve::ServerConfig sc;
+    sc.workers = 1;
+    serve::Server server(sc);
+    server.start();
+    serve::Client client = connectTo(server);
+    ASSERT_TRUE(client.ping()); // the server has accepted by now
+    EXPECT_TRUE(serve::noDelay(client.fd()));
+    const int fd = acceptedFd(server, client);
+    ASSERT_GE(fd, 0);
+    EXPECT_TRUE(serve::noDelay(fd));
+    client.close();
+    server.stop();
+}
+
 TEST(Server, RunsSourceAndPreloadedPrograms)
 {
     serve::ServerConfig sc;
@@ -527,8 +576,9 @@ TEST(Server, SpanTreesBracketEveryRequest)
     const auto trees = parseSpansLog(os.str());
     ASSERT_EQ(trees.size(), 3u);
     for (const auto &[id, spans] : trees) {
-        // Every admitted ok request carries the full five-phase tree.
-        ASSERT_EQ(spans.size(), 6u);
+        // Every admitted ok request carries the full five-phase tree,
+        // and execute its prepare and run steps.
+        ASSERT_EQ(spans.size(), 8u);
         ASSERT_EQ(spans.count("request"), 1u);
         const ParsedSpan &req = spans.at("request");
         EXPECT_TRUE(req.ok);
@@ -556,6 +606,15 @@ TEST(Server, SpanTreesBracketEveryRequest)
         EXPECT_EQ(spans.at("execute").track.rfind("worker:", 0), 0u);
         EXPECT_EQ(spans.at("dispatch").track,
                   spans.at("execute").track);
+        // Prepare then run tile execute, on its worker track.
+        const ParsedSpan &exec = spans.at("execute");
+        const ParsedSpan &prep = spans.at("prepare");
+        const ParsedSpan &run = spans.at("run");
+        EXPECT_EQ(prep.start, exec.start);
+        EXPECT_EQ(prep.end, run.start);
+        EXPECT_EQ(run.end, exec.end);
+        EXPECT_EQ(prep.track, exec.track);
+        EXPECT_EQ(run.track, exec.track);
         EXPECT_EQ(spans.at("admission").track.rfind("conn:", 0), 0u);
     }
 }

@@ -16,6 +16,9 @@ checkSpans() well-bracketing rules:
   * every span's end >= start; phases lie within their request span's
     bounds, do not overlap each other, and appear in canonical order
     (admission, queued, dispatch, execute, reply);
+  * the steps of execute (prepare, run) lie within it, in that order,
+    and when the ring dropped nothing an ok execute that has steps
+    has exactly prepare then run, tiling it;
   * when the ring dropped nothing, a complete ok request that was
     admitted carries its phases as an exact partition of the request
     interval: phase durations sum to the request duration within
@@ -36,7 +39,8 @@ import sys
 import tempfile
 
 PHASE_ORDER = ["admission", "queued", "dispatch", "execute", "reply"]
-KINDS = set(PHASE_ORDER) | {"request"}
+STEP_ORDER = ["prepare", "run"]
+KINDS = set(PHASE_ORDER) | set(STEP_ORDER) | {"request"}
 
 
 def fail(why):
@@ -105,6 +109,41 @@ def parse_log(text):
     return header, spans, faults, tenants
 
 
+def check_steps(sid, phases, steps, truncated, slack_ns):
+    """The steps of execute lie inside it, in order, and tile an ok
+    execute."""
+    execs = [s for s in phases if s["kind"] == "execute"]
+    if not execs:
+        if steps and not truncated:
+            fail("request %d: %s step without an execute span"
+                 % (sid, steps[0]["kind"]))
+        return
+    ex = execs[0]
+    prev = None
+    for s in steps:
+        if s["start"] < ex["start"] or s["end"] > ex["end"]:
+            fail("request %d: %s outside the execute bounds"
+                 % (sid, s["kind"]))
+        if prev is not None and (s["start"] < prev["end"] or
+                                 s["kind"] == prev["kind"]):
+            fail("request %d: %s overlaps or repeats %s"
+                 % (sid, s["kind"], prev["kind"]))
+        prev = s
+    if truncated or not ex["ok"] or not steps:
+        return
+    if [s["kind"] for s in steps] != STEP_ORDER:
+        fail("request %d: execute has steps %s, want %s"
+             % (sid, [s["kind"] for s in steps], STEP_ORDER))
+    cursor = ex["start"]
+    for s in steps:
+        if abs(s["start"] - cursor) > slack_ns:
+            fail("request %d: %s leaves a gap in execute"
+                 % (sid, s["kind"]))
+        cursor = s["end"]
+    if abs(cursor - ex["end"]) > slack_ns:
+        fail("request %d: steps end before execute does" % sid)
+
+
 def check_trees(header, spans, slack_ns):
     truncated = header["dropped"] > 0
     trees = {}
@@ -116,7 +155,11 @@ def check_trees(header, spans, slack_ns):
     complete = 0
     for sid, tree in sorted(trees.items()):
         requests = [s for s in tree if s["kind"] == "request"]
-        phases = [s for s in tree if s["kind"] != "request"]
+        phases = [s for s in tree if s["kind"] in PHASE_ORDER]
+        steps = sorted((s for s in tree if s["kind"] in STEP_ORDER),
+                       key=lambda s: (s["start"],
+                                      STEP_ORDER.index(s["kind"])))
+        check_steps(sid, phases, steps, truncated, slack_ns)
         if len(requests) > 1:
             fail("request %d has %d request spans"
                  % (sid, len(requests)))
