@@ -79,24 +79,31 @@ class FrameHeap
      * references on the fast path. Inline: every call on I1-I3 takes
      * it; the empty-list trap stays out of line.
      */
+    [[gnu::always_inline]] Addr alloc(unsigned fsi) { return alloc(fsi, mem_); }
+
+    /** alloc, with the three references made and counted through
+     *  `mem` (the Memory itself, or a caller's charge that counts them
+     *  on its own and charges them later; the machine's call plans
+     *  hold theirs). The empty-list trap charges the Memory. */
+    template <class Mem>
     [[gnu::always_inline]] Addr
-    alloc(unsigned fsi)
+    alloc(unsigned fsi, Mem &mem)
     {
         if (fsi >= classes_.numClasses()) [[unlikely]]
             fsiPanic("alloc", fsi);
 
         const Addr av_slot = layout_.avAddr + fsi;
         // Ref 1: fetch the list head from AV.
-        Word head = mem_.read(av_slot, AccessKind::Heap);
+        Word head = mem.read(av_slot, AccessKind::Heap);
         stats_.refsAlloc += 1;
         if (head == nilContext) [[unlikely]]
             head = refill(fsi);
 
         const Addr frame_ptr = unpackContext(head, layout_).framePtr;
         // Ref 2: fetch the next pointer from the first node.
-        const Word next = mem_.read(frame_ptr, AccessKind::Heap);
+        const Word next = mem.read(frame_ptr, AccessKind::Heap);
         // Ref 3: store it into the list head.
-        mem_.write(av_slot, next, AccessKind::Heap);
+        mem.write(av_slot, next, AccessKind::Heap);
         stats_.refsAlloc += 2;
 
         ++stats_.allocs;
@@ -123,10 +130,18 @@ class FrameHeap
     [[gnu::always_inline]] bool
     release(Addr frame_ptr)
     {
+        return release(frame_ptr, mem_);
+    }
+
+    /** release, counting its references through `mem`, as alloc. */
+    template <class Mem>
+    [[gnu::always_inline]] bool
+    release(Addr frame_ptr, Mem &mem)
+    {
         // The retained check shares the header read with free(); to
         // keep the paper's four-reference count exact we read it once
         // here and hand the fsi path the same value.
-        const Word header = mem_.read(frame_ptr - 1, AccessKind::Heap);
+        const Word header = mem.read(frame_ptr - 1, AccessKind::Heap);
         if (header & frame::retainedFlag) {
             ++stats_.retainedSkips;
             stats_.refsFree += 1;
@@ -137,10 +152,10 @@ class FrameHeap
             corruptHeader("release", frame_ptr, fsi);
 
         const Addr av_slot = layout_.avAddr + fsi;
-        const Word head = mem_.read(av_slot, AccessKind::Heap);
-        mem_.write(frame_ptr, head, AccessKind::Heap);
-        mem_.write(av_slot, packFrameContext(frame_ptr, layout_),
-                   AccessKind::Heap);
+        const Word head = mem.read(av_slot, AccessKind::Heap);
+        mem.write(frame_ptr, head, AccessKind::Heap);
+        mem.write(av_slot, packFrameContext(frame_ptr, layout_),
+                  AccessKind::Heap);
         stats_.refsFree += 3 + 1; // header read above + three list refs
         ++stats_.frees;
         return true;

@@ -40,11 +40,15 @@ class SizeClasses
      *  fewer than 20 classes reaching several thousand bytes. */
     static SizeClasses standard();
 
-    unsigned numClasses() const { return sizes_.size(); }
+    [[gnu::always_inline]] unsigned
+    numClasses() const
+    {
+        return static_cast<unsigned>(sizes_.size());
+    }
 
     /** Payload words available in the given class. Inline: every
      *  frame allocation asks. */
-    unsigned
+    [[gnu::always_inline]] unsigned
     classWords(unsigned fsi) const
     {
         if (fsi >= sizes_.size()) [[unlikely]]
@@ -65,7 +69,7 @@ class SizeClasses
      * Words a block of this class occupies in the heap, including the
      * header word and quad-alignment padding.
      */
-    unsigned
+    [[gnu::always_inline]] unsigned
     blockWords(unsigned fsi) const
     {
         const unsigned raw = classWords(fsi) + 1; // + header word

@@ -35,6 +35,28 @@ AccelStats::chainRate() const
     return static_cast<double>(sblockChainHits) / sblockExecs;
 }
 
+namespace
+{
+double
+share(CountT part, CountT rest)
+{
+    const CountT total = part + rest;
+    return total == 0 ? 0.0 : static_cast<double>(part) / total;
+}
+} // namespace
+
+double
+AccelStats::callPlanRate() const
+{
+    return share(callPlanHits, callPlanFallbacks);
+}
+
+double
+AccelStats::returnPlanRate() const
+{
+    return share(returnPlanHits, returnPlanFallbacks);
+}
+
 void
 AccelStats::merge(const AccelStats &other)
 {
@@ -59,6 +81,10 @@ AccelStats::merge(const AccelStats &other)
     callSiteMisses += other.callSiteMisses;
     returnPredHits += other.returnPredHits;
     returnPredMisses += other.returnPredMisses;
+    callPlanHits += other.callPlanHits;
+    callPlanFallbacks += other.callPlanFallbacks;
+    returnPlanHits += other.returnPlanHits;
+    returnPlanFallbacks += other.returnPlanFallbacks;
 }
 
 Accel::Accel(const AccelConfig &config, const LoadedImage &image,

@@ -102,6 +102,17 @@ struct AccelStats
     CountT callSiteMisses = 0;
     CountT returnPredHits = 0;
     CountT returnPredMisses = 0;
+    /** Threaded backend, call and return plans: calls that entered
+     *  their callee from the block terminal through the resolved site
+     *  (plan hits, also counted as call-site and link hits), calls
+     *  whose site was empty or stale and went through execute() to
+     *  resolve it (fallbacks), and returns that popped the IFU return
+     *  stack (I3/I4) or the return link (I1/I2) in the loop, or went
+     *  through execute() because the return stack was empty. */
+    CountT callPlanHits = 0;
+    CountT callPlanFallbacks = 0;
+    CountT returnPlanHits = 0;
+    CountT returnPlanFallbacks = 0;
 
     CountT linkHits() const
     {
@@ -113,6 +124,10 @@ struct AccelStats
     }
     double icacheHitRate() const;
     double linkHitRate() const;
+    /** Planned calls and returns, as a fraction of the transfers the
+     *  block terminals ran (0 when none ran). */
+    double callPlanRate() const;
+    double returnPlanRate() const;
     /** Block-to-block transitions served by the inline chain pointer,
      *  as a fraction of superblock executions. */
     double chainRate() const;
@@ -140,9 +155,11 @@ struct ProcTarget
  * A call site's target cache: the resolution of the one call that ends
  * a superblock, keyed by what varies at run time (the descriptor an
  * EFC read from its link vector, or the code base of an LFC; DFC and
- * FCALL sites take their target from the code itself). gen 0 means
- * empty. EFC and LFC entries are valid until Accel::flushLinks, the
- * others for the block's life, which ends when the code epoch moves.
+ * FCALL sites take their target from the code itself, so their key
+ * is their block's own call target and a filled entry always
+ * matches). gen 0 means empty. EFC and LFC entries are valid until
+ * Accel::flushLinks, the others for the block's life, which ends when
+ * the code epoch moves.
  */
 struct CallSite
 {
@@ -197,9 +214,27 @@ class Accel
                 CallSite *site = nullptr);
     /** @} */
 
+    /** True when the site holds a live resolution for key: the test
+     *  a site lookup makes before it counts a hit. link_scoped
+     *  entries (EFC, LFC) also die at flushLinks. */
+    [[gnu::always_inline]] bool
+    siteLive(const CallSite &site, std::uint64_t key,
+             bool link_scoped) const
+    {
+        return site.gen != 0 && site.key == key &&
+               (!link_scoped || site.gen == linkGen_);
+    }
+
+    /** The LFC link-cache key. */
+    static std::uint64_t
+    localKey(CodeByteAddr code_base, unsigned ev_index)
+    {
+        return (static_cast<std::uint64_t>(code_base) << 16) | ev_index;
+    }
+
     /** True if a data write to addr could change a memoized link
      *  mapping (GFT entry or a global frame's code-base word). */
-    bool
+    [[gnu::always_inline]] bool
     linkSensitive(Addr addr) const
     {
         return addr < sensitive_.size() && sensitive_[addr] != 0;
@@ -283,8 +318,7 @@ Accel::lookup(std::vector<LinkEntry> &cache, std::uint64_t key,
               bool link_scoped, CallSite *site, ProcTarget &out)
 {
     if (site != nullptr) {
-        if (site->gen != 0 && site->key == key &&
-            (!link_scoped || site->gen == linkGen_)) {
+        if (siteLive(*site, key, link_scoped)) {
             out = site->target;
             ++stats.callSiteHits;
             return true;
@@ -322,8 +356,7 @@ Accel::findLocal(CodeByteAddr code_base, unsigned ev_index,
     // Caches only (fsi, entryPc): multiple instances of a module share
     // one code segment but have distinct global frames, so gf must
     // come from the live machine state, never from the cache.
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(code_base) << 16) | ev_index;
+    const std::uint64_t key = localKey(code_base, ev_index);
     ProcTarget t;
     if (lookup(local_, key, true, site, t)) {
         fsi = t.fsi;
@@ -339,8 +372,7 @@ inline void
 Accel::putLocal(CodeByteAddr code_base, unsigned ev_index,
                 const ProcTarget &target, CallSite *site)
 {
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(code_base) << 16) | ev_index;
+    const std::uint64_t key = localKey(code_base, ev_index);
     putLink(local_, key, target);
     putSite(site, key, target);
 }

@@ -43,7 +43,7 @@ class BankFile
      *  frees a bank, and returns look banks up by owner. @{ */
 
     /** Bank currently shadowing the frame, or -1. */
-    int
+    [[gnu::always_inline]] int
     bankOf(Addr frame_ptr) const
     {
         for (unsigned i = 0; i < numBanks_; ++i)
@@ -53,7 +53,7 @@ class BankFile
     }
 
     /** Take a free bank for the frame; -1 if none is free. */
-    int
+    [[gnu::always_inline]] int
     assignFree(Addr frame_ptr)
     {
         for (unsigned i = 0; i < numBanks_; ++i) {
@@ -74,7 +74,7 @@ class BankFile
      * Pick the eviction victim: the oldest-assigned owned bank that is
      * not one of the pinned banks. -1 if every bank is pinned.
      */
-    int
+    [[gnu::always_inline]] int
     victim(int pinned_a, int pinned_b) const
     {
         int best = -1;
@@ -90,7 +90,7 @@ class BankFile
     }
 
     /** Rename a bank to shadow a (new) frame, keeping its contents. */
-    void
+    [[gnu::always_inline]] void
     rename(int bank, Addr new_owner)
     {
         Bank &b = checked(bank);
@@ -101,7 +101,7 @@ class BankFile
     }
 
     /** Release a bank (its contents become garbage). */
-    void
+    [[gnu::always_inline]] void
     free(int bank)
     {
         Bank &b = checked(bank);
@@ -112,19 +112,27 @@ class BankFile
     }
     /** @} */
 
-    bool isFree(int bank) const { return banks_[bank].free; }
-    Addr owner(int bank) const { return banks_[bank].owner; }
+    [[gnu::always_inline]] bool
+    isFree(int bank) const
+    {
+        return banks_[bank].free;
+    }
+    [[gnu::always_inline]] Addr
+    owner(int bank) const
+    {
+        return banks_[bank].owner;
+    }
 
     /** Inline: these run 2-4 times per interpreted instruction on the
      *  I4 engine (every push/pop and local-variable access). */
-    Word
+    [[gnu::always_inline]] Word
     read(int bank, unsigned word) const
     {
         const Bank &b = bankAt(bank, word);
         return b.data[word];
     }
 
-    void
+    [[gnu::always_inline]] void
     write(int bank, unsigned word, Word value)
     {
         Bank &b = bankAt(bank, word);
@@ -140,13 +148,13 @@ class BankFile
      * capacity and curLbank_/stackBank_ are only ever valid owned
      * banks — so these skip bankAt()'s revalidation.
      * @{ */
-    Word
+    [[gnu::always_inline]] Word
     readOwned(int bank, unsigned word) const
     {
         return banks_[bank].data[word];
     }
 
-    void
+    [[gnu::always_inline]] void
     writeOwned(int bank, unsigned word, Word value)
     {
         Bank &b = banks_[bank];
@@ -171,7 +179,11 @@ class BankFile
     void markClean(int bank) { banks_[bank].dirty = 0; }
 
     /** Host-side cached frame metadata (fsi / flags snapshot). */
-    void setOwnerFsi(int bank, unsigned fsi) { checked(bank).ownerFsi = fsi; }
+    [[gnu::always_inline]] void
+    setOwnerFsi(int bank, unsigned fsi)
+    {
+        checked(bank).ownerFsi = fsi;
+    }
     unsigned ownerFsi(int bank) const { return banks_[bank].ownerFsi; }
 
     /** Drop every ownership (full flush is handled by the machine). */
@@ -189,7 +201,7 @@ class BankFile
     };
 
     /** Bounds-checked bank reference for the ownership calls. */
-    Bank &
+    [[gnu::always_inline]] Bank &
     checked(int bank)
     {
         if (static_cast<unsigned>(bank) >= numBanks_) [[unlikely]]
@@ -197,7 +209,7 @@ class BankFile
         return banks_[bank];
     }
 
-    const Bank &
+    [[gnu::always_inline]] const Bank &
     bankAt(int bank, unsigned word) const
     {
         if (static_cast<unsigned>(bank) >= numBanks_ ||
@@ -206,7 +218,7 @@ class BankFile
         return banks_[bank];
     }
 
-    Bank &
+    [[gnu::always_inline]] Bank &
     bankAt(int bank, unsigned word)
     {
         return const_cast<Bank &>(

@@ -8,12 +8,6 @@
 namespace fpc
 {
 
-namespace
-{
-/** Owner tag for the bank holding the evaluation stack. */
-constexpr Addr stackOwner = 0xFFFFFFFFu;
-} // namespace
-
 const char *
 implName(Impl impl)
 {
@@ -144,6 +138,7 @@ Machine::Machine(Memory &memory, const LoadedImage &image,
                      image.classes().maxWords());
         fastFsi_ = image.classes().fsiFor(payload);
         fastFramesEnabled_ = config_.fastFrameStackDepth > 0;
+        fastFrames_.assign(config_.fastFrameStackDepth, nilAddr);
     }
     stackCap_ = banked() ? banks_.bankWords() - frame::varsOffset
                          : static_cast<unsigned>(stack_.size());
@@ -174,7 +169,7 @@ Machine::reset()
     curFrameFlagged_ = false;
     curFrameFsiValid_ = false;
     curFrameRetainedHint_ = false;
-    fastFrames_.clear();
+    fastTop_ = 0;
     sliceLeft_ = config_.timesliceSteps;
     switchPending_ = false;
     preempting_ = false;
@@ -184,8 +179,8 @@ Machine::reset()
     if (banked()) {
         stackBank_ = banks_.assignFree(stackOwner);
         if (fastFramesEnabled_) {
-            for (unsigned i = 0; i < config_.fastFrameStackDepth; ++i)
-                fastFrames_.push_back(heap_.alloc(fastFsi_));
+            while (fastTop_ < config_.fastFrameStackDepth)
+                fastFrames_[fastTop_++] = heap_.alloc(fastFsi_);
         }
     }
 }

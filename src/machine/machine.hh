@@ -76,7 +76,11 @@ struct MachineStats
     static constexpr unsigned numXferKinds =
         static_cast<unsigned>(XferKind::NumKinds);
 
-    std::uint64_t steps = 0;
+    // steps sits apart from cycles on purpose: the threaded loop
+    // charges both at every block exit, and GCC merges two adjacent
+    // counters bumped together into one 16-byte load and store, whose
+    // load then stalls on the 8-byte store of cycles a transfer made
+    // just before (see MemoryStats).
     Tick cycles = 0;
 
     /** Per-kind transfer counts and per-kind "jump-equivalent"
@@ -112,6 +116,8 @@ struct MachineStats
     /** Timeslice-driven (involuntary) process switches, a subset of
      *  the ProcSwitch transfer count. */
     CountT preemptions = 0;
+
+    std::uint64_t steps = 0;
 
     std::array<CountT, 256> opCount{};
     std::array<CountT, 7> instLenCount{}; ///< index = bytes 1..6
@@ -389,7 +395,7 @@ class Machine
     int currentLbank() const { return curLbank_; }
     int currentStackBank() const { return stackBank_; }
     unsigned returnStackDepth() const { return retStack_.size(); }
-    unsigned fastFrameStackSize() const { return fastFrames_.size(); }
+    unsigned fastFrameStackSize() const { return fastTop_; }
     /** Return-stack entry frames, innermost last (empty if none). */
     std::vector<Addr> returnStackFrames() const;
     /** @} */
@@ -419,14 +425,32 @@ class Machine
     friend class TransferTestPeer;
 
     // -- cost accounting ---------------------------------------------
+    /** Where the storage references and cycles of an access go; each
+     *  accessor below takes one, or charges live without. LiveCharge
+     *  charges every reference as it is made. HeldCharge
+     *  (transfers.cc) holds a transfer's references and cycles in
+     *  locals and adds each counter once, when the transfer ends or
+     *  unwinds: the threaded loop's call and return plans run the
+     *  transfer bodies with it. */
+    struct LiveCharge;
+    struct HeldCharge;
+    template <class C> Word readMem(C &c, Addr addr, AccessKind kind);
+    template <class C>
+    void writeMem(C &c, Addr addr, Word value, AccessKind kind);
+    template <class C> Word readData(C &c, Addr addr);
+    template <class C> void writeData(C &c, Addr addr, Word value);
+    template <class C> void chargeRedirect(C &c);
     Word readMem(Addr addr, AccessKind kind);
     void writeMem(Addr addr, Word value, AccessKind kind);
     Word readData(Addr addr);
     void writeData(Addr addr, Word value);
     std::uint8_t fetchCodeByte(unsigned offset_from_pc);
-    void chargeRedirect();
 
     // -- frame word routing (bank or storage) ------------------------
+    template <class C>
+    Word readFrameWord(C &c, Addr frame_ptr, unsigned offset);
+    template <class C>
+    void writeFrameWord(C &c, Addr frame_ptr, unsigned offset, Word value);
     Word readFrameWord(Addr frame_ptr, unsigned offset);
     void writeFrameWord(Addr frame_ptr, unsigned offset, Word value);
 
@@ -455,6 +479,9 @@ class Machine
     // -- transfers (implemented in transfers.cc) ----------------------
     struct RetEntry;
 
+    /** Owner tag of the bank that holds the evaluation stack (I4). */
+    static constexpr Addr stackOwner = 0xFFFFFFFFu;
+
     ProcTarget resolveDescriptor(const Context &ctx);
     ProcTarget resolveDirect(CodeByteAddr target);
     void dispatchContext(Word ctx, XferKind kind, bool followable,
@@ -463,8 +490,44 @@ class Machine
     /** Any XFER besides a simple call or return (§6): flush the IFU
      *  return stack and the threaded loop's host return stack. */
     void unusualXfer();
-    void finishCall(const ProcTarget &target, XferKind kind,
+    /** The one body of every procedure call once its target is
+     *  resolved: frame, argument record, return link, registers. The
+     *  call primitives and the threaded loop's call plans both run
+     *  it. */
+    template <class C>
+    void finishCall(C &c, const ProcTarget &target, XferKind kind,
                     bool followable);
+    /** @name Resolved-site call bodies: what a call costs once its
+     *  link walk is memoized — the walk's replayed charge, then
+     *  finishCall. The call primitives run them on a link-cache hit,
+     *  the threaded loop's call plans on every planned call. @{ */
+    template <class C>
+    void fatCallResolved(C &c, CodeByteAddr target_addr, Addr gf,
+                         unsigned fsi);
+    template <class C>
+    void localCallResolved(C &c, unsigned fsi, CodeByteAddr entry_pc);
+    template <class C>
+    void directCallResolved(C &c, const ProcTarget &target);
+    /** @} */
+    /** @name The threaded loop's call and return plans: the transfer
+     *  of a call whose site resolved, or of a return the IFU return
+     *  stack (I3/I4) or the return link (I1/I2) serves, measured as
+     *  the primitive measures it, with no instruction dispatch or link
+     *  lookup in front. Out of line, so the loop's own code stays what
+     *  its straight-line handlers need. plannedReturn expects a
+     *  current frame and, on I3/I4, a non-empty return stack. @{ */
+    void plannedFatCall(CodeByteAddr target_addr, Addr gf, unsigned fsi);
+    void plannedLocalCall(unsigned fsi, CodeByteAddr entry_pc);
+    void plannedDirectCall(const ProcTarget &target);
+    void plannedReturn();
+    /** @} */
+    /** @name The two return bodies, run by doReturn and by the return
+     *  plan. Both expect a current frame. @{ */
+    /** §6: pop the IFU return stack (non-empty) and resume its entry. */
+    template <class C> void returnThroughRing(C &c);
+    /** §4/§5: read the return link, free the frame, XFER to the link. */
+    template <class C> void returnThroughLink(C &c);
+    /** @} */
 
     struct AllocResult
     {
@@ -472,15 +535,15 @@ class Machine
         unsigned fsi;
         bool fast;
     };
-    AllocResult allocFrame(unsigned fsi);
-    void releaseFrame(Addr frame_ptr, int bank);
-    void resumeFrame(Addr frame_ptr, XferKind kind);
+    template <class C> AllocResult allocFrame(C &c, unsigned fsi);
+    template <class C> void releaseFrame(C &c, Addr frame_ptr, int bank);
+    template <class C> void resumeFrame(C &c, Addr frame_ptr);
     void flushReturnStack();
     void spillOldestReturnEntry();
     void materializeEntry(const RetEntry &entry, Addr child);
-    void saveCurrentPc();
+    template <class C> void saveCurrentPc(C &c);
     /** Current code base; reads gf[0] if not cached in a register. */
-    CodeByteAddr currentCodeBase();
+    template <class C> CodeByteAddr currentCodeBase(C &c);
     void trap(Word code, const std::string &message);
 
     struct XferProbe;
@@ -513,7 +576,8 @@ class Machine
     void threadedLoopT(std::uint64_t &steps);
     /** Replay the accounting of a memoized link walk: n Table-kind
      *  word reads (each costing memCycles) plus n code-byte fetches. */
-    void chargeLinkWalk(CountT table_reads, CountT code_bytes);
+    template <class C>
+    void chargeLinkWalk(C &c, CountT table_reads, CountT code_bytes);
     /** Fire the sampler: fold any deferred accounting so the machine
      *  is self-consistent, deliver the sample, and move the deadline
      *  past the current cycle count. Out of line — runs at most once
@@ -585,10 +649,22 @@ class Machine
             clear();
         }
         unsigned size() const { return n_; }
-        bool empty() const { return n_ == 0; }
-        bool full() const { return n_ >= depth_; }
-        void push(const RetEntry &e) { slots_[(head_ + n_++) & mask_] = e; }
-        RetEntry pop() { return slots_[(head_ + --n_) & mask_]; }
+        [[gnu::always_inline]] bool empty() const { return n_ == 0; }
+        [[gnu::always_inline]] bool full() const { return n_ >= depth_; }
+        /** The slot of a new newest entry, for the caller to fill in
+         *  place (a whole-entry copy of fields just written one by one
+         *  stalls on store forwarding). */
+        [[gnu::always_inline]] RetEntry &
+        push()
+        {
+            return slots_[(head_ + n_++) & mask_];
+        }
+        /** The newest entry, removed; valid until the next push. */
+        [[gnu::always_inline]] const RetEntry &
+        pop()
+        {
+            return slots_[(head_ + --n_) & mask_];
+        }
         /** Entry i counted from the oldest. */
         const RetEntry &at(unsigned i) const
         {
@@ -621,8 +697,10 @@ class Machine
     int stackBank_ = -1;
     bool curFrameFlagged_ = false;
 
-    // I4 fast frame stack
+    // I4 fast frame stack: fastFrameStackDepth slots, sized once at
+    // construction, of which the first fastTop_ hold free frames.
     std::vector<Addr> fastFrames_;
+    unsigned fastTop_ = 0;
     unsigned fastFsi_ = 0;
     bool fastFramesEnabled_ = false;
 
@@ -662,7 +740,7 @@ class Machine
         CountT cycles = 0, cyclesSq = 0, cyclesMin = ~CountT{0},
                cyclesMax = 0;
 
-        void
+        [[gnu::always_inline]] void
         add(CountT r, CountT c)
         {
             if (r == runRefs && c == runCycles) [[likely]] {
@@ -748,33 +826,61 @@ binaryResult(isa::Op op, Word a, Word b, bool &div_zero)
 // several of these, from machine.cc, transfers.cc and threaded.cc.
 // ---------------------------------------------------------------------
 
-[[gnu::always_inline]] inline Word
-Machine::readMem(Addr addr, AccessKind kind)
+/** The live charge: every reference and cycle lands in the counters
+ *  as it is made. Memory-shaped (read/write), so FrameHeap charges
+ *  through it too. */
+struct Machine::LiveCharge
 {
-    stats_.cycles += config_.latency.memCycles;
-    return mem_.read(addr, kind);
-}
+    Machine &m;
 
-[[gnu::always_inline]] inline void
-Machine::writeMem(Addr addr, Word value, AccessKind kind)
-{
-    stats_.cycles += config_.latency.memCycles;
-    mem_.write(addr, value, kind);
-}
-
-[[gnu::always_inline]] inline Word
-Machine::readData(Addr addr)
-{
-    if (cache_) {
-        stats_.cycles += cache_->access(addr, false);
-        return mem_.read(addr, AccessKind::Data);
+    [[gnu::always_inline]] Word
+    read(Addr addr, AccessKind kind)
+    {
+        return m.mem_.read(addr, kind);
     }
-    stats_.cycles += config_.latency.memCycles;
-    return mem_.read(addr, AccessKind::Data);
+    [[gnu::always_inline]] void
+    write(Addr addr, Word value, AccessKind kind)
+    {
+        m.mem_.write(addr, value, kind);
+    }
+    [[gnu::always_inline]] void
+    chargeReads(AccessKind kind, CountT n)
+    {
+        m.mem_.chargeReads(kind, n);
+    }
+    [[gnu::always_inline]] void cycles(Tick n) { m.stats_.cycles += n; }
+    /** Storage references so far, charged or held. */
+    [[gnu::always_inline]] CountT refs() const { return m.mem_.totalRefs(); }
+};
+
+template <class C>
+[[gnu::always_inline]] inline Word
+Machine::readMem(C &c, Addr addr, AccessKind kind)
+{
+    c.cycles(config_.latency.memCycles);
+    return c.read(addr, kind);
 }
 
+template <class C>
 [[gnu::always_inline]] inline void
-Machine::writeData(Addr addr, Word value)
+Machine::writeMem(C &c, Addr addr, Word value, AccessKind kind)
+{
+    c.cycles(config_.latency.memCycles);
+    c.write(addr, value, kind);
+}
+
+template <class C>
+[[gnu::always_inline]] inline Word
+Machine::readData(C &c, Addr addr)
+{
+    c.cycles(cache_ ? cache_->access(addr, false)
+                    : config_.latency.memCycles);
+    return c.read(addr, AccessKind::Data);
+}
+
+template <class C>
+[[gnu::always_inline]] inline void
+Machine::writeData(C &c, Addr addr, Word value)
 {
     // A program store into the GFT or a global frame's code-base word
     // changes what a memoized link walk would resolve to; drop the
@@ -782,60 +888,96 @@ Machine::writeData(Addr addr, Word value)
     // store lands at or above globalEnd and skips the map lookup.
     if (accel_ && addr < layout_.globalEnd && accel_->linkSensitive(addr))
         accel_->flushLinks();
-    if (cache_) {
-        stats_.cycles += cache_->access(addr, true);
-        mem_.write(addr, value, AccessKind::Data);
-        return;
-    }
-    stats_.cycles += config_.latency.memCycles;
-    mem_.write(addr, value, AccessKind::Data);
+    c.cycles(cache_ ? cache_->access(addr, true)
+                    : config_.latency.memCycles);
+    c.write(addr, value, AccessKind::Data);
 }
 
+template <class C>
 [[gnu::always_inline]] inline void
-Machine::chargeRedirect()
+Machine::chargeRedirect(C &c)
 {
-    stats_.cycles += config_.latency.redirectCycles;
+    c.cycles(config_.latency.redirectCycles);
     xferRedirected_ = true;
 }
 
 // Frame word routing: register bank when one shadows the frame.
 
+template <class C>
 [[gnu::always_inline]] inline Word
-Machine::readFrameWord(Addr frame_ptr, unsigned offset)
+Machine::readFrameWord(C &c, Addr frame_ptr, unsigned offset)
 {
     if (banked() && offset < banks_.bankWords()) {
         const int bank = banks_.bankOf(frame_ptr);
         if (bank >= 0) {
-            stats_.cycles += config_.latency.regCycles;
+            c.cycles(config_.latency.regCycles);
             return banks_.read(bank, offset);
         }
     }
-    const AccessKind kind = offset < frame::varsOffset
-                                ? AccessKind::FrameState
-                                : AccessKind::Data;
-    if (kind == AccessKind::Data)
-        return readData(frame_ptr + offset);
-    return readMem(frame_ptr + offset, kind);
+    if (offset >= frame::varsOffset)
+        return readData(c, frame_ptr + offset);
+    return readMem(c, frame_ptr + offset, AccessKind::FrameState);
+}
+
+template <class C>
+[[gnu::always_inline]] inline void
+Machine::writeFrameWord(C &c, Addr frame_ptr, unsigned offset,
+                        Word value)
+{
+    if (banked() && offset < banks_.bankWords()) {
+        const int bank = banks_.bankOf(frame_ptr);
+        if (bank >= 0) {
+            c.cycles(config_.latency.regCycles);
+            banks_.write(bank, offset, value);
+            return;
+        }
+    }
+    if (offset >= frame::varsOffset)
+        writeData(c, frame_ptr + offset, value);
+    else
+        writeMem(c, frame_ptr + offset, value, AccessKind::FrameState);
+}
+
+[[gnu::always_inline]] inline Word
+Machine::readMem(Addr addr, AccessKind kind)
+{
+    LiveCharge c{*this};
+    return readMem(c, addr, kind);
+}
+
+[[gnu::always_inline]] inline void
+Machine::writeMem(Addr addr, Word value, AccessKind kind)
+{
+    LiveCharge c{*this};
+    writeMem(c, addr, value, kind);
+}
+
+[[gnu::always_inline]] inline Word
+Machine::readData(Addr addr)
+{
+    LiveCharge c{*this};
+    return readData(c, addr);
+}
+
+[[gnu::always_inline]] inline void
+Machine::writeData(Addr addr, Word value)
+{
+    LiveCharge c{*this};
+    writeData(c, addr, value);
+}
+
+[[gnu::always_inline]] inline Word
+Machine::readFrameWord(Addr frame_ptr, unsigned offset)
+{
+    LiveCharge c{*this};
+    return readFrameWord(c, frame_ptr, offset);
 }
 
 [[gnu::always_inline]] inline void
 Machine::writeFrameWord(Addr frame_ptr, unsigned offset, Word value)
 {
-    if (banked() && offset < banks_.bankWords()) {
-        const int bank = banks_.bankOf(frame_ptr);
-        if (bank >= 0) {
-            stats_.cycles += config_.latency.regCycles;
-            banks_.write(bank, offset, value);
-            return;
-        }
-    }
-    const AccessKind kind = offset < frame::varsOffset
-                                ? AccessKind::FrameState
-                                : AccessKind::Data;
-    if (kind == AccessKind::Data)
-        writeData(frame_ptr + offset, value);
-    else
-        writeMem(frame_ptr + offset, value, kind);
+    LiveCharge c{*this};
+    writeFrameWord(c, frame_ptr, offset, value);
 }
 
 [[gnu::always_inline]] inline Word

@@ -197,9 +197,18 @@ enum HIdx : unsigned
      *  so a taken latch pays the O(1) full-block exit and re-enters
      *  through the chain pointer). */
     H_Exit,
-    /** The five call classes: push the host return stack, then call
-     *  through the block's call-site cache. */
+    /** EFC, and every call whose plan is not live: push the host
+     *  return stack, then call through execute() and the block's
+     *  call-site cache, which the resolution fills. */
     H_Call,
+    /** Call plans, one per resolution discipline (FCALL, LFC,
+     *  DFC/SDFC): a live site enters the callee in the loop, through
+     *  the resolved-site body the call primitive runs on a link hit. */
+    H_CallFat,
+    H_CallLocal,
+    H_CallDirect,
+    /** The return plan: the IFU return stack's pop (I3/I4) or the
+     *  return link (I1/I2) in the loop. */
     H_Ret,
     H_BlockEnd, ///< sentinel after the length cap: fall to next block
     H_Count
@@ -275,11 +284,14 @@ handlerIndexFor(const isa::Inst &inst, bool banked)
       case OpClass::Illegal:
         return H_Exit;
       case OpClass::ExtCall:
+        return H_Call;
       case OpClass::LocalCall:
+        return H_CallLocal;
       case OpClass::DirectCall:
       case OpClass::ShortDirectCall:
+        return H_CallDirect;
       case OpClass::FatCall:
-        return H_Call;
+        return H_CallFat;
       case OpClass::Ret:
         return H_Ret;
       default:
@@ -476,6 +488,21 @@ buildBlock(Memory &mem, CodeByteAddr entry, const void *const *labels,
         goto *const_cast<void *>(ti->handler);                         \
     } while (0)
 
+/** Enter block NB from a block exit, with no trip through the outer
+ *  loop: reset the block cursors, reload the register-cached stack
+ *  pointer and block mirrors, and dispatch its first handler. */
+#define FPC_T_ENTER(NB)                                                \
+    do {                                                               \
+        cur = (NB);                                                    \
+        base = cur->insts.data();                                      \
+        ti = base;                                                     \
+        charged = base;                                                \
+        sp = sp_;                                                      \
+        treload();                                                     \
+        prev = cur;                                                    \
+        goto *const_cast<void *>(ti->handler);                         \
+    } while (0)
+
 /** Binary ALU/compare body: execute()'s in-place binary path with the
  *  bank checks folded out; binaryResult folds to OP's one case. A
  *  failed guard (underflow, or a DIV/MOD divisor of 0) takes h_slow,
@@ -522,7 +549,7 @@ buildBlock(Memory &mem, CodeByteAddr entry, const void *const *labels,
                 sp_ = sp;                                              \
                 instStart_ = ti->start;                                \
                 pcAbs_ = ti->start + ti->operand;                      \
-                goto early_exit; /* taken: known divergence */         \
+                goto side_exit; /* taken: known divergence */         \
             }                                                          \
             FPC_T_NEXT_FAST();                                         \
         }                                                              \
@@ -588,6 +615,9 @@ Machine::threadedLoopT(std::uint64_t &steps)
         &&h_slow,
         &&h_exit,
         &&h_call,
+        &&h_call_fat,
+        &&h_call_local,
+        &&h_call_direct,
         &&h_ret,
         &&h_block_end,
     };
@@ -601,6 +631,7 @@ Machine::threadedLoopT(std::uint64_t &steps)
     const unsigned regCyc = config_.latency.regCycles;
     const unsigned bankWords = banks_.bankWords();
     const Addr globalEnd = layout_.globalEnd;
+    const bool ifu = ifuEnabled();
     const std::uint64_t maxSteps = config_.maxSteps;
     // Sampler, hoisted: the sampling-off cost is one register compare
     // per outer-loop iteration and per chain follow — never per
@@ -610,6 +641,10 @@ Machine::threadedLoopT(std::uint64_t &steps)
     // of the run. Member code spills the register-held deltas whenever
     // an observer or a YIELD's scheduler hook could read stamps.
     const bool observed = observer_ != nullptr || scheduler_ != nullptr;
+    // The call and return plans hold their charges until the transfer
+    // ends, so they run only where no observer reads a stamp inside
+    // one.
+    const bool planned = observer_ == nullptr;
     const bool exactSmp = smp != nullptr && smp->exact();
     const bool slicing = config_.timesliceSteps != 0 && scheduler_;
     // A sampler or a timeslice: only then do block exits check more
@@ -785,11 +820,35 @@ Machine::threadedLoopT(std::uint64_t &steps)
                                  nextSampleAt_) &&
                (!slicing || (!switchPending_ && n < sliceLeft_));
     };
+    // A sample is due: block_done fires it, with the deltas spilled.
+    const auto sampleDue = [&]() __attribute__((always_inline)) {
+        return smp != nullptr &&
+               stats_.cycles + pendingCycles() >= nextSampleAt_;
+    };
     // The timeslice counts the instructions a block ran, less one
     // that stopped the machine (maybePreempt skips a stopping step).
     const auto tickSlice = [&](std::uint64_t ran) __attribute__((always_inline)) {
         if (slicing)
             sliceLeft_ -= ran - (stop_ != StopReason::Running ? 1 : 0);
+    };
+
+    // An early exit after instruction k-1 of the current block (the
+    // one ti is on): charge the k-instruction prefix, defer its
+    // histograms (exitPending) and count its steps.
+    const TInst *base = nullptr;
+    const TInst *ti = nullptr;
+    Superblock *cur = nullptr;
+    const auto chargeExit = [&]() __attribute__((always_inline)) {
+        const std::uint64_t k = static_cast<std::uint64_t>(ti - base) + 1;
+        chargeTo(ti + 1);
+        // Sized on the block's first exit: most blocks never take one,
+        // and a cold block build stays one allocation.
+        if (cur->exitPending.empty()) [[unlikely]]
+            cur->exitPending.assign(cur->n, 0);
+        ++cur->exitPending[k - 1];
+        cur->exitsPending = true;
+        st += k;
+        tickSlice(k);
     };
 
     // Inlined accessor bodies for the fast paths, identical to the
@@ -875,13 +934,13 @@ Machine::threadedLoopT(std::uint64_t &steps)
     };
 
     Superblock *prev = nullptr;
-    Superblock *cur = nullptr;
     // The caller block a RET popped off the host return stack, until
     // the return's successor block is known (full_exit follows its
     // prediction, or the loop head records the block it looked up).
     Superblock *retFrom = nullptr;
-    const TInst *base = nullptr;
-    const TInst *ti = nullptr;
+    // The block a taken forward branch left whose side link missed,
+    // until the loop head records the block it looked up.
+    Superblock *sideFrom = nullptr;
     // Register-cached stack pointer. Fast paths read and write only
     // this; FPC_T_PRE spills it to sp_ before any member code runs,
     // and it reloads from sp_ after it (h_slow directly, terminals via
@@ -899,9 +958,12 @@ Machine::threadedLoopT(std::uint64_t &steps)
         if (cache.sync(mem_.codeEpoch(), stats_, acc->stats)) {
             prev = nullptr;
             retFrom = nullptr;
+            sideFrom = nullptr;
         }
         Superblock *retCaller = retFrom;
         retFrom = nullptr;
+        Superblock *sideCaller = sideFrom;
+        sideFrom = nullptr;
 
         Superblock *sb;
         if (prev != nullptr && prev->chainPc == pcAbs_) {
@@ -916,6 +978,7 @@ Machine::threadedLoopT(std::uint64_t &steps)
                     cache.flushAll(stats_, acc->stats);
                     prev = nullptr;
                     retCaller = nullptr;
+                    sideCaller = nullptr;
                 }
                 std::unique_ptr<Superblock> built =
                     buildBlock(mem_, pcAbs_, labels, Banked);
@@ -934,6 +997,10 @@ Machine::threadedLoopT(std::uint64_t &steps)
                 // went, for the next return into this caller.
                 ++acc->stats.returnPredMisses;
                 retCaller->retSucc = sb;
+            }
+            if (sideCaller != nullptr && sb != nullptr) {
+                sideCaller->side = sb;
+                sideCaller->sidePc = pcAbs_;
             }
         }
 
@@ -1140,7 +1207,7 @@ Machine::threadedLoopT(std::uint64_t &steps)
                 sp_ = sp;
                 instStart_ = ti->start;
                 pcAbs_ = ti->start + ti->operand;
-                goto early_exit; // taken: known divergence
+                goto side_exit; // taken: known divergence
             }
             goto h_slow;
 
@@ -1152,7 +1219,7 @@ Machine::threadedLoopT(std::uint64_t &steps)
                 sp_ = sp;
                 instStart_ = ti->start;
                 pcAbs_ = ti->start + ti->operand;
-                goto early_exit; // taken: known divergence
+                goto side_exit; // taken: known divergence
             }
             goto h_slow;
 
@@ -1260,9 +1327,77 @@ Machine::threadedLoopT(std::uint64_t &steps)
             execute(instOf(*ti), &cur->site);
             goto full_exit;
 
+            // -- call and return plans ---------------------------------
+            // A call whose site resolved runs its primitive's
+            // resolved-site body straight from here (plannedDirectCall
+            // and its siblings in transfers.cc: the same body and
+            // XferProbe, with the charges held until the transfer
+            // ends), and full_exit enters the callee through the chain
+            // pointer: no execute(), no link lookup, no trip through
+            // the outer loop. A site that is empty or stale, or any
+            // call with an observer attached, falls back to h_call,
+            // whose resolution fills the site.
+          h_call_fat:
+            if (planned && cur->site.gen != 0) [[likely]] {
+                FPC_T_PRE();
+                cache.pushReturn(cur);
+                plannedFatCall(static_cast<CodeByteAddr>(ti->operand),
+                               static_cast<Addr>(ti->operand2),
+                               cur->site.target.fsi);
+                ++acc->stats.fatHits;
+                goto call_planned;
+            }
+            goto call_fallback;
+
+          h_call_local:
+            // The site key is the code base; one the primitive would
+            // still have to read from gf[0] falls back, so nothing is
+            // charged before the key is known to match.
+            if (planned && codeBaseValid_ &&
+                acc->siteLive(cur->site,
+                              Accel::localKey(
+                                  codeBase_,
+                                  static_cast<unsigned>(ti->operand)),
+                              true)) [[likely]] {
+                FPC_T_PRE();
+                cache.pushReturn(cur);
+                plannedLocalCall(cur->site.target.fsi,
+                                 cur->site.target.entryPc);
+                ++acc->stats.localHits;
+                goto call_planned;
+            }
+            goto call_fallback;
+
+          h_call_direct:
+            if (planned && cur->site.gen != 0) [[likely]] {
+                FPC_T_PRE();
+                cache.pushReturn(cur);
+                plannedDirectCall(cur->site.target);
+                ++acc->stats.directHits;
+                goto call_planned;
+            }
+            goto call_fallback;
+
+          call_planned:
+            ++acc->stats.callPlanHits;
+            ++acc->stats.callSiteHits;
+            goto full_exit;
+
+          call_fallback:
+            ++acc->stats.callPlanFallbacks;
+            goto h_call;
+
           h_ret:
-            FPC_T_PRE();
-            execute(instOf(*ti));
+            if (planned && lf_ != nilAddr && (!ifu || !retStack_.empty()))
+                [[likely]] {
+                FPC_T_PRE();
+                plannedReturn();
+                ++acc->stats.returnPlanHits;
+            } else {
+                ++acc->stats.returnPlanFallbacks;
+                FPC_T_PRE();
+                execute(instOf(*ti));
+            }
             retFrom = cache.popReturn();
             goto full_exit;
 
@@ -1285,67 +1420,66 @@ Machine::threadedLoopT(std::uint64_t &steps)
             prev = cur;
             if (hooked) [[unlikely]] {
                 tickSlice(cur->n);
-                if (smp != nullptr && stats_.cycles >= nextSampleAt_)
+                if (sampleDue())
                     goto block_done;
             }
-            // Fast re-entry through the chain pointer or, for a return
-            // the chain missed, the host return prediction: the code
-            // epoch only moves on external pokes (loader, relocator,
-            // test patching), never while run() executes, so either
-            // link can skip the outer loop's epoch polls and cache
-            // probe entirely. A prediction is followed only when its
-            // block starts at the PC the return produced, and it
-            // updates the chain exactly as the outer loop's lookup
-            // would have. An expired sampling budget breaks both (above)
-            // so the loop can fire the sample at this block boundary, and
-            // so does a successor the eager-window rule keeps out.
+            // Fast re-entry through the host return prediction, for a
+            // return, or the chain pointer: the code epoch only moves
+            // on external pokes (loader, relocator, test patching),
+            // never while run() executes, so either link can skip the
+            // outer loop's epoch polls and cache probe entirely. The
+            // prediction comes first: it is keyed by the calling block
+            // (P4F's continuation per call site), where a returning
+            // block's one chain pointer only holds the last of its
+            // callers' continuations. It is followed only when its
+            // block starts at the PC the return produced. An expired
+            // sampling budget breaks both (above) so the loop can fire
+            // the sample at this block boundary, and so does a
+            // successor the eager-window rule keeps out.
             if (stop_ == StopReason::Running) [[likely]] {
-                const bool chained = cur->chainPc == pcAbs_;
-                Superblock *nb = chained ? cur->chain
-                                 : retFrom != nullptr ? retFrom->retSucc
-                                                      : nullptr;
-                if (nb != nullptr && nb->entry == pcAbs_ &&
-                    nb->n <= maxSteps - st && (!hooked || room(nb->n)))
-                    [[likely]] {
-                    if (chained) {
-                        ++acc->stats.sblockChainHits;
-                    } else {
+                Superblock *nb = retFrom != nullptr ? retFrom->retSucc
+                                                    : nullptr;
+                const bool predicted = nb != nullptr && nb->entry == pcAbs_;
+                if (!predicted)
+                    nb = cur->chainPc == pcAbs_ ? cur->chain : nullptr;
+                if (nb != nullptr && nb->n <= maxSteps - st &&
+                    (!hooked || room(nb->n))) [[likely]] {
+                    if (predicted)
                         ++acc->stats.returnPredHits;
-                        cur->chain = nb;
-                        cur->chainPc = pcAbs_;
-                    }
+                    else
+                        ++acc->stats.sblockChainHits;
                     retFrom = nullptr;
-                    cur = nb;
-                    base = cur->insts.data();
-                    ti = base;
-                    charged = base;
-                    sp = sp_;
-                    treload();
-                    prev = cur;
-                    goto *const_cast<void *>(ti->handler);
+                    FPC_T_ENTER(nb);
                 }
             }
             goto block_done;
 
-          early_exit : {
-            // Divergence (trap transfer, stop, or taken side exit)
-            // after instruction k-1 of the block: charge exactly the
-            // k-instruction prefix the eager loop would have charged
-            // (an observed h_slow that diverged charged it already).
-            const std::uint64_t k =
-                static_cast<std::uint64_t>(ti - base) + 1;
-            chargeTo(ti + 1);
-            // Sized on the block's first exit: most blocks never take
-            // one, and a cold block build stays one allocation.
-            if (cur->exitPending.empty()) [[unlikely]]
-                cur->exitPending.assign(cur->n, 0);
-            ++cur->exitPending[k - 1];
-            cur->exitsPending = true;
-            st += k;
-            tickSlice(k);
+          early_exit:
+            // Divergence (trap transfer or stop) after instruction k-1
+            // of the block: charge exactly the k-instruction prefix the
+            // eager loop would have charged (an observed h_slow that
+            // diverged charged it already).
+            chargeExit();
             prev = nullptr;
             goto block_done;
-          }
+
+          side_exit:
+            // A taken forward branch: charged like any early exit, then
+            // the block's side link enters the branch target's block
+            // directly, as the chain pointer serves a full exit (and a
+            // hit counts as one). A miss leaves the lookup to the outer
+            // loop, which records the block it finds.
+            chargeExit();
+            prev = nullptr;
+            if (hooked && sampleDue()) [[unlikely]]
+                goto block_done;
+            if (cur->sidePc == pcAbs_ && cur->side->n <= maxSteps - st &&
+                (!hooked || room(cur->side->n))) [[likely]] {
+                ++acc->stats.sblockChainHits;
+                FPC_T_ENTER(cur->side);
+            }
+            sideFrom = cur;
+            goto block_done;
 
           block_done:
             spillStats();
@@ -1394,6 +1528,7 @@ Machine::threadedLoopT(std::uint64_t &steps)
 }
 
 #undef FPC_T_CMPBR
+#undef FPC_T_ENTER
 #undef FPC_T_BIN
 #undef FPC_T_NEXT_FAST
 #undef FPC_T_NEXT

@@ -19,18 +19,31 @@
  *  - an XFER at a block exit chains to the successor block through an
  *    inline pointer the way I3's IFU follows a DIRECTCALL: a chain
  *    hit re-enters the next block without touching the cache index;
+ *  - a taken forward branch (predicted not taken, so a side exit)
+ *    re-enters through a second inline pointer, Superblock::side,
+ *    keyed by the branch target;
  *  - a block that ends in a call keeps the call's resolved target in
- *    a call-site cache (Superblock::site), so a repeated call skips
- *    the link-cache lookup and charges exactly what a link-cache hit
- *    charges. DIRECTCALL, SHORTDIRECTCALL and FCALL entries live as
- *    long as the block (one code epoch); EFC and LFC entries also die
- *    at Accel::flushLinks;
- *  - returns are predicted the way §6's return stack predicts them:
- *    call exits push the calling block on a host return stack, and a
- *    RET the chain pointer misses pops it and enters the block last
- *    seen at that caller's return PC (Superblock::retSucc), if that
- *    block starts exactly where the return landed. Unusual XFERs and
- *    every cache flush empty the stack.
+ *    a call-site cache (Superblock::site). DIRECTCALL, SHORTDIRECTCALL
+ *    and FCALL entries live as long as the block (one code epoch);
+ *    EFC and LFC entries also die at Accel::flushLinks;
+ *  - **call plans**: FCALL, LFC and DFC/SDFC end their blocks in their
+ *    own terminal handlers. Once the site holds a live resolution and
+ *    no observer is attached, the handler runs the call primitive's
+ *    resolved-site body directly (Machine::plannedDirectCall and its
+ *    siblings, transfers.cc): the same transfer body and XferProbe,
+ *    with the storage references and cycles held in registers and
+ *    charged once. The callee block is then entered through the chain
+ *    pointer. Any other call goes through execute(), which fills the
+ *    site;
+ *  - **return plans**: a RET that the IFU return stack (I3/I4, not
+ *    empty) or the return link (I1/I2) serves runs Machine::
+ *    plannedReturn the same way. Returns are then predicted the way
+ *    §6's return stack predicts them: call exits push the calling
+ *    block on a host return stack, a RET pops it, and the loop enters
+ *    the block last seen at that caller's return PC
+ *    (Superblock::retSucc), before the returning block's own chain
+ *    pointer, if it starts exactly where the return landed. Unusual
+ *    XFERs and every cache flush empty the stack.
  *
  * The contract is the acceleration contract (machine/accel.hh): all
  * simulated numbers are bit-identical with the backend off or
@@ -129,6 +142,12 @@ struct Superblock
      *  arena precisely so chains never dangle within an epoch. */
     Superblock *chain = nullptr;
     CodeByteAddr chainPc = ~0u;
+    /** Side link: the block most recently entered at a taken forward
+     *  branch of this block (BTFN predicts those not taken, so they
+     *  side-exit), keyed by the branch target. Same lifetime as the
+     *  chain. */
+    Superblock *side = nullptr;
+    CodeByteAddr sidePc = ~0u;
 
     /** Call-site target cache for the call that ends this block (a
      *  block ends in at most one XFER). The callee's block needs no

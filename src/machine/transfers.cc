@@ -7,6 +7,7 @@
  */
 
 #include <algorithm>
+#include <array>
 
 #include "common/logging.hh"
 #include "machine/machine.hh"
@@ -15,16 +16,12 @@
 namespace fpc
 {
 
-namespace
-{
-constexpr Addr stackOwner = 0xFFFFFFFFu;
-
-unsigned
-kindIndex(XferKind kind)
-{
-    return static_cast<unsigned>(kind);
-}
-} // namespace
+// ---------------------------------------------------------------------
+// Transfer bodies, inline: the call and return primitives and the
+// threaded loop's call and return plans (below) run these one
+// definitions, so a planned transfer charges exactly what the
+// primitive charges.
+// ---------------------------------------------------------------------
 
 /**
  * Measures one transfer: storage references and cycles consumed, and
@@ -52,7 +49,7 @@ struct Machine::XferProbe
     {
         const CountT refs = m.mem_.totalRefs() - refs0;
         const Tick cycles = m.stats_.cycles - cycles0;
-        const unsigned k = kindIndex(kind);
+        const auto k = static_cast<unsigned>(kind);
         ++m.stats_.xferCount[k];
         if (refs == 0 && !m.xferRedirected_)
             ++m.stats_.xferFast[k];
@@ -73,7 +70,7 @@ struct Machine::XferProbe
     exact(CountT refs, Tick cycles)
     {
         auto &s = m.stats_;
-        const unsigned k = kindIndex(kind);
+        const auto k = static_cast<unsigned>(kind);
         s.xferRefs[k].sample(static_cast<double>(refs));
         s.xferCycles[k].sample(static_cast<double>(cycles));
         if (m.observer_ != nullptr) {
@@ -108,6 +105,434 @@ struct Machine::XferProbe
         }
     }
 };
+
+/**
+ * The held charge (see LiveCharge): storage references counted per
+ * kind and cycles summed in locals, which the compiler keeps in
+ * registers, then added to the counters once, when the transfer body
+ * returns or unwinds. Declared after the transfer's XferProbe, so the
+ * probe measures the charged totals. The accesses themselves are the
+ * checked ones, so a storage panic leaves exactly what the live
+ * charge leaves: the failing access's cycles charged, its reference
+ * not counted. The plans use it, only with no observer attached, and
+ * so do bank spills and fills, which call no hook: nothing reads an
+ * absolute count while a charge is held.
+ */
+struct Machine::HeldCharge
+{
+    Machine &m;
+    /** The held counts, one scalar per kind and direction: every
+     *  access names its kind, so once the bodies are inlined the
+     *  compiler keeps each in a register (an array of them stays in
+     *  memory, where merged counter updates stall). */
+    CountT codeReads = 0, dataReads = 0, tableReads = 0, heapReads = 0,
+           stateReads = 0;
+    CountT codeWrites = 0, dataWrites = 0, tableWrites = 0,
+           heapWrites = 0, stateWrites = 0;
+    Tick cyc = 0;
+
+    explicit HeldCharge(Machine &machine) : m(machine) {}
+    HeldCharge(const HeldCharge &) = delete;
+    HeldCharge &operator=(const HeldCharge &) = delete;
+
+    [[gnu::always_inline]] ~HeldCharge()
+    {
+        m.mem_.chargeBatch({codeReads, dataReads, tableReads, heapReads,
+                            stateReads},
+                           {codeWrites, dataWrites, tableWrites,
+                            heapWrites, stateWrites});
+        m.stats_.cycles += cyc;
+    }
+
+    [[gnu::always_inline]] Word
+    read(Addr addr, AccessKind kind)
+    {
+        const Word value = m.mem_.readUncounted(addr);
+        ++counter(false, kind);
+        return value;
+    }
+    [[gnu::always_inline]] void
+    write(Addr addr, Word value, AccessKind kind)
+    {
+        m.mem_.writeUncounted(addr, value);
+        ++counter(true, kind);
+    }
+    [[gnu::always_inline]] void
+    chargeReads(AccessKind kind, CountT n)
+    {
+        counter(false, kind) += n;
+    }
+    [[gnu::always_inline]] void cycles(Tick n) { cyc += n; }
+    /** Storage references so far, charged or held: an out-of-line
+     *  callee (the heap's refill, a bank flush) charges live. */
+    [[gnu::always_inline]] CountT
+    refs() const
+    {
+        return m.mem_.totalRefs() + codeReads + dataReads + tableReads +
+               heapReads + stateReads + codeWrites + dataWrites +
+               tableWrites + heapWrites + stateWrites;
+    }
+
+  private:
+    [[gnu::always_inline]] CountT &
+    counter(bool write, AccessKind kind)
+    {
+        switch (kind) {
+          case AccessKind::Code: return write ? codeWrites : codeReads;
+          case AccessKind::Data: return write ? dataWrites : dataReads;
+          case AccessKind::Table: return write ? tableWrites : tableReads;
+          case AccessKind::Heap: return write ? heapWrites : heapReads;
+          default: return write ? stateWrites : stateReads;
+        }
+    }
+};
+
+template <class C>
+[[gnu::always_inline]] inline void
+Machine::chargeLinkWalk(C &c, CountT table_reads, CountT code_bytes)
+{
+    c.cycles(config_.latency.memCycles * table_reads);
+    c.chargeReads(AccessKind::Table, table_reads);
+    mem_.chargeCodeBytes(code_bytes);
+}
+
+template <class C>
+[[gnu::always_inline]] inline CodeByteAddr
+Machine::currentCodeBase(C &c)
+{
+    if (!codeBaseValid_) {
+        // "the code base is recovered from the global frame" (§5.3).
+        const Word seg = readMem(c, gf_, AccessKind::Table);
+        codeBase_ = layout_.codeSegBase(seg);
+        codeBaseValid_ = true;
+    }
+    return codeBase_;
+}
+
+template <class C>
+[[gnu::always_inline]] inline void
+Machine::saveCurrentPc(C &c)
+{
+    if (lf_ == nilAddr)
+        return;
+    const CodeByteAddr base = currentCodeBase(c);
+    writeFrameWord(c, lf_, frame::savedPcOffset,
+                   static_cast<Word>(pcAbs_ - base));
+}
+
+template <class C>
+[[gnu::always_inline]] inline Machine::AllocResult
+Machine::allocFrame(C &c, unsigned fsi)
+{
+    // §7.1: "a reasonable strategy is to make the smallest frame size
+    // the 80 bytes just cited" — every small frame is standard-sized,
+    // so it can recycle through the processor's stack of free frames.
+    // (The paper notes the drawback: deep recursion can hold many
+    // 80-byte frames with few words used.)
+    if (banked() && fastFramesEnabled_ && fsi <= fastFsi_) {
+        if (fastTop_ != 0) {
+            // "allocation will be extremely fast; furthermore, it can
+            // be done in parallel with the rest of an XFER operation."
+            const Addr lf = fastFrames_[--fastTop_];
+            ++stats_.fastFrameAllocs;
+            if (observer_ != nullptr)
+                observer_->onFrameAlloc(fastFsi_, true, *this);
+            return {lf, fastFsi_, true};
+        }
+        // Underflow: fall back to the AV heap, still standard-sized.
+        fsi = fastFsi_;
+    }
+    ++stats_.slowFrameAllocs;
+    const CountT refs0 = c.refs();
+    const Addr lf = heap_.alloc(fsi, c);
+    c.cycles(config_.latency.memCycles * (c.refs() - refs0));
+    if (observer_ != nullptr)
+        observer_->onFrameAlloc(fsi, false, *this);
+    return {lf, fsi, false};
+}
+
+template <class C>
+[[gnu::always_inline]] inline void
+Machine::releaseFrame(C &c, Addr frame_ptr, int bank)
+{
+    // Fast path: the current frame's size class and retained flag are
+    // register hints carried by the return stack, so a standard,
+    // unretained frame goes back on the processor's free stack with
+    // no storage references at all.
+    if (banked() && fastFramesEnabled_ && curFrameFsiValid_ &&
+        frame_ptr == lf_ && curFrameFsi_ == fastFsi_ &&
+        !curFrameRetainedHint_ && !curFrameFlagged_ &&
+        fastTop_ < config_.fastFrameStackDepth) {
+        fastFrames_[fastTop_++] = frame_ptr;
+        ++stats_.fastFrameFrees;
+        if (bank >= 0)
+            banks_.free(bank); // contents die with the frame
+        if (observer_ != nullptr)
+            observer_->onFrameFree(fastFsi_, true, *this);
+        return;
+    }
+
+    ++stats_.slowFrameFrees;
+    const CountT refs0 = c.refs();
+    const bool freed = heap_.release(frame_ptr, c);
+    c.cycles(config_.latency.memCycles * (c.refs() - refs0));
+    if (bank >= 0) {
+        if (!freed)
+            flushBank(bank); // retained frame lives on in storage
+        banks_.free(bank);
+    }
+    if (observer_ != nullptr) {
+        // The slow path releases arbitrary frames; the size class is
+        // only known when the register hint covers this frame.
+        const unsigned fsi = curFrameFsiValid_ && frame_ptr == lf_
+                                 ? curFrameFsi_
+                                 : ~0u;
+        observer_->onFrameFree(fsi, false, *this);
+    }
+}
+
+template <class C>
+[[gnu::always_inline]] inline void
+Machine::resumeFrame(C &c, Addr frame_ptr)
+{
+    if (banked()) {
+        int bank = banks_.bankOf(frame_ptr);
+        if (bank < 0) {
+            ++stats_.bankUnderflows;
+            bank = loadBankFor(frame_ptr);
+        }
+        curLbank_ = bank;
+        curFrameFlagged_ = bank < 0;
+    }
+    lf_ = frame_ptr;
+    curFrameFsiValid_ = false;
+    curFrameRetainedHint_ = false;
+    curProcEntry_ = 0;
+
+    gf_ = readFrameWord(c, frame_ptr, frame::globalFrameOffset);
+    const Word seg = readMem(c, gf_, AccessKind::Table);
+    codeBase_ = layout_.codeSegBase(seg);
+    codeBaseValid_ = true;
+    const Word rel = readFrameWord(c, frame_ptr, frame::savedPcOffset);
+    pcAbs_ = codeBase_ + rel;
+}
+
+template <class C>
+[[gnu::always_inline]] inline void
+Machine::finishCall(C &c, const ProcTarget &target, XferKind kind,
+                    bool followable)
+{
+    const Word ret_ctx = currentFrameContext();
+
+    const AllocResult alloc = allocFrame(c, target.fsi);
+    const Addr new_lf = alloc.framePtr;
+
+    // Guard: the argument record must fit the frame's variable space.
+    const unsigned payload = image_.classes().classWords(alloc.fsi);
+    if (sp_ > payload - frame::varsOffset) [[unlikely]] {
+        trap(7, "argument record overflows the new frame");
+        return;
+    }
+
+    const bool use_ret_stack =
+        ifuEnabled() && callLike(kind) && lf_ != nilAddr;
+
+    if (use_ret_stack) {
+        // §6: the caller's PC and the callee's return link live in the
+        // IFU return stack instead of storage. On overflow the oldest
+        // entry is materialized into the frames to make room (the
+        // whole-stack flush is reserved for unusual transfers).
+        if (retStack_.full()) [[unlikely]]
+            spillOldestReturnEntry();
+        RetEntry &e = retStack_.push();
+        e.lf = lf_;
+        e.gf = gf_;
+        e.pcAbs = pcAbs_;
+        e.codeBase = codeBase_;
+        e.lbank = static_cast<std::int16_t>(curLbank_);
+        e.fsi = static_cast<std::uint8_t>(curFrameFsi_);
+        e.codeBaseValid = codeBaseValid_;
+        e.fsiValid = curFrameFsiValid_;
+        e.retained = curFrameRetainedHint_;
+    } else if (lf_ != nilAddr) {
+        saveCurrentPc(c);
+    }
+
+    // Register-bank renaming (§7.2, Figure 3): the stack bank becomes
+    // the callee's frame bank, so the arguments are already in place.
+    int new_bank = -1;
+    if (banked()) {
+        new_bank = stackBank_;
+        banks_.rename(new_bank, new_lf);
+        banks_.setOwnerFsi(new_bank, alloc.fsi);
+        curLbank_ = new_bank;
+        curFrameFlagged_ = false;
+        stackBank_ = acquireBank(stackOwner, new_bank, -1);
+        sp_ = 0;
+    } else {
+        // I1-I3: the argument record moves from the working registers
+        // into the frame.
+        for (unsigned i = 0; i < sp_; ++i)
+            writeData(c, new_lf + frame::varsOffset + i, stack_[i]);
+        sp_ = 0;
+    }
+
+    // The frame's bookkeeping words. With the return stack the return
+    // link stays in registers until a flush materializes it.
+    lf_ = new_lf;
+    if (new_bank >= 0) {
+        // The callee's bank is the one just renamed to new_lf, so the
+        // writeFrameWord() bank scan would find exactly new_bank;
+        // route there directly with the same register-access cost.
+        if (!use_ret_stack) {
+            c.cycles(config_.latency.regCycles);
+            banks_.writeOwned(new_bank, frame::returnLinkOffset,
+                              ret_ctx);
+        }
+        c.cycles(config_.latency.regCycles);
+        banks_.writeOwned(new_bank, frame::globalFrameOffset,
+                          static_cast<Word>(target.gf));
+    } else {
+        if (!use_ret_stack)
+            writeFrameWord(c, new_lf, frame::returnLinkOffset, ret_ctx);
+        writeFrameWord(c, new_lf, frame::globalFrameOffset,
+                       static_cast<Word>(target.gf));
+    }
+
+    curFrameFsi_ = alloc.fsi;
+    curFrameFsiValid_ = true;
+    curFrameRetainedHint_ = false;
+
+    returnCtx_ = ret_ctx;
+    gf_ = target.gf;
+    codeBase_ = target.codeBase;
+    codeBaseValid_ = target.codeBaseValid;
+    pcAbs_ = target.entryPc;
+    curProcEntry_ = target.entryPc;
+
+    if (!followable)
+        chargeRedirect(c);
+}
+
+template <class C>
+[[gnu::always_inline]] inline void
+Machine::fatCallResolved(C &c, CodeByteAddr target_addr, Addr gf,
+                         unsigned fsi)
+{
+    // §4: the descriptor was a literal in the instruction stream; only
+    // the fsi byte comes from code.
+    ProcTarget target;
+    target.gf = gf;
+    target.codeBaseValid = false;
+    target.entryPc = target_addr + 1;
+    target.fsi = fsi;
+    mem_.chargeCodeBytes(1);
+    finishCall(c, target, XferKind::FatCall, ifuEnabled());
+}
+
+template <class C>
+[[gnu::always_inline]] inline void
+Machine::localCallResolved(C &c, unsigned fsi, CodeByteAddr entry_pc)
+{
+    // "This kind of call keeps the same environment and code base,
+    // and has only one level of indirection." The code base stays a
+    // real (conditionally charged) read: whether gf[0] must be
+    // fetched depends on live register state.
+    ProcTarget target;
+    target.gf = gf_;
+    target.codeBase = currentCodeBase(c);
+    target.codeBaseValid = true;
+    target.fsi = fsi;
+    target.entryPc = entry_pc;
+    chargeLinkWalk(c, 1, 1); // the EV word read + the fsi byte
+    finishCall(c, target, XferKind::LocalCall, false);
+}
+
+template <class C>
+[[gnu::always_inline]] inline void
+Machine::directCallResolved(C &c, const ProcTarget &target)
+{
+    mem_.chargeCodeBytes(4); // the GF/fsi header bytes
+    finishCall(c, target, XferKind::DirectCall, ifuEnabled());
+}
+
+template <class C>
+[[gnu::always_inline]] inline void
+Machine::returnThroughRing(C &c)
+{
+    // §6: "if the return stack is empty, proceed as in §5. Otherwise
+    // start fetching instructions from the PC value on the return
+    // stack, and restore the frame and global frame registers from
+    // those values."
+    const RetEntry &entry = retStack_.pop();
+    ++stats_.returnStackHits;
+
+    releaseFrame(c, lf_, banked() ? curLbank_ : -1);
+
+    lf_ = entry.lf;
+    gf_ = entry.gf;
+    pcAbs_ = entry.pcAbs;
+    codeBase_ = entry.codeBase;
+    codeBaseValid_ = entry.codeBaseValid;
+    curFrameFsi_ = entry.fsi;
+    curFrameFsiValid_ = entry.fsiValid;
+    curFrameRetainedHint_ = entry.retained;
+    curFrameFlagged_ = false;
+
+    if (banked()) {
+        if (entry.lbank >= 0 && !banks_.isFree(entry.lbank) &&
+            banks_.owner(entry.lbank) == entry.lf) [[likely]] {
+            curLbank_ = entry.lbank;
+        } else {
+            ++stats_.bankUnderflows;
+            curLbank_ = loadBankFor(entry.lf);
+            curFrameFlagged_ = curLbank_ < 0;
+        }
+    }
+    returnCtx_ = nilContext;
+    // The caller's entry PC was not stacked; sampling profilers fall
+    // back to pc()-based attribution until the next call.
+    curProcEntry_ = 0;
+    // followable: no redirect
+}
+
+template <class C>
+[[gnu::always_inline]] inline void
+Machine::returnThroughLink(C &c)
+{
+    ++stats_.returnStackMisses;
+
+    const Addr dying = lf_;
+    const Word ret_link =
+        readFrameWord(c, dying, frame::returnLinkOffset);
+    const Context ctx = unpackContext(ret_link, layout_);
+    if (ctx.tag == Context::Tag::Proc) [[unlikely]] {
+        trap(9, "return link holds a procedure descriptor");
+        return;
+    }
+    // The region check in one compare: a frame context unpacks to a
+    // frame pointer above frameBase, and NIL to 0.
+    if (ctx.framePtr >= layout_.frameEnd) [[unlikely]] {
+        trap(11, "XFER to a context outside the frame region");
+        return;
+    }
+
+    releaseFrame(c, dying, banked() ? curLbank_ : -1);
+    lf_ = nilAddr;
+    curLbank_ = -1;
+    curFrameFsiValid_ = false;
+    returnCtx_ = nilContext;
+
+    if (ctx.isNil()) [[unlikely]] {
+        // Returning out of the outermost context ends the run; the
+        // results are on the stack.
+        stopWith(StopReason::TopReturn, "top-level return");
+        return;
+    }
+
+    resumeFrame(c, ctx.framePtr);
+    chargeRedirect(c);
+}
 
 void
 Machine::observeXfer(const XferRecord &record)
@@ -185,13 +610,17 @@ Machine::flushBank(int bank)
     if (owner == stackOwner || owner == nilAddr)
         return;
     const std::uint32_t dirty = banks_.dirtyMask(bank);
+    // One update of each counter for the whole flush.
+    HeldCharge c{*this};
+    CountT n = 0;
     for (unsigned w = 0; w < banks_.bankWords(); ++w) {
         if (config_.flushDirtyOnly && !(dirty & (1u << w)))
             continue;
-        writeMem(owner + w, banks_.read(bank, w),
+        writeMem(c, owner + w, banks_.read(bank, w),
                  AccessKind::FrameState);
-        ++stats_.bankFlushWords;
+        ++n;
     }
+    stats_.bankFlushWords += n;
     banks_.markClean(bank);
 }
 
@@ -207,10 +636,12 @@ Machine::loadBankFor(Addr frame_ptr)
         banks_.bankWords(), image_.classes().classWords(fsi));
 
     const int bank = acquireBank(frame_ptr, stackBank_, curLbank_);
-    // Straight into the bank's storage: the load leaves it clean.
+    // Straight into the bank's storage: the load leaves it clean. One
+    // update of each counter for the whole load.
     Word *const data = banks_.dataPtr(bank);
+    HeldCharge c{*this};
     for (unsigned w = 0; w < words; ++w)
-        data[w] = readMem(frame_ptr + w, AccessKind::FrameState);
+        data[w] = readMem(c, frame_ptr + w, AccessKind::FrameState);
     banks_.markClean(bank);
     banks_.setOwnerFsi(bank, fsi);
     stats_.bankLoadWords += words;
@@ -282,145 +713,6 @@ Machine::divertToBank(Addr addr, bool is_write, Word &value)
 }
 
 // ---------------------------------------------------------------------
-// Frame allocation / release
-// ---------------------------------------------------------------------
-
-[[gnu::always_inline]] inline Machine::AllocResult
-Machine::allocFrame(unsigned fsi)
-{
-    // §7.1: "a reasonable strategy is to make the smallest frame size
-    // the 80 bytes just cited" — every small frame is standard-sized,
-    // so it can recycle through the processor's stack of free frames.
-    // (The paper notes the drawback: deep recursion can hold many
-    // 80-byte frames with few words used.)
-    if (banked() && fastFramesEnabled_ && fsi <= fastFsi_) {
-        if (!fastFrames_.empty()) {
-            // "allocation will be extremely fast; furthermore, it can
-            // be done in parallel with the rest of an XFER operation."
-            const Addr lf = fastFrames_.back();
-            fastFrames_.pop_back();
-            ++stats_.fastFrameAllocs;
-            if (observer_ != nullptr)
-                observer_->onFrameAlloc(fastFsi_, true, *this);
-            return {lf, fastFsi_, true};
-        }
-        // Underflow: fall back to the AV heap, still standard-sized.
-        ++stats_.slowFrameAllocs;
-        const CountT refs0 = mem_.totalRefs();
-        const Addr lf = heap_.alloc(fastFsi_);
-        stats_.cycles +=
-            config_.latency.memCycles * (mem_.totalRefs() - refs0);
-        if (observer_ != nullptr)
-            observer_->onFrameAlloc(fastFsi_, false, *this);
-        return {lf, fastFsi_, false};
-    }
-    ++stats_.slowFrameAllocs;
-    const CountT refs0 = mem_.totalRefs();
-    const Addr lf = heap_.alloc(fsi);
-    stats_.cycles +=
-        config_.latency.memCycles * (mem_.totalRefs() - refs0);
-    if (observer_ != nullptr)
-        observer_->onFrameAlloc(fsi, false, *this);
-    return {lf, fsi, false};
-}
-
-[[gnu::always_inline]] inline void
-Machine::releaseFrame(Addr frame_ptr, int bank)
-{
-    // Fast path: the current frame's size class and retained flag are
-    // register hints carried by the return stack, so a standard,
-    // unretained frame goes back on the processor's free stack with
-    // no storage references at all.
-    if (banked() && fastFramesEnabled_ && curFrameFsiValid_ &&
-        frame_ptr == lf_ && curFrameFsi_ == fastFsi_ &&
-        !curFrameRetainedHint_ && !curFrameFlagged_ &&
-        fastFrames_.size() < config_.fastFrameStackDepth) {
-        fastFrames_.push_back(frame_ptr);
-        ++stats_.fastFrameFrees;
-        if (bank >= 0)
-            banks_.free(bank); // contents die with the frame
-        if (observer_ != nullptr)
-            observer_->onFrameFree(fastFsi_, true, *this);
-        return;
-    }
-
-    ++stats_.slowFrameFrees;
-    const CountT refs0 = mem_.totalRefs();
-    const bool freed = heap_.release(frame_ptr);
-    stats_.cycles +=
-        config_.latency.memCycles * (mem_.totalRefs() - refs0);
-    if (bank >= 0) {
-        if (!freed)
-            flushBank(bank); // retained frame lives on in storage
-        banks_.free(bank);
-    }
-    if (observer_ != nullptr) {
-        // The slow path releases arbitrary frames; the size class is
-        // only known when the register hint covers this frame.
-        const unsigned fsi = curFrameFsiValid_ && frame_ptr == lf_
-                                 ? curFrameFsi_
-                                 : ~0u;
-        observer_->onFrameFree(fsi, false, *this);
-    }
-}
-
-[[gnu::always_inline]] inline CodeByteAddr
-Machine::currentCodeBase()
-{
-    if (!codeBaseValid_) {
-        // "the code base is recovered from the global frame" (§5.3).
-        const Word seg = readMem(gf_, AccessKind::Table);
-        codeBase_ = layout_.codeSegBase(seg);
-        codeBaseValid_ = true;
-    }
-    return codeBase_;
-}
-
-[[gnu::always_inline]] inline void
-Machine::saveCurrentPc()
-{
-    if (lf_ == nilAddr)
-        return;
-    const CodeByteAddr base = currentCodeBase();
-    writeFrameWord(lf_, frame::savedPcOffset,
-                   static_cast<Word>(pcAbs_ - base));
-}
-
-[[gnu::always_inline]] inline void
-Machine::resumeFrame(Addr frame_ptr, XferKind kind)
-{
-    (void)kind;
-    if (banked()) {
-        int bank = banks_.bankOf(frame_ptr);
-        if (bank < 0) {
-            ++stats_.bankUnderflows;
-            bank = loadBankFor(frame_ptr);
-        }
-        curLbank_ = bank;
-        curFrameFlagged_ = bank < 0;
-    }
-    lf_ = frame_ptr;
-    curFrameFsiValid_ = false;
-    curFrameRetainedHint_ = false;
-    curProcEntry_ = 0;
-
-    gf_ = readFrameWord(frame_ptr, frame::globalFrameOffset);
-    const Word seg = readMem(gf_, AccessKind::Table);
-    codeBase_ = layout_.codeSegBase(seg);
-    codeBaseValid_ = true;
-    const Word rel = readFrameWord(frame_ptr, frame::savedPcOffset);
-    pcAbs_ = codeBase_ + rel;
-}
-
-[[gnu::always_inline]] inline void
-Machine::chargeLinkWalk(CountT table_reads, CountT code_bytes)
-{
-    stats_.cycles += config_.latency.memCycles * table_reads;
-    mem_.chargeReads(AccessKind::Table, table_reads);
-    mem_.chargeCodeBytes(code_bytes);
-}
-
-// ---------------------------------------------------------------------
 // Descriptor resolution
 // ---------------------------------------------------------------------
 
@@ -485,70 +777,67 @@ void
 Machine::callLocal(unsigned ev_index, CallSite *site)
 {
     XferProbe probe(*this, XferKind::LocalCall);
-    // "This kind of call keeps the same environment and code base,
-    // and has only one level of indirection."
-    ProcTarget target;
-    target.gf = gf_;
+    LiveCharge c{*this};
     // Stays a real (conditionally charged) read either way: whether
     // gf[0] must be fetched depends on live register state, not on
     // the cacheable (code base, EV index) -> (fsi, entry) mapping.
-    target.codeBase = currentCodeBase();
-    target.codeBaseValid = true;
+    const CodeByteAddr base = currentCodeBase(c);
+    unsigned fsi = 0;
+    CodeByteAddr entry_pc = 0;
     if (accel_ &&
-        accel_->findLocal(target.codeBase, ev_index, target.fsi,
-                          target.entryPc, site)) {
-        chargeLinkWalk(1, 1); // the EV word read + the fsi byte
-        finishCall(target, XferKind::LocalCall, false);
+        accel_->findLocal(base, ev_index, fsi, entry_pc, site)) {
+        localCallResolved(c, fsi, entry_pc);
         return;
     }
-    const Word ev_offset = readMem(
-        target.codeBase / wordBytes + ev_index, AccessKind::Table);
-    target.fsi = mem_.readByte(target.codeBase + ev_offset);
-    target.entryPc = target.codeBase + ev_offset + 1;
+    ProcTarget target;
+    target.gf = gf_;
+    target.codeBase = base;
+    target.codeBaseValid = true;
+    const Word ev_offset =
+        readMem(base / wordBytes + ev_index, AccessKind::Table);
+    target.fsi = mem_.readByte(base + ev_offset);
+    target.entryPc = base + ev_offset + 1;
     if (accel_)
-        accel_->putLocal(target.codeBase, ev_index, target, site);
-    finishCall(target, XferKind::LocalCall, false);
+        accel_->putLocal(base, ev_index, target, site);
+    finishCall(c, target, XferKind::LocalCall, false);
 }
 
 void
 Machine::callDirect(CodeByteAddr target_addr, CallSite *site)
 {
     XferProbe probe(*this, XferKind::DirectCall);
-    if (accel_) {
-        ProcTarget target;
-        if (accel_->findDirect(target_addr, target, site)) {
-            mem_.chargeCodeBytes(4); // the GF/fsi header bytes
-            finishCall(target, XferKind::DirectCall, ifuEnabled());
-            return;
-        }
-        const ProcTarget resolved = resolveDirect(target_addr);
-        accel_->putDirect(target_addr, resolved, site);
-        finishCall(resolved, XferKind::DirectCall, ifuEnabled());
+    LiveCharge c{*this};
+    ProcTarget target;
+    if (accel_ && accel_->findDirect(target_addr, target, site)) {
+        directCallResolved(c, target);
         return;
     }
-    const ProcTarget target = resolveDirect(target_addr);
-    finishCall(target, XferKind::DirectCall, ifuEnabled());
+    target = resolveDirect(target_addr);
+    if (accel_)
+        accel_->putDirect(target_addr, target, site);
+    finishCall(c, target, XferKind::DirectCall, ifuEnabled());
 }
 
 void
 Machine::callFat(CodeByteAddr target_addr, Addr gf, CallSite *site)
 {
     XferProbe probe(*this, XferKind::FatCall);
-    // §4: the descriptor was a literal in the instruction stream; only
-    // the fsi byte comes from code, so that is all the cache holds.
+    LiveCharge c{*this};
+    // Only the fsi byte comes from code, so that is all the cache
+    // holds.
+    unsigned fsi = 0;
+    if (accel_ && accel_->findFat(target_addr, fsi, site)) {
+        fatCallResolved(c, target_addr, gf, fsi);
+        return;
+    }
     ProcTarget target;
     target.gf = gf;
     target.codeBaseValid = false;
     target.entryPc = target_addr + 1;
-    if (accel_ && accel_->findFat(target_addr, target.fsi, site)) {
-        mem_.chargeCodeBytes(1);
-        finishCall(target, XferKind::FatCall, ifuEnabled());
-        return;
-    }
     target.fsi = mem_.readByte(target_addr);
     if (accel_)
         accel_->putFat(target_addr, target.fsi, site);
-    finishCall(target, XferKind::FatCall, ifuEnabled());
+    finishCall(c, target, XferKind::FatCall, ifuEnabled());
 }
 
 void
@@ -562,6 +851,7 @@ void
 Machine::dispatchContext(Word ctx_word, XferKind kind, bool followable,
                          CallSite *site)
 {
+    LiveCharge c{*this};
     const Context ctx = unpackContext(ctx_word, layout_);
     if (ctx.tag == Context::Tag::Proc) {
         // The memoizable Figure-1 walk. Keyed by the descriptor word
@@ -569,18 +859,15 @@ Machine::dispatchContext(Word ctx_word, XferKind kind, bool followable,
         // key, never the mapping; a hit replays the walk's exact
         // accounting (GFT word + gf[0] word + EV word, each a Table
         // read at memCycles, plus the fsi code byte).
-        if (accel_) {
-            ProcTarget target;
-            if (accel_->findExt(ctx_word, target, site)) {
-                chargeLinkWalk(3, 1);
-            } else {
-                target = resolveDescriptor(ctx);
+        ProcTarget target;
+        if (accel_ && accel_->findExt(ctx_word, target, site)) {
+            chargeLinkWalk(c, 3, 1);
+        } else {
+            target = resolveDescriptor(ctx);
+            if (accel_)
                 accel_->putExt(ctx_word, target, site);
-            }
-            finishCall(target, kind, followable);
-            return;
         }
-        finishCall(resolveDescriptor(ctx), kind, followable);
+        finishCall(c, target, kind, followable);
         return;
     }
     // F3: a frame context may be the destination of any XFER; the
@@ -595,186 +882,60 @@ Machine::dispatchContext(Word ctx_word, XferKind kind, bool followable,
     }
     const Word ret_ctx = currentFrameContext();
     unusualXfer();
-    saveCurrentPc();
-    resumeFrame(ctx.framePtr, kind);
+    saveCurrentPc(c);
+    resumeFrame(c, ctx.framePtr);
     returnCtx_ = ret_ctx;
-    chargeRedirect();
-}
-
-void
-Machine::finishCall(const ProcTarget &target, XferKind kind,
-                    bool followable)
-{
-    const Word ret_ctx = currentFrameContext();
-
-    const AllocResult alloc = allocFrame(target.fsi);
-    const Addr new_lf = alloc.framePtr;
-
-    // Guard: the argument record must fit the frame's variable space.
-    const unsigned payload = image_.classes().classWords(alloc.fsi);
-    if (sp_ > payload - frame::varsOffset) {
-        trap(7, "argument record overflows the new frame");
-        return;
-    }
-
-    const bool use_ret_stack =
-        ifuEnabled() && callLike(kind) && lf_ != nilAddr;
-
-    if (use_ret_stack) {
-        // §6: the caller's PC and the callee's return link live in the
-        // IFU return stack instead of storage. On overflow the oldest
-        // entry is materialized into the frames to make room (the
-        // whole-stack flush is reserved for unusual transfers).
-        if (retStack_.full())
-            spillOldestReturnEntry();
-        retStack_.push({lf_, gf_, pcAbs_, codeBase_,
-                        static_cast<std::int16_t>(curLbank_),
-                        static_cast<std::uint8_t>(curFrameFsi_),
-                        codeBaseValid_, curFrameFsiValid_,
-                        curFrameRetainedHint_});
-    } else if (lf_ != nilAddr) {
-        saveCurrentPc();
-    }
-
-    // Register-bank renaming (§7.2, Figure 3): the stack bank becomes
-    // the callee's frame bank, so the arguments are already in place.
-    int new_bank = -1;
-    if (banked()) {
-        new_bank = stackBank_;
-        banks_.rename(new_bank, new_lf);
-        banks_.setOwnerFsi(new_bank, alloc.fsi);
-        curLbank_ = new_bank;
-        curFrameFlagged_ = false;
-        stackBank_ = acquireBank(stackOwner, new_bank, -1);
-        sp_ = 0;
-    } else {
-        // I1-I3: the argument record moves from the working registers
-        // into the frame.
-        for (unsigned i = 0; i < sp_; ++i)
-            writeData(new_lf + frame::varsOffset + i, stack_[i]);
-        sp_ = 0;
-    }
-
-    // The frame's bookkeeping words. With the return stack the return
-    // link stays in registers until a flush materializes it.
-    const Addr old_lf = lf_;
-    lf_ = new_lf;
-    if (new_bank >= 0) {
-        // The callee's bank is the one just renamed to new_lf, so the
-        // writeFrameWord() bank scan would find exactly new_bank;
-        // route there directly with the same register-access cost.
-        if (!use_ret_stack) {
-            stats_.cycles += config_.latency.regCycles;
-            banks_.writeOwned(new_bank, frame::returnLinkOffset,
-                              ret_ctx);
-        }
-        stats_.cycles += config_.latency.regCycles;
-        banks_.writeOwned(new_bank, frame::globalFrameOffset,
-                          static_cast<Word>(target.gf));
-    } else {
-        if (!use_ret_stack)
-            writeFrameWord(new_lf, frame::returnLinkOffset, ret_ctx);
-        writeFrameWord(new_lf, frame::globalFrameOffset,
-                       static_cast<Word>(target.gf));
-    }
-    (void)old_lf;
-
-    curFrameFsi_ = alloc.fsi;
-    curFrameFsiValid_ = true;
-    curFrameRetainedHint_ = false;
-
-    returnCtx_ = ret_ctx;
-    gf_ = target.gf;
-    codeBase_ = target.codeBase;
-    codeBaseValid_ = target.codeBaseValid;
-    pcAbs_ = target.entryPc;
-    curProcEntry_ = target.entryPc;
-
-    if (!followable)
-        chargeRedirect();
+    chargeRedirect(c);
 }
 
 void
 Machine::doReturn()
 {
     XferProbe probe(*this, XferKind::Return);
-
     if (lf_ == nilAddr) {
         trap(8, "RETURN with no current frame");
         return;
     }
-    const Addr dying = lf_;
+    LiveCharge c{*this};
+    if (ifuEnabled() && !retStack_.empty())
+        returnThroughRing(c);
+    else
+        returnThroughLink(c);
+}
 
-    if (ifuEnabled() && !retStack_.empty()) {
-        // §6: "if the return stack is empty, proceed as in §5.
-        // Otherwise start fetching instructions from the PC value on
-        // the return stack, and restore the frame and global frame
-        // registers from those values."
-        const RetEntry entry = retStack_.pop();
-        ++stats_.returnStackHits;
+[[gnu::noinline]] void
+Machine::plannedFatCall(CodeByteAddr target_addr, Addr gf, unsigned fsi)
+{
+    XferProbe probe(*this, XferKind::FatCall);
+    HeldCharge c{*this};
+    fatCallResolved(c, target_addr, gf, fsi);
+}
 
-        releaseFrame(dying, banked() ? curLbank_ : -1);
+[[gnu::noinline]] void
+Machine::plannedLocalCall(unsigned fsi, CodeByteAddr entry_pc)
+{
+    XferProbe probe(*this, XferKind::LocalCall);
+    HeldCharge c{*this};
+    localCallResolved(c, fsi, entry_pc);
+}
 
-        lf_ = entry.lf;
-        gf_ = entry.gf;
-        pcAbs_ = entry.pcAbs;
-        codeBase_ = entry.codeBase;
-        codeBaseValid_ = entry.codeBaseValid;
-        curFrameFsi_ = entry.fsi;
-        curFrameFsiValid_ = entry.fsiValid;
-        curFrameRetainedHint_ = entry.retained;
-        curFrameFlagged_ = false;
+[[gnu::noinline]] void
+Machine::plannedDirectCall(const ProcTarget &target)
+{
+    XferProbe probe(*this, XferKind::DirectCall);
+    HeldCharge c{*this};
+    directCallResolved(c, target);
+}
 
-        if (banked()) {
-            if (entry.lbank >= 0 && !banks_.isFree(entry.lbank) &&
-                banks_.owner(entry.lbank) == entry.lf) {
-                curLbank_ = entry.lbank;
-            } else {
-                ++stats_.bankUnderflows;
-                curLbank_ = loadBankFor(entry.lf);
-                curFrameFlagged_ = curLbank_ < 0;
-            }
-        }
-        returnCtx_ = nilContext;
-        // The caller's entry PC was not stacked; sampling profilers
-        // fall back to pc()-based attribution until the next call.
-        curProcEntry_ = 0;
-        return; // followable: no redirect
-    }
-
-    ++stats_.returnStackMisses;
-
-    // General path (§4/§5): pick up the return link, free the frame,
-    // XFER to the link.
-    const Word ret_link =
-        readFrameWord(dying, frame::returnLinkOffset);
-    const Context ctx = unpackContext(ret_link, layout_);
-    if (ctx.tag == Context::Tag::Proc) {
-        trap(9, "return link holds a procedure descriptor");
-        return;
-    }
-    // The region check in one compare: a frame context unpacks to a
-    // frame pointer above frameBase, and NIL to 0.
-    if (ctx.framePtr >= layout_.frameEnd) [[unlikely]] {
-        trap(11, "XFER to a context outside the frame region");
-        return;
-    }
-
-    releaseFrame(dying, banked() ? curLbank_ : -1);
-    lf_ = nilAddr;
-    curLbank_ = -1;
-    curFrameFsiValid_ = false;
-    returnCtx_ = nilContext;
-
-    if (ctx.isNil()) {
-        // Returning out of the outermost context ends the run; the
-        // results are on the stack.
-        stopWith(StopReason::TopReturn, "top-level return");
-        return;
-    }
-
-    resumeFrame(ctx.framePtr, XferKind::Return);
-    chargeRedirect();
+[[gnu::noinline]] void
+Machine::plannedReturn()
+{
+    XferProbe probe(*this, XferKind::Return);
+    HeldCharge c{*this};
+    if (ifuEnabled())
+        returnThroughRing(c);
+    else
+        returnThroughLink(c);
 }
 
 void

@@ -301,6 +301,10 @@ accelStatsJson(JsonWriter &w, const AccelStats &s)
     w.kv("siteMisses", s.callSiteMisses);
     w.kv("returnPredHits", s.returnPredHits);
     w.kv("returnPredMisses", s.returnPredMisses);
+    w.kv("planHits", s.callPlanHits);
+    w.kv("planFallbacks", s.callPlanFallbacks);
+    w.kv("returnPlanHits", s.returnPlanHits);
+    w.kv("returnPlanFallbacks", s.returnPlanFallbacks);
     w.endObject();
     w.endObject();
 }

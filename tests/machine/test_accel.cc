@@ -458,6 +458,9 @@ struct CaseOut
     std::string probeLog;
     std::string traceJson;
     std::string sampleLog;
+    /** The end state: engine-independent, and everything. */
+    std::uint64_t archDigest = 0;
+    std::uint64_t fullDigest = 0;
     AccelStats accel;
 };
 
@@ -528,6 +531,8 @@ runCase(const CallCase &c, const EngineCombo &combo, Mode mode)
     obs::writeChromeTrace(trace, {&tracer});
     out.traceJson = trace.str();
     out.sampleLog = boundaries.log.str();
+    out.archDigest = stateDigest(machine, DigestScope::Arch);
+    out.fullDigest = stateDigest(machine, DigestScope::Full);
     out.accel = machine.accelStats();
     return out;
 }
@@ -548,6 +553,8 @@ expectMatchesEager(const CallCase &c)
         EXPECT_EQ(out.probeLog, off.probeLog) << implName(combo.impl);
         EXPECT_EQ(out.traceJson, off.traceJson) << implName(combo.impl);
         EXPECT_EQ(out.sampleLog, off.sampleLog) << implName(combo.impl);
+        EXPECT_EQ(out.archDigest, off.archDigest) << implName(combo.impl);
+        EXPECT_EQ(out.fullDigest, off.fullDigest) << implName(combo.impl);
         threaded.push_back(std::move(out));
     }
     return threaded;
@@ -712,6 +719,222 @@ TEST(AccelDeterminism, ObservedRecursionStaysExact)
         EXPECT_FALSE(out.probeLog.empty());
         EXPECT_GT(out.accel.sblockExecs, 0u);
         EXPECT_GT(out.accel.callSiteHits, 0u);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Call and return plans: a call whose site resolved enters its callee
+// in the loop, and a return pops the IFU return stack or the return
+// link there, through the transfer bodies the primitives run. Each
+// case below drives one unusual situation through a planned transfer
+// and must leave every simulated number, and the end state, where the
+// eager loop leaves them.
+// ---------------------------------------------------------------------
+
+TEST(AccelDeterminism, CallPlansEngage)
+{
+    CallCase c{fibModules(), 15};
+    for (const CaseOut &out : expectMatchesEager(c)) {
+        EXPECT_EQ(out.value, 610);
+        EXPECT_GT(out.accel.callPlanHits, 0u);
+        EXPECT_GT(out.accel.returnPlanHits, 0u);
+        // Only each site's first call resolves through execute().
+        EXPECT_LE(out.accel.callPlanFallbacks, 3u);
+        EXPECT_GT(out.accel.callPlanRate(), 0.99);
+    }
+}
+
+TEST(AccelDeterminism, AvListRefillInsidePlannedCall)
+{
+    // Every new depth of the first descent finds its AV list empty:
+    // the software allocator refills it inside a planned call.
+    CallCase c{fibModules(), 18};
+    const std::vector<CaseOut> thr = expectMatchesEager(c);
+    for (const CaseOut &out : thr) {
+        EXPECT_GT(out.accel.callPlanHits, 0u);
+        EXPECT_GT(statsField(out.statsJson, "softwareTraps"), 0u);
+    }
+}
+
+TEST(AccelDeterminism, FastFrameStackEmptyAndFullOnPlans)
+{
+    // A two-frame fast-frame stack on I4: deep recursion empties it
+    // (slow allocations from the AV heap) and the returns fill it
+    // (slow frees), all on planned transfers.
+    CallCase c{fibModules(), 14};
+    c.configure = [](MachineConfig &config) {
+        config.fastFrameStackDepth = 2;
+    };
+    const std::vector<CaseOut> thr = expectMatchesEager(c);
+    EXPECT_GT(thr[3].accel.callPlanHits, 0u);
+    EXPECT_GT(statsField(thr[3].statsJson, "fastAllocs"), 0u);
+    EXPECT_GT(statsField(thr[3].statsJson, "slowAllocs"), 0u);
+    EXPECT_GT(statsField(thr[3].statsJson, "slowFrees"), 0u);
+}
+
+TEST(AccelDeterminism, BankOverflowInsidePlannedCall)
+{
+    // Two banks on I4: a planned call's new stack bank evicts one.
+    CallCase c{fibModules(), 16};
+    c.configure = [](MachineConfig &config) { config.numBanks = 2; };
+    const std::vector<CaseOut> thr = expectMatchesEager(c);
+    EXPECT_GT(thr[3].accel.callPlanHits, 0u);
+    EXPECT_GT(thr[3].accel.returnPlanHits, 0u);
+    EXPECT_GT(statsField(thr[3].statsJson, "overflows"), 0u);
+}
+
+/** main(n) makes n passes through one call site of f, pass i with
+ *  an argument record of i words (a 7, DUPed i - 1 times), and drops
+ *  f's result: the site sees a new argument count on every pass, and
+ *  from pass 6 on the record overflows f's frame (trap 7). */
+std::vector<Module>
+growingArgsModules()
+{
+    using isa::Op;
+    ModuleBuilder b("M");
+    b.proc("handler", 1, 20).ret();
+    b.proc("f", 1, 1).loadLocal(0).ret();
+    auto &main = b.proc("main", 1, 3); // n, i, j
+    auto outer = main.newLabel();
+    auto dup = main.newLabel();
+    auto call = main.newLabel();
+    auto done = main.newLabel();
+    main.loadImm(0).storeLocal(1);
+    main.label(outer);
+    main.loadLocal(0).jumpZero(done);
+    main.loadLocal(0).loadImm(1).op(Op::SUB).storeLocal(0);
+    main.loadLocal(1).loadImm(1).op(Op::ADD).storeLocal(1);
+    main.loadLocal(1).storeLocal(2);
+    main.loadImm(7);
+    main.label(dup);
+    main.loadLocal(2).loadImm(1).op(Op::SUB).storeLocal(2);
+    main.loadLocal(2).jumpZero(call);
+    main.op(Op::DUP);
+    main.jump(dup);
+    main.label(call);
+    main.callLocal("f");
+    main.op(Op::DROP);
+    main.jump(outer);
+    main.label(done);
+    main.loadImm(5).ret();
+    return {b.build()};
+}
+
+TEST(AccelDeterminism, PlannedSiteWithTwoArgumentCounts)
+{
+    // Four passes: the site passes one, two, three and four arguments.
+    CallCase c{growingArgsModules(), 4};
+    for (const CaseOut &out : expectMatchesEager(c)) {
+        EXPECT_EQ(out.reason, StopReason::TopReturn);
+        EXPECT_GT(out.accel.callPlanHits, 0u);
+    }
+}
+
+TEST(AccelDeterminism, ArgumentRecordOverflowAtPlannedSite)
+{
+    // Enough passes that the record outgrows f's frame: trap 7 at a
+    // site that has been planned for several passes, with and
+    // without a trap handler.
+    for (const bool handler : {false, true}) {
+        SCOPED_TRACE(handler ? "with handler" : "no handler");
+        CallCase c{growingArgsModules(), 12};
+        c.trapHandler = handler;
+        for (const CaseOut &out : expectMatchesEager(c)) {
+            EXPECT_GT(out.accel.callPlanHits, 0u);
+            if (!handler) {
+                EXPECT_EQ(out.reason, StopReason::Error);
+            }
+        }
+    }
+}
+
+TEST(AccelDeterminism, RetainedFrameOnPlannedReturn)
+{
+    // keep(x) sets the retained flag in its own frame header, so each
+    // planned return finds its frame retained and leaves it allocated
+    // (on I4 the LLA also flags the frame, §7.4).
+    ModuleBuilder b("M");
+    const int back = static_cast<int>(frame::varsOffset) + 1;
+    auto &keep = b.proc("keep", 1, 1);
+    keep.loadLocalAddr(0).loadImm(back).op(isa::Op::SUB).op(isa::Op::RD);
+    keep.loadImm(frame::retainedFlag).op(isa::Op::IOR);
+    keep.loadLocalAddr(0).loadImm(back).op(isa::Op::SUB).op(isa::Op::WR);
+    keep.loadLocal(0).ret();
+    auto &main = b.proc("main", 1, 2);
+    auto loop = main.newLabel();
+    auto done = main.newLabel();
+    main.loadImm(0).storeLocal(1);
+    main.label(loop);
+    main.loadLocal(0).jumpZero(done);
+    main.loadLocal(0).callLocal("keep");
+    main.loadLocal(1).op(isa::Op::ADD).storeLocal(1);
+    main.loadLocal(0).loadImm(1).op(isa::Op::SUB).storeLocal(0);
+    main.jump(loop);
+    main.label(done);
+    main.loadLocal(1).ret();
+    CallCase c{{b.build()}, 20};
+    for (const CaseOut &out : expectMatchesEager(c)) {
+        EXPECT_EQ(out.value, 20 * 21 / 2);
+        EXPECT_GT(out.accel.returnPlanHits, 0u);
+        EXPECT_GT(statsField(out.statsJson, "retainedSkips"), 0u);
+    }
+}
+
+TEST(AccelDeterminism, LinkSensitiveWriteBetweenPlannedCalls)
+{
+    // On every other pass main rewrites its own gf[0] with its value
+    // between two calls of bump: each store flushes the link caches,
+    // so an LFC plan (I2) resolved before it goes stale and the next
+    // call through that site re-resolves it.
+    const auto build = [](Addr gf) {
+        ModuleBuilder b("M");
+        auto &bump = b.proc("bump", 1, 1);
+        bump.loadLocal(0).loadImm(3).op(isa::Op::ADD).ret();
+        auto &main = b.proc("main", 1, 2);
+        auto loop = main.newLabel();
+        auto done = main.newLabel();
+        main.loadImm(0).storeLocal(1);
+        main.label(loop);
+        main.loadLocal(0).jumpZero(done);
+        auto keep = main.newLabel();
+        main.loadLocal(1).callLocal("bump").storeLocal(1);
+        main.loadLocal(0).loadImm(1).op(isa::Op::AND).jumpZero(keep);
+        main.loadImm(static_cast<Word>(gf)).op(isa::Op::RD);
+        main.loadImm(static_cast<Word>(gf)).op(isa::Op::WR);
+        main.label(keep);
+        main.loadLocal(1).callLocal("bump").storeLocal(1);
+        main.loadLocal(0).loadImm(1).op(isa::Op::SUB).storeLocal(0);
+        main.jump(loop);
+        main.label(done);
+        main.loadLocal(1).ret();
+        return b.build();
+    };
+    // Where the loader puts M's global frame.
+    const SystemLayout layout;
+    Memory probe(layout.memWords);
+    Loader loader{layout, SizeClasses::standard()};
+    loader.add(build(0));
+    const Addr gf = loader.load(probe, LinkPlan{}).gfAddr("M");
+    CallCase c{{build(gf)}, 30};
+    const std::vector<CaseOut> thr = expectMatchesEager(c);
+    for (const CaseOut &out : thr)
+        EXPECT_EQ(out.value, 30 * 2 * 3);
+    EXPECT_GT(thr[1].accel.tableFlushes, 0u);
+    EXPECT_GT(thr[1].accel.callPlanHits, 0u);
+    EXPECT_GT(thr[1].accel.callPlanFallbacks, 15u);
+}
+
+TEST(AccelDeterminism, CodePokeDropsPlans)
+{
+    // Moving the code epoch mid-recursion drops every block and its
+    // plans; the rebuilt sites resolve again through execute().
+    CallCase c{fibModules(), 18};
+    c.pokeMidRun = true;
+    for (const CaseOut &out : expectMatchesEager(c)) {
+        EXPECT_EQ(out.value, 2584);
+        EXPECT_GT(out.accel.codeFlushes, 1u);
+        EXPECT_GT(out.accel.callPlanHits, 0u);
+        EXPECT_GT(out.accel.callPlanFallbacks, 3u);
     }
 }
 

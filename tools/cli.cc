@@ -499,7 +499,12 @@ printAccelStats(std::ostream &os, const std::string &title,
        << "call sites: " << a.callSiteHits << " hits, "
        << a.callSiteMisses << " misses   return predictions: "
        << a.returnPredHits << " taken, " << a.returnPredMisses
-       << " missed\n";
+       << " missed\n"
+       << "call plans: " << a.callPlanHits << " hits, "
+       << a.callPlanFallbacks << " fallbacks ("
+       << stats::percent(a.callPlanRate()) << ")   return plans: "
+       << a.returnPlanHits << " hits, " << a.returnPlanFallbacks
+       << " fallbacks (" << stats::percent(a.returnPlanRate()) << ")\n";
 }
 
 void
