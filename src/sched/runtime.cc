@@ -22,7 +22,7 @@ Runtime::Runtime(RuntimeConfig config) : config_(std::move(config))
 
 Runtime::~Runtime()
 {
-    stopPool();
+    stopSlots();
 }
 
 unsigned
@@ -86,7 +86,7 @@ Runtime::closeSpansOnAbort(const Job &job, unsigned id,
                                         worker_id);
 }
 
-Runtime::Worker::Worker(Runtime &rt, unsigned id_, bool pool)
+Runtime::Worker::Worker(Runtime &rt, unsigned id_)
     : id(id_),
       jobsCompleted(group.counter("jobs_completed",
                                   "jobs that finished ok")),
@@ -100,12 +100,8 @@ Runtime::Worker::Worker(Runtime &rt, unsigned id_, bool pool)
       contextReuses(group.counter("context_reuses",
                                   "jobs that recycled a worker context"))
 {
-    if (pool)
-        jobsStolen = &group.counter(
-            "jobs_stolen", "jobs taken from another worker's deque");
     // A job's trace and series land on the track of the worker that
-    // executes it: in pool mode a stolen job re-homes to the thief's
-    // track (matching JobResult::worker and the job's spans).
+    // executes it (matching JobResult::worker and the job's spans).
     if (rt.config_.trace && id < rt.tracers_.size())
         tracer = rt.tracers_[id].get();
     if (rt.config_.metrics && id < rt.telemetry_.size())
@@ -167,9 +163,8 @@ Runtime::executeJob(const Job &job, unsigned id, Worker &w)
     // execute without span collection on. When a collector is wired,
     // this closes the open phase (serve: dispatch; batch: queued) and
     // opens execute and its prepare step — re-homed to *this*
-    // worker's track, which under work stealing is the stealing
-    // worker, deterministically (span tracks always match
-    // JobResult::worker).
+    // worker's track, whichever track the job's tree began on (span
+    // tracks always match JobResult::worker).
     obs::SpanCollector *spans = config_.spans;
     const std::uint64_t sid =
         job.span.requestId != 0 ? job.span.requestId
@@ -188,7 +183,7 @@ Runtime::executeJob(const Job &job, unsigned id, Worker &w)
     // Each job sees a pristine simulated machine — its own memory,
     // image and processor — but the worker's context (the Memory
     // allocation) persists across jobs. Workers share nothing but
-    // the job queue, and scale with host cores.
+    // the job list, and scale with host cores.
     prepareContext(w.ctx, job, config_.plan);
     Memory &mem = *w.ctx.mem;
     const LoadedImage &image = *w.ctx.image;
@@ -383,43 +378,18 @@ Runtime::fold(Worker &w)
 }
 
 void
-Runtime::workerMain(unsigned worker_id)
+Runtime::workerMain(unsigned worker_id, std::atomic<std::size_t> *next)
 {
     // Reproducible observation: jobs stride statically (job i runs on
     // worker i mod n), so tracks and series are the same every run.
-    Worker w(*this, worker_id, false);
-    for (std::size_t i = worker_id; i < jobs_.size(); i += poolSize_)
+    // Otherwise each worker takes the next job nobody has started.
+    Worker w(*this, worker_id);
+    auto take = [&](std::size_t i) {
+        return next != nullptr ? next->fetch_add(1) : i;
+    };
+    for (std::size_t i = take(worker_id); i < jobs_.size();
+         i = take(i + stride_))
         results_[i] = runJob(w, jobs_[i], static_cast<unsigned>(i));
-    fold(w);
-}
-
-void
-Runtime::poolWorkerMain(unsigned worker_id)
-{
-    Worker w(*this, worker_id, true);
-    PoolTask task;
-    bool stolen = false;
-    while (takeTask(worker_id, task, stolen)) {
-        if (stolen)
-            ++*w.jobsStolen;
-        JobResult r = runJob(w, task.job, task.id);
-
-        // Completion fires before this job stops counting as running,
-        // so a drain that began while it ran cannot observe an idle
-        // pool until after the callback (which may chain more work)
-        // has returned. No pool lock is held: completions may call
-        // enqueue().
-        if (task.done) {
-            JobCompletion done = std::move(task.done);
-            done(std::move(r));
-        }
-        task = PoolTask{}; // drop the job's module refs promptly
-        {
-            std::lock_guard<std::mutex> lock(poolMutex_);
-            running_.fetch_sub(1);
-        }
-        idleCv_.notify_all();
-    }
     fold(w);
 }
 
@@ -430,68 +400,10 @@ Runtime::liveAccelStats() const
     return liveAccel_;
 }
 
-bool
-Runtime::takeTask(unsigned worker_id, PoolTask &out, bool &stolen)
-{
-    const std::size_t n = deques_.size();
-    while (true) {
-        // Own deque first: the owner takes the newest entry (the
-        // front ages toward thieves).
-        {
-            WorkerDeque &own = *deques_[worker_id];
-            std::lock_guard<std::mutex> lock(own.m);
-            if (!own.dq.empty()) {
-                out = std::move(own.dq.back());
-                own.dq.pop_back();
-                running_.fetch_add(1);
-                queued_.fetch_sub(1);
-                stolen = false;
-                return true;
-            }
-        }
-        // Steal oldest-first from the other workers.
-        for (std::size_t off = 1; off < n; ++off) {
-            WorkerDeque &victim = *deques_[(worker_id + off) % n];
-            std::lock_guard<std::mutex> lock(victim.m);
-            if (!victim.dq.empty()) {
-                out = std::move(victim.dq.front());
-                victim.dq.pop_front();
-                running_.fetch_add(1);
-                queued_.fetch_sub(1);
-                stolen = true;
-                return true;
-            }
-        }
-        std::unique_lock<std::mutex> lock(poolMutex_);
-        if (queued_.load() > 0)
-            continue; // raced an in-flight enqueue; rescan
-        if (poolStopping_)
-            return false;
-        workCv_.wait(lock, [this] {
-            return queued_.load() > 0 || poolStopping_;
-        });
-        if (poolStopping_ && queued_.load() == 0)
-            return false;
-    }
-}
-
-void
-Runtime::startPoolWorkers(unsigned n)
-{
-    poolStarted_ = true;
-    deques_.clear();
-    deques_.reserve(n);
-    for (unsigned w = 0; w < n; ++w)
-        deques_.push_back(std::make_unique<WorkerDeque>());
-    poolThreads_.reserve(n);
-    for (unsigned w = 0; w < n; ++w)
-        poolThreads_.emplace_back([this, w] { poolWorkerMain(w); });
-}
-
 void
 Runtime::buildTracks(unsigned n)
 {
-    poolSize_ = n;
+    stride_ = n;
     for (std::size_t w = tracers_.size(); config_.trace && w < n; ++w)
         tracers_.push_back(
             std::make_unique<obs::Tracer>(config_.traceCapacity));
@@ -505,92 +417,58 @@ Runtime::buildTracks(unsigned n)
 }
 
 void
-Runtime::startPool()
+Runtime::beginBatchSpans(const Job &job, std::uint64_t sid,
+                         std::uint32_t track)
+{
+    // No serving layer owns this job's tree: synthesize
+    // request ⊃ queued here (execute and the closes happen in
+    // executeJob, re-homed to the executing worker's track). Ids are
+    // job id + 1 — distinct from serve request ids only because
+    // drivers use one style per process.
+    const std::int64_t t = obs::SpanCollector::nowNs();
+    for (const auto kind : {obs::SpanKind::Request, obs::SpanKind::Queued})
+        config_.spans->begin(kind, sid, obs::SpanTrack::Worker, track,
+                             job.span.tenant, t, job.span.traceId);
+}
+
+void
+Runtime::startSlots()
 {
     if (ran_)
-        panic("Runtime::startPool after run()");
-    if (poolStarted_)
-        panic("Runtime::startPool called twice");
+        panic("Runtime::startSlots after run()");
+    if (slotsStarted_)
+        panic("Runtime::startSlots called twice");
     if (config_.record) {
-        panic("Runtime pool mode does not support record; batch "
+        panic("Runtime slot mode does not support record; batch "
               "run() provides the reproducible static assignment "
               "a recording's job→worker header needs");
     }
-    const unsigned n = config_.workers;
-    buildTracks(n);
-    startPoolWorkers(n);
+    slotsStarted_ = true;
+    buildTracks(config_.workers);
+    for (unsigned k = 0; k < config_.workers; ++k)
+        slots_.push_back(std::make_unique<Worker>(*this, k));
 }
 
-unsigned
-Runtime::enqueue(Job job, JobCompletion done)
+JobResult
+Runtime::runInSlot(unsigned slot, const Job &job)
 {
-    if (!poolStarted_)
-        panic("Runtime::enqueue without startPool()");
+    if (slot >= slots_.size())
+        panic("Runtime::runInSlot: no slot {} (startSlots opened {})",
+              slot, slots_.size());
     if (!job.modules || job.modules->empty())
-        panic("Runtime::enqueue: job has no modules");
-    const unsigned id = nextPoolId_.fetch_add(1);
-    const auto w = static_cast<std::size_t>(enqueueRr_.fetch_add(1)) %
-                   deques_.size();
-    if (config_.spans != nullptr && job.span.requestId == 0) {
-        // No serving layer owns this job's tree: synthesize
-        // request ⊃ queued here (execute and the closes happen in
-        // executeJob). Ids are job id + 1 — distinct from serve
-        // request ids only because drivers use one style per process.
-        const std::uint64_t sid = static_cast<std::uint64_t>(id) + 1;
-        const std::int64_t t = obs::SpanCollector::nowNs();
-        const auto track = static_cast<std::uint32_t>(w);
-        config_.spans->begin(obs::SpanKind::Request, sid,
-                             obs::SpanTrack::Worker, track,
-                             job.span.tenant, t, job.span.traceId);
-        config_.spans->begin(obs::SpanKind::Queued, sid,
-                             obs::SpanTrack::Worker, track,
-                             job.span.tenant, t, job.span.traceId);
-    }
-    // Count the job as queued before it becomes claimable: a worker
-    // can never drive queued_ through zero while a task is in flight
-    // between the deque and the running count, so drainPool's
-    // "queued == 0 && running == 0" condition is exact.
-    {
-        std::lock_guard<std::mutex> lock(poolMutex_);
-        queued_.fetch_add(1);
-    }
-    {
-        std::lock_guard<std::mutex> lock(deques_[w]->m);
-        deques_[w]->dq.push_back(
-            PoolTask{id, std::move(job), std::move(done)});
-    }
-    workCv_.notify_one();
-    return id;
+        panic("Runtime::runInSlot: job has no modules");
+    const unsigned id = nextSlotJobId_.fetch_add(1);
+    if (config_.spans != nullptr && job.span.requestId == 0)
+        beginBatchSpans(job, static_cast<std::uint64_t>(id) + 1, slot);
+    return runJob(*slots_[slot], job, id);
 }
 
 void
-Runtime::drainPool()
+Runtime::stopSlots()
 {
-    std::unique_lock<std::mutex> lock(poolMutex_);
-    idleCv_.wait(lock, [this] {
-        return queued_.load() == 0 && running_.load() == 0;
-    });
-}
-
-void
-Runtime::stopPool()
-{
-    if (!poolStarted_)
-        return;
-    {
-        std::lock_guard<std::mutex> lock(poolMutex_);
-        poolStopping_ = true;
-    }
-    workCv_.notify_all();
-    for (std::thread &t : poolThreads_)
-        t.join();
-    poolThreads_.clear();
-    deques_.clear();
-    {
-        std::lock_guard<std::mutex> lock(poolMutex_);
-        poolStopping_ = false;
-    }
-    poolStarted_ = false;
+    for (const auto &w : slots_)
+        fold(*w);
+    slots_.clear();
 }
 
 std::vector<JobResult>
@@ -598,8 +476,8 @@ Runtime::run()
 {
     if (ran_)
         panic("Runtime::run called twice");
-    if (poolStarted_)
-        panic("Runtime::run after startPool()");
+    if (slotsStarted_)
+        panic("Runtime::run after startSlots()");
     ran_ = true;
     results_.resize(jobs_.size());
     if (config_.record)
@@ -609,47 +487,24 @@ Runtime::run()
         std::min<unsigned>(config_.workers,
                            std::max<std::size_t>(1, jobs_.size()));
     buildTracks(n);
-    if (staticAssignment()) {
-        if (config_.spans != nullptr) {
-            // Batch request ⊃ queued spans all begin at submission
-            // time (run() entry); queue-wait is time until a worker
-            // reaches the job in its stride.
-            const std::int64_t t = obs::SpanCollector::nowNs();
-            for (std::size_t i = 0; i < jobs_.size(); ++i) {
-                if (jobs_[i].span.requestId != 0)
-                    continue;
-                const std::uint64_t sid = i + 1;
-                const auto track = static_cast<std::uint32_t>(i % n);
-                config_.spans->begin(obs::SpanKind::Request, sid,
-                                     obs::SpanTrack::Worker, track,
-                                     jobs_[i].span.tenant, t,
-                                     jobs_[i].span.traceId);
-                config_.spans->begin(obs::SpanKind::Queued, sid,
-                                     obs::SpanTrack::Worker, track,
-                                     jobs_[i].span.tenant, t,
-                                     jobs_[i].span.traceId);
-            }
-        }
-        std::vector<std::thread> pool;
-        pool.reserve(n);
-        for (unsigned w = 0; w < n; ++w)
-            pool.emplace_back([this, w] { workerMain(w); });
-        for (std::thread &t : pool)
-            t.join();
-    } else {
-        // The dynamic batch path rides the same pool machinery the
-        // serving layer uses: bring workers up, enqueue everything
-        // with completions that land results in their slots, drain
-        // and join.
-        startPoolWorkers(n);
-        for (std::size_t i = 0; i < jobs_.size(); ++i) {
-            enqueue(jobs_[i], [this, i](JobResult r) {
-                r.id = static_cast<unsigned>(i);
-                results_[i] = std::move(r); // distinct slot: no lock
-            });
-        }
-        stopPool();
+    if (config_.spans != nullptr) {
+        // Batch request ⊃ queued spans all begin at submission time
+        // (run() entry); queue-wait is time until a worker reaches
+        // the job.
+        for (std::size_t i = 0; i < jobs_.size(); ++i)
+            if (jobs_[i].span.requestId == 0)
+                beginBatchSpans(jobs_[i], i + 1,
+                                static_cast<std::uint32_t>(i % n));
     }
+    std::atomic<std::size_t> next{0};
+    std::atomic<std::size_t> *shared =
+        staticAssignment() ? nullptr : &next;
+    std::vector<std::thread> threads;
+    threads.reserve(n);
+    for (unsigned w = 0; w < n; ++w)
+        threads.emplace_back([this, w, shared] { workerMain(w, shared); });
+    for (std::thread &t : threads)
+        t.join();
 
     return results_;
 }

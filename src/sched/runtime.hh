@@ -1,7 +1,7 @@
 /**
  * @file
- * Layer 2 of the runtime: a pool of OS worker threads, each running
- * an independent Machine, pulling jobs from a shared queue.
+ * Layer 2 of the runtime: independent Machines on OS threads, one
+ * reusable execution context per worker.
  *
  * The simulated processor is single-threaded by construction (one
  * Memory, one register file), so throughput comes from running many
@@ -22,14 +22,10 @@
 #define FPC_SCHED_RUNTIME_HH
 
 #include <atomic>
-#include <condition_variable>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "machine/machine.hh"
@@ -101,11 +97,6 @@ struct JobResult
     std::int64_t execEndNs = 0;
 };
 
-/** Delivered with a pool-mode job's result, on the worker thread that
- *  ran it. Must not block for long — the worker is the pool's
- *  capacity — but may call Runtime::enqueue to chain more work. */
-using JobCompletion = std::function<void(JobResult)>;
-
 struct RuntimeConfig
 {
     unsigned workers = 1;
@@ -127,13 +118,11 @@ struct RuntimeConfig
 
     /** Record per-worker XFER traces (see obs::Tracer). In batch
      *  run() this forces the static job-to-worker assignment (job i →
-     *  worker i mod stride, jobs_stolen structurally zero) so tracks
-     *  are byte-identical across runs. Pool mode records too, with a
-     *  different determinism contract: a job's whole trace (and its
-     *  spans) land on the track of the worker that executed it —
-     *  JobResult::worker — so work stealing re-homes the job to the
-     *  stealing worker's track; tracks are stable given the
-     *  execution, not across executions. */
+     *  worker i mod stride) so tracks are byte-identical across runs.
+     *  Slot jobs record too, with a different determinism contract:
+     *  a job's whole trace (and its spans) land on the track of the
+     *  slot that executed it — JobResult::worker — so tracks are
+     *  stable given the execution, not across executions. */
     bool trace = false;
     std::size_t traceCapacity = obs::Tracer::defaultCapacity;
 
@@ -205,17 +194,19 @@ struct RuntimeConfig
 /**
  * The multi-worker runtime, usable two ways.
  *
- * Batch mode (the original shape): submit() jobs, then run() once;
- * results come back in job order, and the merged statistics describe
- * all workers together.
+ * Batch mode: submit() jobs, then run() once; results come back in
+ * job order, and the merged statistics describe all workers
+ * together.
  *
- * Pool mode (the serving shape): startPool() brings up long-lived
- * workers, enqueue() hands each job a completion callback, and
- * stopPool() drains and joins. Each worker keeps one reusable
- * execution context — the Memory allocation and Machine survive
+ * Slot mode (the serving shape): startSlots() gives each of
+ * config.workers execution slots its reusable context, and
+ * runInSlot(k, job) runs one job to completion on the caller's
+ * thread in slot k. The caller owns the threads and decides which
+ * one runs what; serve::Server's serving threads run the jobs they
+ * read. stopSlots() folds the slots' counters into the merged view.
+ * Each slot's context — the Memory allocation and Machine — survives
  * across jobs (the store is zeroed and the image reloaded, so
- * simulated behavior is identical to a fresh machine) — and idle
- * workers steal from the back-logged ones's deques.
+ * simulated behavior is identical to a fresh machine).
  */
 class Runtime
 {
@@ -227,49 +218,33 @@ class Runtime
      *  index). */
     unsigned submit(Job job);
 
-    /** Run every submitted job across the worker pool; blocks until
-     *  all are done. May be called once per Runtime (guarded — reuse
-     *  panics; long-lived callers use the pool API instead). */
+    /** Run every submitted job across the workers; blocks until all
+     *  are done. May be called once per Runtime (guarded — reuse
+     *  panics; long-lived callers use the slot API instead). */
     std::vector<JobResult> run();
 
-    /** @name Long-lived pool mode
+    /** @name Slot mode
      * @{ */
 
-    /** Bring up config.workers long-lived workers. Panics if the
-     *  pool is already up or run() was used. */
-    void startPool();
+    /** Give each of config.workers slots its context, trace track and
+     *  metrics series. Panics after run(), when called twice, or with
+     *  record on (a recording needs batch run()'s static stride). */
+    void startSlots();
 
-    /** Hand the pool a job; done(result) fires on the worker thread
-     *  that ran it. Jobs go to per-worker deques round-robin; idle
-     *  workers steal from the front of busy ones. Returns the job
-     *  id. */
-    unsigned enqueue(Job job, JobCompletion done);
+    /** Run job to completion on the calling thread in slot `slot`
+     *  (< workers()); JobResult::worker is `slot`. At most one thread
+     *  may be inside a given slot at a time. Honors
+     *  RuntimeConfig::stopFlag like run(). */
+    JobResult runInSlot(unsigned slot, const Job &job);
 
-    /** Block until every enqueued job has completed (the pool stays
-     *  up). Only races with concurrent enqueue if the caller lets
-     *  it. */
-    void drainPool();
-
-    /** Drain, then stop and join the workers and fold their stats
-     *  into the merged view. Idempotent. */
-    void stopPool();
-
-    bool poolStarted() const { return poolStarted_; }
-
-    /** Jobs enqueued but not yet started / currently executing.
-     *  Approximate under concurrency; exact once quiescent. */
-    std::size_t queuedJobs() const
-    {
-        return queued_.load(std::memory_order_relaxed);
-    }
-    unsigned runningJobs() const
-    {
-        return running_.load(std::memory_order_relaxed);
-    }
+    /** Fold every slot's counters into the merged view. No job may be
+     *  running. Idempotent; also run by the destructor. */
+    void stopSlots();
     /** @} */
 
     /** The worker threads the batch ran: min(workers, jobs) after
-     *  run(), the pool size after startPool() (same as stride()). */
+     *  run(), the slot count after startSlots() (same as
+     *  stride()). */
     unsigned workers() const { return stride(); }
 
     /** Per-worker machine counters summed at join (valid after
@@ -293,7 +268,7 @@ class Runtime
      *  RuntimeConfig::profile was set). */
     const obs::ProfileData &profile() const { return profile_; }
 
-    /** Merged sampled profile (valid after run() or stopPool() when
+    /** Merged sampled profile (valid after run() or stopSlots() when
      *  RuntimeConfig::profileSampled was set). */
     const obs::SampledProfile &sampledProfile() const
     {
@@ -306,7 +281,7 @@ class Runtime
     AccelStats liveAccelStats() const;
 
     /** Write the multi-worker Chrome trace — one track per worker
-     *  (valid after run() or stopPool() when RuntimeConfig::trace was
+     *  (valid after run() or stopSlots() when RuntimeConfig::trace was
      *  set). */
     void writeTrace(std::ostream &os) const;
 
@@ -332,7 +307,7 @@ class Runtime
      *  jobs)); the fpc-record-v1 header's "stride". */
     unsigned stride() const
     {
-        return static_cast<unsigned>(poolSize_);
+        return static_cast<unsigned>(stride_);
     }
 
     /** The recorded image hash (valid after run() with record on). */
@@ -365,12 +340,12 @@ class Runtime
 
   private:
 
-    /** One worker thread's state: its reusable context, the
-     *  observers it records into, and the counters it folds into the
-     *  merged view when it exits. */
+    /** One worker's state — a batch thread's or a slot's: its
+     *  reusable context, the observers it records into, and the
+     *  counters it folds into the merged view. */
     struct Worker
     {
-        Worker(Runtime &rt, unsigned id, bool pool);
+        Worker(Runtime &rt, unsigned id);
 
         unsigned id;
         ExecContext ctx;
@@ -389,35 +364,20 @@ class Runtime
         stats::Distribution &jobCycles;
         stats::Counter &contextBuilds;
         stats::Counter &contextReuses;
-        stats::Counter *jobsStolen = nullptr; ///< pool workers only
         /** This worker's job progress, a gauge in its samples. */
         double jobsDone = 0;
         double jobsAssigned = 0;
     };
 
-    struct PoolTask
-    {
-        unsigned id = 0;
-        Job job;
-        JobCompletion done;
-    };
-
-    /** One worker's deque: the owner pushes/pops at the back, thieves
-     *  take from the front (oldest first, better locality for the
-     *  owner's recent work). */
-    struct WorkerDeque
-    {
-        std::mutex m;
-        std::deque<PoolTask> dq;
-    };
-
-    void workerMain(unsigned worker_id);
-    void poolWorkerMain(unsigned worker_id);
-    bool takeTask(unsigned worker_id, PoolTask &out, bool &stolen);
-    void startPoolWorkers(unsigned n);
+    /** A batch thread: the static stride when next is null, else the
+     *  next unstarted job from the shared index. */
+    void workerMain(unsigned worker_id, std::atomic<std::size_t> *next);
     /** Set the stride to n and give each of n workers its trace track
      *  and metrics series (when configured). */
     void buildTracks(unsigned n);
+    /** Open request ⊃ queued for a job no serving layer owns. */
+    void beginBatchSpans(const Job &job, std::uint64_t sid,
+                         std::uint32_t track);
     JobResult runJob(Worker &w, const Job &job, unsigned id);
     JobResult executeJob(const Job &job, unsigned id, Worker &w);
     void fold(Worker &w);
@@ -430,7 +390,7 @@ class Runtime
     }
 
     /** Reproducible observation wants the static job-to-worker
-     *  stride instead of the dynamic queue. */
+     *  stride instead of the shared index. */
     bool staticAssignment() const
     {
         return config_.trace || config_.metrics || config_.record ||
@@ -456,21 +416,13 @@ class Runtime
     std::vector<std::unique_ptr<obs::Telemetry>> telemetry_;
     std::vector<replay::JobRecord> jobRecords_;
     std::atomic<std::uint64_t> recordedImageHash_{0};
-    std::size_t poolSize_ = 0; ///< stride for the static assignment
+    std::size_t stride_ = 0; ///< stride for the static assignment
     bool ran_ = false;
 
-    // Pool mode.
-    std::vector<std::unique_ptr<WorkerDeque>> deques_;
-    std::vector<std::thread> poolThreads_;
-    std::mutex poolMutex_;          ///< guards the wakeup conditions
-    std::condition_variable workCv_; ///< work arrived / stopping
-    std::condition_variable idleCv_; ///< a job finished (drain wait)
-    std::atomic<std::size_t> queued_{0};
-    std::atomic<unsigned> running_{0};
-    std::atomic<unsigned> nextPoolId_{0};
-    std::atomic<unsigned> enqueueRr_{0};
-    bool poolStopping_ = false; ///< under poolMutex_
-    bool poolStarted_ = false;
+    // Slot mode.
+    std::vector<std::unique_ptr<Worker>> slots_;
+    std::atomic<unsigned> nextSlotJobId_{0};
+    bool slotsStarted_ = false;
 };
 
 } // namespace fpc::sched

@@ -11,7 +11,7 @@
  * Requests open with a u8 opcode; SUBMIT carries a client-chosen
  * request id that the matching reply echoes, so one connection can
  * pipeline many jobs and collect completions out of order (jobs
- * finish in whatever order the pool schedules them).
+ * finish in whatever order the server runs them).
  */
 
 #ifndef FPC_SERVE_PROTOCOL_HH

@@ -5,8 +5,9 @@
 #include <sstream>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -62,8 +63,6 @@ Server::Server(ServerConfig config)
 {
     if (config_.workers == 0)
         config_.workers = 1;
-    maxInFlight_ = config_.maxInFlight != 0 ? config_.maxInFlight
-                                            : config_.workers;
     if (config_.spans)
         spans_ = std::make_unique<obs::SpanCollector>(
             std::max<std::size_t>(1, config_.spansCapacity));
@@ -120,7 +119,7 @@ Server::start()
     }
     rc.probes = &probes_;
     runtime_ = std::make_unique<sched::Runtime>(rc);
-    runtime_->startPool();
+    runtime_->startSlots();
 
     windowStart_ = std::chrono::steady_clock::now();
     {
@@ -130,9 +129,11 @@ Server::start()
         for (const auto &entry : config_.tenants)
             tenantLocked(entry.first);
         tenantLocked("default");
+        for (unsigned k = config_.workers; k-- > 0;)
+            freeSlots_.push_back(k);
     }
 
-    listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    listenFd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
     if (listenFd_ < 0)
         fatal("fpcserve: socket() failed");
     const int one = 1;
@@ -155,90 +156,227 @@ Server::start()
                   &len);
     port_ = ntohs(addr.sin_port);
 
-    if (::pipe(wakePipe_) != 0)
+    if (::pipe2(wakePipe_, O_NONBLOCK | O_CLOEXEC) != 0)
         fatal("fpcserve: pipe() failed");
+    epollFd_ = ::epoll_create1(EPOLL_CLOEXEC);
+    if (epollFd_ < 0)
+        fatal("fpcserve: epoll_create1() failed");
+    for (const int fd : {wakePipe_[0], listenFd_}) {
+        epoll_event ev = {};
+        ev.events = EPOLLIN;
+        ev.data.fd = fd;
+        if (::epoll_ctl(epollFd_, EPOLL_CTL_ADD, fd, &ev) != 0)
+            fatal("fpcserve: epoll_ctl() failed");
+    }
+    listening_ = true;
 
-    acceptThread_ = std::thread([this] { acceptLoop(); });
+    // One thread more than there are slots: at most `workers` run
+    // jobs, so one is always free to lead.
+    for (unsigned t = 0; t <= config_.workers; ++t)
+        threads_.emplace_back(
+            [this, t] { serveLoop(t % config_.workers); });
 }
 
 void
-Server::acceptLoop()
+Server::serveLoop(unsigned home)
+{
+    Pending job;
+    unsigned slot = home;
+    std::unique_lock<std::mutex> lock(leaderMutex_);
+    while (true) {
+        leaderCv_.wait(lock, [this] { return !hasLeader_ || stopping_; });
+        if (stopping_)
+            return;
+        hasLeader_ = true;
+        lock.unlock();
+        if (lead(job, slot))
+            runJobs(slot, std::move(job));
+        lock.lock();
+    }
+}
+
+bool
+Server::lead(Pending &job, unsigned &slot)
+{
+    epoll_event events[64];
+    while (true) {
+        // Dispatch before waiting: a leader promoted while jobs and
+        // slots are both free takes the next one straight away.
+        bool picked = false;
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            if (!freeSlots_.empty()) {
+                // This thread's own slot when it is free: its context
+                // is still warm in this thread's caches.
+                auto it = std::find(freeSlots_.begin(), freeSlots_.end(),
+                                    slot);
+                if (it == freeSlots_.end())
+                    it = freeSlots_.end() - 1;
+                if (pickLocked(*it, job)) {
+                    slot = *it;
+                    freeSlots_.erase(it);
+                    picked = true;
+                }
+            }
+        }
+        if (picked || stopping_) {
+            // Promote a follower; this thread runs the job (if any).
+            {
+                std::lock_guard<std::mutex> lock(leaderMutex_);
+                hasLeader_ = false;
+            }
+            leaderCv_.notify_one();
+            return picked;
+        }
+        const int n = ::epoll_wait(epollFd_, events, 64, -1);
+        if (n < 0 && errno != EINTR)
+            fatal("fpcserve: epoll_wait() failed");
+        for (int i = 0; i < n; ++i)
+            handleEvent(events[i].data.fd);
+    }
+}
+
+void
+Server::handleEvent(int fd)
+{
+    if (fd == wakePipe_[0]) {
+        // stop() leaves its byte unread so every leader in turn sees
+        // it; drain() only asks to stop accepting.
+        if (stopping_)
+            return;
+        char buf[64];
+        while (::read(fd, buf, sizeof(buf)) > 0) {
+        }
+        if (listening_ && draining()) {
+            ::epoll_ctl(epollFd_, EPOLL_CTL_DEL, listenFd_, nullptr);
+            listening_ = false;
+        }
+        return;
+    }
+    if (fd == listenFd_) {
+        acceptConns();
+        return;
+    }
+    const auto it = conns_.find(fd);
+    if (it == conns_.end())
+        return;
+    const std::shared_ptr<Conn> conn = it->second;
+    if (!readConn(conn))
+        closeConn(conn);
+}
+
+void
+Server::acceptConns()
 {
     while (true) {
-        pollfd fds[2] = {{listenFd_, POLLIN, 0},
-                         {wakePipe_[0], POLLIN, 0}};
-        const int rc = ::poll(fds, 2, -1);
-        if (rc < 0) {
-            if (errno == EINTR)
-                continue;
-            break;
-        }
-        if (fds[1].revents != 0)
-            break; // drain/stop woke us
-        if ((fds[0].revents & POLLIN) == 0)
-            continue;
-        const int fd = ::accept(listenFd_, nullptr, nullptr);
+        const int fd = ::accept4(listenFd_, nullptr, nullptr, SOCK_CLOEXEC);
         if (fd < 0) {
             if (errno == EINTR || errno == ECONNABORTED)
                 continue;
-            break;
+            if (errno != EAGAIN && errno != EWOULDBLOCK) {
+                warn("fpcserve: accept() failed; no longer accepting");
+                ::epoll_ctl(epollFd_, EPOLL_CTL_DEL, listenFd_, nullptr);
+                listening_ = false;
+            }
+            return;
         }
         setNoDelay(fd);
         auto conn = std::make_shared<Conn>();
         conn->fd = fd;
         conn->track = nextConnTrack_.fetch_add(1);
-        std::lock_guard<std::mutex> lock(connMutex_);
-        if (acceptClosed_) {
-            break; // Conn destructor closes fd
-        }
-        conns_.push_back(conn);
-        connThreads_.emplace_back(
-            [this, conn] { connLoop(std::move(conn)); });
+        epoll_event ev = {};
+        ev.events = EPOLLIN | EPOLLRDHUP;
+        ev.data.fd = fd;
+        if (::epoll_ctl(epollFd_, EPOLL_CTL_ADD, fd, &ev) != 0)
+            continue; // the Conn destructor closes fd
+        conns_.emplace(fd, std::move(conn));
         accepted_.fetch_add(1, std::memory_order_relaxed);
     }
 }
 
-void
-Server::connLoop(std::shared_ptr<Conn> conn)
+bool
+Server::readConn(const std::shared_ptr<Conn> &conn)
 {
-    std::string payload;
-    while (readFrame(conn->fd, payload)) {
-        Request req;
-        std::string err;
-        if (!decodeRequest(payload, req, err)) {
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                ++badRequests_;
-            }
-            Reply reply;
-            reply.status = Status::BadRequest;
-            reply.error = err;
-            sendReply(conn, reply);
-            continue;
+    char buf[16384];
+    while (true) {
+        const ssize_t got =
+            ::recv(conn->fd, buf, sizeof(buf), MSG_DONTWAIT);
+        if (got == 0)
+            return false;
+        if (got < 0) {
+            if (errno == EINTR)
+                continue;
+            return errno == EAGAIN || errno == EWOULDBLOCK;
         }
-        switch (req.op) {
-          case ReqOp::Ping: {
-            Reply reply;
-            reply.status = Status::Pong;
-            sendReply(conn, reply);
-            break;
-          }
-          case ReqOp::Scrape: {
-            Reply reply;
-            reply.status = Status::ScrapeText;
-            reply.text = scrapeText();
-            sendReply(conn, reply);
-            break;
-          }
-          case ReqOp::Submit:
-            handleSubmit(conn, std::move(req.submit));
-            break;
-          case ReqOp::Probe:
-            handleProbe(conn, req.probe);
-            break;
+        std::string &in = conn->inbuf;
+        in.append(buf, static_cast<std::size_t>(got));
+        std::size_t at = 0;
+        while (in.size() - at >= 4) {
+            std::uint32_t len = 0;
+            for (int i = 0; i < 4; ++i)
+                len |= static_cast<std::uint32_t>(
+                           static_cast<std::uint8_t>(in[at + i]))
+                       << (8 * i);
+            if (len > maxFrameBytes)
+                return false;
+            if (in.size() - at - 4 < len)
+                break;
+            handleFrame(conn, std::string_view(in).substr(at + 4, len));
+            at += 4 + len;
         }
+        in.erase(0, at);
     }
+}
+
+void
+Server::closeConn(const std::shared_ptr<Conn> &conn)
+{
+    // Replies still owed to it are dropped (sendReply checks open);
+    // the fd closes once the last job holding the Conn is done.
     conn->open.store(false, std::memory_order_relaxed);
+    ::epoll_ctl(epollFd_, EPOLL_CTL_DEL, conn->fd, nullptr);
+    ::shutdown(conn->fd, SHUT_RDWR);
+    conns_.erase(conn->fd);
+}
+
+void
+Server::handleFrame(const std::shared_ptr<Conn> &conn,
+                    std::string_view payload)
+{
+    Request req;
+    std::string err;
+    if (!decodeRequest(payload, req, err)) {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            ++badRequests_;
+        }
+        Reply reply;
+        reply.status = Status::BadRequest;
+        reply.error = err;
+        sendReply(conn, reply);
+        return;
+    }
+    switch (req.op) {
+      case ReqOp::Ping: {
+        Reply reply;
+        reply.status = Status::Pong;
+        sendReply(conn, reply);
+        break;
+      }
+      case ReqOp::Scrape: {
+        Reply reply;
+        reply.status = Status::ScrapeText;
+        reply.text = scrapeText();
+        sendReply(conn, reply);
+        break;
+      }
+      case ReqOp::Submit:
+        handleSubmit(conn, std::move(req.submit));
+        break;
+      case ReqOp::Probe:
+        handleProbe(conn, req.probe);
+        break;
+    }
 }
 
 std::shared_ptr<const std::vector<Module>>
@@ -465,47 +603,52 @@ Server::handleSubmit(const std::shared_ptr<Conn> &conn,
         t.counters.queued = t.pending.size();
         ++queuedTotal_;
         drr_.enqueue(tenant);
-        pumpLocked();
         updateGaugesLocked();
     }
-    // The reply comes from the completion callback once the job ran.
+    // The reply comes from the thread that runs the job.
 }
 
-void
-Server::pumpLocked()
+bool
+Server::pickLocked(unsigned slot, Pending &out)
 {
     std::string tenant;
-    while (inFlight_ < maxInFlight_ && drr_.pick(tenant)) {
-        TenantState &t = tenants_.at(tenant);
-        Pending p = std::move(t.pending.front());
-        t.pending.pop_front();
-        t.counters.queued = t.pending.size();
-        --queuedTotal_;
-        ++inFlight_;
-        ++t.counters.inFlight;
-        if (spans_ && p.requestId != 0) {
-            // Queued ends at the DRR pick; dispatch runs until the
-            // worker starts executing, which re-homes the tree onto
-            // the executing worker's track (the track here is a
-            // placeholder — the pool chooses the worker later).
-            const std::int64_t pickNs = obs::SpanCollector::nowNs();
-            spans_->endPhase(p.requestId, pickNs, true);
-            spans_->begin(obs::SpanKind::Dispatch, p.requestId,
-                          obs::SpanTrack::Worker, 0, p.spanTenant,
-                          pickNs, p.traceId, p.reqId);
-        }
-        sched::Job job = std::move(p.job);
-        auto meta = std::make_shared<Pending>(std::move(p));
-        runtime_->enqueue(std::move(job),
-                          [this, meta](sched::JobResult r) {
-                              onComplete(*meta, std::move(r));
-                          });
+    if (!drr_.pick(tenant))
+        return false;
+    TenantState &t = tenants_.at(tenant);
+    out = std::move(t.pending.front());
+    t.pending.pop_front();
+    t.counters.queued = t.pending.size();
+    --queuedTotal_;
+    ++inFlight_;
+    ++t.counters.inFlight;
+    if (spans_ && out.requestId != 0) {
+        // Queued ends at the DRR pick; dispatch runs on the slot's
+        // track until the job starts executing there.
+        const std::int64_t pickNs = obs::SpanCollector::nowNs();
+        spans_->endPhase(out.requestId, pickNs, true);
+        spans_->begin(obs::SpanKind::Dispatch, out.requestId,
+                      obs::SpanTrack::Worker, slot, out.spanTenant,
+                      pickNs, out.traceId, out.reqId);
     }
+    updateGaugesLocked();
+    return true;
 }
 
 void
-Server::onComplete(const Pending &meta, sched::JobResult r)
+Server::runJobs(unsigned slot, Pending job)
 {
+    do {
+        sched::JobResult r = runtime_->runInSlot(slot, job.job);
+        job.job = sched::Job{}; // drop the module refs promptly
+        if (!finishJob(slot, job, std::move(r)))
+            return;
+    } while (true);
+}
+
+bool
+Server::finishJob(unsigned slot, Pending &job, sched::JobResult r)
+{
+    const Pending &meta = job;
     Reply reply;
     reply.reqId = meta.reqId;
     reply.status = Status::Ok;
@@ -521,7 +664,7 @@ Server::onComplete(const Pending &meta, sched::JobResult r)
                            "-postmortem.json";
     }
 
-    // Latency attribution: the worker stamped execStartNs/execEndNs
+    // Latency attribution: the runtime stamped execStartNs/execEndNs
     // whether or not span collection is on (a canceled job leaves
     // them zero). The reply echoes the breakdown.
     const bool executed = r.execStartNs != 0;
@@ -615,14 +758,21 @@ Server::onComplete(const Pending &meta, sched::JobResult r)
         }
     }
 
+    // The slot goes straight to the next job in DRR order, if any.
     std::lock_guard<std::mutex> lock(mutex_);
     --inFlight_;
     --tenantLocked(meta.tenant).counters.inFlight;
-    pumpLocked();
+    Pending next;
+    const bool more = pickLocked(slot, next);
+    if (more)
+        job = std::move(next);
+    else
+        freeSlots_.push_back(slot);
     updateGaugesLocked();
     updateTenantGaugesLocked();
     if (draining_ && queuedTotal_ == 0 && inFlight_ == 0)
         drainedCv_.notify_all();
+    return more;
 }
 
 void
@@ -736,9 +886,9 @@ Server::scrapeText() const
     gauge("fpc_serve_queue_depth",
           "Jobs admitted but not yet dispatched.",
           static_cast<double>(queuedTotal_));
-    gauge("fpc_serve_in_flight", "Jobs currently on the pool.",
+    gauge("fpc_serve_in_flight", "Jobs currently executing.",
           static_cast<double>(inFlight_));
-    gauge("fpc_serve_workers", "Pool worker threads.",
+    gauge("fpc_serve_workers", "Execution slots.",
           static_cast<double>(config_.workers));
     gauge("fpc_serve_draining", "1 while the server drains.",
           draining_ ? 1.0 : 0.0);
@@ -800,7 +950,7 @@ Server::scrapeText() const
                     return static_cast<double>(t.counters.queued);
                 });
     tenantGauge("fpc_serve_tenant_in_flight",
-                "The tenant's jobs on the pool.",
+                "The tenant's jobs executing.",
                 [](const TenantState &t) {
                     return static_cast<double>(t.counters.inFlight);
                 });
@@ -1104,7 +1254,7 @@ Server::drain()
         std::lock_guard<std::mutex> lock(mutex_);
         draining_ = true;
     }
-    // Wake the accept loop; it exits and no new connections land.
+    // Wake the leader; it stops accepting new connections.
     if (wakePipe_[1] >= 0) {
         [[maybe_unused]] ssize_t n = ::write(wakePipe_[1], "x", 1);
     }
@@ -1198,36 +1348,30 @@ Server::stop()
         return;
     stopped_ = true;
     drain();
-    runtime_->stopPool();
-    checkSpansAtStop();
-    if (acceptThread_.joinable())
-        acceptThread_.join();
-
-    std::vector<std::thread> threads;
     {
-        std::lock_guard<std::mutex> lock(connMutex_);
-        acceptClosed_ = true;
-        for (const auto &c : conns_) {
-            c->open.store(false, std::memory_order_relaxed);
-            ::shutdown(c->fd, SHUT_RDWR);
-        }
-        threads.swap(connThreads_);
+        std::lock_guard<std::mutex> lock(leaderMutex_);
+        stopping_ = true;
     }
-    for (std::thread &t : threads)
+    leaderCv_.notify_all();
+    if (wakePipe_[1] >= 0) {
+        [[maybe_unused]] ssize_t n = ::write(wakePipe_[1], "x", 1);
+    }
+    for (std::thread &t : threads_)
         t.join();
-    {
-        std::lock_guard<std::mutex> lock(connMutex_);
-        conns_.clear();
-    }
+    threads_.clear();
+    if (runtime_)
+        runtime_->stopSlots();
+    checkSpansAtStop();
 
-    if (listenFd_ >= 0) {
-        ::close(listenFd_);
-        listenFd_ = -1;
+    for (const auto &entry : conns_) {
+        entry.second->open.store(false, std::memory_order_relaxed);
+        ::shutdown(entry.first, SHUT_RDWR);
     }
-    if (wakePipe_[0] >= 0) {
-        ::close(wakePipe_[0]);
-        ::close(wakePipe_[1]);
-        wakePipe_[0] = wakePipe_[1] = -1;
+    conns_.clear();
+    for (int *fd : {&listenFd_, &epollFd_, &wakePipe_[0], &wakePipe_[1]}) {
+        if (*fd >= 0)
+            ::close(*fd);
+        *fd = -1;
     }
 }
 

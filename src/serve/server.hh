@@ -1,12 +1,14 @@
 /**
  * @file
- * The serving runtime: a persistent, multi-tenant front end over the
- * pooled sched::Runtime.
+ * The serving runtime: a persistent, multi-tenant front end over
+ * sched::Runtime's execution slots.
  *
- * A Server owns a listening TCP socket, one thread per connection
- * speaking the fpc-serve-v1 protocol, and a worker pool with
- * long-lived per-worker machine contexts. Jobs pass through three
- * stages:
+ * A Server owns a listening TCP socket and workers + 1 serving
+ * threads in a leader/followers arrangement over one epoll set (the
+ * listening socket, a wake pipe and every connection). The leader
+ * waits in epoll_wait, accepts, and reads every complete
+ * fpc-serve-v1 frame that is ready; it answers PING, SCRAPE and PROBE
+ * itself. Jobs pass through three stages:
  *
  *   admission — bounded: a global queue cap, a per-tenant queue cap,
  *       and a per-tenant simulated-cycle quota per time window. Over
@@ -16,16 +18,24 @@
  *   dispatch — deficit-round-robin across tenants (see
  *       DrrDispatcher), so a flooding tenant cannot starve the
  *       others: dispatch share follows configured weights, not
- *       arrival counts;
- *   completion — the worker's callback sends the result frame on the
- *       job's connection (replies are pipelined and may complete out
- *       of order; the request id correlates).
+ *       arrival counts. When a pick finds a free execution slot, the
+ *       leader promotes a follower to leader and runs the job on its
+ *       own thread: the job starts on the thread that read it;
+ *   completion — the thread that ran the job sends the result frame
+ *       on the job's connection (replies are pipelined and may
+ *       complete out of order; the request id correlates), then
+ *       makes the next DRR pick itself before it rejoins the
+ *       followers.
+ *
+ * At most `workers` threads run jobs, so one thread is always free to
+ * lead: admission, SCRAPE and PING keep answering while every slot is
+ * busy.
  *
  * drain() implements graceful shutdown: stop accepting, let admitted
- * jobs finish, answer late submits with DRAINING, then stop the pool.
- * scrapeText() exposes queue depth, per-tenant gauges and job-latency
- * percentiles as a strict OpenMetrics exposition at any moment while
- * serving.
+ * jobs finish, answer late submits with DRAINING; stop() then joins
+ * the serving threads. scrapeText() exposes queue depth, per-tenant
+ * gauges and job-latency percentiles as a strict OpenMetrics
+ * exposition at any moment while serving.
  */
 
 #ifndef FPC_SERVE_SERVER_HH
@@ -40,6 +50,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -59,11 +70,9 @@ struct ServerConfig
     MachineConfig machine;
     LinkPlan plan;
 
-    /** Jobs admitted but not yet dispatched, across all tenants. */
+    /** Jobs admitted but not yet dispatched, across all tenants.
+     *  The `workers` execution slots bound the jobs running. */
     std::size_t queueCapacity = 256;
-    /** Jobs handed to the pool at once; 0 = one per worker (tenant
-     *  queues hold the backlog, so fair dispatch stays responsive). */
-    unsigned maxInFlight = 0;
 
     TenantConfig defaultTenant;
     std::map<std::string, TenantConfig> tenants;
@@ -91,7 +100,7 @@ struct ServerConfig
     bool spans = false;
     std::size_t spansCapacity = obs::SpanCollector::defaultCapacity;
 
-    /** Per-worker XFER tracing on the pool (embedded into
+    /** Per-slot XFER tracing (embedded into
      *  writeSpansTrace alongside the serve spans). */
     bool trace = false;
     std::size_t traceCapacity = obs::Tracer::defaultCapacity;
@@ -121,8 +130,9 @@ class Server
     void addProgram(const std::string &name,
                     std::shared_ptr<const std::vector<Module>> modules);
 
-    /** Bind, listen, bring up the pool and the accept thread. Throws
-     *  FatalError when the address is unusable. */
+    /** Bind, listen, open the execution slots and bring up the
+     *  workers + 1 serving threads. Throws FatalError when the address
+     *  is unusable. */
     void start();
 
     /** The bound port (after start(); resolves port 0). */
@@ -133,9 +143,9 @@ class Server
      *  job has completed and replied. Idempotent. */
     void drain();
 
-    /** drain(), then stop the pool and join every thread. The
-     *  telemetry exports below are valid afterwards. Idempotent;
-     *  also run by the destructor. */
+    /** drain(), then join the serving threads and fold the slots'
+     *  counters. The telemetry exports below are valid afterwards.
+     *  Idempotent; also run by the destructor. */
     void stop();
 
     bool draining() const;
@@ -187,10 +197,10 @@ class Server
     /** @} */
 
   private:
-    /** One client connection. Completions on worker threads and the
-     *  connection's reader thread both write frames; writeMutex
-     *  serializes them. The fd closes when the last reference
-     *  drops. */
+    /** One client connection. The thread that ran a job and the
+     *  leader answering a request both write frames; writeMutex
+     *  serializes them. Only the leader reads (inbuf). The fd closes
+     *  when the last reference drops. */
     struct Conn
     {
         ~Conn();
@@ -198,6 +208,7 @@ class Server
         std::mutex writeMutex;
         std::atomic<bool> open{true};
         std::uint32_t track = 0; ///< span Connection-track index
+        std::string inbuf;       ///< bytes of frames not yet complete
     };
 
     /** An admitted job waiting in its tenant's queue. */
@@ -239,19 +250,38 @@ class Server
         std::uint32_t spanTenant = obs::noTenant;
     };
 
-    void acceptLoop();
-    void connLoop(std::shared_ptr<Conn> conn);
+    /** One serving thread: lead when no one does, run the job the
+     *  lead yields, repeat until stop(). It prefers slot `home`. */
+    void serveLoop(unsigned home);
+    /** Wait for and read requests until a DRR pick finds a free slot
+     *  (true: `job` runs in `slot`, which on entry names the slot to
+     *  prefer) or stop() (false). Leadership is handed off either
+     *  way. */
+    bool lead(Pending &job, unsigned &slot);
+    void handleEvent(int fd);
+    void acceptConns();
+    /** Read what fd has and handle every complete frame; false when
+     *  the connection must close (EOF, error, an over-long frame). */
+    bool readConn(const std::shared_ptr<Conn> &conn);
+    void closeConn(const std::shared_ptr<Conn> &conn);
+    void handleFrame(const std::shared_ptr<Conn> &conn,
+                     std::string_view payload);
     void handleSubmit(const std::shared_ptr<Conn> &conn,
                       SubmitRequest &&req);
     void handleProbe(const std::shared_ptr<Conn> &conn,
                      const ProbeRequest &req);
-    void onComplete(const Pending &meta, sched::JobResult r);
+    /** Run job in slot, reply, and keep going while the DRR pick
+     *  finds more. */
+    void runJobs(unsigned slot, Pending job);
+    /** Book and send job's result; true when the next DRR pick went
+     *  to this slot (then `job` holds it). */
+    bool finishJob(unsigned slot, Pending &job, sched::JobResult r);
     std::shared_ptr<const std::vector<Module>>
     resolveModules(const SubmitRequest &req, std::string &err);
 
-    /** Dispatch queued jobs to the pool while capacity allows, in
-     *  DRR order. Caller holds mutex_. */
-    void pumpLocked();
+    /** Take the next job in DRR order onto slot. Caller holds
+     *  mutex_. */
+    bool pickLocked(unsigned slot, Pending &out);
     void rollWindowLocked();
     TenantState &tenantLocked(const std::string &name);
     std::uint32_t retryAfterLocked() const;
@@ -263,7 +293,6 @@ class Server
     void checkSpansAtStop();
 
     ServerConfig config_;
-    unsigned maxInFlight_ = 0;
     /** Lives above runtime_ so every in-flight engine folds before
      *  the registry dies. */
     obs::ProbeRegistry probes_;
@@ -272,11 +301,18 @@ class Server
     int listenFd_ = -1;
     std::uint16_t port_ = 0;
     int wakePipe_[2] = {-1, -1};
-    std::thread acceptThread_;
-    std::mutex connMutex_;
-    std::vector<std::shared_ptr<Conn>> conns_;
-    std::vector<std::thread> connThreads_;
-    bool acceptClosed_ = false; ///< under connMutex_
+    int epollFd_ = -1;
+    std::vector<std::thread> threads_;
+
+    // Leader-only: the current leader is the one thread that touches
+    // these (the leader hand-off under leaderMutex_ orders them).
+    std::map<int, std::shared_ptr<Conn>> conns_;
+    bool listening_ = false; ///< listenFd_ is in the epoll set
+
+    std::mutex leaderMutex_;
+    std::condition_variable leaderCv_; ///< leadership free, or stop
+    bool hasLeader_ = false;           ///< under leaderMutex_
+    std::atomic<bool> stopping_{false}; ///< set under leaderMutex_
 
     // Serving state, under mutex_.
     mutable std::mutex mutex_;
@@ -285,6 +321,7 @@ class Server
     DrrDispatcher drr_;
     std::size_t queuedTotal_ = 0;
     unsigned inFlight_ = 0;
+    std::vector<unsigned> freeSlots_; ///< idle slots, warmest last
     bool draining_ = false;
     bool started_ = false;
     bool stopped_ = false;

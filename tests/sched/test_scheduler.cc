@@ -12,16 +12,14 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <sstream>
+#include <thread>
 
 #include "obs/json.hh"
 #include "obs/spans.hh"
@@ -602,38 +600,49 @@ TEST(Runtime, RunTwicePanics)
                  PanicError);
 }
 
-TEST(Runtime, RunAndPoolModesAreExclusive)
+TEST(Runtime, RunAndSlotModesAreExclusive)
 {
     const auto prog = shared(fibTracer());
+    const sched::Job job{prog, "Fib", "main", {5}};
     {
         sched::RuntimeConfig rc;
         rc.workers = 1;
         sched::Runtime runtime(rc);
-        runtime.startPool();
+        runtime.startSlots();
         EXPECT_THROW(runtime.run(), PanicError);
-        EXPECT_THROW(runtime.startPool(), PanicError);
-        runtime.stopPool();
+        EXPECT_THROW(runtime.startSlots(), PanicError);
+        EXPECT_THROW(runtime.runInSlot(1, job), PanicError);
+        EXPECT_TRUE(runtime.runInSlot(0, job).ok);
+        runtime.stopSlots();
     }
     {
         sched::RuntimeConfig rc;
         rc.workers = 1;
         sched::Runtime runtime(rc);
-        runtime.submit({prog, "Fib", "main", {5}});
+        runtime.submit(job);
         runtime.run();
-        EXPECT_THROW(runtime.startPool(), PanicError);
+        EXPECT_THROW(runtime.startSlots(), PanicError);
     }
     {
         sched::RuntimeConfig rc;
         rc.workers = 1;
         sched::Runtime runtime(rc);
-        EXPECT_THROW(
-            runtime.enqueue({prog, "Fib", "main", {5}}, nullptr),
-            PanicError);
+        EXPECT_THROW(runtime.runInSlot(0, job), PanicError);
+    }
+    {
+        // A recording's header names each job's worker, which only
+        // batch run()'s static stride makes reproducible.
+        sched::RuntimeConfig rc;
+        rc.record = true;
+        sched::Runtime runtime(rc);
+        EXPECT_THROW(runtime.startSlots(), PanicError);
     }
 }
 
-TEST(Runtime, PoolEnqueueCompletesEveryJob)
+TEST(Runtime, SlotsRunJobsFromConcurrentThreads)
 {
+    // Two callers, each in its own slot: every job completes on the
+    // caller's slot, and the folded counters cover all of them.
     const auto prog = shared(fibTracer());
     sched::RuntimeConfig rc;
     rc.workers = 2;
@@ -641,51 +650,54 @@ TEST(Runtime, PoolEnqueueCompletesEveryJob)
     rc.plan.lowering = CallLowering::Direct;
     rc.plan.shortCalls = true;
     sched::Runtime runtime(rc);
-    runtime.startPool();
+    runtime.startSlots();
+    EXPECT_EQ(runtime.workers(), 2u);
 
-    std::mutex mu;
-    std::vector<sched::JobResult> results;
-    for (unsigned j = 0; j < 12; ++j)
-        runtime.enqueue({prog, "Fib", "main", {10}},
-                        [&](sched::JobResult r) {
-                            std::lock_guard<std::mutex> lock(mu);
-                            results.push_back(std::move(r));
-                        });
-    runtime.drainPool();
-    EXPECT_EQ(runtime.queuedJobs(), 0u);
-    EXPECT_EQ(runtime.runningJobs(), 0u);
-    ASSERT_EQ(results.size(), 12u);
-    for (const sched::JobResult &r : results) {
-        EXPECT_TRUE(r.ok) << r.error;
-        EXPECT_EQ(r.value, 55u);
+    std::vector<sched::JobResult> results[2];
+    std::vector<std::thread> callers;
+    for (unsigned k = 0; k < 2; ++k)
+        callers.emplace_back([&, k] {
+            for (unsigned j = 0; j < 6; ++j)
+                results[k].push_back(
+                    runtime.runInSlot(k, {prog, "Fib", "main", {10}}));
+        });
+    for (std::thread &t : callers)
+        t.join();
+    runtime.stopSlots();
+
+    std::set<unsigned> ids;
+    for (unsigned k = 0; k < 2; ++k) {
+        ASSERT_EQ(results[k].size(), 6u);
+        for (const sched::JobResult &r : results[k]) {
+            EXPECT_TRUE(r.ok) << r.error;
+            EXPECT_EQ(r.value, 55u);
+            EXPECT_EQ(r.worker, k);
+            EXPECT_GT(r.execEndNs, r.execStartNs);
+            ids.insert(r.id);
+        }
     }
-    runtime.stopPool();
+    EXPECT_EQ(ids.size(), 12u); // job ids are per job
     EXPECT_EQ(runtime.stats().findCounter("jobs_completed").value(),
               12u);
     EXPECT_EQ(runtime.stats().findCounter("jobs_failed").value(), 0u);
+    EXPECT_FALSE(runtime.stats().hasCounter("jobs_stolen"));
 }
 
-TEST(Runtime, PoolReusesWorkerContextsDeterministically)
+TEST(Runtime, SlotReusesItsContextDeterministically)
 {
-    // One worker, four identical jobs: the first builds the context,
+    // One slot, four identical jobs: the first builds the context,
     // the rest recycle it — and recycling must be invisible to the
     // simulated outcome (same value, same step count every time).
     const auto prog = shared(fibTracer());
     sched::RuntimeConfig rc;
     rc.workers = 1;
     sched::Runtime runtime(rc);
-    runtime.startPool();
-    std::mutex mu;
+    runtime.startSlots();
     std::vector<sched::JobResult> results;
     for (unsigned j = 0; j < 4; ++j)
-        runtime.enqueue({prog, "Fib", "main", {9}},
-                        [&](sched::JobResult r) {
-                            std::lock_guard<std::mutex> lock(mu);
-                            results.push_back(std::move(r));
-                        });
-    runtime.drainPool();
-    runtime.stopPool();
-    ASSERT_EQ(results.size(), 4u);
+        results.push_back(runtime.runInSlot(0, {prog, "Fib", "main", {9}}));
+    runtime.stopSlots();
+    runtime.stopSlots(); // idempotent: folds once
     for (const sched::JobResult &r : results) {
         EXPECT_TRUE(r.ok) << r.error;
         EXPECT_EQ(r.value, results[0].value);
@@ -814,9 +826,8 @@ TEST(Runtime, ReusedContextMatchesFreshMemory)
 
 TEST(Runtime, ReusedWorkerMatchesFreshRunsAcrossCancel)
 {
-    // The same jobs through one pool worker, with one job canceled
-    // between them: every result is the one a fresh one-job batch
-    // gives.
+    // The same jobs through one slot, with one job canceled between
+    // them: every result is the one a fresh one-job batch gives.
     std::vector<ReuseJob> jobs = reuseJobs();
     jobs.push_back(jobs[0]); // canceled
     jobs.push_back(jobs[0]);
@@ -834,24 +845,16 @@ TEST(Runtime, ReusedWorkerMatchesFreshRunsAcrossCancel)
             rc.plan.shortCalls = combo.shortCalls;
             rc.stopFlag = &stop;
             sched::Runtime runtime(rc);
-            runtime.startPool();
-            // Each completion enqueues the next job, so the one
-            // worker runs them in order, and raises the drain flag
-            // for exactly one of them.
-            std::vector<sched::JobResult> results(jobs.size());
-            std::function<void(std::size_t)> next = [&](std::size_t i) {
+            runtime.startSlots();
+            // The drain flag is up for exactly one of the jobs.
+            std::vector<sched::JobResult> results;
+            for (std::size_t i = 0; i < jobs.size(); ++i) {
                 stop = i == canceled;
-                runtime.enqueue({jobs[i].modules, jobs[i].module, "main",
-                                 {jobs[i].arg}},
-                                [&, i](sched::JobResult r) {
-                                    results[i] = std::move(r);
-                                    if (i + 1 < jobs.size())
-                                        next(i + 1);
-                                });
-            };
-            next(0);
-            runtime.drainPool();
-            runtime.stopPool();
+                results.push_back(runtime.runInSlot(
+                    0, {jobs[i].modules, jobs[i].module, "main",
+                        {jobs[i].arg}}));
+            }
+            runtime.stopSlots();
             for (std::size_t i = 0; i < jobs.size(); ++i) {
                 SCOPED_TRACE(jobs[i].name);
                 if (i == canceled) {
@@ -955,7 +958,7 @@ TEST(StatsMerge, MachineStatsSumAcrossRuns)
 }
 
 // ---------------------------------------------------------------------
-// Span tracing through the Runtime (src/obs/spans wired into pool and
+// Span tracing through the Runtime (src/obs/spans wired into slot and
 // batch execution).
 // ---------------------------------------------------------------------
 
@@ -1014,51 +1017,42 @@ TEST(RuntimeSpans, BatchRunSynthesizesSpanTreesPerJob)
     }
 }
 
-TEST(RuntimeSpans, PoolStolenJobsLandOnStealingWorkersTrack)
+TEST(RuntimeSpans, SlotJobsLandOnTheirSlotsTrack)
 {
-    // Pool-mode tracing determinism: a job's spans land on the track
-    // of the worker that executed it — JobResult::worker — so a
-    // stolen job re-homes to the thief's track. Completions run on
-    // the executing worker's thread, so the first completion holds
-    // its worker until the other 12 jobs have completed (bounded
-    // wait). That worker has run one job by then, and round-robin
-    // enqueue gives its deque every other job, so the rest of its
-    // deque can only run on the other worker: a steal is certain.
+    // Slot-mode tracing determinism: a job's spans — the request ⊃
+    // queued tree the runtime synthesizes, and execute ⊃ prepare, run
+    // — land on the track of the slot that executed it,
+    // JobResult::worker, whichever thread called in.
     const auto prog = shared(fibTracer());
-    constexpr unsigned jobs = 13;
+    constexpr unsigned perSlot = 4;
     obs::SpanCollector sc;
     sched::RuntimeConfig rc;
     rc.workers = 2;
     rc.spans = &sc;
     sched::Runtime runtime(rc);
-    runtime.startPool();
+    runtime.startSlots();
     std::mutex mu;
-    std::condition_variable cv;
-    std::map<unsigned, unsigned> workerOf; // job id -> worker
-    bool holding = false;
-    auto done = [&](sched::JobResult r) {
-        std::unique_lock<std::mutex> lock(mu);
-        workerOf[r.id] = r.worker;
-        cv.notify_all();
-        if (holding)
-            return;
-        holding = true;
-        cv.wait_for(lock, std::chrono::seconds(30),
-                    [&] { return workerOf.size() == jobs; });
-    };
-    runtime.enqueue({prog, "Fib", "main", {22}}, done);
-    for (unsigned j = 1; j < jobs; ++j)
-        runtime.enqueue({prog, "Fib", "main", {3}}, done);
-    runtime.drainPool();
-    runtime.stopPool();
-    const bool sawSteal =
-        runtime.stats().findCounter("jobs_stolen").value() > 0;
+    std::map<unsigned, unsigned> workerOf; // job id -> slot
+    std::vector<std::thread> callers;
+    for (unsigned k = 0; k < 2; ++k)
+        callers.emplace_back([&, k] {
+            for (unsigned j = 0; j < perSlot; ++j) {
+                const sched::JobResult r =
+                    runtime.runInSlot(k, {prog, "Fib", "main", {8}});
+                std::lock_guard<std::mutex> lock(mu);
+                EXPECT_EQ(r.worker, k);
+                workerOf[r.id] = r.worker;
+            }
+        });
+    for (std::thread &t : callers)
+        t.join();
+    runtime.stopSlots();
 
-    ASSERT_EQ(workerOf.size(), jobs);
+    ASSERT_EQ(workerOf.size(), 2 * perSlot);
     const auto faults = obs::checkSpans(sc);
     EXPECT_TRUE(faults.empty())
         << (faults.empty() ? "" : faults.front().what);
-    EXPECT_EQ(sc.recorded(), 5u * jobs); // 5 spans per job
+    EXPECT_EQ(sc.recorded(), 5u * 2 * perSlot); // 5 spans per job
     for (const obs::Span &s : sc.spans()) {
         ASSERT_GE(s.id, 1u);
         const auto id = static_cast<unsigned>(s.id - 1);
@@ -1067,7 +1061,6 @@ TEST(RuntimeSpans, PoolStolenJobsLandOnStealingWorkersTrack)
         EXPECT_EQ(s.track, workerOf[id])
             << obs::spanKindName(s.kind) << " of job " << id;
     }
-    EXPECT_TRUE(sawSteal);
 }
 
 TEST(RuntimeSpans, SpanCollectionLeavesStatsJsonByteIdentical)

@@ -4,17 +4,21 @@
  * (round-trips and malformed-input rejection), the deficit-round-robin
  * dispatcher (weighted fairness in isolation), the drain signal, and a
  * live Server on an ephemeral port driven through the real client —
- * submission paths, admission control, quotas, scrape, and drain.
+ * submission paths, admission control, quotas, scrape, drain, frame
+ * assembly and the serving threads.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <arpa/inet.h>
@@ -306,6 +310,75 @@ acceptedFd(const serve::Server &server, const serve::Client &client)
     return -1;
 }
 
+/** Scrape over c until the server reports `want` jobs executing;
+ *  false if it never does. */
+bool
+waitForInFlight(serve::Client &c, unsigned want)
+{
+    const std::string line =
+        "\nfpc_serve_in_flight " + std::to_string(want) + "\n";
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (std::chrono::steady_clock::now() < deadline) {
+        std::string text;
+        if (!c.scrape(text))
+            return false;
+        if (text.find(line) != std::string::npos)
+            return true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
+}
+
+/** A request as it travels: the u32 length prefix, then the
+ *  payload. */
+std::string
+frameOf(const serve::Request &req)
+{
+    const std::string payload = serve::encodeRequest(req);
+    std::string frame;
+    for (int i = 0; i < 4; ++i)
+        frame += static_cast<char>((payload.size() >> (8 * i)) & 0xff);
+    return frame + payload;
+}
+
+serve::Request
+submitOf(std::uint32_t reqId, const char *source, Word arg)
+{
+    serve::Request req;
+    req.op = serve::ReqOp::Submit;
+    req.submit.reqId = reqId;
+    req.submit.source = source;
+    req.submit.args = {arg};
+    return req;
+}
+
+/** Runs n × 1000 loop iterations: long enough to hold a slot while a
+ *  test talks to the server. */
+const char *kSpinSource = R"(
+    module Spin;
+    proc main(n) {
+        var i, j;
+        i = 0;
+        while (i < n) {
+            j = 0;
+            while (j < 1000) { j = j + 1; }
+            i = i + 1;
+        }
+        return i;
+    }
+)";
+
+std::size_t
+threadCount()
+{
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/task"))
+        ++n;
+    return n;
+}
+
 TEST(Server, AcceptedSocketsSetNoDelay)
 {
     // Replies are one small write each: Nagle would hold every reply
@@ -410,7 +483,6 @@ TEST(Server, FullQueueAnswersRejectedWithRetryAfter)
 {
     serve::ServerConfig sc;
     sc.workers = 1;
-    sc.maxInFlight = 1;
     sc.queueCapacity = 1;
     serve::Server server(sc);
     server.start();
@@ -494,6 +566,173 @@ TEST(Server, DrainRefusesNewWorkThenStops)
 
     server.stop();
     EXPECT_EQ(server.jobsCompleted(), 1u);
+}
+
+// ---------------------------------------------------------------------
+// The serving threads: workers + 1, leader/followers over one epoll
+// set.
+// ---------------------------------------------------------------------
+
+TEST(Server, SpareThreadAnswersWhileEverySlotRuns)
+{
+    // One slot, held by a long job: the second serving thread still
+    // answers PING and SCRAPE and refuses a queue overflow before
+    // that job ends.
+    serve::ServerConfig sc;
+    sc.workers = 1;
+    sc.queueCapacity = 1;
+    serve::Server server(sc);
+    server.start();
+    serve::Client runner = connectTo(server);
+    serve::Client other = connectTo(server);
+
+    ASSERT_TRUE(runner.send(submitOf(1, kSpinSource, 20000)));
+    ASSERT_TRUE(waitForInFlight(other, 1));
+    // The first quick job fills the one-place queue; the second is
+    // refused at once.
+    ASSERT_TRUE(other.send(submitOf(2, kFibSource, 5)));
+    ASSERT_TRUE(other.send(submitOf(3, kFibSource, 5)));
+    serve::Reply reply;
+    ASSERT_TRUE(other.recv(reply));
+    EXPECT_EQ(reply.reqId, 3u);
+    EXPECT_EQ(reply.status, serve::Status::Rejected);
+    EXPECT_TRUE(other.ping());
+    std::string text;
+    ASSERT_TRUE(other.scrape(text));
+    EXPECT_NE(text.find("\nfpc_serve_in_flight 1\n"), std::string::npos);
+    EXPECT_NE(text.find("\nfpc_serve_queue_depth 1\n"), std::string::npos);
+    // The long job is still running: no reply has come back on its
+    // connection.
+    pollfd pfd = {runner.fd(), POLLIN, 0};
+    EXPECT_EQ(::poll(&pfd, 1, 0), 0);
+
+    ASSERT_TRUE(runner.recv(reply));
+    EXPECT_EQ(reply.reqId, 1u);
+    EXPECT_EQ(reply.value, 20000u);
+    ASSERT_TRUE(other.recv(reply));
+    EXPECT_EQ(reply.reqId, 2u);
+    EXPECT_EQ(reply.value, 5u);
+    server.stop();
+    EXPECT_EQ(server.jobsCompleted(), 2u);
+    EXPECT_EQ(server.jobsRejected(), 1u);
+}
+
+TEST(Server, BurstFillsEveryFreeSlot)
+{
+    // Two jobs admitted from one read, two free slots: the reading
+    // thread runs one and another thread must take the other, so both
+    // execute at once.
+    serve::ServerConfig sc;
+    sc.workers = 2;
+    serve::Server server(sc);
+    server.start();
+    serve::Client client = connectTo(server);
+    serve::Client watcher = connectTo(server);
+    const std::string two = frameOf(submitOf(1, kSpinSource, 5000)) +
+                            frameOf(submitOf(2, kSpinSource, 5000));
+    ASSERT_EQ(::send(client.fd(), two.data(), two.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(two.size()));
+    EXPECT_TRUE(waitForInFlight(watcher, 2));
+    for (int i = 0; i < 2; ++i) {
+        serve::Reply reply;
+        ASSERT_TRUE(client.recv(reply));
+        EXPECT_EQ(reply.value, 5000u);
+    }
+    server.stop();
+}
+
+TEST(Server, FramesAssembleAcrossAndWithinReads)
+{
+    serve::ServerConfig sc;
+    sc.workers = 1;
+    serve::Server server(sc);
+    server.start();
+    serve::Client client = connectTo(server);
+
+    // One SUBMIT a byte at a time, with pauses so the server sees
+    // the length prefix and the payload arrive in pieces.
+    const std::string slow = frameOf(submitOf(1, kFibSource, 10));
+    for (std::size_t i = 0; i < slow.size(); ++i) {
+        ASSERT_EQ(::send(client.fd(), &slow[i], 1, MSG_NOSIGNAL), 1);
+        if (i == 1 || i == 5 || i == slow.size() / 2)
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    serve::Reply reply;
+    ASSERT_TRUE(client.recv(reply));
+    EXPECT_EQ(reply.reqId, 1u);
+    EXPECT_EQ(reply.status, serve::Status::Ok);
+    EXPECT_EQ(reply.value, 55u);
+
+    // Three frames in one send.
+    serve::Request ping;
+    ping.op = serve::ReqOp::Ping;
+    const std::string three = frameOf(submitOf(2, kFibSource, 5)) +
+                              frameOf(ping) +
+                              frameOf(submitOf(3, kFibSource, 6));
+    ASSERT_EQ(::send(client.fd(), three.data(), three.size(),
+                     MSG_NOSIGNAL),
+              static_cast<ssize_t>(three.size()));
+    std::map<std::uint32_t, Word> values;
+    unsigned pongs = 0;
+    for (int i = 0; i < 3; ++i) {
+        ASSERT_TRUE(client.recv(reply));
+        if (reply.status == serve::Status::Pong) {
+            ++pongs;
+            continue;
+        }
+        ASSERT_EQ(reply.status, serve::Status::Ok);
+        values[reply.reqId] = reply.value;
+    }
+    EXPECT_EQ(pongs, 1u);
+    EXPECT_EQ(values, (std::map<std::uint32_t, Word>{{2, 5}, {3, 8}}));
+
+    // A length prefix over maxFrameBytes closes that connection and
+    // only that one.
+    serve::Client bad = connectTo(server);
+    ASSERT_TRUE(bad.ping());
+    const std::uint32_t len = serve::maxFrameBytes + 1;
+    char head[4];
+    for (int i = 0; i < 4; ++i)
+        head[i] = static_cast<char>((len >> (8 * i)) & 0xff);
+    ASSERT_EQ(::send(bad.fd(), head, 4, MSG_NOSIGNAL), 4);
+    pollfd pfd = {bad.fd(), POLLIN, 0};
+    ASSERT_EQ(::poll(&pfd, 1, 30000), 1);
+    char byte = 0;
+    EXPECT_EQ(::recv(bad.fd(), &byte, 1, 0), 0); // EOF
+    EXPECT_TRUE(client.ping());
+    ASSERT_TRUE(client.submitSource("", kFibSource, {7}, reply));
+    EXPECT_EQ(reply.value, 13u);
+    server.stop();
+}
+
+TEST(Server, ManyConnectionsShareTheServingThreads)
+{
+    // No thread per connection: 32 clients on one slot are all
+    // served by the workers + 1 serving threads.
+    const std::size_t before = threadCount();
+    serve::ServerConfig sc;
+    sc.workers = 1;
+    serve::Server server(sc);
+    server.start();
+    std::vector<serve::Client> clients;
+    for (int c = 0; c < 32; ++c)
+        clients.push_back(connectTo(server));
+    for (std::size_t c = 0; c < clients.size(); ++c)
+        ASSERT_TRUE(clients[c].send(submitOf(
+            static_cast<std::uint32_t>(c + 1), kFibSource,
+            static_cast<Word>(c % 8))));
+    const Word fib[] = {0, 1, 1, 2, 3, 5, 8, 13};
+    for (std::size_t c = 0; c < clients.size(); ++c) {
+        serve::Reply reply;
+        ASSERT_TRUE(clients[c].recv(reply));
+        EXPECT_EQ(reply.status, serve::Status::Ok);
+        EXPECT_EQ(reply.reqId, c + 1);
+        EXPECT_EQ(reply.value, fib[c % 8]);
+    }
+    EXPECT_LE(threadCount(), before + sc.workers + 1);
+    EXPECT_EQ(server.connectionsAccepted(), 32u);
+    server.stop();
+    EXPECT_EQ(server.jobsCompleted(), 32u);
 }
 
 // ---------------------------------------------------------------------
@@ -627,20 +866,22 @@ TEST(Server, PipelinedRepliesOutOfOrderWithScrapeInFlight)
     serve::Server server(sc);
     server.start();
     serve::Client client = connectTo(server);
+    serve::Client watcher = connectTo(server);
 
     // One deliberately slow job first, then a burst of quick ones:
     // with two workers the quick jobs overtake it, so replies come
     // back out of submission order and must be matched by reqId. A
     // SCRAPE rides the same pipelined connection mid-flight.
     std::map<unsigned, Word> want;
-    serve::Request req;
-    req.op = serve::ReqOp::Submit;
-    req.submit.source = kFibSource;
-    req.submit.reqId = 1;
+    serve::Request req = submitOf(1, kSpinSource, 10000);
     req.submit.traceId = 1;
-    req.submit.args = {22};
-    want[1] = 17711;
+    want[1] = 10000;
     ASSERT_TRUE(client.send(req));
+    // The quick jobs go out only once the slow one holds a slot, so
+    // they cannot be picked ahead of it; the slow job runs long
+    // enough (tens of ms) that the watcher cannot miss it.
+    ASSERT_TRUE(waitForInFlight(watcher, 1));
+    req.submit.source = kFibSource;
     for (unsigned i = 2; i <= 8; ++i) {
         req.submit.reqId = i;
         req.submit.traceId = i;

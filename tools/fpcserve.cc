@@ -1,11 +1,11 @@
 /**
  * @file
  * fpcserve — the FPC serving daemon: a long-lived, multi-tenant job
- * server over the pooled runtime.
+ * server over the runtime's execution slots.
  *
  * Where fpcrun drains a fixed batch and exits, fpcserve listens on a
- * TCP port for fpc-serve-v1 frames, runs submitted MiniMesa jobs on a
- * persistent worker pool with per-worker reusable machine contexts,
+ * TCP port for fpc-serve-v1 frames, runs submitted MiniMesa jobs on
+ * the threads that read them, one reusable machine context per slot,
  * and applies admission control (bounded queues, per-tenant cycle
  * quotas) with deficit-round-robin fair dispatch across tenants:
  *
@@ -78,8 +78,6 @@ parseArgs(int argc, char **argv)
                   "tracks. Clients attach more probes live (fpcprobe).\n");
     p.add({"--queue-capacity", "N", "admitted-job bound across tenants "
            "(default 256)", cli::number(sc.queueCapacity)});
-    p.add({"--max-inflight", "N", "jobs on the pool at once (default 0 = "
-           "workers)", cli::number(sc.maxInFlight)});
     p.add({"--tenant", "NAME:W[:Q[:C]]", "tenant weight W, max queued Q, "
            "cycles/window C", [&sc](const std::string &v) {
                std::string name;
